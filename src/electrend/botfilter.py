@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from datetime import date
 from hashlib import blake2b
 from typing import Iterable, Sequence
 
@@ -23,6 +24,7 @@ __all__ = [
     "ActivityTracker",
     "profile_user",
     "score_user",
+    "flag_bots",
     "filter_corpus",
     "write_report_csv",
 ]
@@ -80,12 +82,14 @@ class ActivityTracker:
     def __init__(self):
         self._users: dict[str, _UserState] = {}
 
-    def add(self, record: TweetRecord) -> None:
+    def add(self, record: TweetRecord, day: date | None = None) -> None:
+        """Count one record; ``day`` is its pipeline day for the rate rule (UTC date by default)."""
         state = self._users.get(record.user_id)
         if state is None:
             state = self._users[record.user_id] = _UserState()
         state.total += 1
-        day = record.created_at.date()
+        if day is None:
+            day = record.created_at.date()
         state.day_counts[day] = state.day_counts.get(day, 0) + 1
         state.texts.add(_text_key(record.text))
         ts = record.created_at.timestamp()
@@ -148,6 +152,14 @@ def score_user(activity: UserActivity, config: BotConfig = BotConfig()) -> BotVe
     )
 
 
+def flag_bots(
+    tracker: ActivityTracker, config: BotConfig = BotConfig()
+) -> tuple[list[BotVerdict], set[str]]:
+    """Score every tracked user: verdicts sorted by user id, and the flagged ids."""
+    verdicts = [score_user(a, config) for _, a in sorted(tracker.profiles().items())]
+    return verdicts, {v.user_id for v in verdicts if v.is_bot}
+
+
 def filter_corpus(
     records: Iterable[TweetRecord], config: BotConfig = BotConfig()
 ) -> tuple[list[TweetRecord], list[BotVerdict]]:
@@ -161,10 +173,8 @@ def filter_corpus(
     tracker = ActivityTracker()
     for r in records:
         tracker.add(r)
-    verdicts = [score_user(a, config) for _, a in sorted(tracker.profiles().items())]
-    bots = {v.user_id for v in verdicts if v.is_bot}
-    clean = [r for r in records if r.user_id not in bots]
-    return clean, verdicts
+    verdicts, bots = flag_bots(tracker, config)
+    return [r for r in records if r.user_id not in bots], verdicts
 
 
 def write_report_csv(verdicts: Iterable[BotVerdict], fh) -> None:

@@ -1,11 +1,11 @@
 """Command-line pipeline: ingest, train, classify, trend, sweep, hashtags, synth, validate.
 
 Exit codes: 0 success, 1 validation check failed, 2 usage error,
-3 input not readable, 4 data error (empty or malformed corpus, bad model
-or spec). Logs go to standard error with a ``LEVEL name:`` prefix; every
-run writes a JSON manifest beside its primary output recording inputs
-(with digests), effective parameters and argv, so runs can be reproduced
-and audited. Output files are written to a temp name and renamed into
+3 input not readable or output not writable, 4 data error (empty or
+malformed corpus, bad model or spec). Logs go to standard error with a
+``LEVEL name:`` prefix; every run writes a JSON manifest beside its
+primary output recording inputs (with digests), effective parameters and
+argv, so runs can be reproduced and audited. Output files are written to a temp name and renamed into
 place.
 
 Dates on the command line are calendar dates; they are converted to
@@ -17,16 +17,16 @@ subcommands read back.
 from __future__ import annotations
 
 import argparse
-import gzip
 import json
 import logging
 import os
 import sys
 import tempfile
+from array import array
 from collections import Counter
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack
 from datetime import date
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import botfilter, hashtags, manifest, stance, synth, trend
 from .ingest import (
@@ -35,6 +35,7 @@ from .ingest import (
     QuerySet,
     TweetRecord,
     assign_day,
+    atomic_text,
     day_to_date,
     effective_date,
     iter_lines,
@@ -65,25 +66,6 @@ class CliError(Exception):
 
 
 # -- small IO helpers ---------------------------------------------------
-
-
-@contextmanager
-def _atomic_text(path: str, newline: str | None = None):
-    """Text writer committing via temp file + rename; gzip by .gz suffix."""
-    tmp = f"{path}.tmp{os.getpid()}"
-    if path.endswith(".gz"):
-        fh = gzip.open(tmp, "wt", encoding="utf-8", newline=newline)
-    else:
-        fh = open(tmp, "w", encoding="utf-8", newline=newline)
-    try:
-        yield fh
-        fh.close()
-        os.replace(tmp, path)
-    except BaseException:
-        fh.close()
-        with suppress(OSError):
-            os.unlink(tmp)
-        raise
 
 
 def _meta_path(corpus_path: str) -> str:
@@ -157,41 +139,38 @@ def _t0_to_day(token: str, origin: date | None) -> int:
     return day
 
 
-def _load_weights_file(path: str) -> dict[str, float]:
-    """stratum,weight per line; a 'stratum,weight' header row is skipped."""
-    weights = {}
+def _load_pairs(path: str, header: tuple[str, str]) -> dict[str, str]:
+    """Two-column CSV as a dict; blank and '#' lines and a header row are skipped."""
+    pairs = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = [p.strip() for p in line.split(",")]
-            if line_no == 1 and parts[:2] == ["stratum", "weight"]:
+            if line_no == 1 and tuple(parts[:2]) == header:
                 continue
             if len(parts) != 2:
-                raise CliError(EXIT_DATA, f"{path}:{line_no}: expected 'stratum,weight'")
-            try:
-                weights[parts[0]] = float(parts[1])
-            except ValueError:
-                raise CliError(EXIT_DATA, f"{path}:{line_no}: bad weight {parts[1]!r}") from None
+                raise CliError(EXIT_DATA, f"{path}:{line_no}: expected '{header[0]},{header[1]}'")
+            pairs[parts[0]] = parts[1]
+    return pairs
+
+
+def _load_weights_file(path: str) -> dict[str, float]:
+    weights = {}
+    for stratum, weight in _load_pairs(path, ("stratum", "weight")).items():
+        try:
+            weights[stratum] = float(weight)
+        except ValueError:
+            raise CliError(EXIT_DATA, f"{path}: bad weight {weight!r} for stratum {stratum!r}") from None
     return weights
 
 
-def _load_strata_file(path: str) -> dict[str, str]:
-    """user_id,stratum per line; a 'user_id,stratum' header row is skipped."""
-    strata = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if line_no == 1 and parts[:2] == ["user_id", "stratum"]:
-                continue
-            if len(parts) != 2:
-                raise CliError(EXIT_DATA, f"{path}:{line_no}: expected 'user_id,stratum'")
-            strata[parts[0]] = parts[1]
-    return strata
+def _load_spec(path: str) -> synth.ElectorateSpec:
+    try:
+        return synth.ElectorateSpec.load(path)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CliError(EXIT_DATA, f"bad spec file: {exc}") from None
 
 
 def _new_manifest(args: argparse.Namespace, skip: Sequence[str] = ()) -> manifest.RunManifest:
@@ -207,15 +186,14 @@ def _new_manifest(args: argparse.Namespace, skip: Sequence[str] = ()) -> manifes
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    queries = QuerySet.default()
     if args.queries_file:
+        with open(args.queries_file, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
         try:
-            with open(args.queries_file, encoding="utf-8") as fh:
-                lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-        except OSError as exc:
-            raise CliError(EXIT_INPUT, f"cannot read queries file: {exc}") from None
-        queries = QuerySet.from_strings(lines)
-    else:
-        queries = QuerySet.default()
+            queries = QuerySet.from_strings(lines)
+        except ValueError as exc:
+            raise CliError(EXIT_DATA, f"bad queries file {args.queries_file}: {exc}") from None
     use_queries = not args.no_query_filter
     use_bots = not args.no_bot_filter
     bot_config = botfilter.BotConfig(
@@ -225,98 +203,71 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         threshold=args.bot_threshold,
     )
     offset = args.day_offset_hours
-    explicit_origin = date.fromisoformat(args.origin_date) if args.origin_date else None
-
     rejects_path = args.input + ".rejects.txt"
-    rejects_tmp = f"{rejects_path}.tmp{os.getpid()}"
     reject_counts: Counter = Counter()
     tracker = botfilter.ActivityTracker()
+    kept = array("q")  # line numbers that pass the parse, retweet and query rules
     n_lines = 0
     min_date: date | None = None
 
-    def first_pass(reject_fh) -> None:
-        nonlocal n_lines, min_date
+    # Pass 1 decides the per-line rules, profiles users and finds the origin;
+    # pass 2 re-reads only the kept lines and applies the per-user bot rule
+    # and the origin. Rejects are logged in that order.
+    with atomic_text(rejects_path) as rejects:
+
+        def reject(line_no: int, reason: str) -> None:
+            reject_counts[reason.partition(":")[0]] += 1
+            rejects.write(f"{line_no}\t{reason}\n")
+
         for line_no, line in iter_lines(args.input):
             n_lines += 1
             try:
                 record = parse_record(line, line_no)
             except ParseError as exc:
-                reject_counts["parse"] += 1
-                reject_fh.write(f"{line_no}\tparse: {exc.reason}\n")
+                reject(line_no, f"parse: {exc.reason}")
                 continue
             if args.drop_retweets and record.text.startswith("RT @"):
-                reject_counts["retweet"] += 1
-                reject_fh.write(f"{line_no}\tretweet\n")
+                reject(line_no, "retweet")
                 continue
             if use_queries and not matches_query(record, queries):
-                reject_counts["no-query-match"] += 1
-                reject_fh.write(f"{line_no}\tno-query-match\n")
+                reject(line_no, "no-query-match")
                 continue
-            d = effective_date(record, offset)
-            if min_date is None or d < min_date:
-                min_date = d
+            kept.append(line_no)
+            day = effective_date(record, offset)
+            if min_date is None or day < min_date:
+                min_date = day
             if use_bots:
-                tracker.add(record)
+                tracker.add(record, day)
 
-    try:
-        reject_fh = open(rejects_tmp, "w", encoding="utf-8")
-        try:
-            try:
-                first_pass(reject_fh)
-            except OSError as exc:
-                raise CliError(EXIT_INPUT, f"cannot read {args.input}: {exc}") from None
+        if n_lines == 0:
+            raise CliError(EXIT_DATA, f"{args.input} contains no records")
+        if min_date is None:
+            raise CliError(EXIT_DATA, "no record passed the parse and query filters")
+        origin = date.fromisoformat(args.origin_date) if args.origin_date else min_date
+        verdicts, bots = botfilter.flag_bots(tracker, bot_config) if use_bots else ([], set())
 
-            if n_lines == 0:
-                raise CliError(EXIT_DATA, f"{args.input} contains no records")
-            if min_date is None:
-                raise CliError(EXIT_DATA, "no record passed the parse and query filters")
-            origin = explicit_origin if explicit_origin is not None else min_date
-
-            verdicts = []
-            bots: set[str] = set()
-            if use_bots:
-                verdicts = [
-                    botfilter.score_user(a, bot_config)
-                    for _, a in sorted(tracker.profiles().items())
-                ]
-                bots = {v.user_id for v in verdicts if v.is_bot}
-
-            accepted = 0
-            max_day = 0
-            with _atomic_text(args.output) as out:
-                for line_no, line in iter_lines(args.input):
-                    try:
-                        record = parse_record(line, line_no)
-                    except ParseError:
-                        continue  # rejected in pass 1
-                    if args.drop_retweets and record.text.startswith("RT @"):
-                        continue
-                    if use_queries and not matches_query(record, queries):
-                        continue
-                    if record.user_id in bots:
-                        reject_counts["bot-user"] += 1
-                        reject_fh.write(f"{line_no}\tbot-user\n")
-                        continue
-                    try:
-                        day = assign_day(record, origin, offset)
-                    except BeforeOriginError:
-                        reject_counts["before-origin"] += 1
-                        reject_fh.write(f"{line_no}\tbefore-origin\n")
-                        continue
-                    out.write(record_to_json(record.with_day(day)))
-                    out.write("\n")
-                    accepted += 1
-                    if day > max_day:
-                        max_day = day
-            reject_fh.close()
-            os.replace(rejects_tmp, rejects_path)
-        except BaseException:
-            reject_fh.close()
-            with suppress(OSError):
-                os.unlink(rejects_tmp)
-            raise
-    except OSError as exc:
-        raise CliError(EXIT_INPUT, f"cannot read {args.input}: {exc}") from None
+        accepted = 0
+        max_day = 0
+        wanted = iter(kept)
+        next_kept = next(wanted)
+        with atomic_text(args.output) as out:
+            for line_no, line in iter_lines(args.input):
+                if line_no != next_kept:
+                    continue
+                next_kept = next(wanted, 0)
+                record = parse_record(line, line_no)
+                if record.user_id in bots:
+                    reject(line_no, "bot-user")
+                    continue
+                try:
+                    day = assign_day(record, origin, offset)
+                except BeforeOriginError:
+                    reject(line_no, "before-origin")
+                    continue
+                out.write(record_to_json(record.with_day(day)))
+                out.write("\n")
+                accepted += 1
+                max_day = max(max_day, day)
 
     rejected = sum(reject_counts.values())
     if accepted + rejected != n_lines:
@@ -326,7 +277,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
     report_path = args.bot_report or (args.output + ".bots.csv")
     if use_bots:
-        with _atomic_text(report_path, newline="") as fh:
+        with atomic_text(report_path, newline="") as fh:
             botfilter.write_report_csv(verdicts, fh)
 
     meta = {
@@ -385,15 +336,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
     except stance.TrainingError as exc:
         raise CliError(EXIT_DATA, f"training failed: {exc}") from None
-
-    tmp = f"{args.output}.tmp{os.getpid()}"
-    try:
-        model.save(tmp)
-        os.replace(tmp, args.output)
-    except BaseException:
-        with suppress(OSError):
-            os.unlink(tmp)
-        raise
+    model.save(args.output)
 
     run = _new_manifest(args)
     run.add_input("corpus", args.input)
@@ -410,6 +353,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# The model _classify_line uses, loaded by _classify_init in this process
+# and in every pool worker.
 _WORKER_MODEL: stance.LexiconModel | None = None
 
 
@@ -428,42 +373,31 @@ def _classify_line(item: tuple[int, str]) -> tuple[str, str]:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     try:
-        model = stance.LexiconModel.load(args.model)
-    except OSError as exc:
-        raise CliError(EXIT_INPUT, f"cannot read model: {exc}") from None
+        _classify_init(args.model)
     except (ValueError, KeyError) as exc:
         raise CliError(EXIT_DATA, f"bad model file: {exc}") from None
 
     workers = args.workers or os.cpu_count() or 1
     counts: Counter = Counter()
-    n = 0
     try:
-        with _atomic_text(args.output) as out:
+        with atomic_text(args.output) as out, ExitStack() as stack:
+            lines = iter_lines(args.input)
             if workers > 1:
                 import multiprocessing
 
-                with multiprocessing.Pool(
-                    workers, initializer=_classify_init, initargs=(args.model,)
-                ) as pool:
-                    results = pool.imap(_classify_line, iter_lines(args.input), chunksize=512)
-                    for value, line in results:
-                        counts[value] += 1
-                        out.write(line)
-                        out.write("\n")
-                        n += 1
+                pool = stack.enter_context(
+                    multiprocessing.Pool(workers, initializer=_classify_init, initargs=(args.model,))
+                )
+                results = pool.imap(_classify_line, lines, chunksize=512)
             else:
-                for line_no, line in iter_lines(args.input):
-                    record = parse_record(line, line_no)
-                    label = stance.classify_tweet(record, model)
-                    record.stance = label.value
-                    counts[label.value] += 1
-                    out.write(record_to_json(record))
-                    out.write("\n")
-                    n += 1
-    except OSError as exc:
-        raise CliError(EXIT_INPUT, f"cannot read {args.input}: {exc}") from None
+                results = map(_classify_line, lines)
+            for value, line in results:
+                counts[value] += 1
+                out.write(line)
+                out.write("\n")
     except ParseError as exc:
         raise CliError(EXIT_DATA, f"{args.input}:{exc.line_no}: {exc.reason}") from None
+    n = sum(counts.values())
     if n == 0:
         raise CliError(EXIT_DATA, f"{args.input} contains no records")
 
@@ -525,7 +459,7 @@ def cmd_trend(args: argparse.Namespace) -> int:
         if not (args.weights_file and args.strata_file):
             raise CliError(EXIT_USAGE, "--weights-file and --strata-file go together")
         weights = _load_weights_file(args.weights_file)
-        strata = _load_strata_file(args.strata_file)
+        strata = _load_pairs(args.strata_file, ("user_id", "stratum"))
         reweighted = []
         for point in points:
             if args.mode == "instant":
@@ -540,7 +474,7 @@ def cmd_trend(args: argparse.Namespace) -> int:
             reweighted.append(trend.apply_demographic_weights(point, weights, strata, cats))
         points = reweighted
 
-    with _atomic_text(args.output, newline="") as fh:
+    with atomic_text(args.output, newline="") as fh:
         trend.write_trend_csv(points, fh)
 
     run = _new_manifest(args)
@@ -587,12 +521,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for t0, series in sorted(result.series.items()):
         token = day_to_date(t0, origin).isoformat() if origin else f"day{t0:03d}"
         path = os.path.join(args.output, f"trend_t0_{token}.csv")
-        with _atomic_text(path, newline="") as fh:
+        with atomic_text(path, newline="") as fh:
             trend.write_trend_csv(series, fh)
         per_t0_paths[t0] = path
 
     summary_path = os.path.join(args.output, "sweep_summary.csv")
-    with _atomic_text(summary_path, newline="") as fh:
+    with atomic_text(summary_path, newline="") as fh:
         fh.write("t0,start_day,final_day,n_mp,n_ff,n_undecided,n_unclassified,"
                  "pct_ff,pct_mp,pct_others,denominator\n")
         for t0, series in sorted(result.series.items()):
@@ -641,9 +575,9 @@ def cmd_hashtags(args: argparse.Namespace) -> int:
 
     graphml_path = args.graphml or (args.output + ".graphml")
     dot_path = args.dot or (args.output + ".dot")
-    with _atomic_text(graphml_path) as fh:
+    with atomic_text(graphml_path) as fh:
         hashtags.write_graphml(graph, fh, partition)
-    with _atomic_text(dot_path) as fh:
+    with atomic_text(dot_path) as fh:
         hashtags.write_dot(graph, fh, partition)
 
     clouds_path = None
@@ -651,7 +585,7 @@ def cmd_hashtags(args: argparse.Namespace) -> int:
     if labeled:
         clouds = hashtags.camp_clouds(labeled)
         clouds_path = args.clouds or (args.output + ".clouds.csv")
-        with _atomic_text(clouds_path, newline="") as fh:
+        with atomic_text(clouds_path, newline="") as fh:
             hashtags.write_clouds_csv(clouds, fh, top_k=args.top_k)
     else:
         log.warning("no stance labels in corpus; skipping camp clouds")
@@ -688,12 +622,7 @@ def _parse_mix(token: str) -> tuple[float, float, float]:
 
 def _spec_from_args(args: argparse.Namespace) -> synth.ElectorateSpec:
     if args.spec:
-        try:
-            return synth.ElectorateSpec.load(args.spec)
-        except OSError as exc:
-            raise CliError(EXIT_INPUT, f"cannot read spec: {exc}") from None
-        except (ValueError, KeyError, TypeError) as exc:
-            raise CliError(EXIT_DATA, f"bad spec file: {exc}") from None
+        return _load_spec(args.spec)
     if args.users is None or args.days is None:
         raise CliError(EXIT_USAGE, "need either --spec or both --users and --days")
     drift = []
@@ -728,18 +657,10 @@ def _spec_from_args(args: argparse.Namespace) -> synth.ElectorateSpec:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    n = 0
-    with _atomic_text(args.output) as fh:
-        for record in synth.iter_records(spec):
-            fh.write(record_to_json(record))
-            fh.write("\n")
-            n += 1
-    truth = synth.ground_truth(spec)
     truth_path = args.truth or (args.output + ".truth.csv")
-    with _atomic_text(truth_path, newline="") as fh:
-        truth.write_csv(fh)
+    n = synth.write_corpus(spec, args.output, truth_path)
     spec_echo = args.output + ".spec.json"
-    manifest.write_json_atomic(spec.to_dict(), spec_echo)
+    spec.save(spec_echo)
 
     run = _new_manifest(args)
     run.parameters["run_id"] = spec.run_id
@@ -773,15 +694,7 @@ _VALIDATE_SPEC = synth.ElectorateSpec(
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    if args.spec:
-        try:
-            spec = synth.ElectorateSpec.load(args.spec)
-        except OSError as exc:
-            raise CliError(EXIT_INPUT, f"cannot read spec: {exc}") from None
-        except (ValueError, KeyError, TypeError) as exc:
-            raise CliError(EXIT_DATA, f"bad spec file: {exc}") from None
-    else:
-        spec = _VALIDATE_SPEC
+    spec = _load_spec(args.spec) if args.spec else _VALIDATE_SPEC
 
     workdir = args.workdir or tempfile.mkdtemp(prefix="electrend-validate-")
     os.makedirs(workdir, exist_ok=True)
@@ -910,7 +823,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bot-dup-cap", type=float, default=0.8, help="duplicate-text ratio above which the duplication rule fires")
     p.add_argument("--bot-gap-floor", type=float, default=30.0, help="mean seconds between tweets below which the burst rule fires")
     p.add_argument("--bot-report", default=None, help="bot report CSV (default <output>.bots.csv)")
-    p.add_argument("--workers", type=int, default=1, help="accepted for interface parity; ingest runs serially")
 
     p = add("train", cmd_train, "fit the stance lexicon from seed hashtags")
     p.add_argument("input", help="clean corpus from ingest")
@@ -999,4 +911,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code
     except BrokenPipeError:
         return EXIT_OK
-    return EXIT_OK
+    except OSError as exc:
+        log.error("%s", exc)
+        return EXIT_INPUT

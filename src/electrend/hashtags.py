@@ -145,20 +145,15 @@ def _propagate_labels(graph: CooccurrenceGraph, max_rounds: int) -> dict[str, st
     return labels
 
 
-def partition_graph(
-    graph: CooccurrenceGraph, max_rounds: int = 100, refine: bool = False
-) -> CampPartition:
+def partition_graph(graph: CooccurrenceGraph, max_rounds: int = 100) -> CampPartition:
     """Deterministic camp assignment for every retained tag.
 
     Camps are numbered by descending total frequency (ties by smallest
-    member tag). ``refine`` runs an optional greedy modularity merge pass
-    over the propagated camps; off by default.
+    member tag).
     """
     if not graph.node_freq:
         raise ValueError("cannot partition an empty graph")
     labels = _propagate_labels(graph, max_rounds)
-    if refine:
-        labels = _merge_by_modularity(graph, labels)
 
     members: dict[str, list[str]] = defaultdict(list)
     for tag in sorted(labels):
@@ -182,45 +177,6 @@ def partition_graph(
             )
         )
     return CampPartition(camp_of=camp_of, camps=tuple(camps))
-
-
-def _modularity(graph: CooccurrenceGraph, labels: dict[str, str]) -> float:
-    two_m = 2.0 * sum(graph.edge_weight.values())
-    if two_m == 0:
-        return 0.0
-    degree: dict[str, float] = defaultdict(float)
-    for (a, b), w in graph.edge_weight.items():
-        degree[a] += w
-        degree[b] += w
-    intra: dict[str, float] = defaultdict(float)
-    deg_sum: dict[str, float] = defaultdict(float)
-    for (a, b), w in graph.edge_weight.items():
-        if labels[a] == labels[b]:
-            intra[labels[a]] += w
-    for tag, d in degree.items():
-        deg_sum[labels[tag]] += d
-    communities = set(labels.values())
-    return sum(2 * intra[c] / two_m - (deg_sum[c] / two_m) ** 2 for c in communities)
-
-
-def _merge_by_modularity(graph: CooccurrenceGraph, labels: dict[str, str]) -> dict[str, str]:
-    # Greedy pairwise merges while any merge improves modularity.
-    labels = dict(labels)
-    while True:
-        current = _modularity(graph, labels)
-        best_gain = 0.0
-        best_pair: tuple[str, str] | None = None
-        camp_ids = sorted(set(labels.values()))
-        for a, b in combinations(camp_ids, 2):
-            trial = {t: (a if lab == b else lab) for t, lab in labels.items()}
-            gain = _modularity(graph, trial) - current
-            if gain > best_gain + 1e-12:
-                best_gain = gain
-                best_pair = (a, b)
-        if best_pair is None:
-            return labels
-        a, b = best_pair
-        labels = {t: (a if lab == b else lab) for t, lab in labels.items()}
 
 
 def camp_clouds(

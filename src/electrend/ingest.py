@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import gzip
 import json
+import os
 import re
+import zlib
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta, timezone
 from typing import Iterable, Iterator, TextIO
@@ -29,6 +32,7 @@ __all__ = [
     "assign_day",
     "day_to_date",
     "open_text",
+    "atomic_text",
     "iter_lines",
 ]
 
@@ -228,17 +232,44 @@ def day_to_date(day: int, origin_date: date) -> date:
     return origin_date + timedelta(days=day - 1)
 
 
+def _opener(path: str):
+    return gzip.open if str(path).endswith(".gz") else open
+
+
 def open_text(path: str, mode: str = "rt") -> TextIO:
     """Open a text file, transparently gzipped when the path ends in .gz."""
-    if str(path).endswith(".gz"):
-        return gzip.open(path, mode, encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
+    return _opener(path)(path, mode, encoding="utf-8")
+
+
+@contextmanager
+def atomic_text(path: str, newline: str | None = None) -> Iterator[TextIO]:
+    """Text writer that commits via a temp file and a rename; gzip by .gz suffix.
+
+    The temp file sits beside ``path``. If the ``with`` block or the final
+    flush fails, the temp file is removed and ``path`` is left untouched.
+    """
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with _opener(path)(tmp, "wt", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def iter_lines(path: str) -> Iterator[tuple[int, str]]:
-    """Yield (line_no, line) pairs, 1-based, skipping blank lines."""
+    """Yield (line_no, line) pairs, 1-based, skipping blank lines.
+
+    A truncated or corrupt gzip stream raises :class:`OSError`, like any
+    other read failure.
+    """
     with open_text(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if stripped:
-                yield line_no, stripped
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                stripped = line.strip()
+                if stripped:
+                    yield line_no, stripped
+        except (EOFError, zlib.error) as exc:
+            raise OSError(f"{path}: damaged gzip stream: {exc}") from None

@@ -8,13 +8,13 @@ that produced it, and re-run from the recorded argv.
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from hashlib import sha256
+
+from .ingest import atomic_text
 
 __all__ = ["RunManifest", "write_json_atomic", "rerun"]
 
@@ -31,20 +31,10 @@ def file_sha256(path: str) -> str:
 
 
 def write_json_atomic(obj: dict, path: str) -> None:
-    """Write via a temp file in the same directory, then rename over."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    """Write ``obj`` as indented, key-sorted JSON through the atomic writer."""
+    with atomic_text(path) as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass
@@ -78,10 +68,6 @@ class RunManifest:
 
     def write(self, path: str) -> None:
         write_json_atomic(self.to_dict(), path)
-
-
-def manifest_path_for(output_path: str) -> str:
-    return output_path + ".manifest.json"
 
 
 def rerun(manifest_path: str) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .ingest import TweetRecord
+from .ingest import TweetRecord, atomic_text, open_text
 
 __all__ = [
     "Stance",
@@ -144,7 +144,7 @@ class LexiconModel:
         }
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_text(path) as fh:
             json.dump(self.to_dict(), fh, indent=1, sort_keys=True, ensure_ascii=False)
             fh.write("\n")
 
@@ -162,7 +162,7 @@ class LexiconModel:
 
     @classmethod
     def load(cls, path: str) -> "LexiconModel":
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             return cls.from_dict(json.load(fh))
 
 

@@ -32,7 +32,8 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import TweetRecord
+from .ingest import TweetRecord, atomic_text, record_to_json
+from .manifest import write_json_atomic
 from .stance import DEFAULT_SEEDS
 from .trend import TrendPoint, UserCategory
 
@@ -159,9 +160,7 @@ class ElectorateSpec:
         }
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json_atomic(self.to_dict(), path)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ElectorateSpec":
@@ -351,19 +350,21 @@ def write_corpus(
     corpus_path: str,
     truth_path: str | None = None,
     seed_tags: Mapping[str, str] | None = None,
-) -> GroundTruth:
-    """Stream the corpus to a JSONL file in the ingest input schema."""
-    from .ingest import open_text, record_to_json
+) -> int:
+    """Stream the corpus to a JSONL file in the ingest input schema.
 
-    with open_text(corpus_path, "wt") as fh:
+    Both files are written atomically; returns the number of records.
+    """
+    n = 0
+    with atomic_text(corpus_path) as fh:
         for record in iter_records(spec, seed_tags):
             fh.write(record_to_json(record))
             fh.write("\n")
-    truth = ground_truth(spec)
+            n += 1
     if truth_path:
-        with open(truth_path, "w", encoding="utf-8", newline="") as fh:
-            truth.write_csv(fh)
-    return truth
+        with atomic_text(truth_path, newline="") as fh:
+            ground_truth(spec).write_csv(fh)
+    return n
 
 
 # -- brute-force category oracle ----------------------------------------

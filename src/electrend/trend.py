@@ -30,15 +30,11 @@ from .stance import Stance
 
 __all__ = [
     "UserCategory",
-    "UserDayCounts",
     "WindowConfig",
     "CumulativeConfig",
     "TrendPoint",
     "CounterTable",
     "SweepResult",
-    "window_sums",
-    "categorize_instant",
-    "categorize_cumulative",
     "trend_instant",
     "trend_cumulative",
     "sweep_t0",
@@ -68,14 +64,6 @@ CODE_TO_CATEGORY = {
     CODE_UNDECIDED: UserCategory.UNDECIDED,
     CODE_UNCLASSIFIED: UserCategory.UNCLASSIFIED,
 }
-
-
-@dataclass
-class UserDayCounts:
-    """Sparse per-day counters for one user: day -> (n_mp, n_ff, n_other)."""
-
-    user_id: str
-    days: dict[int, tuple[int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -196,10 +184,6 @@ class CounterTable:
     def users(self) -> list[str]:
         return self._freeze()[0]
 
-    def user_counts(self, user_id: str) -> UserDayCounts:
-        days = self._sparse.get(user_id, {})
-        return UserDayCounts(user_id, {d: tuple(c) for d, c in days.items()})
-
     def to_sparse(self) -> dict[str, dict[int, tuple[int, int, int]]]:
         """Plain-data copy of the counters (user -> day -> counts)."""
         return {
@@ -275,53 +259,6 @@ class CounterTable:
             for i, code in enumerate(codes.tolist())
             if code != CODE_NONE
         }
-
-
-# -- per-user reference operations -------------------------------------
-
-
-def window_sums(user: UserDayCounts, cfg: WindowConfig) -> tuple[int, int]:
-    """(MP sum, FF sum) over the trailing window; exact integer sums."""
-    s_mp = 0
-    s_ff = 0
-    for day in range(cfg.start, cfg.day + 1):
-        counts = user.days.get(day)
-        if counts:
-            s_mp += counts[0]
-            s_ff += counts[1]
-    return s_mp, s_ff
-
-
-def _compare(s_mp: int, s_ff: int) -> UserCategory | None:
-    if s_mp > s_ff:
-        return UserCategory.MP
-    if s_mp < s_ff:
-        return UserCategory.FF
-    if s_mp > 0:
-        return UserCategory.UNDECIDED
-    return None
-
-
-def categorize_instant(user: UserDayCounts, cfg: WindowConfig) -> UserCategory | None:
-    """Window verdict for one user; None when the window holds no MP/FF evidence."""
-    return _compare(*window_sums(user, cfg))
-
-
-def categorize_cumulative(user: UserDayCounts, cfg: CumulativeConfig) -> UserCategory | None:
-    """Cumulative verdict for one user; None when the user is silent in the range."""
-    s_mp = 0
-    s_ff = 0
-    s_other = 0
-    for day in range(cfg.start_day, cfg.day + 1):
-        counts = user.days.get(day)
-        if counts:
-            s_mp += counts[0]
-            s_ff += counts[1]
-            s_other += counts[2]
-    verdict = _compare(s_mp, s_ff)
-    if verdict is not None:
-        return verdict
-    return UserCategory.UNCLASSIFIED if s_other > 0 else None
 
 
 # -- series assembly ----------------------------------------------------

@@ -3,11 +3,19 @@
 import gzip
 import hashlib
 import json
+import os
+import resource
+import shutil
+import signal
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
 
 import pytest
 
+import electrend
 from electrend.cli import main
 from electrend.manifest import rerun
 from electrend.synth import ElectorateSpec, ground_truth
@@ -104,6 +112,12 @@ class TestExitCodes:
         ])
         assert code == 4
 
+    def test_queries_file_without_queries(self, pipeline, tmp_path):
+        queries = tmp_path / "queries.txt"
+        queries.write_text("# comments only\n")
+        code = main(["ingest", pipeline.raw, "-o", str(tmp_path / "o"), "--queries-file", str(queries)])
+        assert code == 4
+
     def test_bad_spec_file(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text('{"spec_version": 1, "n_users": -3, "n_days": 0}')
@@ -115,6 +129,62 @@ class TestExitCodes:
             "--users", "5", "--days", "5", "--drift", "3:bogus",
         ])
         assert code == 2
+
+
+def run_cli(argv, cwd, max_file_bytes=None):
+    """``python -m electrend`` in a fresh process; ``max_file_bytes`` caps every file it writes."""
+
+    def cap_file_size():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # an oversize write fails with EFBIG instead
+        resource.setrlimit(resource.RLIMIT_FSIZE, (max_file_bytes, max_file_bytes))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(electrend.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "electrend", *argv],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=cap_file_size if max_file_bytes else None,
+    )
+
+
+class TestFailedRuns:
+    """A stage that fails part-way exits with its documented code and leaves nothing behind."""
+
+    STAGES = ("ingest", "train", "classify", "trend")
+
+    @staticmethod
+    def stage_input(stage, pipeline):
+        inputs = {"ingest": pipeline.raw, "train": pipeline.clean, "classify": pipeline.clean, "trend": pipeline.labeled}
+        return inputs[stage]
+
+    @staticmethod
+    def stage_argv(stage, corpus, pipeline):
+        extra = {"classify": ["--model", pipeline.model, "--workers", "1"], "trend": ["--mode", "cumulative"]}
+        return [stage, corpus, "-o", "out", *extra.get(stage, [])]
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_output_write_fails_midway(self, stage, pipeline, tmp_path):
+        shutil.copy(self.stage_input(stage, pipeline), tmp_path / "in.jsonl")
+        result = run_cli(self.stage_argv(stage, "in.jsonl", pipeline), tmp_path, max_file_bytes=256)
+        assert result.returncode == 3, result.stderr
+        assert "File too large" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_truncated_gzip_input(self, stage, pipeline, tmp_path):
+        with open(self.stage_input(stage, pipeline), "rb") as fh:
+            packed = gzip.compress(fh.read())
+        assert len(packed) > 3000
+        (tmp_path / "in.jsonl.gz").write_bytes(packed[:3000])
+        result = run_cli(self.stage_argv(stage, "in.jsonl.gz", pipeline), tmp_path)
+        assert result.returncode == 3, result.stderr
+        assert "Traceback" not in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl.gz"]
 
 
 class TestIngestSidecars:
@@ -158,6 +228,20 @@ class TestIngestSidecars:
         before = open(pipeline.clean, "rb").read()
         assert rerun(pipeline.clean + ".manifest.json") == 0
         assert open(pipeline.clean, "rb").read() == before
+
+    def test_bot_rate_rule_counts_pipeline_days(self, tmp_path):
+        # 80 tweets 3 minutes apart from 22:00 UTC: 40 per UTC day, 80 in one day at UTC-3
+        start = datetime(2019, 8, 10, 22, tzinfo=timezone.utc)
+        raw = tmp_path / "night.jsonl"
+        with raw.open("w") as fh:
+            for i in range(80):
+                ts = (start + timedelta(minutes=3 * i)).isoformat()
+                fh.write(json.dumps({"id": str(i), "user": "owl", "ts": ts, "text": f"macri dato {i}"}) + "\n")
+        clean = str(tmp_path / "clean.jsonl")
+        for offset, rules in (("0", ""), ("-3", "rate")):
+            assert main(["ingest", str(raw), "-o", clean, "--day-offset-hours", offset]) == 0
+            rows = open(clean + ".bots.csv").read().splitlines()
+            assert rows[1].split(",") == ["owl", "0.3333" if rules else "0.0000", "false", rules]
 
 
 class TestClassifyAndTrend:

@@ -3,6 +3,7 @@
 import gzip
 import json
 from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,7 @@ from electrend.ingest import (
     ParseError,
     QuerySet,
     assign_day,
+    atomic_text,
     day_to_date,
     effective_date,
     extract_hashtags,
@@ -209,3 +211,34 @@ class TestFileIO:
         path_obj = tmp_path / "c.jsonl"
         path_obj.write_text("a\n\n  \nb\n", encoding="utf-8")
         assert [(n, s) for n, s in iter_lines(path)] == [(1, "a"), (4, "b")]
+
+    def test_atomic_writer_commits_whole_files_only(self, tmp_path):
+        path = tmp_path / "out.jsonl.gz"
+        with pytest.raises(RuntimeError):
+            with atomic_text(str(path)) as fh:
+                fh.write("partial\n")
+                raise RuntimeError("interrupted")
+        assert list(tmp_path.iterdir()) == []
+        with atomic_text(str(path)) as fh:
+            fh.write("whole\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl.gz"]
+        assert list(iter_lines(str(path))) == [(1, "whole")]
+
+    def test_truncated_gzip_is_a_read_error(self, tmp_path):
+        path = tmp_path / "cut.jsonl.gz"
+        line = '{"id":"1","user":"u","ts":"2019-03-01T00:00:00Z","text":"macri %d"}\n'
+        packed = gzip.compress("".join(line % i for i in range(2000)).encode())
+        path.write_bytes(packed[: len(packed) // 2])
+        with pytest.raises(OSError, match="damaged gzip"):
+            list(iter_lines(str(path)))
+
+
+class TestDocumentedFormat:
+    def test_readme_corpus_line_parses(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Files on disk", 1)[1]
+        line = section.split("```json\n", 1)[1].split("\n```", 1)[0]
+        r = parse_record(line)
+        assert (r.tweet_id, r.user_id, r.text) == ("1", "u42", "...")
+        assert r.created_at == datetime(2019, 3, 1, 12, tzinfo=UTC)
+        assert (r.hashtags, r.day, r.stance) == (["yosigo"], 1, "pro_ff")

@@ -132,9 +132,6 @@ class TestTraining:
 
     def test_model_round_trip(self, tmp_path):
         model = train_from_seeds(seeded_corpus())
-        path = str(tmp_path / "model.json")
-        model.save(path)
-        loaded = LexiconModel.load(path)
         probe = [
             rec(text="patria"),
             rec(text="cambio futuro"),
@@ -142,8 +139,13 @@ class TestTraining:
             rec(text="sin palabras conocidas"),
         ]
         before, _ = classify_corpus(probe, model)
-        after, _ = classify_corpus(probe, loaded)
-        assert before == after
+        for name in ("model.json", "model.json.gz"):
+            path = str(tmp_path / name)
+            model.save(path)
+            loaded = LexiconModel.load(path)
+            after, _ = classify_corpus(probe, loaded)
+            assert before == after
+            assert loaded.to_dict() == model.to_dict()
 
     def test_unsupported_model_version_rejected(self):
         with pytest.raises(ValueError):

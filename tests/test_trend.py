@@ -1,4 +1,8 @@
-"""Window/cumulative sums, user categories, trend points, sweeps, weights."""
+"""Window/cumulative sums, user categories, trend points, sweeps, weights.
+
+Per-user verdicts are checked against ``synth.oracle_categories``, the one
+brute-force reference the acceptance gate and ``validate`` also use.
+"""
 
 import io
 import random
@@ -8,21 +12,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from electrend.synth import oracle_categories
 from electrend.trend import (
     CounterTable,
     CumulativeConfig,
     TrendPoint,
     UserCategory,
-    UserDayCounts,
     WindowConfig,
     apply_demographic_weights,
-    categorize_cumulative,
-    categorize_instant,
     read_trend_csv,
     sweep_t0,
     trend_cumulative,
     trend_instant,
-    window_sums,
     write_trend_csv,
 )
 from conftest import rec
@@ -52,16 +53,35 @@ def loop_window_sum(days: dict[int, tuple[int, int, int]], day: int, window: int
     return s_mp, s_ff
 
 
+def verdict_from_sums(s_mp: int, s_ff: int) -> UserCategory | None:
+    """The README's category table for MP/FF sums; None when there is no evidence."""
+    if s_mp > s_ff:
+        return UserCategory.MP
+    if s_mp < s_ff:
+        return UserCategory.FF
+    return UserCategory.UNDECIDED if s_mp > 0 else None
+
+
+def instant_verdict(days: dict[int, tuple[int, int, int]], day: int, window: int):
+    """The oracle's window verdict for one user; None when the user is uncategorized."""
+    return oracle_categories({"u": days}, "instant", day=day, window=window).get("u")
+
+
+def cumulative_verdict(days: dict[int, tuple[int, int, int]], day: int, start_day: int = 1):
+    """The oracle's cumulative verdict for one user; None when the user is silent."""
+    return oracle_categories({"u": days}, "cumulative", day=day, start_day=start_day).get("u")
+
+
 class TestWindowSums:
     def test_window_clamps_to_start(self):
-        user = UserDayCounts("u", {1: (1, 0, 0), 3: (2, 0, 0), 5: (1, 0, 0)})
-        s_mp, s_ff = window_sums(user, WindowConfig(day=5, window=14))
-        assert (s_mp, s_ff) == (4, 0)
+        days = {1: (0, 2, 0), 3: (1, 0, 0), 5: (0, 0, 1)}
+        assert loop_window_sum(days, 5, 14) == (1, 2)
+        assert instant_verdict(days, 5, 14) is UserCategory.FF  # day 1 stays in the window
 
     def test_day_before_window_excluded(self):
-        user = UserDayCounts("u", {6: (3, 0, 0)})
-        s_mp, s_ff = window_sums(user, WindowConfig(day=20, window=14))
-        assert (s_mp, s_ff) == (0, 0)  # window covers days 7..20
+        days = {6: (3, 0, 0)}
+        assert loop_window_sum(days, 20, 14) == (0, 0)  # window covers days 7..20
+        assert instant_verdict(days, 20, 14) is None
 
     def test_randomized_counters_match_loop_oracle(self):
         rng = random.Random(42)
@@ -70,54 +90,43 @@ class TestWindowSums:
                 d: (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 2))
                 for d in rng.sample(range(1, 61), rng.randint(0, 25))
             }
-            user = UserDayCounts("u", days)
             day = rng.randint(1, 60)
             window = rng.randint(1, 30)
-            assert window_sums(user, WindowConfig(day=day, window=window)) == loop_window_sum(
-                days, day, window
+            assert instant_verdict(days, day, window) is verdict_from_sums(
+                *loop_window_sum(days, day, window)
             )
 
 
 class TestCategorize:
     def test_mp_when_strictly_more(self):
-        user = UserDayCounts("u", {1: (3, 1, 0)})
-        assert categorize_instant(user, WindowConfig(day=1, window=14)) is UserCategory.MP
+        assert instant_verdict({1: (3, 1, 0)}, 1, 14) is UserCategory.MP
 
     def test_undecided_on_positive_tie(self):
-        user = UserDayCounts("u", {1: (2, 2, 0)})
-        assert categorize_instant(user, WindowConfig(day=1, window=14)) is UserCategory.UNDECIDED
+        assert instant_verdict({1: (2, 2, 0)}, 1, 14) is UserCategory.UNDECIDED
 
     def test_zero_tie_is_uncategorized(self):
-        user = UserDayCounts("u", {})
-        assert categorize_instant(user, WindowConfig(day=1, window=14)) is None
+        assert instant_verdict({}, 1, 14) is None
 
     def test_cumulative_sums_over_range(self):
-        user = UserDayCounts("u", {1: (2, 0, 0), 2: (0, 1, 0), 3: (1, 0, 0)})
-        cat = categorize_cumulative(user, CumulativeConfig(day=3, start_day=1))
+        cat = cumulative_verdict({1: (2, 0, 0), 2: (0, 1, 0), 3: (1, 0, 0)}, 3)
         assert cat is UserCategory.MP  # S_M=3 > S_F=1
 
     def test_only_other_content_is_unclassified(self):
-        user = UserDayCounts("u", {2: (0, 0, 4)})
-        cat = categorize_cumulative(user, CumulativeConfig(day=5, start_day=1))
-        assert cat is UserCategory.UNCLASSIFIED
+        assert cumulative_verdict({2: (0, 0, 4)}, 5) is UserCategory.UNCLASSIFIED
 
     def test_unclassified_only_exists_cumulatively(self):
-        user = UserDayCounts("u", {2: (0, 0, 4)})
-        assert categorize_instant(user, WindowConfig(day=5, window=14)) is None
+        assert instant_verdict({2: (0, 0, 4)}, 5, 14) is None
 
     def test_positive_tie_cumulative(self):
-        user = UserDayCounts("u", {1: (5, 0, 0), 9: (0, 5, 0)})
-        cat = categorize_cumulative(user, CumulativeConfig(day=10, start_day=1))
-        assert cat is UserCategory.UNDECIDED
+        assert cumulative_verdict({1: (5, 0, 0), 9: (0, 5, 0)}, 10) is UserCategory.UNDECIDED
 
     def test_activity_outside_range_ignored(self):
-        user = UserDayCounts("u", {1: (9, 0, 0), 5: (0, 1, 0)})
-        cat = categorize_cumulative(user, CumulativeConfig(day=9, start_day=2))
+        cat = cumulative_verdict({1: (9, 0, 0), 5: (0, 1, 0)}, 9, start_day=2)
         assert cat is UserCategory.FF
 
 
 class TestVectorizedAgainstReference:
-    """The dense fast path must equal the per-user reference functions."""
+    """The dense fast path must equal the brute-force oracle."""
 
     def random_table(self, seed, n_users=40, n_days=30):
         rng = random.Random(seed)
@@ -133,27 +142,19 @@ class TestVectorizedAgainstReference:
     def test_instant_matches_per_user(self, seed):
         counts, table = self.random_table(seed)
         for day, window in [(1, 14), (7, 3), (30, 14), (15, 1), (30, 60)]:
-            cfg = WindowConfig(day=day, window=window)
-            fast = table.categories_by_user(table.categorize_all_instant(cfg))
-            slow = {}
-            for user, days in counts.items():
-                cat = categorize_instant(UserDayCounts(user, days), cfg)
-                if cat is not None:
-                    slow[user] = cat
-            assert fast == slow
+            fast = table.categories_by_user(
+                table.categorize_all_instant(WindowConfig(day=day, window=window))
+            )
+            assert fast == oracle_categories(counts, "instant", day=day, window=window)
 
     @pytest.mark.parametrize("seed", [4, 5])
     def test_cumulative_matches_per_user(self, seed):
         counts, table = self.random_table(seed)
         for day, start in [(1, 1), (30, 1), (30, 15), (20, 20)]:
-            cfg = CumulativeConfig(day=day, start_day=start)
-            fast = table.categories_by_user(table.categorize_all_cumulative(cfg))
-            slow = {}
-            for user, days in counts.items():
-                cat = categorize_cumulative(UserDayCounts(user, days), cfg)
-                if cat is not None:
-                    slow[user] = cat
-            assert fast == slow
+            fast = table.categories_by_user(
+                table.categorize_all_cumulative(CumulativeConfig(day=day, start_day=start))
+            )
+            assert fast == oracle_categories(counts, "cumulative", day=day, start_day=start)
 
 
 class TestTrendPoints:
@@ -404,9 +405,8 @@ class TestProperties:
     @settings(max_examples=60)
     @given(days=day_counts_strategy, day=st.integers(1, 40), window=st.integers(1, 40))
     def test_window_sums_equal_loop(self, days, day, window):
-        user = UserDayCounts("u", days)
-        assert window_sums(user, WindowConfig(day=day, window=window)) == loop_window_sum(
-            days, day, window
+        assert instant_verdict(days, day, window) is verdict_from_sums(
+            *loop_window_sum(days, day, window)
         )
 
     @settings(max_examples=40)
