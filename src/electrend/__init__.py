@@ -45,6 +45,7 @@ from .trend import (
     sweep_t0,
     trend_cumulative,
     trend_instant,
+    user_weights,
 )
 
 __version__ = "0.1.0"
@@ -88,4 +89,5 @@ __all__ = [
     "sweep_t0",
     "trend_cumulative",
     "trend_instant",
+    "user_weights",
 ]

@@ -118,24 +118,26 @@ def _resolve_origin(explicit: str | None, corpus_path: str) -> date | None:
     return None
 
 
-def _t0_to_day(token: str, origin: date | None) -> int:
-    """A --t0 value is a calendar date or a plain 1-based day index."""
+def _t0_to_day(token: str, origin: date | None, n_days: int, flag: str = "--t0") -> int:
+    """A ``flag`` value is a calendar date or a plain 1-based day index within the corpus."""
     try:
         day = int(token)
     except ValueError:
         try:
             t0_date = date.fromisoformat(token)
         except ValueError:
-            raise CliError(EXIT_USAGE, f"--t0 value {token!r} is neither a date nor a day index") from None
+            raise CliError(EXIT_USAGE, f"{flag} value {token!r} is neither a date nor a day index") from None
         if origin is None:
             raise CliError(
                 EXIT_USAGE,
-                f"--t0 {token} is a calendar date but no origin date is known; "
+                f"{flag} {token} is a calendar date but no origin date is known; "
                 "pass --origin-date or ingest first",
             )
         day = (t0_date - origin).days + 1
     if day < 1:
-        raise CliError(EXIT_USAGE, f"--t0 {token} resolves to day {day}, before the corpus origin")
+        raise CliError(EXIT_USAGE, f"{flag} {token} resolves to day {day}, before the corpus origin")
+    if day > n_days:
+        raise CliError(EXIT_USAGE, f"{flag} {token} resolves to day {day} beyond the corpus ({n_days} days)")
     return day
 
 
@@ -437,42 +439,24 @@ def _load_table(args: argparse.Namespace) -> tuple[trend.CounterTable, date | No
 
 
 def cmd_trend(args: argparse.Namespace) -> int:
+    if bool(args.weights_file) != bool(args.strata_file):
+        raise CliError(EXIT_USAGE, "--weights-file and --strata-file go together")
     table, origin = _load_table(args)
-    include_undecided = not args.exclude_undecided
+    weights = None
+    if args.weights_file:
+        strata = _load_pairs(args.strata_file, ("user_id", "stratum"))
+        try:
+            weights = trend.user_weights(table.users, _load_weights_file(args.weights_file), strata)
+        except ValueError as exc:
+            raise CliError(EXIT_DATA, f"{args.weights_file}: {exc}") from None
     if args.mode == "instant":
         points = trend.trend_instant(
-            table,
-            window=args.window,
-            origin_date=origin,
-            include_undecided=include_undecided,
+            table, args.window, origin_date=origin, weights=weights,
+            include_undecided=not args.exclude_undecided,
         )
     else:
-        start_day = _t0_to_day(args.t0, origin) if args.t0 else 1
-        if start_day > table.n_days:
-            raise CliError(
-                EXIT_USAGE,
-                f"--t0 resolves to day {start_day} but the corpus spans {table.n_days} days",
-            )
-        points = trend.trend_cumulative(table, start_day=start_day, origin_date=origin)
-
-    if args.weights_file or args.strata_file:
-        if not (args.weights_file and args.strata_file):
-            raise CliError(EXIT_USAGE, "--weights-file and --strata-file go together")
-        weights = _load_weights_file(args.weights_file)
-        strata = _load_pairs(args.strata_file, ("user_id", "stratum"))
-        reweighted = []
-        for point in points:
-            if args.mode == "instant":
-                codes = table.categorize_all_instant(
-                    trend.WindowConfig(day=point.day, window=args.window)
-                )
-            else:
-                codes = table.categorize_all_cumulative(
-                    trend.CumulativeConfig(day=point.day, start_day=start_day)
-                )
-            cats = table.categories_by_user(codes)
-            reweighted.append(trend.apply_demographic_weights(point, weights, strata, cats))
-        points = reweighted
+        start_day = _t0_to_day(args.t0, origin, table.n_days) if args.t0 else 1
+        points = trend.trend_cumulative(table, start_day, origin_date=origin, weights=weights)
 
     with atomic_text(args.output, newline="") as fh:
         trend.write_trend_csv(points, fh)
@@ -483,7 +467,6 @@ def cmd_trend(args: argparse.Namespace) -> int:
     run.add_input("corpus", args.input)
     if args.weights_file:
         run.add_input("weights", args.weights_file)
-    if args.strata_file:
         run.add_input("strata", args.strata_file)
     run.add_output("trend_csv", args.output)
     run.write(args.output + ".manifest.json")
@@ -505,15 +488,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     tokens = [t.strip() for t in args.t0_list.split(",") if t.strip()]
     if not tokens:
         raise CliError(EXIT_USAGE, "--t0-list is empty")
-    start_days = []
-    for token in tokens:
-        day = _t0_to_day(token, origin)
-        if day > table.n_days:
-            raise CliError(
-                EXIT_USAGE,
-                f"--t0-list entry {token} resolves to day {day} beyond the corpus ({table.n_days} days)",
-            )
-        start_days.append(day)
+    start_days = [_t0_to_day(t, origin, table.n_days, "--t0-list entry") for t in tokens]
 
     result = trend.sweep_t0(table, start_days, origin_date=origin)
     os.makedirs(args.output, exist_ok=True)
@@ -693,6 +668,21 @@ _VALIDATE_SPEC = synth.ElectorateSpec(
 )
 
 
+def _oracle_mismatch_days(
+    csv_path: str, sparse: dict, n_days: int, mode: str, **config: int
+) -> list[int]:
+    """Days 1..n_days missing from a trend CSV or whose counts differ from the oracle's tally."""
+    with open(csv_path, encoding="utf-8", newline="") as fh:
+        rows = {row["T"]: row for row in trend.read_trend_csv(fh)}
+    fields = ("n_mp", "n_ff", "n_undecided", "n_unclassified")
+    bad = []
+    for day in range(1, n_days + 1):
+        tally = Counter(synth.oracle_categories(sparse, mode, day=day, **config).values())
+        if day not in rows or [rows[day][f] for f in fields] != [tally[c] for c in trend.UserCategory]:
+            bad.append(day)
+    return bad
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec) if args.spec else _VALIDATE_SPEC
 
@@ -703,6 +693,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     model_path = os.path.join(workdir, "model.json")
     labeled = os.path.join(workdir, "labeled.jsonl")
     trend_csv = os.path.join(workdir, "trend.csv")
+    instant_csv = os.path.join(workdir, "instant.csv")
 
     spec_path = os.path.join(workdir, "electorate.spec.json")
     spec.save(spec_path)
@@ -712,6 +703,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         ["train", clean, "-o", model_path],
         ["classify", clean, "-o", labeled, "--model", model_path, "--workers", "1"],
         ["trend", labeled, "-o", trend_csv, "--mode", "cumulative", "--t0", "1"],
+        ["trend", labeled, "-o", instant_csv, "--mode", "instant", "--window", "14"],
     ]
     for step in steps:
         rc = main(step)
@@ -729,22 +721,26 @@ def cmd_validate(args: argparse.Namespace) -> int:
     codes = table.categorize_all_instant(trend.WindowConfig(day=final, window=14))
     fast = table.categories_by_user(codes)
     oracle = synth.oracle_categories(sparse, "instant", day=final, window=14)
+    bad_days = _oracle_mismatch_days(instant_csv, sparse, final, "instant", window=14)
     checks.append(
         (
             "oracle-equivalence-instant",
-            fast == oracle,
-            f"{len(fast)} categorized users, window 14, day {final}",
+            fast == oracle and not bad_days,
+            f"{len(fast)} categorized users on day {final}, window 14; "
+            f"days of {instant_csv} off the oracle: {bad_days or 'none'}",
         )
     )
 
     codes = table.categorize_all_cumulative(trend.CumulativeConfig(day=final, start_day=1))
     fast_cum = table.categories_by_user(codes)
     oracle_cum = synth.oracle_categories(sparse, "cumulative", day=final, start_day=1)
+    bad_days = _oracle_mismatch_days(trend_csv, sparse, final, "cumulative", start_day=1)
     checks.append(
         (
             "oracle-equivalence-cumulative",
-            fast_cum == oracle_cum,
-            f"{len(fast_cum)} categorized users, day {final}",
+            fast_cum == oracle_cum and not bad_days,
+            f"{len(fast_cum)} categorized users on day {final}; "
+            f"days of {trend_csv} off the oracle: {bad_days or 'none'}",
         )
     )
 

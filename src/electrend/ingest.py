@@ -10,11 +10,12 @@ record is assigned an integer day index (day 1 = the corpus origin day).
 from __future__ import annotations
 
 import gzip
+import io
 import json
 import os
 import re
 import zlib
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta, timezone
 from typing import Iterable, Iterator, TextIO
@@ -140,7 +141,14 @@ def parse_record(line: str, line_no: int = 0) -> TweetRecord:
 
     Raises :class:`ParseError` (carrying the line number) on malformed
     input; callers are expected to skip and count such lines, never abort.
+    Bytes that were not UTF-8 reach here as lone surrogates (see
+    :func:`iter_lines`) and make the line malformed.
     """
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError("invalid UTF-8", line_no) from None
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -247,10 +255,20 @@ def atomic_text(path: str, newline: str | None = None) -> Iterator[TextIO]:
 
     The temp file sits beside ``path``. If the ``with`` block or the final
     flush fails, the temp file is removed and ``path`` is left untouched.
+    A gzip header names ``path`` and carries no time, so equal text gives
+    equal bytes.
     """
     tmp = f"{path}.tmp{os.getpid()}"
     try:
-        with _opener(path)(tmp, "wt", encoding="utf-8", newline=newline) as fh:
+        with ExitStack() as stack:
+            if str(path).endswith(".gz"):
+                raw = stack.enter_context(open(tmp, "wb"))
+                packed = stack.enter_context(
+                    gzip.GzipFile(os.path.basename(path), "wb", fileobj=raw, mtime=0)
+                )
+                fh = stack.enter_context(io.TextIOWrapper(packed, encoding="utf-8", newline=newline))
+            else:
+                fh = stack.enter_context(open(tmp, "w", encoding="utf-8", newline=newline))
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -263,9 +281,11 @@ def iter_lines(path: str) -> Iterator[tuple[int, str]]:
     """Yield (line_no, line) pairs, 1-based, skipping blank lines.
 
     A truncated or corrupt gzip stream raises :class:`OSError`, like any
-    other read failure.
+    other read failure. Bytes that are not UTF-8 become lone surrogates,
+    which :func:`parse_record` rejects, so one bad line does not end the
+    read.
     """
-    with open_text(path) as fh:
+    with _opener(path)(path, "rt", encoding="utf-8", errors="surrogateescape") as fh:
         try:
             for line_no, line in enumerate(fh, start=1):
                 stripped = line.strip()

@@ -9,15 +9,18 @@ cumulative indicator):
 * more MP than FF tweets -> MP; fewer -> FF; equal and positive -> Undecided;
 * cumulative only: active in the range but no MP/FF evidence -> Unclassified.
 
-Counters accumulate sparsely per user and freeze into dense per-user
-prefix-sum matrices, so any range sum is two array lookups. A full day
-series costs O(users) per day after the O(users x days) freeze, and an
-origin sweep over k origins costs O(k x users) instead of k full passes.
+The table keeps one (mp, ff, other) row per active user-day, sorted by
+(user, day). A verdict can change only on a day a row enters the range
+(and, for a window, on the day it leaves), so every estimator is one event
+sweep: running sums per user at those change points, then a per-day tally
+of verdicts entering and leaving each category. A series costs O(rows), a
+k-origin sweep O(k x rows), and memory is O(users + rows).
 """
 
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, replace
 from datetime import date
 from enum import Enum
@@ -38,6 +41,7 @@ __all__ = [
     "trend_instant",
     "trend_cumulative",
     "sweep_t0",
+    "user_weights",
     "apply_demographic_weights",
     "write_trend_csv",
     "read_trend_csv",
@@ -57,6 +61,7 @@ CODE_MP = 1
 CODE_FF = 2
 CODE_UNDECIDED = 3
 CODE_UNCLASSIFIED = 4
+N_CODES = 5
 
 CODE_TO_CATEGORY = {
     CODE_MP: UserCategory.MP,
@@ -78,10 +83,6 @@ class WindowConfig:
             raise ValueError("window must be >= 1")
         if self.day < 1:
             raise ValueError("day must be >= 1")
-
-    @property
-    def start(self) -> int:
-        return max(1, self.day - self.window + 1)
 
 
 @dataclass(frozen=True)
@@ -126,34 +127,41 @@ def _stance_class(stance: Stance | str) -> int:
     return 2  # pro_third and neutral both count as "talks about the race"
 
 
-class CounterTable:
-    """Stance counters for a whole corpus, indexed by user and day.
+def _verdicts(sums: np.ndarray, cumulative: bool) -> np.ndarray:
+    """Category codes of (mp, ff, other) sum rows; Unclassified only when ``cumulative``."""
+    s_mp, s_ff = sums[:, 0], sums[:, 1]
+    cases = [s_mp > s_ff, s_mp < s_ff, s_mp > 0, sums.any(axis=1) & cumulative]
+    choices = [CODE_MP, CODE_FF, CODE_UNDECIDED, CODE_UNCLASSIFIED]
+    return np.select(cases, choices, CODE_NONE).astype(np.int8)
 
-    ``add`` keeps a sparse dict per user; the first range query freezes the
-    table into dense int64 prefix-sum matrices of shape (users, days + 1).
-    Adding more records invalidates the frozen view, so incremental updates
-    and full rebuilds agree by construction.
+
+class CounterTable:
+    """Stance counters for a whole corpus, one row per active (user, day).
+
+    ``add`` buffers tweets; the next query codes them together with the rows
+    already held: the sorted user names, and per active user-day the user's
+    index, the day and the (mp, ff, other) counts, sorted by (user, day).
+    Incremental updates and full rebuilds therefore agree by construction.
     """
 
     def __init__(self):
-        self._sparse: dict[str, dict[int, list[int]]] = {}
+        self._names: list[str] = []
+        self._user = self._day = np.zeros(0, dtype=np.int64)
+        self._counts = np.zeros((0, 3), dtype=np.int64)
+        self._new_users: list[str] = []  # tweets added since the last query
+        self._new_days = array("q")
+        self._new_classes = array("q")
         self._n_days = 0
-        self._frozen = None  # (users, index, cum_mp, cum_ff, cum_other)
 
     # -- building ------------------------------------------------------
 
     def add(self, user_id: str, day: int, stance: Stance | str) -> None:
         if day < 1:
             raise ValueError(f"day index must be >= 1, got {day}")
-        days = self._sparse.get(user_id)
-        if days is None:
-            days = self._sparse[user_id] = {}
-        counts = days.get(day)
-        if counts is None:
-            counts = days[day] = [0, 0, 0]
-        counts[_stance_class(stance)] += 1
+        self._new_users.append(user_id)
+        self._new_days.append(day)
+        self._new_classes.append(_stance_class(stance))
         self._n_days = max(self._n_days, day)
-        self._frozen = None
 
     def add_record(self, record: TweetRecord, stance: Stance | str | None = None) -> None:
         label = stance if stance is not None else record.stance
@@ -166,13 +174,28 @@ class CounterTable:
         cls, records: Iterable[TweetRecord], labels: Iterable[Stance] | None = None
     ) -> "CounterTable":
         table = cls()
-        if labels is None:
-            for record in records:
-                table.add_record(record)
-        else:
-            for record, label in zip(records, labels):
-                table.add_record(record, label)
+        pairs = ((r, None) for r in records) if labels is None else zip(records, labels)
+        for record, label in pairs:
+            table.add_record(record, label)
         return table
+
+    def _rows(self) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+        """(sorted user names, user index, day, (mp, ff, other) counts) per active user-day."""
+        if self._new_users:
+            names = sorted(set(self._names).union(self._new_users))
+            code = {u: i for i, u in enumerate(names)}
+            held = np.array([code[u] for u in self._names], dtype=np.int64)[self._user]
+            added = np.fromiter(map(code.__getitem__, self._new_users), np.int64, len(self._new_users))
+            user = np.concatenate([held, added])
+            day = np.concatenate([self._day, np.frombuffer(self._new_days, dtype=np.int64)])
+            one_hot = np.eye(3, dtype=np.int64)[np.frombuffer(self._new_classes, dtype=np.int64)]
+            span = self._n_days + 1
+            keys, inverse = np.unique(user * span + day, return_inverse=True)
+            counts = np.zeros((len(keys), 3), dtype=np.int64)
+            np.add.at(counts, inverse, np.concatenate([self._counts, one_hot]))
+            self._names, (self._user, self._day), self._counts = names, np.divmod(keys, span), counts
+            self._new_users, self._new_days, self._new_classes = [], array("q"), array("q")
+        return self._names, self._user, self._day, self._counts
 
     # -- views ---------------------------------------------------------
 
@@ -182,46 +205,58 @@ class CounterTable:
 
     @property
     def users(self) -> list[str]:
-        return self._freeze()[0]
+        return self._rows()[0]
 
     def to_sparse(self) -> dict[str, dict[int, tuple[int, int, int]]]:
         """Plain-data copy of the counters (user -> day -> counts)."""
-        return {
-            u: {d: tuple(c) for d, c in days.items()} for u, days in self._sparse.items()
-        }
+        names, user, day, counts = self._rows()
+        sparse: dict[str, dict[int, tuple[int, int, int]]] = {}
+        for u, d, c in zip(user.tolist(), day.tolist(), counts.tolist()):
+            sparse.setdefault(names[u], {})[d] = tuple(c)
+        return sparse
 
-    def _freeze(self):
-        if self._frozen is None:
-            users = sorted(self._sparse)
-            n_days = self._n_days
-            base = np.zeros((3, len(users), n_days + 1), dtype=np.int64)
-            for row, user in enumerate(users):
-                for day, counts in self._sparse[user].items():
-                    base[0, row, day] = counts[0]
-                    base[1, row, day] = counts[1]
-                    base[2, row, day] = counts[2]
-            cum = np.cumsum(base, axis=2)
-            index = {u: i for i, u in enumerate(users)}
-            self._frozen = (users, index, cum[0], cum[1], cum[2])
-        return self._frozen
+    # -- change points and categories ----------------------------------
 
-    # -- range sums and categories -------------------------------------
+    def _change_points(
+        self, horizon: int, start_day: int = 1, window: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every (user, day) up to ``horizon`` on which a verdict can change.
 
-    def range_sums(self, start_day: int, end_day: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-user (mp, ff, other) sums over days [start_day, end_day]."""
-        if start_day < 1 or end_day < start_day:
-            raise ValueError(f"bad day range [{start_day}, {end_day}]")
-        _, _, cum_mp, cum_ff, cum_other = self._freeze()
-        hi = min(end_day, self._n_days)
-        lo = min(start_day - 1, self._n_days)
-        if hi <= lo:
-            zero = np.zeros(cum_mp.shape[0], dtype=np.int64)
-            return zero, zero.copy(), zero.copy()
-        return (
-            cum_mp[:, hi] - cum_mp[:, lo],
-            cum_ff[:, hi] - cum_ff[:, lo],
-            cum_other[:, hi] - cum_other[:, lo],
-        )
+        Returns (user index, day, code after, code before), sorted by
+        (user, day). Without ``window`` this is the cumulative range from
+        ``start_day``: a row counts from its day on. With ``window`` a row
+        counts from its day d through d + window - 1 and leaves on d + window.
+        """
+        _, user, day, counts = self._rows()
+        if window is None:
+            keep = (day >= start_day) & (day <= horizon)
+            user, day, counts = user[keep], day[keep], counts[keep]
+        else:
+            enter = day <= horizon
+            leave = day + window <= horizon
+            user = np.concatenate([user[enter], user[leave]])
+            day = np.concatenate([day[enter], day[leave] + window])
+            span = horizon + 1
+            keys, inverse = np.unique(user * span + day, return_inverse=True)
+            merged = np.zeros((len(keys), 3), dtype=np.int64)
+            np.add.at(merged, inverse, np.concatenate([counts[enter], -counts[leave]]))
+            user, day = np.divmod(keys, span)
+            counts = merged
+        first = np.diff(user, prepend=-1) != 0
+        sums = np.cumsum(counts, axis=0)
+        sums -= (sums - counts)[first][np.cumsum(first) - 1]  # drop the earlier users' rows
+        after = _verdicts(sums, cumulative=window is None)
+        before = np.empty_like(after)
+        before[1:] = after[:-1]
+        before[first] = CODE_NONE
+        return user, day, after, before
+
+    def _codes_on(self, day: int, start_day: int = 1, window: int | None = None) -> np.ndarray:
+        user, _, after, _ = self._change_points(day, start_day, window)
+        last = np.diff(user, append=-1) != 0
+        codes = np.full(len(self.users), CODE_NONE, dtype=np.int8)
+        codes[user[last]] = after[last]
+        return codes
 
     def categorize_all_instant(self, cfg: WindowConfig) -> np.ndarray:
         """Per-user category codes for the trailing window ending at cfg.day.
@@ -229,12 +264,7 @@ class CounterTable:
         Users with no MP/FF evidence in the window get CODE_NONE and are
         excluded from the instantaneous denominator.
         """
-        s_mp, s_ff, _ = self.range_sums(cfg.start, cfg.day)
-        codes = np.full(s_mp.shape, CODE_NONE, dtype=np.int8)
-        codes[s_mp > s_ff] = CODE_MP
-        codes[s_mp < s_ff] = CODE_FF
-        codes[(s_mp == s_ff) & (s_mp > 0)] = CODE_UNDECIDED
-        return codes
+        return self._codes_on(cfg.day, window=cfg.window)
 
     def categorize_all_cumulative(self, cfg: CumulativeConfig) -> np.ndarray:
         """Per-user category codes for the cumulative range [start_day, day].
@@ -242,14 +272,7 @@ class CounterTable:
         Users with no tweets at all in the range get CODE_NONE; active users
         with no MP/FF evidence are CODE_UNCLASSIFIED.
         """
-        s_mp, s_ff, s_other = self.range_sums(cfg.start_day, cfg.day)
-        codes = np.full(s_mp.shape, CODE_NONE, dtype=np.int8)
-        active = (s_mp + s_ff + s_other) > 0
-        codes[active] = CODE_UNCLASSIFIED
-        codes[s_mp > s_ff] = CODE_MP
-        codes[s_mp < s_ff] = CODE_FF
-        codes[(s_mp == s_ff) & (s_mp > 0)] = CODE_UNDECIDED
-        return codes
+        return self._codes_on(cfg.day, start_day=cfg.start_day)
 
     def categories_by_user(self, codes: np.ndarray) -> dict[str, UserCategory]:
         """Dict view of a code vector, omitting CODE_NONE users."""
@@ -299,9 +322,56 @@ def _make_point(
     )
 
 
-def _code_counts(codes: np.ndarray) -> tuple[int, int, int, int]:
-    tally = np.bincount(codes, minlength=5)
-    return int(tally[CODE_MP]), int(tally[CODE_FF]), int(tally[CODE_UNDECIDED]), int(tally[CODE_UNCLASSIFIED])
+def _weighted_tally(
+    user: np.ndarray, day: np.ndarray, after: np.ndarray, weights: np.ndarray, horizon: int
+) -> np.ndarray:
+    """Per-day weighted category sums from change points, shape (horizon + 1, N_CODES).
+
+    The per-user codes are kept day by day, and each category touched on a
+    day is summed again: its users' weights added in sorted-user order from
+    0.0, as :func:`apply_demographic_weights` adds them, so both give the
+    same floats.
+    """
+    codes = np.full(len(weights), CODE_NONE, dtype=np.int8)
+    sums = np.zeros(N_CODES)
+    tally = np.zeros((horizon + 1, N_CODES))
+    order = np.argsort(day, kind="stable")
+    bounds = np.searchsorted(day[order], np.arange(horizon + 2))
+    for d in range(horizon + 1):
+        changed = order[bounds[d] : bounds[d + 1]]
+        if len(changed):
+            touched = np.union1d(codes[user[changed]], after[changed])
+            codes[user[changed]] = after[changed]
+            for code in touched[touched != CODE_NONE]:
+                sums[code] = np.cumsum(np.append(0.0, weights[codes == code]))[-1]
+        tally[d] = sums
+    return tally
+
+
+def _series(
+    table: CounterTable, mode: str, days: Iterable[int], origin_date: date | None,
+    weights: np.ndarray | None, include_undecided: bool = True, start_day: int = 1,
+    window: int | None = None,
+) -> list[TrendPoint]:
+    """One point per day, from a tally of the verdicts entering and leaving each category."""
+    days = list(days)
+    if not days:
+        return []
+    if min(days) < start_day:
+        raise ValueError(f"every day must be >= {start_day}")
+    horizon = max(days)
+    user, day, after, before = table._change_points(horizon, start_day, window)
+    if weights is None:
+        cells = (horizon + 1) * N_CODES
+        delta = np.bincount(day * N_CODES + after, minlength=cells)
+        delta -= np.bincount(day * N_CODES + before, minlength=cells)
+        tally = np.cumsum(delta.reshape(horizon + 1, N_CODES), axis=0)
+    elif len(weights) != len(table.users):
+        raise ValueError(f"need one weight per user ({len(table.users)}), got {len(weights)}")
+    else:
+        tally = _weighted_tally(user, day, after, weights, horizon)
+    counts = tally.tolist()
+    return [_make_point(d, mode, counts[d][1:], origin_date, include_undecided) for d in days]
 
 
 def trend_instant(
@@ -310,21 +380,18 @@ def trend_instant(
     days: Iterable[int] | None = None,
     origin_date: date | None = None,
     include_undecided: bool = True,
+    weights: np.ndarray | None = None,
 ) -> list[TrendPoint]:
     """Instantaneous series: one point per evaluation day.
 
     ``include_undecided`` keeps Undecided users in the denominator
     (the default reading); pass False to report shares of MP+FF only.
+    ``weights`` (one per user, see :func:`user_weights`) reweights the counts.
     """
-    if days is None:
-        days = range(1, table.n_days + 1)
-    points = []
-    for day in days:
-        codes = table.categorize_all_instant(WindowConfig(day=day, window=window))
-        points.append(
-            _make_point(day, "instant", _code_counts(codes), origin_date, include_undecided)
-        )
-    return points
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    days = range(1, table.n_days + 1) if days is None else days
+    return _series(table, "instant", days, origin_date, weights, include_undecided, window=window)
 
 
 def trend_cumulative(
@@ -332,15 +399,16 @@ def trend_cumulative(
     start_day: int = 1,
     days: Iterable[int] | None = None,
     origin_date: date | None = None,
+    weights: np.ndarray | None = None,
 ) -> list[TrendPoint]:
-    """Cumulative series from ``start_day``; denominator spans all four categories."""
-    if days is None:
-        days = range(start_day, table.n_days + 1)
-    points = []
-    for day in days:
-        codes = table.categorize_all_cumulative(CumulativeConfig(day=day, start_day=start_day))
-        points.append(_make_point(day, "cumulative", _code_counts(codes), origin_date))
-    return points
+    """Cumulative series from ``start_day``; denominator spans all four categories.
+
+    ``weights`` (one per user, see :func:`user_weights`) reweights the counts.
+    """
+    if start_day < 1:
+        raise ValueError("start_day must be >= 1")
+    days = range(start_day, table.n_days + 1) if days is None else days
+    return _series(table, "cumulative", days, origin_date, weights, start_day=start_day)
 
 
 @dataclass(frozen=True)
@@ -386,12 +454,18 @@ def sweep_t0(
 
 # -- demographic reweighting --------------------------------------------
 
-_CATEGORY_FIELD = {
-    UserCategory.MP: "n_mp",
-    UserCategory.FF: "n_ff",
-    UserCategory.UNDECIDED: "n_undecided",
-    UserCategory.UNCLASSIFIED: "n_unclassified",
-}
+def user_weights(
+    users: Sequence[str], weights: Mapping[str, float], user_strata: Mapping[str, str]
+) -> np.ndarray:
+    """Each user's stratum weight, in ``users`` order.
+
+    Users in strata absent from ``weights`` and users with no stratum both
+    get weight 1, so the identity weighting reproduces the unweighted counts.
+    """
+    for stratum, weight in weights.items():
+        if weight < 0:
+            raise ValueError(f"negative weight for stratum {stratum!r}")
+    return np.array([weights.get(user_strata.get(u), 1.0) for u in users], dtype=np.float64)
 
 
 def apply_demographic_weights(
@@ -400,30 +474,17 @@ def apply_demographic_weights(
     user_strata: Mapping[str, str],
     categories: Mapping[str, UserCategory],
 ) -> TrendPoint:
-    """Reweight a point's category counts by stratum weights.
+    """Reweight a point's category counts by stratum weights (see :func:`user_weights`).
 
     ``categories`` is the per-user verdict map the point was built from
-    (see :meth:`CounterTable.categories_by_user`). Users in strata absent
-    from ``weights`` and users with no stratum both get weight 1, so the
-    identity weighting reproduces the unweighted point. The input point is
-    not modified.
+    (see :meth:`CounterTable.categories_by_user`). The input point is not
+    modified.
     """
-    for stratum, weight in weights.items():
-        if weight < 0:
-            raise ValueError(f"negative weight for stratum {stratum!r}")
+    users = sorted(categories)
     sums = {cat: 0.0 for cat in UserCategory}
-    for user_id in sorted(categories):
-        category = categories[user_id]
-        stratum = user_strata.get(user_id)
-        weight = weights.get(stratum, 1.0) if stratum is not None else 1.0
-        sums[category] += weight
-    counts = (
-        sums[UserCategory.MP],
-        sums[UserCategory.FF],
-        sums[UserCategory.UNDECIDED],
-        sums[UserCategory.UNCLASSIFIED],
-    )
-    reweighted = _make_point(point.day, point.mode, counts, None, include_undecided=True)
+    for user_id, weight in zip(users, user_weights(users, weights, user_strata).tolist()):
+        sums[categories[user_id]] += weight
+    reweighted = _make_point(point.day, point.mode, [sums[c] for c in UserCategory], None)
     return replace(reweighted, date=point.date)
 
 

@@ -367,6 +367,7 @@ def test_bot_filter_fixture():
     )
 
 
+@pytest.mark.slow
 def test_throughput_one_million(tmp_path):
     raw = tmp_path / "raw.jsonl"
     clean = tmp_path / "clean.jsonl"

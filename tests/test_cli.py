@@ -19,6 +19,7 @@ import electrend
 from electrend.cli import main
 from electrend.manifest import rerun
 from electrend.synth import ElectorateSpec, ground_truth
+from electrend.trend import read_trend_csv
 
 SUBCOMMANDS = [
     "ingest",
@@ -187,6 +188,46 @@ class TestFailedRuns:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl.gz"]
 
 
+class TestNonUtf8Input:
+    """One undecodable byte: ingest rejects the line, every other stage exits 4."""
+
+    STAGES = ("train", "classify", "trend", "sweep", "hashtags")
+
+    @staticmethod
+    def corrupt_third_line(src, dst):
+        with open(src, "rb") as fh:
+            lines = fh.read().split(b"\n")
+        lines[2] = lines[2].replace(b'"text": "', b'"text": "caf\xe9 ', 1)
+        assert b"\xe9" in lines[2]
+        dst.write_bytes(b"\n".join(lines))
+
+    def test_ingest_counts_a_parse_reject(self, pipeline, tmp_path):
+        self.corrupt_third_line(pipeline.raw, tmp_path / "in.jsonl")
+        result = run_cli(["ingest", "in.jsonl", "-o", "clean.jsonl"], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        rejects = (tmp_path / "in.jsonl.rejects.txt").read_text().splitlines()
+        assert "3\tparse: invalid UTF-8" in rejects
+        meta = json.loads((tmp_path / "clean.jsonl.meta.json").read_text())
+        assert meta["records"] + sum(meta["rejects"].values()) == meta["input_lines"]
+        assert meta["rejects"]["parse"] == 1
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_other_stages_exit_4_with_the_line(self, stage, pipeline, tmp_path):
+        corpus = pipeline.clean if stage in ("train", "classify") else pipeline.labeled
+        self.corrupt_third_line(corpus, tmp_path / "in.jsonl")
+        extra = {
+            "classify": ["--model", pipeline.model, "--workers", "1"],
+            "trend": ["--mode", "cumulative"],
+            "sweep": ["--t0-list", "1,3"],
+        }
+        result = run_cli([stage, "in.jsonl", "-o", "out", *extra.get(stage, [])], tmp_path)
+        assert result.returncode == 4, result.stderr
+        assert "in.jsonl:3: invalid UTF-8" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+
 class TestIngestSidecars:
     def test_accounting_and_meta(self, pipeline):
         meta = json.load(open(pipeline.clean + ".meta.json"))
@@ -288,6 +329,42 @@ class TestClassifyAndTrend:
         man = json.load(open(outdir / "sweep.manifest.json"))
         assert "spread_pct_ff" in man["parameters"]
 
+    def test_trend_t0_beyond_corpus_rejected(self, pipeline, tmp_path):
+        code = main([
+            "trend", pipeline.labeled, "-o", str(tmp_path / "t.csv"), "--mode", "cumulative", "--t0", "13",
+        ])
+        assert code == 2
+
+    def write_strata(self, pipeline, tmp_path, weight="2.5"):
+        users = sorted({json.loads(line)["user"] for line in open(pipeline.labeled)})
+        strata = tmp_path / "users.csv"
+        strata.write_text("user_id,stratum\n" + "".join(f"{u},{'A' if i % 3 else 'B'}\n" for i, u in enumerate(users)))
+        weights = tmp_path / "strata.csv"
+        weights.write_text(f"stratum,weight\nA,0.7\nB,{weight}\n")
+        return ["--strata-file", str(strata), "--weights-file", str(weights)]
+
+    def test_weighted_instant_honours_exclude_undecided(self, pipeline, tmp_path):
+        out = tmp_path / "w.csv"
+        code = main([
+            "trend", pipeline.labeled, "-o", str(out), "--mode", "instant", "--window", "3",
+            "--exclude-undecided", *self.write_strata(pipeline, tmp_path),
+        ])
+        assert code == 0
+        with open(out, newline="") as fh:
+            rows = read_trend_csv(fh)
+        assert any(r["n_undecided"] > 0 for r in rows)
+        for r in rows:
+            assert r["pct_others"] is None
+            assert r["denominator"] == pytest.approx(r["n_mp"] + r["n_ff"])
+
+    def test_negative_weight_is_a_data_error(self, pipeline, tmp_path):
+        code = main([
+            "trend", pipeline.labeled, "-o", str(tmp_path / "w.csv"), "--mode", "cumulative",
+            *self.write_strata(pipeline, tmp_path, weight="-1"),
+        ])
+        assert code == 4
+        assert not (tmp_path / "w.csv").exists()
+
     def test_sweep_t0_beyond_corpus_rejected(self, pipeline, tmp_path):
         code = main([
             "sweep", pipeline.labeled, "-o", str(tmp_path / "s"), "--t0-list", "1,400",
@@ -346,6 +423,15 @@ class TestSynthCommand:
                 "synth", "-o", str(path), "--users", "15", "--days", "4", "--seed", "9",
             ]) == 0
         assert gzip.open(packed, "rb").read() == plain.read_bytes()
+
+    def test_gzip_output_is_reproducible(self, tmp_path):
+        digests = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            result = run_cli(["synth", "-o", "s.jsonl.gz", "--users", "5", "--days", "3", "--seed", "1"], tmp_path / name)
+            assert result.returncode == 0, result.stderr
+            digests.append(hashlib.sha256((tmp_path / name / "s.jsonl.gz").read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
 
     def test_gzip_corpus_accepted_downstream(self, tmp_path):
         packed = tmp_path / "c.jsonl.gz"

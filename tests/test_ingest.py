@@ -2,11 +2,15 @@
 
 import gzip
 import json
+import tempfile
+from collections import Counter
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from electrend.cli import main
 
 from electrend.ingest import (
     BeforeOriginError,
@@ -242,3 +246,48 @@ class TestDocumentedFormat:
         assert (r.tweet_id, r.user_id, r.text) == ("1", "u42", "...")
         assert r.created_at == datetime(2019, 3, 1, 12, tzinfo=UTC)
         assert (r.hashtags, r.day, r.stance) == (["yosigo"], 1, "pro_ff")
+
+
+def good_line(i: int) -> bytes:
+    ts = (datetime(2019, 3, 1, tzinfo=UTC) + timedelta(hours=i)).isoformat()
+    return json.dumps({"id": str(i), "user": f"u{i % 7}", "ts": ts, "text": f"macri dato {i}"}).encode()
+
+
+# Malformed lines, each a parse reject, and blank lines, which are not lines at all.
+FAULTS = {
+    "truncated": lambda i: good_line(i)[: 10 + i % 20],
+    "missing-key": lambda i: good_line(i).replace(b'"ts"', b'"when"'),
+    "not-utf8": lambda i: good_line(i).replace(b"dato", b"d\xe9to"),
+    "bad-continuation": lambda i: good_line(i).replace(b"dato", b"\xc3(ato"),
+    "not-an-object": lambda i: b"[1, 2]",
+    "blank": lambda i: b"  \t",
+}
+
+
+class TestFaultInjection:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        faults=st.lists(
+            st.tuples(st.integers(0, 40), st.sampled_from(sorted(FAULTS))), max_size=15
+        )
+    )
+    def test_every_nonblank_line_is_accepted_or_rejected(self, faults):
+        lines = [good_line(i) for i in range(40)]
+        for position, kind in sorted(faults, reverse=True):
+            lines.insert(position, FAULTS[kind](position))
+        malformed = sum(kind != "blank" for _, kind in faults)
+        with tempfile.TemporaryDirectory() as tmp:
+            raw, clean = f"{tmp}/raw.jsonl", f"{tmp}/clean.jsonl"
+            with open(raw, "wb") as fh:
+                fh.write(b"\n".join(lines) + b"\n")
+            assert main(["ingest", raw, "-o", clean, "--no-bot-filter"]) == 0
+            with open(clean + ".meta.json", encoding="utf-8") as fh:
+                meta = json.load(fh)
+            with open(raw + ".rejects.txt", encoding="utf-8") as fh:
+                sidecar = Counter(line.split("\t")[1].partition(":")[0] for line in fh)
+            with open(clean, encoding="utf-8") as fh:
+                accepted = sum(1 for _ in fh)
+        assert meta["input_lines"] == 40 + malformed
+        assert accepted == meta["records"] == 40
+        assert accepted + sum(meta["rejects"].values()) == meta["input_lines"]
+        assert dict(sidecar) == meta["rejects"] == ({"parse": malformed} if malformed else {})

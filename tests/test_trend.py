@@ -24,6 +24,7 @@ from electrend.trend import (
     sweep_t0,
     trend_cumulative,
     trend_instant,
+    user_weights,
     write_trend_csv,
 )
 from conftest import rec
@@ -430,3 +431,84 @@ class TestProperties:
             if any(d <= day and sum(c) > 0 for d, c in days.items())
         }
         assert set(cats) == active
+
+
+class TestSeriesAgainstOracle:
+    """Every point of every series equals the oracle's category tally on its day."""
+
+    FIELDS = ("n_mp", "n_ff", "n_undecided", "n_unclassified")
+
+    def oracle_counts(self, counts, mode, day, **config):
+        cats = oracle_categories(counts, mode, day=day, **config)
+        return cats, [sum(c is cat for c in cats.values()) for cat in UserCategory]
+
+    def counts_of(self, point):
+        return [getattr(point, f) for f in self.FIELDS]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        table_dict=st.dictionaries(
+            st.from_regex(r"u[0-9]{1,2}", fullmatch=True), day_counts_strategy, min_size=1, max_size=10
+        ),
+        window=st.integers(1, 45),
+        origins=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+        strata=st.dictionaries(st.from_regex(r"u[0-9]{1,2}", fullmatch=True), st.sampled_from("ABC")),
+        stratum_weights=st.dictionaries(
+            st.sampled_from("ABC"), st.floats(0, 5, allow_nan=False, allow_infinity=False)
+        ),
+    )
+    def test_series_equal_oracle_tallies(self, table_dict, window, origins, strata, stratum_weights):
+        table = table_from(table_dict)
+        if table.n_days == 0:
+            return
+        weights = user_weights(table.users, stratum_weights, strata)
+        days = range(1, table.n_days + window + 2)  # past the last day, as the window drains
+
+        plain = trend_instant(table, window=window, days=days)
+        weighted = trend_instant(table, window=window, days=days, weights=weights)
+        for point, reweighted in zip(plain, weighted):
+            cats, tally = self.oracle_counts(table_dict, "instant", point.day, window=window)
+            assert self.counts_of(point) == tally
+            reference = apply_demographic_weights(point, stratum_weights, strata, cats)
+            assert self.counts_of(reweighted) == self.counts_of(reference)
+
+        t0 = min(origins)
+        plain = trend_cumulative(table, start_day=t0, days=range(t0, 41))
+        weighted = trend_cumulative(table, start_day=t0, days=range(t0, 41), weights=weights)
+        for point, reweighted in zip(plain, weighted):
+            cats, tally = self.oracle_counts(table_dict, "cumulative", point.day, start_day=t0)
+            assert self.counts_of(point) == tally
+            reference = apply_demographic_weights(point, stratum_weights, strata, cats)
+            assert self.counts_of(reweighted) == self.counts_of(reference)
+
+        result = sweep_t0(table, [t0 for t0 in origins if t0 <= table.n_days] or [1])
+        for t0, series in result.series.items():
+            assert [p.day for p in series] == list(range(t0, table.n_days + 1))
+            for point in series:
+                _, tally = self.oracle_counts(table_dict, "cumulative", point.day, start_day=t0)
+                assert self.counts_of(point) == tally
+
+    def test_seeded_tables_with_awkward_weights(self):
+        rng = random.Random(2019)
+        for _ in range(5):
+            counts, table = TestVectorizedAgainstReference().random_table(rng.randrange(10**6), n_users=60)
+            strata = {u: rng.choice("ABCD") for u in counts if rng.random() < 0.8}
+            stratum_weights = {s: rng.uniform(0, 3) for s in "ABC"}
+            weights = user_weights(table.users, stratum_weights, strata)
+            window = rng.randint(1, 20)
+            for point in trend_instant(table, window=window, weights=weights):
+                cats = oracle_categories(counts, "instant", day=point.day, window=window)
+                assert point == apply_demographic_weights(point, stratum_weights, strata, cats)
+            t0 = rng.randint(1, table.n_days)
+            for point in trend_cumulative(table, start_day=t0, weights=weights):
+                cats = oracle_categories(counts, "cumulative", day=point.day, start_day=t0)
+                assert point == apply_demographic_weights(point, stratum_weights, strata, cats)
+
+    def test_weight_vector_must_match_users(self):
+        table = table_from({"a": {1: (1, 0, 0)}, "b": {2: (0, 1, 0)}})
+        with pytest.raises(ValueError):
+            trend_cumulative(table, weights=np.ones(3))
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError):
+            user_weights(["a"], {"A": -0.5}, {"a": "A"})
