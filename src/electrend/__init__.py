@@ -9,85 +9,61 @@ with brute-force oracles, and a provenance-tracking CLI round out the
 toolkit.
 """
 
-from .botfilter import BotConfig, BotVerdict, UserActivity, filter_corpus, score_user
-from .hashtags import (
-    CampPartition,
-    CooccurrenceGraph,
-    build_graph,
-    camp_clouds,
-    partition_graph,
-)
-from .ingest import (
-    QuerySet,
-    TweetRecord,
-    assign_day,
-    extract_hashtags,
-    matches_query,
-    parse_record,
-    record_to_json,
-)
-from .stance import LexiconModel, Stance, classify_corpus, classify_tweet, train_from_seeds
-from .synth import (
-    ElectorateSpec,
-    GroundTruth,
-    generate,
-    ground_truth,
-    oracle_categories,
-    recovery_report,
-)
-from .trend import (
-    CounterTable,
-    CumulativeConfig,
-    TrendPoint,
-    UserCategory,
-    WindowConfig,
-    apply_demographic_weights,
-    sweep_t0,
-    trend_cumulative,
-    trend_instant,
-    user_weights,
-)
+from __future__ import annotations
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "BotConfig",
-    "BotVerdict",
-    "UserActivity",
-    "filter_corpus",
-    "score_user",
-    "CampPartition",
-    "CooccurrenceGraph",
-    "build_graph",
-    "camp_clouds",
-    "partition_graph",
-    "QuerySet",
-    "TweetRecord",
-    "assign_day",
-    "extract_hashtags",
-    "matches_query",
-    "parse_record",
-    "record_to_json",
-    "LexiconModel",
-    "Stance",
-    "classify_corpus",
-    "classify_tweet",
-    "train_from_seeds",
-    "ElectorateSpec",
-    "GroundTruth",
-    "generate",
-    "ground_truth",
-    "oracle_categories",
-    "recovery_report",
-    "CounterTable",
-    "CumulativeConfig",
-    "TrendPoint",
-    "UserCategory",
-    "WindowConfig",
-    "apply_demographic_weights",
-    "sweep_t0",
-    "trend_cumulative",
-    "trend_instant",
-    "user_weights",
-]
+# Public names by the module that defines them. They are imported on first
+# use (PEP 562), so a command that needs no numpy does not load it.
+_EXPORTS = {
+    "botfilter": ("BotConfig", "BotVerdict", "UserActivity", "filter_corpus", "score_user"),
+    "hashtags": ("CampPartition", "CooccurrenceGraph", "build_graph", "camp_clouds", "partition_graph"),
+    "ingest": (
+        "QuerySet",
+        "TweetRecord",
+        "assign_day",
+        "extract_hashtags",
+        "matches_query",
+        "parse_record",
+        "record_to_json",
+    ),
+    "stance": ("LexiconModel", "Stance", "classify_corpus", "classify_tweet", "train_from_seeds"),
+    "synth": (
+        "ElectorateSpec",
+        "GroundTruth",
+        "generate",
+        "ground_truth",
+        "oracle_categories",
+        "recovery_report",
+    ),
+    "trend": (
+        "CounterTable",
+        "CumulativeConfig",
+        "TrendPoint",
+        "UserCategory",
+        "WindowConfig",
+        "apply_demographic_weights",
+        "sweep_t0",
+        "trend_cumulative",
+        "trend_instant",
+        "user_weights",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_OWNER]
+
+
+def __getattr__(name: str):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_OWNER})

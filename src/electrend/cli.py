@@ -22,25 +22,28 @@ import logging
 import os
 import sys
 import tempfile
-from array import array
 from collections import Counter
 from contextlib import ExitStack
 from datetime import date
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
-from . import botfilter, hashtags, manifest, stance, synth, trend
+# numpy and the trend, synth and hashtags modules are imported by the
+# subcommands that use them, so ingest, train and classify start fast.
+from . import botfilter, manifest, stance
 from .ingest import (
-    BeforeOriginError,
     ParseError,
     QuerySet,
-    TweetRecord,
     assign_day,
     atomic_text,
     day_to_date,
     effective_date,
     iter_lines,
+    iter_text_lines,
+    join_parts,
     matches_query,
+    parse_label,
     parse_record,
+    record_parts,
     record_to_json,
 )
 
@@ -80,23 +83,23 @@ def _load_meta(corpus_path: str) -> dict | None:
         return None
 
 
-def _read_corpus(path: str, what: str = "corpus") -> list[TweetRecord]:
-    """Load a pipeline-internal corpus; any malformed line is a data error."""
+def _read_corpus(path: str, decode: Callable) -> list:
+    """Load a pipeline-internal corpus with ``decode``; any malformed line is a data error."""
     records = []
     try:
         for line_no, line in iter_lines(path):
             try:
-                records.append(parse_record(line, line_no))
+                records.append(decode(line, line_no))
             except ParseError as exc:
                 raise CliError(EXIT_DATA, f"{path}:{line_no}: {exc.reason}") from None
     except OSError as exc:
-        raise CliError(EXIT_INPUT, f"cannot read {what} {path}: {exc}") from None
+        raise CliError(EXIT_INPUT, f"cannot read corpus {path}: {exc}") from None
     if not records:
-        raise CliError(EXIT_DATA, f"{what} {path} contains no records")
+        raise CliError(EXIT_DATA, f"corpus {path} contains no records")
     return records
 
 
-def _ensure_days(records: list[TweetRecord], origin: date | None, offset: float) -> date | None:
+def _ensure_days(records: list, origin: date | None, offset: float) -> date | None:
     """Make sure every record carries a day index; returns the origin used."""
     if all(r.day is not None for r in records):
         return origin
@@ -141,20 +144,24 @@ def _t0_to_day(token: str, origin: date | None, n_days: int, flag: str = "--t0")
     return day
 
 
+def _side_lines(path: str) -> Iterator[tuple[int, str]]:
+    """Non-blank, non-comment lines of a side file; a line that is not UTF-8 is a data error."""
+    try:
+        yield from iter_text_lines(path)
+    except ValueError as exc:
+        raise CliError(EXIT_DATA, str(exc)) from None
+
+
 def _load_pairs(path: str, header: tuple[str, str]) -> dict[str, str]:
     """Two-column CSV as a dict; blank and '#' lines and a header row are skipped."""
     pairs = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if line_no == 1 and tuple(parts[:2]) == header:
-                continue
-            if len(parts) != 2:
-                raise CliError(EXIT_DATA, f"{path}:{line_no}: expected '{header[0]},{header[1]}'")
-            pairs[parts[0]] = parts[1]
+    for line_no, line in _side_lines(path):
+        parts = [p.strip() for p in line.split(",")]
+        if line_no == 1 and tuple(parts[:2]) == header:
+            continue
+        if len(parts) != 2:
+            raise CliError(EXIT_DATA, f"{path}:{line_no}: expected '{header[0]},{header[1]}'")
+        pairs[parts[0]] = parts[1]
     return pairs
 
 
@@ -168,7 +175,9 @@ def _load_weights_file(path: str) -> dict[str, float]:
     return weights
 
 
-def _load_spec(path: str) -> synth.ElectorateSpec:
+def _load_spec(path: str):
+    from . import synth
+
     try:
         return synth.ElectorateSpec.load(path)
     except (ValueError, KeyError, TypeError) as exc:
@@ -190,8 +199,7 @@ def _new_manifest(args: argparse.Namespace, skip: Sequence[str] = ()) -> manifes
 def cmd_ingest(args: argparse.Namespace) -> int:
     queries = QuerySet.default()
     if args.queries_file:
-        with open(args.queries_file, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+        lines = [line for _, line in _side_lines(args.queries_file)]
         try:
             queries = QuerySet.from_strings(lines)
         except ValueError as exc:
@@ -208,16 +216,22 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     rejects_path = args.input + ".rejects.txt"
     reject_counts: Counter = Counter()
     tracker = botfilter.ActivityTracker()
-    kept = array("q")  # line numbers that pass the parse, retweet and query rules
+    user_numbers: dict[str, int] = {}
     n_lines = 0
     min_date: date | None = None
 
-    # Pass 1 decides the per-line rules, profiles users and finds the origin;
-    # pass 2 re-reads only the kept lines and applies the per-user bot rule
-    # and the origin. Rejects are logged in that order.
-    with atomic_text(rejects_path) as rejects:
+    # Pass 1 reads the input once: it decides the per-line rules, profiles
+    # users, finds the origin and spools every kept line as
+    # "line_no, date ordinal, user number, line head, line tail", tab-separated.
+    # Pass 2 reads only the spool and applies the per-user bot rule and the
+    # origin. Rejects are logged in that order. The spool is an anonymous
+    # file beside the output, so a killed run leaves nothing behind.
+    spool_dir = os.path.dirname(os.path.abspath(args.output))
+    with atomic_text(rejects_path) as rejects, tempfile.TemporaryFile(
+        "w+", encoding="utf-8", newline="\n", dir=spool_dir
+    ) as spool:
 
-        def reject(line_no: int, reason: str) -> None:
+        def reject(line_no: int | str, reason: str) -> None:
             reject_counts[reason.partition(":")[0]] += 1
             rejects.write(f"{line_no}\t{reason}\n")
 
@@ -234,12 +248,15 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             if use_queries and not matches_query(record, queries):
                 reject(line_no, "no-query-match")
                 continue
-            kept.append(line_no)
             day = effective_date(record, offset)
             if min_date is None or day < min_date:
                 min_date = day
             if use_bots:
                 tracker.add(record, day)
+            # JSON text holds no raw tab or newline, so the fields split back cleanly.
+            head, tail = record_parts(record)
+            user = user_numbers.setdefault(record.user_id, len(user_numbers))
+            spool.write(f"{line_no}\t{day.toordinal()}\t{user}\t{head}\t{tail}\n")
 
         if n_lines == 0:
             raise CliError(EXIT_DATA, f"{args.input} contains no records")
@@ -247,27 +264,23 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             raise CliError(EXIT_DATA, "no record passed the parse and query filters")
         origin = date.fromisoformat(args.origin_date) if args.origin_date else min_date
         verdicts, bots = botfilter.flag_bots(tracker, bot_config) if use_bots else ([], set())
+        bot_numbers = {str(user_numbers[user]) for user in bots}
 
         accepted = 0
         max_day = 0
-        wanted = iter(kept)
-        next_kept = next(wanted)
+        before_day_one = origin.toordinal() - 1
+        spool.seek(0)
         with atomic_text(args.output) as out:
-            for line_no, line in iter_lines(args.input):
-                if line_no != next_kept:
-                    continue
-                next_kept = next(wanted, 0)
-                record = parse_record(line, line_no)
-                if record.user_id in bots:
+            for row in spool:
+                line_no, ordinal, user, head, tail = row.split("\t")
+                if user in bot_numbers:
                     reject(line_no, "bot-user")
                     continue
-                try:
-                    day = assign_day(record, origin, offset)
-                except BeforeOriginError:
+                day = int(ordinal) - before_day_one
+                if day < 1:
                     reject(line_no, "before-origin")
                     continue
-                out.write(record_to_json(record.with_day(day)))
-                out.write("\n")
+                out.write(join_parts(head, day, tail))  # the tail keeps the spool's newline
                 accepted += 1
                 max_day = max(max_day, day)
 
@@ -323,7 +336,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    records = _read_corpus(args.input)
+    records = _read_corpus(args.input, parse_record)
     seeds = None
     if args.seeds:
         try:
@@ -424,13 +437,16 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # -- trend / sweep ------------------------------------------------------
 
 
-def _load_table(args: argparse.Namespace) -> tuple[trend.CounterTable, date | None]:
-    records = _read_corpus(args.input)
+def _load_table(args: argparse.Namespace):
+    """The counter table of a labeled corpus, decoding only what the estimators read, and its origin."""
+    from . import trend
+
+    labels = _read_corpus(args.input, parse_label)
     origin = _resolve_origin(args.origin_date, args.input)
     offset = getattr(args, "day_offset_hours", 0.0)
-    origin = _ensure_days(records, origin, offset)
+    origin = _ensure_days(labels, origin, offset)
     try:
-        table = trend.CounterTable.from_labeled(records)
+        table = trend.CounterTable.from_labeled(labels)
     except ValueError as exc:
         raise CliError(
             EXIT_DATA, f"{args.input}: {exc}; run the classify subcommand first"
@@ -439,6 +455,8 @@ def _load_table(args: argparse.Namespace) -> tuple[trend.CounterTable, date | No
 
 
 def cmd_trend(args: argparse.Namespace) -> int:
+    from . import trend
+
     if bool(args.weights_file) != bool(args.strata_file):
         raise CliError(EXIT_USAGE, "--weights-file and --strata-file go together")
     table, origin = _load_table(args)
@@ -484,6 +502,8 @@ def cmd_trend(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from . import trend
+
     table, origin = _load_table(args)
     tokens = [t.strip() for t in args.t0_list.split(",") if t.strip()]
     if not tokens:
@@ -540,7 +560,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_hashtags(args: argparse.Namespace) -> int:
-    records = _read_corpus(args.input)
+    from . import hashtags
+
+    records = _read_corpus(args.input, parse_record)
     graph = hashtags.build_graph(
         records, min_count=args.min_count, dedup_users=args.dedup_users
     )
@@ -595,7 +617,9 @@ def _parse_mix(token: str) -> tuple[float, float, float]:
         raise CliError(EXIT_USAGE, f"mix {token!r} must be numeric") from None
 
 
-def _spec_from_args(args: argparse.Namespace) -> synth.ElectorateSpec:
+def _spec_from_args(args: argparse.Namespace):
+    from . import synth
+
     if args.spec:
         return _load_spec(args.spec)
     if args.users is None or args.days is None:
@@ -631,6 +655,8 @@ def _spec_from_args(args: argparse.Namespace) -> synth.ElectorateSpec:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from . import synth
+
     spec = _spec_from_args(args)
     truth_path = args.truth or (args.output + ".truth.csv")
     n = synth.write_corpus(spec, args.output, truth_path)
@@ -658,20 +684,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 # -- validate -----------------------------------------------------------
 
-_VALIDATE_SPEC = synth.ElectorateSpec(
-    n_users=6000,
-    n_days=40,
-    mix=(0.475, 0.309, 0.216),
-    mean_rate=0.5,
-    crosstalk=0.05,
-    rng_seed=20190811,
-)
-
-
 def _oracle_mismatch_days(
     csv_path: str, sparse: dict, n_days: int, mode: str, **config: int
 ) -> list[int]:
     """Days 1..n_days missing from a trend CSV or whose counts differ from the oracle's tally."""
+    from . import synth, trend
+
     with open(csv_path, encoding="utf-8", newline="") as fh:
         rows = {row["T"]: row for row in trend.read_trend_csv(fh)}
     fields = ("n_mp", "n_ff", "n_undecided", "n_unclassified")
@@ -684,7 +702,19 @@ def _oracle_mismatch_days(
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec) if args.spec else _VALIDATE_SPEC
+    from . import synth, trend
+
+    if args.spec:
+        spec = _load_spec(args.spec)
+    else:
+        spec = synth.ElectorateSpec(
+            n_users=6000,
+            n_days=40,
+            mix=(0.475, 0.309, 0.216),
+            mean_rate=0.5,
+            crosstalk=0.05,
+            rng_seed=20190811,
+        )
 
     workdir = args.workdir or tempfile.mkdtemp(prefix="electrend-validate-")
     os.makedirs(workdir, exist_ok=True)
@@ -713,8 +743,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     checks: list[tuple[str, bool, str]] = []
 
-    records = _read_corpus(labeled)
-    table = trend.CounterTable.from_labeled(records)
+    table = trend.CounterTable.from_labeled(_read_corpus(labeled, parse_label))
     sparse = table.to_sparse()
     final = table.n_days
 

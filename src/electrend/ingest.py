@@ -16,18 +16,22 @@ import os
 import re
 import zlib
 from contextlib import ExitStack, contextmanager, suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timedelta, timezone
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 __all__ = [
     "TweetRecord",
+    "TweetLabel",
     "QuerySet",
     "ParseError",
     "BeforeOriginError",
     "DEFAULT_QUERY_STRINGS",
     "parse_record",
+    "parse_label",
     "record_to_json",
+    "record_parts",
+    "join_parts",
     "extract_hashtags",
     "matches_query",
     "assign_day",
@@ -35,6 +39,7 @@ __all__ = [
     "open_text",
     "atomic_text",
     "iter_lines",
+    "iter_text_lines",
 ]
 
 # Candidate-name queries for the 2019 Argentina presidential race.
@@ -58,6 +63,12 @@ DEFAULT_QUERY_STRINGS = (
 _HASHTAG_RE = re.compile(r"#(\w+)", re.UNICODE)
 
 _UTC = timezone.utc
+
+# One encoder for every corpus line; json.dumps would build a new one per call.
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+# The scanner json.loads calls after its BOM and whitespace handling, which
+# a stripped line does not need.
+_SCAN = json.JSONDecoder().scan_once
 
 
 class ParseError(ValueError):
@@ -89,11 +100,31 @@ class TweetRecord:
         return replace(self, day=day)
 
 
+class TweetLabel(NamedTuple):
+    """The fields of a record that the trend estimators read (see :func:`parse_label`)."""
+
+    tweet_id: str
+    user_id: str
+    created_at: datetime  # tz-aware, UTC
+    day: int | None
+    stance: str | None
+
+    def with_day(self, day: int) -> "TweetLabel":
+        return self._replace(day=day)
+
+
 @dataclass(frozen=True)
 class QuerySet:
-    """OR of queries, each query an AND of case-insensitive substring terms."""
+    """OR of queries, each query an AND of case-insensitive substring terms.
+
+    Terms are matched against the lowercased text, so a term that is not
+    lowercase never matches. The single-term queries are compiled into one
+    alternation; the multi-term queries are tested term by term.
+    """
 
     queries: tuple[tuple[str, ...], ...]
+    _any_single: re.Pattern | None = field(init=False, repr=False, compare=False)
+    _conjunctions: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.queries:
@@ -101,6 +132,10 @@ class QuerySet:
         for terms in self.queries:
             if not terms:
                 raise ValueError("each query needs at least one term")
+        singles = sorted({terms[0] for terms in self.queries if len(terms) == 1})
+        pattern = re.compile("|".join(map(re.escape, singles))) if singles else None
+        object.__setattr__(self, "_any_single", pattern)
+        object.__setattr__(self, "_conjunctions", tuple(t for t in self.queries if len(t) > 1))
 
     @classmethod
     def from_strings(cls, strings: Iterable[str]) -> "QuerySet":
@@ -123,17 +158,81 @@ def extract_hashtags(text: str) -> list[str]:
     return list(seen)
 
 
-def _parse_timestamp(raw: str) -> datetime:
+def _parse_timestamp(raw: str, line_no: int) -> datetime:
     # Python 3.10 fromisoformat has no 'Z' support.
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
     try:
         ts = datetime.fromisoformat(raw)
     except ValueError:
-        raise ParseError(f"invalid timestamp {raw!r}")
+        raise ParseError(f"invalid timestamp {raw!r}", line_no) from None
     if ts.tzinfo is None:  # naive timestamps are taken as UTC
         return ts.replace(tzinfo=_UTC)
     return ts.astimezone(_UTC)
+
+
+def _is_utf8(text: str) -> bool:
+    """False when ``text`` holds lone surrogates, which have no UTF-8 form."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _load_json(line: str, line_no: int):
+    """``json.loads(line)``, going straight to the scanner when the line is one whole value."""
+    try:
+        obj, end = _SCAN(line, 0)
+        if end == len(line):
+            return obj
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    # Blanks around the value, or not JSON: json.loads takes the blanks or says what is wrong.
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON ({exc.msg})", line_no) from None
+    except RecursionError:
+        raise ParseError("invalid JSON (nested too deeply)", line_no) from None
+
+
+def _decode(line: str, line_no: int) -> tuple:
+    """``(id, user, created_at, text, raw hashtags, day, stance)`` of one line, every field checked."""
+    if not _is_utf8(line):
+        raise ParseError("invalid UTF-8", line_no)
+    obj = _load_json(line, line_no)
+    if not isinstance(obj, dict):
+        raise ParseError("record is not an object", line_no)
+    try:
+        tweet_id, user_id, raw_ts, text = obj["id"], obj["user"], obj["ts"], obj["text"]
+    except KeyError as exc:
+        raise ParseError(f"missing required field {exc.args[0]!r}", line_no) from None
+    if not isinstance(text, str):
+        raise ParseError("field 'text' is not a string", line_no)
+    created_at = _parse_timestamp(str(raw_ts), line_no)
+    tags = obj.get("hashtags")
+    if tags is not None and not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
+        raise ParseError("field 'hashtags' is not a list of strings", line_no)
+    day = obj.get("t")
+    if day is not None and type(day) is not int:  # bool and float are not day indices
+        raise ParseError("field 't' is not an integer", line_no)
+    # A JSON escape of an unpaired surrogate decodes to one; only a line
+    # holding a \ud.. escape can carry it.
+    if ("\\ud" in line or "\\uD" in line) and not _is_utf8(_ENCODER.encode(obj)):
+        raise ParseError("unpaired surrogate escape", line_no)
+    stance = obj.get("stance")
+    return (
+        str(tweet_id),
+        str(user_id),
+        created_at,
+        text,
+        tags,
+        day,
+        str(stance) if stance is not None else None,
+    )
 
 
 def parse_record(line: str, line_no: int = 0) -> TweetRecord:
@@ -144,74 +243,56 @@ def parse_record(line: str, line_no: int = 0) -> TweetRecord:
     Bytes that were not UTF-8 reach here as lone surrogates (see
     :func:`iter_lines`) and make the line malformed.
     """
-    if not line.isascii():
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ParseError("invalid UTF-8", line_no) from None
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON ({exc.msg})", line_no) from None
-    if not isinstance(obj, dict):
-        raise ParseError("record is not an object", line_no)
-    try:
-        tweet_id = str(obj["id"])
-        user_id = str(obj["user"])
-        raw_ts = obj["ts"]
-        text = obj["text"]
-    except KeyError as exc:
-        raise ParseError(f"missing required field {exc.args[0]!r}", line_no) from None
-    if not isinstance(text, str):
-        raise ParseError("field 'text' is not a string", line_no)
-    try:
-        created_at = _parse_timestamp(str(raw_ts))
-    except ParseError as exc:
-        raise ParseError(exc.reason, line_no) from None
-
-    raw_tags = obj.get("hashtags")
-    if raw_tags is not None:
+    tweet_id, user_id, created_at, text, tags, day, stance = _decode(line, line_no)
+    if tags is not None:
         # Trusted when present; normalized to the extraction convention.
-        seen: dict[str, None] = {}
-        for tag in raw_tags:
-            seen.setdefault(str(tag).lstrip("#").lower())
-        hashtags = [t for t in seen if t]
+        hashtags = [t for t in dict.fromkeys(tag.lstrip("#").lower() for tag in tags) if t]
     else:
         hashtags = extract_hashtags(text)
-
-    day = obj.get("t")
-    stance = obj.get("stance")
-    return TweetRecord(
-        tweet_id=tweet_id,
-        user_id=user_id,
-        created_at=created_at,
-        text=text,
-        hashtags=hashtags,
-        day=int(day) if day is not None else None,
-        stance=str(stance) if stance is not None else None,
-    )
+    return TweetRecord(tweet_id, user_id, created_at, text, hashtags, day, stance)
 
 
-def record_to_json(record: TweetRecord) -> str:
-    """Serialize a record to the corpus line format (round-trips via parse_record)."""
-    obj: dict = {
+def parse_label(line: str, line_no: int = 0) -> TweetLabel:
+    """The id, user, timestamp, day and stance of one line.
+
+    Accepts and rejects exactly the lines :func:`parse_record` does, but
+    keeps neither the text nor the hashtags.
+    """
+    tweet_id, user_id, created_at, _, _, day, stance = _decode(line, line_no)
+    return TweetLabel(tweet_id, user_id, created_at, day, stance)
+
+
+def record_parts(record: TweetRecord) -> tuple[str, str]:
+    """A record's corpus line without its day index: the text before ``"t"`` and after it."""
+    head = _ENCODER.encode({
         "id": record.tweet_id,
         "user": record.user_id,
         "ts": record.created_at.isoformat(),
         "text": record.text,
         "hashtags": record.hashtags,
-    }
-    if record.day is not None:
-        obj["t"] = record.day
-    if record.stance is not None:
-        obj["stance"] = record.stance
-    return json.dumps(obj, ensure_ascii=False)
+    })
+    if record.stance is None:
+        return head[:-1], "}"
+    return head[:-1], f', "stance": {_ENCODER.encode(record.stance)}}}'
+
+
+def join_parts(head: str, day: int | None, tail: str) -> str:
+    """The corpus line of :func:`record_parts` with day index ``day``."""
+    return head + tail if day is None else f'{head}, "t": {day}{tail}'
+
+
+def record_to_json(record: TweetRecord) -> str:
+    """Serialize a record to the corpus line format (round-trips via parse_record)."""
+    head, tail = record_parts(record)
+    return join_parts(head, record.day, tail)
 
 
 def matches_query(record: TweetRecord, qs: QuerySet) -> bool:
     """True iff any query's terms all appear (case-insensitive) in the text."""
     lowered = record.text.lower()
-    return any(all(term in lowered for term in terms) for terms in qs.queries)
+    if qs._any_single is not None and qs._any_single.search(lowered):
+        return True
+    return any(all(term in lowered for term in terms) for terms in qs._conjunctions)
 
 
 def effective_date(record: TweetRecord, day_offset_hours: float = 0) -> date:
@@ -293,3 +374,16 @@ def iter_lines(path: str) -> Iterator[tuple[int, str]]:
                     yield line_no, stripped
         except (EOFError, zlib.error) as exc:
             raise OSError(f"{path}: damaged gzip stream: {exc}") from None
+
+
+def iter_text_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line_no, line) of a small text file, skipping blank and ``#`` comment lines.
+
+    A line that is not UTF-8 raises ``ValueError`` naming ``path:line_no``.
+    """
+    for line_no, line in iter_lines(path):
+        if line.startswith("#"):
+            continue
+        if not _is_utf8(line):
+            raise ValueError(f"{path}:{line_no}: invalid UTF-8")
+        yield line_no, line

@@ -8,7 +8,6 @@ that produced it, and re-run from the recorded argv.
 from __future__ import annotations
 
 import json
-import subprocess
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -72,6 +71,8 @@ class RunManifest:
 
 def rerun(manifest_path: str) -> int:
     """Re-invoke the recorded argv with the current interpreter."""
+    import subprocess
+
     with open(manifest_path, encoding="utf-8") as fh:
         obj = json.load(fh)
     version = obj.get("manifest_version")

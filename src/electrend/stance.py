@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .ingest import TweetRecord, atomic_text, open_text
+from .ingest import TweetRecord, atomic_text, iter_text_lines, open_text
 
 __all__ = [
     "Stance",
@@ -259,14 +259,10 @@ def classify_corpus(
 def load_seeds_file(path: str) -> dict[str, str]:
     """Read a seeds file: one ``camp tag`` pair per line; lines starting with '#' are comments."""
     seeds: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{line_no}: expected 'camp tag', got {line!r}")
-            camp, tag = parts
-            seeds[tag.lower().lstrip("#")] = camp.lower()
+    for line_no, line in iter_text_lines(path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{line_no}: expected 'camp tag', got {line!r}")
+        camp, tag = parts
+        seeds[tag.lower().lstrip("#")] = camp.lower()
     return seeds

@@ -228,6 +228,111 @@ class TestNonUtf8Input:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
 
 
+class TestMalformedFields:
+    """Well-formed JSON with a bad field: ingest counts a parse reject, other stages exit 4."""
+
+    CASES = {
+        "lone-surrogate-escape": ("text", "macri \udce9"),
+        "hashtags-number": ("hashtags", 5),
+        "hashtags-string": ("hashtags", "abc"),
+        "hashtags-null-element": ("hashtags", ["ok", None]),
+        "t-string": ("t", "x"),
+        "t-float": ("t", 1.7),
+        "t-bool": ("t", True),
+    }
+
+    @staticmethod
+    def corrupt_third_line(src, dst, key, value):
+        with open(src, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        obj = json.loads(lines[2])
+        obj[key] = value
+        lines[2] = json.dumps(obj)  # ASCII-only: a lone surrogate stays an escape
+        dst.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_parse_reject_or_exit_4(self, case, pipeline, tmp_path):
+        key, value = self.CASES[case]
+        self.corrupt_third_line(pipeline.raw, tmp_path / "raw.jsonl", key, value)
+        result = run_cli(["ingest", "raw.jsonl", "-o", "clean.jsonl"], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        assert (tmp_path / "raw.jsonl.rejects.txt").read_text().splitlines()[0].startswith("3\tparse: ")
+
+        self.corrupt_third_line(pipeline.labeled, tmp_path / "in.jsonl", key, value)
+        for argv in (["train", "in.jsonl", "-o", "m.json"], ["trend", "in.jsonl", "-o", "t.csv"]):
+            result = run_cli(argv, tmp_path)
+            assert result.returncode == 4, result.stderr
+            assert "in.jsonl:3: " in result.stderr
+            assert "Traceback" not in result.stderr
+            assert not (tmp_path / argv[3]).exists()
+
+
+class TestSideFiles:
+    """A side file with a byte that is not UTF-8 is a data error naming its line."""
+
+    @pytest.mark.parametrize("flag", ["--strata-file", "--weights-file", "--queries-file", "--seeds"])
+    def test_non_utf8_side_file_exits_4(self, flag, pipeline, tmp_path):
+        users = sorted({json.loads(line)["user"] for line in open(pipeline.labeled)})
+        files = {
+            "--strata-file": ("user_id,stratum\n" + "".join(f"{u},A\n" for u in users)).encode(),
+            "--weights-file": b"stratum,weight\nA,1.0\n",
+            "--queries-file": b"macri\nkirchner\n",
+            "--seeds": b"ff fuerzacristina\nmp mm2019\n",
+        }
+        files[flag] = files[flag].split(b"\n")[0] + b"\ncaf\xe9\n"
+        stage = {"--queries-file": ["ingest", pipeline.raw], "--seeds": ["train", pipeline.clean]}
+        argv = [*stage.get(flag, ["trend", pipeline.labeled]), "-o", "out"]
+        for name in (flag,) if flag in stage else ("--strata-file", "--weights-file"):
+            (tmp_path / f"{name[2:]}.txt").write_bytes(files[name])
+            argv += [name, f"{name[2:]}.txt"]
+        result = run_cli(argv, tmp_path)
+        assert result.returncode == 4, result.stderr
+        assert f"{flag[2:]}.txt:2: invalid UTF-8" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "out").exists()
+
+
+class TestStartup:
+    def test_ingest_train_classify_never_import_numpy(self, pipeline, tmp_path):
+        script = (
+            "import sys\n"
+            "from electrend.cli import main\n"
+            f"assert main(['ingest', {pipeline.raw!r}, '-o', 'clean.jsonl']) == 0\n"
+            "assert main(['train', 'clean.jsonl', '-o', 'model.json']) == 0\n"
+            "assert main(['classify', 'clean.jsonl', '-o', 'labeled.jsonl', '--model', 'model.json', '--workers', '1']) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
+            "assert not loaded, loaded\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(electrend.__file__)))
+        result = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "labeled.jsonl").stat().st_size > 0
+
+    def test_every_public_name_resolves(self):
+        for name in electrend.__all__:
+            assert getattr(electrend, name) is not None, name
+        assert set(electrend.__all__) <= set(dir(electrend))
+        with pytest.raises(AttributeError):
+            electrend.no_such_name
+
+
+class TestClassifyWorkers:
+    def test_parse_error_inside_a_worker(self, pipeline, tmp_path):
+        with open(pipeline.clean, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines[700] = lines[700][:30]
+        (tmp_path / "in.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = run_cli(["classify", "in.jsonl", "-o", "out.jsonl", "--model", pipeline.model, "--workers", "2"], tmp_path)
+        assert result.returncode == 4, result.stderr
+        assert "in.jsonl:701: invalid JSON" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+
 class TestIngestSidecars:
     def test_accounting_and_meta(self, pipeline):
         meta = json.load(open(pipeline.clean + ".meta.json"))
@@ -308,6 +413,19 @@ class TestClassifyAndTrend:
         ])
         assert code == 0
         assert by_date.read_bytes() == open(pipeline.trend, "rb").read()
+
+    def test_trend_assigns_days_when_t_is_missing(self, pipeline, tmp_path):
+        bare = tmp_path / "bare.jsonl"
+        with open(pipeline.labeled, encoding="utf-8") as src, bare.open("w", encoding="utf-8") as dst:
+            for line in src:
+                obj = json.loads(line)
+                del obj["t"]
+                dst.write(json.dumps(obj) + "\n")
+        origin = json.load(open(pipeline.labeled + ".meta.json"))["origin_date"]
+        out = tmp_path / "t.csv"
+        code = main(["trend", str(bare), "-o", str(out), "--mode", "cumulative", "--origin-date", origin])
+        assert code == 0
+        assert out.read_bytes() == open(pipeline.trend, "rb").read()
 
     def test_trend_csv_has_dates(self, pipeline):
         lines = open(pipeline.trend).read().splitlines()

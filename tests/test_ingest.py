@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from electrend.botfilter import ActivityTracker, BotConfig, flag_bots
 from electrend.cli import main
 
 from electrend.ingest import (
@@ -17,6 +18,7 @@ from electrend.ingest import (
     DEFAULT_QUERY_STRINGS,
     ParseError,
     QuerySet,
+    TweetLabel,
     assign_day,
     atomic_text,
     day_to_date,
@@ -25,6 +27,7 @@ from electrend.ingest import (
     iter_lines,
     matches_query,
     open_text,
+    parse_label,
     parse_record,
     record_to_json,
 )
@@ -81,6 +84,72 @@ class TestParseRecord:
         back = parse_record(record_to_json(r))
         assert back == r
 
+    GOOD = '{"id": "1", "user": "u", "ts": "2019-03-01T00:00:00Z", "text": "macri"'
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            ', "text": "macri \\udce9"',
+            ', "hashtags": 5',
+            ', "hashtags": "abc"',
+            ', "hashtags": ["ok", null]',
+            ', "t": "x"',
+            ', "t": 1.7',
+            ', "t": true',
+        ],
+        ids=["lone-surrogate-escape", "hashtags-number", "hashtags-string", "hashtags-null-element",
+             "t-string", "t-float", "t-bool"],
+    )
+    def test_malformed_field_is_parse_error(self, fields):
+        line = self.GOOD + fields + "}"
+        json.loads(line)  # well-formed JSON: the field itself is what is wrong
+        with pytest.raises(ParseError) as err:
+            parse_record(line, line_no=3)
+        assert err.value.line_no == 3
+        with pytest.raises(ParseError):
+            parse_label(line, line_no=3)
+
+    def test_deeply_nested_json_is_parse_error(self):
+        with pytest.raises(ParseError) as err:
+            parse_record("[" * 100_000, line_no=2)
+        assert err.value.reason == "invalid JSON (nested too deeply)"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        value=st.recursive(
+            st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+            max_leaves=6,
+        ),
+        pad=st.sampled_from(["", " ", "\t", "\ufeff"]),
+        cut=st.integers(0, 60),
+        junk=st.sampled_from(["", "x", "]", "}"]),
+    )
+    def test_json_errors_are_the_json_module_errors(self, value, pad, cut, junk):
+        line = (pad + json.dumps(value) + pad)[:cut] + junk
+        try:
+            json.loads(line)
+            want = None
+        except json.JSONDecodeError as exc:
+            want = f"invalid JSON ({exc.msg})"
+        try:
+            parse_record(line)
+            got = None
+        except ParseError as exc:
+            got = exc.reason if exc.reason.startswith("invalid JSON") else None
+        assert got == want
+
+    def test_paired_surrogate_escape_is_one_character(self):
+        r = parse_record(self.GOOD[:-1] + ' \\ud83d\\ude00"}')
+        assert r.text == "macri \U0001F600"
+
+    def test_label_keeps_the_estimator_fields(self):
+        line = '{"id": 7, "user": "u9", "ts": "2019-03-01T23:00:00-03:00", "text": "x", "t": 4, "stance": "pro_mp"}'
+        created = datetime(2019, 3, 2, 2, tzinfo=UTC)
+        assert parse_label(line, 1) == TweetLabel("7", "u9", created, 4, "pro_mp")
+        r = parse_record(line, 1)
+        assert (r.tweet_id, r.user_id, r.created_at, r.day, r.stance) == parse_label(line, 1)
+
 
 class TestHashtagExtraction:
     def test_two_tags(self):
@@ -134,6 +203,38 @@ class TestQueries:
         bigger = QuerySet.from_strings([*base, extra])
         if smaller is not None and matches_query(r, smaller):
             assert matches_query(r, bigger)
+
+
+# Terms and texts share an alphabet of regex metacharacters, letters and
+# characters whose lowercase form is longer ("İ" lowers to "i" plus a dot).
+QUERY_ALPHABET = "ab.()+*?[]|^$\\İiIẞß "
+
+
+class TestCompiledQueries:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        queries=st.lists(
+            st.lists(st.text(QUERY_ALPHABET, min_size=1, max_size=3), min_size=1, max_size=3).map(tuple),
+            min_size=1,
+            max_size=5,
+        ),
+        text=st.text(QUERY_ALPHABET, max_size=30),
+    )
+    def test_matcher_equals_loop_oracle(self, queries, text):
+        qs = QuerySet(tuple(queries))
+        lowered = text.lower()
+        oracle = any(all(t in lowered for t in q) for q in qs.queries)
+        assert matches_query(rec(text=text), qs) == oracle
+
+    def test_metacharacters_are_literal(self):
+        qs = QuerySet.from_strings(["a.b", "(", "c+"])
+        assert not matches_query(rec(text="axb"), qs)
+        assert matches_query(rec(text="A.B"), qs)
+        assert matches_query(rec(text="x (y"), qs)
+        assert not matches_query(rec(text="ccc"), qs)
+
+    def test_equal_query_sets_compare_equal(self):
+        assert QuerySet.default() == QuerySet.default()
 
 
 class TestDayAssignment:
@@ -246,6 +347,99 @@ class TestDocumentedFormat:
         assert (r.tweet_id, r.user_id, r.text) == ("1", "u42", "...")
         assert r.created_at == datetime(2019, 3, 1, 12, tzinfo=UTC)
         assert (r.hashtags, r.day, r.stance) == (["yosigo"], 1, "pro_ff")
+
+
+def reference_ingest(lines: list[str], origin: date, offset: float) -> tuple[list[str], list[str], dict]:
+    """Clean lines, rejects sidecar lines and meta of the line-by-line ingest.
+
+    Every line is parsed with ``parse_record`` and every kept record is
+    dated with ``assign_day`` and written with ``record_to_json``; bots are
+    scored over all the kept records first.
+    """
+    queries = QuerySet.default()
+    rejects, kept, tracker = [], [], ActivityTracker()
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            record = parse_record(line, line_no)
+        except ParseError as exc:
+            rejects.append(f"{line_no}\tparse: {exc.reason}")
+            continue
+        if not matches_query(record, queries):
+            rejects.append(f"{line_no}\tno-query-match")
+            continue
+        tracker.add(record, effective_date(record, offset))
+        kept.append((line_no, record))
+    _, bots = flag_bots(tracker, BotConfig())
+    clean, days = [], []
+    for line_no, record in kept:
+        if record.user_id in bots:
+            rejects.append(f"{line_no}\tbot-user")
+            continue
+        try:
+            day = assign_day(record, origin, offset)
+        except BeforeOriginError:
+            rejects.append(f"{line_no}\tbefore-origin")
+            continue
+        clean.append(record_to_json(record.with_day(day)))
+        days.append(day)
+    meta = {
+        "meta_version": 1,
+        "origin_date": origin.isoformat(),
+        "day_offset_hours": offset,
+        "n_days": max(days),
+        "records": len(clean),
+        "input_lines": len(lines),
+        "rejects": dict(sorted(Counter(r.split("\t")[1].partition(":")[0] for r in rejects).items())),
+    }
+    return clean, rejects, meta
+
+
+def labeled_corpus() -> list[str]:
+    """Raw lines carrying ``t`` and ``stance``, around local midnights, with a planted bot."""
+    start = datetime(2019, 3, 1, 1, tzinfo=UTC)  # 22:00 of the day before at UTC-3
+    users = ["ana", "tab\tuser", "new\nline", "Ñandú", "u\u2028sep"]
+    texts = ["Macri habló", "CFK y #Lavagna", "Alberto Fernández\tdijo", "kirchner 😀 \u2028 fin", "nada que ver"]
+    lines = []
+    for i in range(60):
+        obj = {
+            "id": i,
+            "user": users[i % len(users)],
+            "ts": (start + timedelta(hours=7 * i)).isoformat(),
+            "text": texts[i % len(texts)],
+            "t": 99,
+        }
+        if i % 3:
+            obj["stance"] = ["pro_ff", "pro_mp", "neutral"][i % 3]
+        if i % 4 == 0:
+            obj["hashtags"] = ["#Cambiemos", "cambiemos", "FF"]
+        lines.append(json.dumps(obj, ensure_ascii=i % 2 == 0))
+    for i in range(100):  # rate, duplicate and burst rules all fire
+        ts = (datetime(2019, 3, 6, 12, tzinfo=UTC) + timedelta(seconds=10 * i)).isoformat()
+        lines.insert(2 * i % len(lines), json.dumps({"id": f"b{i}", "user": "botty", "ts": ts, "text": "MACRI MACRI"}))
+    lines[7] = lines[7][:25]
+    return lines
+
+
+class TestSpooledIngest:
+    def test_outputs_equal_the_line_by_line_ingest(self, tmp_path):
+        lines = labeled_corpus()
+        raw, clean = tmp_path / "raw.jsonl.gz", tmp_path / "clean.jsonl"
+        raw.write_bytes(gzip.compress("".join(line + "\n" for line in lines).encode("utf-8")))
+        origin, offset = date(2019, 3, 3), -3.0
+        code = main([
+            "ingest", str(raw), "-o", str(clean),
+            "--origin-date", origin.isoformat(), "--day-offset-hours", str(offset),
+        ])
+        assert code == 0
+        want_clean, want_rejects, want_meta = reference_ingest(lines, origin, offset)
+        assert {"bot-user", "before-origin", "no-query-match", "parse"} <= set(want_meta["rejects"])
+        assert clean.read_text(encoding="utf-8") == "".join(line + "\n" for line in want_clean)
+        assert (tmp_path / "raw.jsonl.gz.rejects.txt").read_text(encoding="utf-8").splitlines() == want_rejects
+        assert json.loads((tmp_path / "clean.jsonl.meta.json").read_text(encoding="utf-8")) == want_meta
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "clean.jsonl", "clean.jsonl.bots.csv", "clean.jsonl.manifest.json", "clean.jsonl.meta.json",
+            "raw.jsonl.gz", "raw.jsonl.gz.rejects.txt",
+        ]
 
 
 def good_line(i: int) -> bytes:
