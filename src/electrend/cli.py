@@ -22,9 +22,10 @@ import logging
 import os
 import sys
 import tempfile
+from array import array
 from collections import Counter
 from contextlib import ExitStack
-from datetime import date
+from datetime import date, timedelta
 from typing import Callable, Iterator, Sequence
 
 # numpy and the trend, synth and hashtags modules are imported by the
@@ -33,7 +34,6 @@ from . import botfilter, manifest, stance
 from .ingest import (
     ParseError,
     QuerySet,
-    assign_day,
     atomic_text,
     day_to_date,
     effective_date,
@@ -83,33 +83,33 @@ def _load_meta(corpus_path: str) -> dict | None:
         return None
 
 
-def _read_corpus(path: str, decode: Callable) -> list:
-    """Load a pipeline-internal corpus with ``decode``; any malformed line is a data error."""
-    records = []
-    try:
-        for line_no, line in iter_lines(path):
-            try:
-                records.append(decode(line, line_no))
-            except ParseError as exc:
-                raise CliError(EXIT_DATA, f"{path}:{line_no}: {exc.reason}") from None
-    except OSError as exc:
-        raise CliError(EXIT_INPUT, f"cannot read corpus {path}: {exc}") from None
-    if not records:
-        raise CliError(EXIT_DATA, f"corpus {path} contains no records")
-    return records
+class _Corpus:
+    """The lines of a pipeline-internal corpus, decoded with ``decode`` as they are iterated.
 
+    A malformed line is a data error naming ``path:line``, a read error is
+    an input error, and a corpus without records is a data error once the
+    read ends. ``records`` counts the lines decoded so far.
+    """
 
-def _ensure_days(records: list, origin: date | None, offset: float) -> date | None:
-    """Make sure every record carries a day index; returns the origin used."""
-    if all(r.day is not None for r in records):
-        return origin
-    if origin is None:
-        origin = min(effective_date(r, offset) for r in records)
-        log.info("derived origin date %s from corpus", origin.isoformat())
-    for i, r in enumerate(records):
-        if r.day is None:
-            records[i] = r.with_day(assign_day(r, origin, offset))
-    return origin
+    def __init__(self, path: str, decode: Callable):
+        self.path = path
+        self.decode = decode
+        self.records = 0
+
+    def __iter__(self) -> Iterator:
+        path, decode = self.path, self.decode
+        try:
+            for line_no, line in iter_lines(path):
+                try:
+                    item = decode(line, line_no)
+                except ParseError as exc:
+                    raise CliError(EXIT_DATA, f"{path}:{line_no}: {exc.reason}") from None
+                self.records += 1
+                yield item
+        except OSError as exc:
+            raise CliError(EXIT_INPUT, f"cannot read corpus {path}: {exc}") from None
+        if not self.records:
+            raise CliError(EXIT_DATA, f"corpus {path} contains no records")
 
 
 def _resolve_origin(explicit: str | None, corpus_path: str) -> date | None:
@@ -336,7 +336,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    records = _read_corpus(args.input, parse_record)
     seeds = None
     if args.seeds:
         try:
@@ -345,6 +344,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             raise CliError(EXIT_INPUT, f"cannot read seeds file: {exc}") from None
         except ValueError as exc:
             raise CliError(EXIT_DATA, str(exc)) from None
+    records = _Corpus(args.input, parse_record)
     try:
         model = stance.train_from_seeds(
             records, seeds, smoothing=args.smoothing, decision_margin=args.margin
@@ -361,7 +361,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     run.write(args.output + ".manifest.json")
     log.info(
         "train: %d records, %d camps, %d vocabulary terms",
-        len(records),
+        records.records,
         len(model.camps),
         len(model.term_weights),
     )
@@ -437,21 +437,59 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # -- trend / sweep ------------------------------------------------------
 
 
-def _load_table(args: argparse.Namespace):
-    """The counter table of a labeled corpus, decoding only what the estimators read, and its origin."""
+def _load_table(path: str, origin_date: str | None = None, offset_hours: float = 0.0):
+    """The counter table of a labeled corpus and the origin date of its day 1.
+
+    Each line is decoded into three ``array("q")`` columns, nothing more:
+    the user's code, the day and the stance class. A line without ``t`` gets
+    its day from the origin, which is ``origin_date``, else the corpus meta
+    sidecar's, else the earliest effective date over every line.
+    """
+    import numpy as np
+
     from . import trend
 
-    labels = _read_corpus(args.input, parse_label)
-    origin = _resolve_origin(args.origin_date, args.input)
-    offset = getattr(args, "day_offset_hours", 0.0)
-    origin = _ensure_days(labels, origin, offset)
-    try:
-        table = trend.CounterTable.from_labeled(labels)
-    except ValueError as exc:
-        raise CliError(
-            EXIT_DATA, f"{args.input}: {exc}; run the classify subcommand first"
-        ) from None
-    return table, origin
+    origin = _resolve_origin(origin_date, path)
+    shift = timedelta(hours=offset_hours)
+    before_day_one = origin.toordinal() - 1 if origin else 0
+    earliest = date.max.toordinal()
+    stance_class = trend.STANCE_CLASS.get
+
+    def decode(line: str, line_no: int) -> tuple[str, int, int]:
+        """(user, day, stance class); the day is minus the date ordinal while the origin is unknown."""
+        nonlocal earliest
+        _, user, created_at, day, stance = parse_label(line, line_no)
+        if stance is None:
+            raise ParseError("no stance label; run the classify subcommand first", line_no)
+        if day is None or origin is None:
+            ordinal = (created_at + shift).toordinal()
+            earliest = min(earliest, ordinal)
+        if day is None:
+            if origin is None:
+                day = -ordinal
+            elif ordinal <= before_day_one:
+                raise ParseError(f"timestamp predates the origin date {origin.isoformat()}", line_no)
+            else:
+                day = ordinal - before_day_one
+        elif day < 1:
+            raise ParseError(f"day index must be >= 1, got {day}", line_no)
+        return user, day, stance_class(stance, trend.OTHER_CLASS)
+
+    codes: dict[str, int] = {}
+    users, days, classes = array("q"), array("q"), array("q")
+    for user, day, klass in _Corpus(path, decode):
+        users.append(codes.setdefault(user, len(codes)))
+        days.append(day)
+        classes.append(klass)
+    if origin is None:
+        column = np.frombuffer(days, dtype=np.int64)
+        undated = column < 0
+        if undated.any():
+            origin = date.fromordinal(earliest)
+            log.info("derived origin date %s from corpus", origin.isoformat())
+            column[undated] = -column[undated] - (earliest - 1)
+        del column  # a live view would stop the column from growing
+    return trend.CounterTable.from_columns(codes, users, days, classes), origin
 
 
 def cmd_trend(args: argparse.Namespace) -> int:
@@ -459,7 +497,7 @@ def cmd_trend(args: argparse.Namespace) -> int:
 
     if bool(args.weights_file) != bool(args.strata_file):
         raise CliError(EXIT_USAGE, "--weights-file and --strata-file go together")
-    table, origin = _load_table(args)
+    table, origin = _load_table(args.input, args.origin_date, args.day_offset_hours)
     weights = None
     if args.weights_file:
         strata = _load_pairs(args.strata_file, ("user_id", "stratum"))
@@ -504,7 +542,7 @@ def cmd_trend(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     from . import trend
 
-    table, origin = _load_table(args)
+    table, origin = _load_table(args.input, args.origin_date, args.day_offset_hours)
     tokens = [t.strip() for t in args.t0_list.split(",") if t.strip()]
     if not tokens:
         raise CliError(EXIT_USAGE, "--t0-list is empty")
@@ -562,10 +600,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_hashtags(args: argparse.Namespace) -> int:
     from . import hashtags
 
-    records = _read_corpus(args.input, parse_record)
-    graph = hashtags.build_graph(
-        records, min_count=args.min_count, dedup_users=args.dedup_users
-    )
+    counts = hashtags.TagCounts(dedup_users=args.dedup_users)
+    for record in _Corpus(args.input, parse_record):
+        counts.add(record)
+        if record.stance is not None:
+            counts.add_labeled(record, record.stance)
+    graph = counts.graph(args.min_count)
     partition = None
     if graph.nodes:
         partition = hashtags.partition_graph(graph)
@@ -578,9 +618,8 @@ def cmd_hashtags(args: argparse.Namespace) -> int:
         hashtags.write_dot(graph, fh, partition)
 
     clouds_path = None
-    labeled = [(r, r.stance) for r in records if r.stance is not None]
-    if labeled:
-        clouds = hashtags.camp_clouds(labeled)
+    if counts.labeled:
+        clouds = counts.clouds()
         clouds_path = args.clouds or (args.output + ".clouds.csv")
         with atomic_text(clouds_path, newline="") as fh:
             hashtags.write_clouds_csv(clouds, fh, top_k=args.top_k)
@@ -743,7 +782,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     checks: list[tuple[str, bool, str]] = []
 
-    table = trend.CounterTable.from_labeled(_read_corpus(labeled, parse_label))
+    table, _ = _load_table(labeled)
     sparse = table.to_sparse()
     final = table.n_days
 

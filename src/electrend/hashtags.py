@@ -24,6 +24,7 @@ __all__ = [
     "CooccurrenceGraph",
     "CampSummary",
     "CampPartition",
+    "TagCounts",
     "build_graph",
     "partition_graph",
     "camp_clouds",
@@ -59,6 +60,67 @@ class CooccurrenceGraph:
         return adj
 
 
+class TagCounts:
+    """Single-pass hashtag counts: tags and tag pairs for the graph, tags per stance for the clouds.
+
+    :func:`build_graph` and :func:`camp_clouds` each make one pass of it;
+    a caller that needs both feeds each record to :meth:`add` and
+    :meth:`add_labeled` in one pass.
+    """
+
+    def __init__(self, dedup_users: bool = False):
+        self.dedup_users = dedup_users
+        self.labeled = 0  # records given to add_labeled
+        self._nodes: Counter = Counter()
+        self._pairs: Counter = Counter()
+        self._seen_node: set = set()
+        self._seen_pair: set = set()
+        self._per_stance: dict[str, Counter] = {s.value: Counter() for s in Stance}
+
+    def add(self, record: TweetRecord) -> None:
+        """Count the record's tags and tag pairs."""
+        tags = sorted(set(record.hashtags))
+        for tag in tags:
+            if self.dedup_users:
+                key = (record.user_id, tag)
+                if key in self._seen_node:
+                    continue
+                self._seen_node.add(key)
+            self._nodes[tag] += 1
+        for a, b in combinations(tags, 2):
+            if self.dedup_users:
+                key = (record.user_id, a, b)
+                if key in self._seen_pair:
+                    continue
+                self._seen_pair.add(key)
+            self._pairs[(a, b)] += 1
+
+    def add_labeled(self, record: TweetRecord, stance: Stance | str) -> None:
+        """Count the record's tags under its stance label."""
+        value = stance.value if isinstance(stance, Stance) else str(stance)
+        counter = self._per_stance.setdefault(value, Counter())
+        for tag in set(record.hashtags):
+            counter[tag] += 1
+        self.labeled += 1
+
+    def graph(self, min_count: int = DEFAULT_MIN_COUNT) -> CooccurrenceGraph:
+        """The counts of :meth:`add`, pruned below ``min_count``."""
+        kept = {t: c for t, c in self._nodes.items() if c >= min_count}
+        edges = {
+            pair: w
+            for pair, w in self._pairs.items()
+            if w >= min_count and pair[0] in kept and pair[1] in kept
+        }
+        return CooccurrenceGraph(node_freq=kept, edge_weight=edges, min_count=min_count)
+
+    def clouds(self) -> dict[str, list[tuple[str, int]]]:
+        """The counts of :meth:`add_labeled`, ranked as :func:`camp_clouds` returns them."""
+        return {
+            stance: sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+            for stance, counts in self._per_stance.items()
+        }
+
+
 def build_graph(
     records: Iterable[TweetRecord],
     min_count: int = DEFAULT_MIN_COUNT,
@@ -69,34 +131,10 @@ def build_graph(
     With ``dedup_users`` each (user, tag) and (user, pair) counts once, so
     a flooding account contributes at most 1 to any weight.
     """
-    node_counts: Counter = Counter()
-    pair_counts: Counter = Counter()
-    seen_node: set = set()
-    seen_pair: set = set()
+    counts = TagCounts(dedup_users)
     for record in records:
-        tags = sorted(set(record.hashtags))
-        for tag in tags:
-            if dedup_users:
-                key = (record.user_id, tag)
-                if key in seen_node:
-                    continue
-                seen_node.add(key)
-            node_counts[tag] += 1
-        for a, b in combinations(tags, 2):
-            if dedup_users:
-                key = (record.user_id, a, b)
-                if key in seen_pair:
-                    continue
-                seen_pair.add(key)
-            pair_counts[(a, b)] += 1
-
-    kept = {t: c for t, c in node_counts.items() if c >= min_count}
-    edges = {
-        pair: w
-        for pair, w in pair_counts.items()
-        if w >= min_count and pair[0] in kept and pair[1] in kept
-    }
-    return CooccurrenceGraph(node_freq=kept, edge_weight=edges, min_count=min_count)
+        counts.add(record)
+    return counts.graph(min_count)
 
 
 @dataclass(frozen=True)
@@ -189,16 +227,10 @@ def camp_clouds(
     with its respective count, and per-tag counts summed over all stances
     equal the tag's corpus frequency.
     """
-    per_stance: dict[str, Counter] = {s.value: Counter() for s in Stance}
+    counts = TagCounts()
     for record, stance in labeled:
-        value = stance.value if isinstance(stance, Stance) else str(stance)
-        counter = per_stance.setdefault(value, Counter())
-        for tag in set(record.hashtags):
-            counter[tag] += 1
-    return {
-        stance: sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        for stance, counts in per_stance.items()
-    }
+        counts.add_labeled(record, stance)
+    return counts.clouds()
 
 
 # -- exports ------------------------------------------------------------

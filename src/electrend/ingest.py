@@ -64,8 +64,12 @@ _HASHTAG_RE = re.compile(r"#(\w+)", re.UNICODE)
 
 _UTC = timezone.utc
 
-# One encoder for every corpus line; json.dumps would build a new one per call.
-_ENCODER = json.JSONEncoder(ensure_ascii=False)
+# The C encoder json.dumps(obj, ensure_ascii=False) uses, built once:
+# JSONEncoder.encode builds a new one, with its closures, on every call.
+# Decoded JSON and records hold no cycles, so there are no markers to track.
+_ENCODE = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring, None, ": ", ", ", False, False, True
+)
 # The scanner json.loads calls after its BOM and whitespace handling, which
 # a stripped line does not need.
 _SCAN = json.JSONDecoder().scan_once
@@ -108,9 +112,6 @@ class TweetLabel(NamedTuple):
     created_at: datetime  # tz-aware, UTC
     day: int | None
     stance: str | None
-
-    def with_day(self, day: int) -> "TweetLabel":
-        return self._replace(day=day)
 
 
 @dataclass(frozen=True)
@@ -221,7 +222,7 @@ def _decode(line: str, line_no: int) -> tuple:
         raise ParseError("field 't' is not an integer", line_no)
     # A JSON escape of an unpaired surrogate decodes to one; only a line
     # holding a \ud.. escape can carry it.
-    if ("\\ud" in line or "\\uD" in line) and not _is_utf8(_ENCODER.encode(obj)):
+    if ("\\ud" in line or "\\uD" in line) and not _is_utf8("".join(_ENCODE(obj, 0))):
         raise ParseError("unpaired surrogate escape", line_no)
     stance = obj.get("stance")
     return (
@@ -264,16 +265,16 @@ def parse_label(line: str, line_no: int = 0) -> TweetLabel:
 
 def record_parts(record: TweetRecord) -> tuple[str, str]:
     """A record's corpus line without its day index: the text before ``"t"`` and after it."""
-    head = _ENCODER.encode({
+    head = "".join(_ENCODE({
         "id": record.tweet_id,
         "user": record.user_id,
         "ts": record.created_at.isoformat(),
         "text": record.text,
         "hashtags": record.hashtags,
-    })
+    }, 0))
     if record.stance is None:
         return head[:-1], "}"
-    return head[:-1], f', "stance": {_ENCODER.encode(record.stance)}}}'
+    return head[:-1], f', "stance": {"".join(_ENCODE(record.stance, 0))}}}'
 
 
 def join_parts(head: str, day: int | None, tail: str) -> str:
@@ -330,15 +331,39 @@ def open_text(path: str, mode: str = "rt") -> TextIO:
     return _opener(path)(path, mode, encoding="utf-8")
 
 
+def _remove_dead_temps(path: str) -> None:
+    """Delete every ``<path>.tmp<pid>`` left by a process that no longer exists."""
+    directory, name = os.path.split(os.path.abspath(path))
+    prefix = name + ".tmp"
+    try:
+        entries = os.listdir(directory)
+    except OSError:  # the write itself reports a directory it cannot use
+        return
+    for entry in entries:
+        pid = entry[len(prefix):]
+        if not (entry.startswith(prefix) and pid.isascii() and pid.isdigit()):
+            continue
+        try:
+            os.kill(int(pid), 0)
+        except ProcessLookupError:
+            with suppress(FileNotFoundError):  # another writer removed it first
+                os.unlink(os.path.join(directory, entry))
+        except (OSError, OverflowError):  # alive but not ours to signal, or no pid at all
+            pass
+
+
 @contextmanager
 def atomic_text(path: str, newline: str | None = None) -> Iterator[TextIO]:
     """Text writer that commits via a temp file and a rename; gzip by .gz suffix.
 
-    The temp file sits beside ``path``. If the ``with`` block or the final
-    flush fails, the temp file is removed and ``path`` is left untouched.
+    The temp file ``<path>.tmp<pid>`` sits beside ``path``. If the ``with``
+    block or the final flush fails, the temp file is removed and ``path`` is
+    left untouched. A process killed outright cannot clean up, so each write
+    first removes the temp files of ``path`` whose writer is no longer alive.
     A gzip header names ``path`` and carries no time, so equal text gives
     equal bytes.
     """
+    _remove_dead_temps(path)
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with ExitStack() as stack:

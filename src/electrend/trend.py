@@ -9,8 +9,11 @@ cumulative indicator):
 * more MP than FF tweets -> MP; fewer -> FF; equal and positive -> Undecided;
 * cumulative only: active in the range but no MP/FF evidence -> Unclassified.
 
-The table keeps one (mp, ff, other) row per active user-day, sorted by
-(user, day). A verdict can change only on a day a row enters the range
+Tweets reach the table as three int64 columns, a user code, the day and
+the stance class (:data:`STANCE_CLASS`), either handed over whole
+(:meth:`CounterTable.from_columns`, as the CLI decodes a corpus) or one
+tweet at a time (:meth:`CounterTable.add`). The table folds them into one
+(mp, ff, other) row per active user-day, sorted by (user, day). A verdict can change only on a day a row enters the range
 (and, for a window, on the day it leaves), so every estimator is one event
 sweep: running sums per user at those change points, then a per-day tally
 of verdicts entering and leaving each category. A series costs O(rows), a
@@ -28,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import TweetRecord, day_to_date
+from .ingest import day_to_date
 from .stance import Stance
 
 __all__ = [
@@ -118,13 +121,10 @@ class TrendPoint:
     pct_others: float | None
 
 
-def _stance_class(stance: Stance | str) -> int:
-    value = stance.value if isinstance(stance, Stance) else str(stance)
-    if value == Stance.PRO_MP.value:
-        return 0
-    if value == Stance.PRO_FF.value:
-        return 1
-    return 2  # pro_third and neutral both count as "talks about the race"
+# Stance -> class column of the table: 0 favors MP, 1 favors FF, and every
+# other stance (pro_third, neutral) is 2, talk about the race that backs neither.
+STANCE_CLASS = {Stance.PRO_MP.value: 0, Stance.PRO_FF.value: 1}
+OTHER_CLASS = 2
 
 
 def _verdicts(sums: np.ndarray, cumulative: bool) -> np.ndarray:
@@ -138,9 +138,12 @@ def _verdicts(sums: np.ndarray, cumulative: bool) -> np.ndarray:
 class CounterTable:
     """Stance counters for a whole corpus, one row per active (user, day).
 
-    ``add`` buffers tweets; the next query codes them together with the rows
-    already held: the sorted user names, and per active user-day the user's
-    index, the day and the (mp, ff, other) counts, sorted by (user, day).
+    Tweets arrive as pending columns: a user code per tweet (numbering the
+    user names in order of first appearance), the day and the stance class.
+    ``add`` appends one tweet to them and :meth:`from_columns` hands over
+    whole columns. The next query codes them together with the rows already
+    held: the sorted user names, and per active user-day the user's index,
+    the day and the (mp, ff, other) counts, sorted by (user, day).
     Incremental updates and full rebuilds therefore agree by construction.
     """
 
@@ -148,9 +151,8 @@ class CounterTable:
         self._names: list[str] = []
         self._user = self._day = np.zeros(0, dtype=np.int64)
         self._counts = np.zeros((0, 3), dtype=np.int64)
-        self._new_users: list[str] = []  # tweets added since the last query
-        self._new_days = array("q")
-        self._new_classes = array("q")
+        self._codes: dict[str, int] = {}  # the pending columns, filled since the last query
+        self._new_users, self._new_days, self._new_classes = array("q"), array("q"), array("q")
         self._n_days = 0
 
     # -- building ------------------------------------------------------
@@ -158,43 +160,54 @@ class CounterTable:
     def add(self, user_id: str, day: int, stance: Stance | str) -> None:
         if day < 1:
             raise ValueError(f"day index must be >= 1, got {day}")
-        self._new_users.append(user_id)
+        value = stance.value if isinstance(stance, Stance) else str(stance)
+        self._new_users.append(self._codes.setdefault(user_id, len(self._codes)))
         self._new_days.append(day)
-        self._new_classes.append(_stance_class(stance))
+        self._new_classes.append(STANCE_CLASS.get(value, OTHER_CLASS))
         self._n_days = max(self._n_days, day)
 
-    def add_record(self, record: TweetRecord, stance: Stance | str | None = None) -> None:
-        label = stance if stance is not None else record.stance
-        if record.day is None or label is None:
-            raise ValueError("record needs an assigned day and a stance label")
-        self.add(record.user_id, record.day, label)
-
     @classmethod
-    def from_labeled(
-        cls, records: Iterable[TweetRecord], labels: Iterable[Stance] | None = None
+    def from_columns(
+        cls, codes: dict[str, int], users: array, days: array, classes: array
     ) -> "CounterTable":
+        """The table of tweets ``(users[i], days[i], classes[i])``.
+
+        ``codes`` numbers the user names 0, 1, ... in insertion order, as
+        ``codes.setdefault(name, len(codes))`` does; ``classes`` holds
+        :data:`STANCE_CLASS` values. The table takes the ``array("q")``
+        columns over without copying them, and ``add`` appends to them.
+        """
         table = cls()
-        pairs = ((r, None) for r in records) if labels is None else zip(records, labels)
-        for record, label in pairs:
-            table.add_record(record, label)
+        day = np.frombuffer(days, dtype=np.int64)
+        if len(day) and day.min() < 1:
+            raise ValueError(f"day index must be >= 1, got {day.min()}")
+        table._n_days = int(day.max()) if len(day) else 0
+        del day  # a live view would stop ``add`` from growing the column
+        table._codes, table._new_users, table._new_days, table._new_classes = codes, users, days, classes
         return table
 
     def _rows(self) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
         """(sorted user names, user index, day, (mp, ff, other) counts) per active user-day."""
         if self._new_users:
-            names = sorted(set(self._names).union(self._new_users))
+            names = sorted(set(self._names).union(self._codes))
             code = {u: i for i, u in enumerate(names)}
             held = np.array([code[u] for u in self._names], dtype=np.int64)[self._user]
-            added = np.fromiter(map(code.__getitem__, self._new_users), np.int64, len(self._new_users))
+            pending = np.array([code[u] for u in self._codes], dtype=np.int64)
+            added = pending[np.frombuffer(self._new_users, dtype=np.int64)]
             user = np.concatenate([held, added])
             day = np.concatenate([self._day, np.frombuffer(self._new_days, dtype=np.int64)])
-            one_hot = np.eye(3, dtype=np.int64)[np.frombuffer(self._new_classes, dtype=np.int64)]
             span = self._n_days + 1
             keys, inverse = np.unique(user * span + day, return_inverse=True)
+            del user, day, added
             counts = np.zeros((len(keys), 3), dtype=np.int64)
-            np.add.at(counts, inverse, np.concatenate([self._counts, one_hot]))
+            counts[inverse[: len(held)]] = self._counts  # held rows are distinct user-days
+            inverse = inverse[len(held) :]
+            classes = np.frombuffer(self._new_classes, dtype=np.int64)
+            for c in range(3):
+                counts[:, c] += np.bincount(inverse[classes == c], minlength=len(keys))
             self._names, (self._user, self._day), self._counts = names, np.divmod(keys, span), counts
-            self._new_users, self._new_days, self._new_classes = [], array("q"), array("q")
+            self._codes = {}
+            self._new_users, self._new_days, self._new_classes = array("q"), array("q"), array("q")
         return self._names, self._user, self._day, self._counts
 
     # -- views ---------------------------------------------------------

@@ -49,13 +49,3 @@ def rec(
 def day_ts(day: int, second: int = 43200) -> datetime:
     """Timestamp inside day N of the fixture calendar (origin 2019-03-01)."""
     return T0 + timedelta(days=day - 1, seconds=second)
-
-
-@pytest.fixture
-def tiny_labeled():
-    """Three users on one day: A pro_mp, B and C pro_ff."""
-    return [
-        rec(user="A", day=1, stance="pro_mp"),
-        rec(user="B", day=1, stance="pro_ff"),
-        rec(user="C", day=1, stance="pro_ff"),
-    ]

@@ -2,6 +2,7 @@
 
 import gzip
 import hashlib
+import io
 import json
 import os
 import resource
@@ -9,17 +10,22 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
+import time
 import xml.etree.ElementTree as ET
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import electrend
-from electrend.cli import main
+from electrend import hashtags
+from electrend.cli import _load_table, main
+from electrend.ingest import assign_day, effective_date, parse_label, parse_record
 from electrend.manifest import rerun
 from electrend.synth import ElectorateSpec, ground_truth
-from electrend.trend import read_trend_csv
+from electrend.trend import CounterTable, read_trend_csv
 
 SUBCOMMANDS = [
     "ingest",
@@ -268,6 +274,156 @@ class TestMalformedFields:
             assert not (tmp_path / argv[3]).exists()
 
 
+class TestLabeledLineChecks:
+    """A labeled line the estimators cannot place is a data error naming its line."""
+
+    CASES = {
+        "t-zero": ({"t": 0}, "day index must be >= 1, got 0"),
+        "t-negative": ({"t": -4}, "day index must be >= 1, got -4"),
+        "no-stance": ({"stance": None}, "no stance label; run the classify subcommand first"),
+    }
+    STAGES = {
+        "trend-instant": ["trend", "in.jsonl", "-o", "out", "--mode", "instant"],
+        "trend-cumulative": ["trend", "in.jsonl", "-o", "out", "--mode", "cumulative"],
+        "sweep": ["sweep", "in.jsonl", "-o", "out", "--t0-list", "1,3"],
+    }
+
+    @staticmethod
+    def change_third_line(src, dst, fields):
+        with open(src, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        obj = json.loads(lines[2])
+        for key, value in fields.items():
+            if value is None:
+                del obj[key]
+            else:
+                obj[key] = value
+        lines[2] = json.dumps(obj)
+        dst.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    @pytest.mark.parametrize("stage", sorted(STAGES))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_4_naming_the_line(self, stage, case, pipeline, tmp_path):
+        fields, message = self.CASES[case]
+        self.change_third_line(pipeline.labeled, tmp_path / "in.jsonl", fields)
+        result = run_cli(self.STAGES[stage], tmp_path)
+        assert result.returncode == 4, result.stderr
+        assert f"in.jsonl:3: {message}" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+    def test_undated_line_before_the_origin(self, pipeline, tmp_path):
+        self.change_third_line(pipeline.labeled, tmp_path / "in.jsonl", {"t": None, "ts": "2019-03-31T23:00:00Z"})
+        result = run_cli(["trend", "in.jsonl", "-o", "out", "--origin-date", "2019-04-01"], tmp_path)
+        assert result.returncode == 4, result.stderr
+        assert "in.jsonl:3: timestamp predates the origin date 2019-04-01" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("t", [0, -4])
+    def test_ingest_recomputes_such_t(self, t, pipeline, tmp_path):
+        self.change_third_line(pipeline.raw, tmp_path / "raw.jsonl", {"t": t})
+        assert run_cli(["ingest", "raw.jsonl", "-o", "clean.jsonl"], tmp_path).returncode == 0
+        for produced, expected in (("clean.jsonl", pipeline.clean), ("raw.jsonl.rejects.txt", pipeline.raw + ".rejects.txt")):
+            assert (tmp_path / produced).read_bytes() == open(expected, "rb").read()
+
+
+@st.composite
+def labeled_lines(draw):
+    """Labeled corpus lines, some without ``t``, with UTC offsets that move days across midnight."""
+    lines = []
+    for i in range(draw(st.integers(min_value=1, max_value=25))):
+        minutes = draw(st.integers(min_value=0, max_value=20 * 24 * 60))
+        zone = draw(st.sampled_from(["Z", "+05:00", "-03:00"]))
+        ts = (datetime(2019, 3, 10) + timedelta(minutes=minutes)).isoformat() + zone
+        obj = {"id": str(i), "user": draw(st.sampled_from(["ana", "bo", "ü", "z9"])), "ts": ts, "text": "x"}
+        day = draw(st.none() | st.integers(min_value=1, max_value=30))
+        if day is not None:
+            obj["t"] = day
+        obj["stance"] = draw(st.sampled_from(["pro_mp", "pro_ff", "pro_third", "neutral"]))
+        lines.append(json.dumps(obj, ensure_ascii=False))
+    return lines
+
+
+class TestCorpusReader:
+    @settings(max_examples=150, deadline=None)
+    @given(lines=labeled_lines(), origin_back=st.none() | st.integers(min_value=0, max_value=3),
+           offset=st.sampled_from([0.0, -3.0]))
+    def test_columns_equal_per_line_add(self, lines, origin_back, offset):
+        labels = [parse_label(line) for line in lines]
+        earliest = min(effective_date(label, offset) for label in labels)
+        flag = None if origin_back is None else (earliest - timedelta(days=origin_back)).isoformat()
+        if flag:
+            origin = date.fromisoformat(flag)
+        elif any(label.day is None for label in labels):
+            origin = earliest  # over every line, those with ``t`` too
+        else:
+            origin = None
+        expected = CounterTable()
+        for label in labels:
+            day = label.day if label.day is not None else assign_day(label, origin, offset)
+            expected.add(label.user_id, day, label.stance)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "labeled.jsonl")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            table, got_origin = _load_table(path, flag, offset)
+        assert got_origin == origin
+        assert table.users == expected.users
+        assert table.n_days == expected.n_days
+        assert table.to_sparse() == expected.to_sparse()
+
+    def test_train_on_an_empty_corpus(self, tmp_path):
+        (tmp_path / "in.jsonl").write_text("\n\n")
+        result = run_cli(["train", "in.jsonl", "-o", "m.json"], tmp_path)
+        assert result.returncode == 4, result.stderr
+        assert "corpus in.jsonl contains no records" in result.stderr
+        assert "training failed" not in result.stderr
+        assert not (tmp_path / "m.json").exists()
+
+    def test_train_parse_error_after_seed_lines(self, pipeline, tmp_path):
+        with open(pipeline.clean, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        seeded = sum('"mm2019"' in line or '"fuerzacristina"' in line for line in lines[:599])
+        assert seeded > 10
+        lines[599] = lines[599][:40]
+        (tmp_path / "in.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = run_cli(["train", "in.jsonl", "-o", "model.json"], tmp_path)
+        assert result.returncode == 4, result.stderr
+        assert "in.jsonl:600: invalid JSON" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+
+class TestKilledRun:
+    def test_rerun_after_sigkill_leaves_no_temp_file(self, pipeline, tmp_path):
+        with open(pipeline.clean, encoding="utf-8") as fh:
+            (tmp_path / "in.jsonl").write_text(fh.read() * 30, encoding="utf-8")
+        argv = ["classify", "in.jsonl", "-o", "out.jsonl", "--model", pipeline.model, "--workers", "1"]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(electrend.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "electrend", *argv], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        temp = tmp_path / f"out.jsonl.tmp{proc.pid}"
+        deadline = time.monotonic() + 60
+        try:
+            while not (temp.exists() and temp.stat().st_size > 0):
+                assert proc.poll() is None, "classify ended before it could be killed"
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", temp.name]
+
+        result = run_cli(argv, tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert not list(tmp_path.glob("*.tmp*"))
+        assert (tmp_path / "out.jsonl").stat().st_size > 0
+
+
 class TestSideFiles:
     """A side file with a byte that is not UTF-8 is a data error naming its line."""
 
@@ -503,6 +659,26 @@ class TestHashtagsCommand:
         clouds = open(base + ".clouds.csv").read().splitlines()
         assert clouds[0] == "camp,rank,tag,count"
         assert len(clouds) > 1
+
+    @pytest.mark.parametrize("dedup", [False, True])
+    def test_one_pass_equals_the_two_pass_library_result(self, dedup, pipeline, tmp_path):
+        base = str(tmp_path / "net")
+        flags = ["--dedup-users"] if dedup else []
+        assert main(["hashtags", pipeline.labeled, "-o", base, "--min-count", "2", "--top-k", "5", *flags]) == 0
+        with open(pipeline.labeled, encoding="utf-8") as fh:
+            records = [parse_record(line) for line in fh]
+        graph = hashtags.build_graph(records, min_count=2, dedup_users=dedup)
+        partition = hashtags.partition_graph(graph)
+        clouds = hashtags.camp_clouds([(r, r.stance) for r in records])
+        for suffix, write in (
+            (".graphml", lambda fh: hashtags.write_graphml(graph, fh, partition)),
+            (".dot", lambda fh: hashtags.write_dot(graph, fh, partition)),
+            (".clouds.csv", lambda fh: hashtags.write_clouds_csv(clouds, fh, top_k=5)),
+        ):
+            expected = io.StringIO()
+            write(expected)
+            with open(base + suffix, "rb") as fh:
+                assert fh.read() == expected.getvalue().encode("utf-8"), suffix
 
     def test_unlabeled_input_skips_clouds(self, pipeline, tmp_path):
         base = str(tmp_path / "net")

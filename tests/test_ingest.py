@@ -2,6 +2,9 @@
 
 import gzip
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from datetime import date, datetime, timedelta, timezone
@@ -29,6 +32,7 @@ from electrend.ingest import (
     open_text,
     parse_label,
     parse_record,
+    record_parts,
     record_to_json,
 )
 from conftest import rec
@@ -298,6 +302,35 @@ class TestRoundTrip:
     def test_serialize_parse_is_identity(self, record):
         assert parse_record(record_to_json(record)) == record
 
+    # Characters JSON escapes, or could be mistaken for escaping: quotes,
+    # backslashes, controls, line and paragraph separators, non-ASCII.
+    AWKWARD = st.text(
+        st.sampled_from(['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "\u2028", "\u2029", "é", "ñ", "🗳"])
+        | st.characters(blacklist_categories=("Cs",)),
+        max_size=30,
+    )
+
+    @given(
+        fields=st.tuples(AWKWARD, AWKWARD, AWKWARD),
+        tags=st.lists(AWKWARD, max_size=4),
+        seconds=st.integers(min_value=0, max_value=400 * 86400),
+        day=st.none() | st.integers(min_value=-5, max_value=10**6),
+        stance=st.none() | st.sampled_from(["pro_ff", "pro_mp", "neutral"]) | AWKWARD,
+    )
+    def test_encoding_equals_json_dumps(self, fields, tags, seconds, day, stance):
+        tweet_id, user, text = fields
+        ts = datetime(2019, 1, 1, tzinfo=UTC) + timedelta(seconds=seconds)
+        record = rec(user=user, text=text, ts=ts, tags=tags, day=day, stance=stance, tweet_id=tweet_id)
+        expected = {"id": tweet_id, "user": user, "ts": ts.isoformat(), "text": text, "hashtags": tags}
+        if day is not None:
+            expected["t"] = day
+        if stance is not None:
+            expected["stance"] = stance
+        line = json.dumps(expected, ensure_ascii=False)
+        assert record_to_json(record) == line
+        head, tail = record_parts(record)
+        assert head + tail == json.dumps({k: v for k, v in expected.items() if k != "t"}, ensure_ascii=False)
+
 
 class TestFileIO:
     def test_gzip_by_suffix_round_trips(self, tmp_path):
@@ -328,6 +361,23 @@ class TestFileIO:
             fh.write("whole\n")
         assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl.gz"]
         assert list(iter_lines(str(path))) == [(1, "whole")]
+
+    def test_temp_of_a_dead_writer_is_removed(self, tmp_path):
+        finished = subprocess.Popen([sys.executable, "-c", "pass"])
+        finished.wait(timeout=60)
+        dead = tmp_path / f"out.csv.tmp{finished.pid}"
+        kept = [
+            tmp_path / f"out.csv.tmp{os.getppid()}",  # a live writer
+            tmp_path / f"other.csv.tmp{finished.pid}",  # another target's temp file
+            tmp_path / "out.csv.tmpx1",  # no pid
+        ]
+        for path in (dead, *kept):
+            path.write_text("partial\n")
+        with atomic_text(str(tmp_path / "out.csv")) as fh:
+            fh.write("whole\n")
+        assert not dead.exists()
+        assert all(path.exists() for path in kept)
+        assert (tmp_path / "out.csv").read_text() == "whole\n"
 
     def test_truncated_gzip_is_a_read_error(self, tmp_path):
         path = tmp_path / "cut.jsonl.gz"

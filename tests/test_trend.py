@@ -6,6 +6,7 @@ brute-force reference the acceptance gate and ``validate`` also use.
 
 import io
 import random
+from array import array
 from datetime import date
 
 import numpy as np
@@ -14,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from electrend.synth import oracle_categories
 from electrend.trend import (
+    OTHER_CLASS,
+    STANCE_CLASS,
     CounterTable,
     CumulativeConfig,
     TrendPoint,
@@ -41,6 +44,15 @@ def table_from(counts: dict[str, dict[int, tuple[int, int, int]]]) -> CounterTab
                 table.add(user, day, "pro_ff")
             for _ in range(n_other):
                 table.add(user, day, "pro_third")
+    return table
+
+
+@pytest.fixture
+def tiny_table():
+    """Three users on one day: A pro_mp, B and C pro_ff."""
+    table = CounterTable()
+    for user, stance in (("A", "pro_mp"), ("B", "pro_ff"), ("C", "pro_ff")):
+        table.add(user, 1, stance)
     return table
 
 
@@ -159,9 +171,8 @@ class TestVectorizedAgainstReference:
 
 
 class TestTrendPoints:
-    def test_three_user_split(self, tiny_labeled):
-        table = CounterTable.from_labeled(tiny_labeled)
-        point = trend_instant(table, window=14)[0]
+    def test_three_user_split(self, tiny_table):
+        point = trend_instant(tiny_table, window=14)[0]
         assert point.n_ff == 2 and point.n_mp == 1
         assert point.pct_ff == pytest.approx(200 / 3)
         assert point.pct_mp == pytest.approx(100 / 3)
@@ -279,6 +290,32 @@ class TestPermutationAndIncremental:
         assert trend_instant(incremental, window=5) == trend_instant(rebuilt, window=5)
         assert trend_cumulative(incremental) == trend_cumulative(rebuilt)
 
+    def test_columns_then_add_equal_add_alone(self):
+        rng = random.Random(11)
+        triples = [
+            (f"u{rng.randint(0, 12)}", rng.randint(1, 30), rng.choice(["pro_mp", "pro_ff", "pro_third", "neutral"]))
+            for _ in range(300)
+        ]
+        codes: dict[str, int] = {}
+        users, days, classes = array("q"), array("q"), array("q")
+        for u, d, s in triples[:200]:
+            users.append(codes.setdefault(u, len(codes)))
+            days.append(d)
+            classes.append(STANCE_CLASS.get(s, OTHER_CLASS))
+        columns = CounterTable.from_columns(codes, users, days, classes)
+        for u, d, s in triples[200:]:
+            columns.add(u, d, s)  # appends to the handed-over columns
+        added = CounterTable()
+        for u, d, s in triples:
+            added.add(u, d, s)
+        assert columns.n_days == added.n_days
+        assert columns.users == added.users
+        assert columns.to_sparse() == added.to_sparse()
+
+    def test_columns_reject_day_zero(self):
+        with pytest.raises(ValueError, match="got 0"):
+            CounterTable.from_columns({"u": 0}, array("q", [0, 0]), array("q", [3, 0]), array("q", [0, 1]))
+
 
 class TestSweep:
     def test_single_origin_spread_zero(self):
@@ -366,9 +403,8 @@ class TestDemographicWeights:
 
 
 class TestCsv:
-    def test_round_trip_and_header(self, tiny_labeled):
-        table = CounterTable.from_labeled(tiny_labeled)
-        points = trend_cumulative(table, origin_date=date(2019, 3, 1))
+    def test_round_trip_and_header(self, tiny_table):
+        points = trend_cumulative(tiny_table, origin_date=date(2019, 3, 1))
         buf = io.StringIO()
         write_trend_csv(points, buf)
         text = buf.getvalue()
