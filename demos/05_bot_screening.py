@@ -3,15 +3,18 @@
 Seven accounts: two ordinary humans, three that each show exactly one
 odd trait, and two bots that show two. Scores combine the rate,
 duplication and burst rules with equal weight and flag at 0.5, so a
-single odd trait is survivable but two convict.
+single odd trait is survivable but two convict. The table comes from an
+activity tracker fed each tweet with its day; the filter is the ingest
+pipeline itself, run over the tweets as corpus lines with no topic query.
 
 Run with: python3 demos/05_bot_screening.py
 """
 
+import io
 from datetime import datetime, timedelta, timezone
 
-from electrend.botfilter import filter_corpus, profile_user, score_user
-from electrend.ingest import TweetRecord
+from electrend.botfilter import ActivityTracker, score_user
+from electrend.ingest import IngestConfig, TweetRecord, effective_date, ingest_lines, record_to_json
 
 T0 = datetime(2019, 3, 1, 8, 0, tzinfo=timezone.utc)
 
@@ -49,13 +52,12 @@ for i in range(100):
 for i in range(90):
     records.append(tweet("copymachine", "compra ya compra ya", i * 5))
 
-by_user = {}
+tracker = ActivityTracker()
 for r in records:
-    by_user.setdefault(r.user_id, []).append(r)
+    tracker.add(r, effective_date(r))
 
 print(f"{'user':<13}{'tweets':>7}{'max/day':>9}{'dup':>7}{'gap(s)':>9}{'score':>7}  verdict")
-for user, rows in by_user.items():
-    activity = profile_user(rows)
+for user, activity in tracker.profiles().items():
     verdict = score_user(activity)
     rules = ",".join(verdict.triggered_rules) or "-"
     print(
@@ -64,9 +66,18 @@ for user, rows in by_user.items():
         f"{verdict.score:>7.2f}  {'BOT' if verdict.is_bot else 'ok':<4} ({rules})"
     )
 
-kept, verdicts = filter_corpus(records)
+
+def screen(lines):
+    """The corpus lines one ingest pass keeps, and its bot verdicts."""
+    out = io.StringIO()
+    result = ingest_lines(enumerate(lines, start=1), IngestConfig(queries=None), out, io.StringIO())
+    return out.getvalue().splitlines(), result.verdicts
+
+
+lines = [record_to_json(r) for r in records]
+kept, verdicts = screen(lines)
 flagged = sorted(v.user_id for v in verdicts if v.is_bot)
 print()
-print("filter removes", len(records) - len(kept), "tweets from", flagged)
+print("filter removes", len(lines) - len(kept), "tweets from", flagged)
 print("single-trait accounts survive: the threshold wants two rules to agree")
-print("a second pass flags nothing:", not any(v.is_bot for v in filter_corpus(kept)[1]))
+print("a second pass flags nothing:", not any(v.is_bot for v in screen(kept)[1]))

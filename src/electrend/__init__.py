@@ -18,22 +18,24 @@ __version__ = "0.1.0"
 # Public names by the module that defines them. They are imported on first
 # use (PEP 562), so a command that needs no numpy does not load it.
 _EXPORTS = {
-    "botfilter": ("BotConfig", "BotVerdict", "UserActivity", "filter_corpus", "score_user"),
+    "botfilter": ("BotConfig", "BotVerdict", "UserActivity", "score_user"),
     "hashtags": ("CampPartition", "CooccurrenceGraph", "build_graph", "camp_clouds", "partition_graph"),
     "ingest": (
+        "IngestConfig",
+        "IngestResult",
         "QuerySet",
         "TweetRecord",
         "assign_day",
         "extract_hashtags",
+        "ingest_lines",
         "matches_query",
         "parse_record",
         "record_to_json",
     ),
-    "stance": ("LexiconModel", "Stance", "classify_corpus", "classify_tweet", "train_from_seeds"),
+    "stance": ("LexiconModel", "Stance", "classify_tweet", "train_from_seeds"),
     "synth": (
         "ElectorateSpec",
         "GroundTruth",
-        "generate",
         "ground_truth",
         "oracle_categories",
         "recovery_report",

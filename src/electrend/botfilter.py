@@ -1,9 +1,12 @@
-"""Heuristic removal of bot-like accounts before any aggregation.
+"""Bot-like account scoring: per-user activity profiles and three rules.
 
 Three desk-scale rules on per-user activity profiles: a daily-rate cap, a
 duplicate-text cap and an inter-tweet-gap floor. Each fired rule
 contributes its weight to a score in [0, 1]; accounts at or above the
-threshold are dropped wholesale. All caps are configuration, not constants.
+threshold are flagged. All caps are configuration, not constants.
+:func:`electrend.ingest.ingest_lines` profiles users on their pipeline days
+(:class:`ActivityTracker`), scores them (:func:`flag_bots`) and drops every
+record of a flagged account.
 """
 
 from __future__ import annotations
@@ -13,19 +16,18 @@ import math
 from dataclasses import dataclass, field
 from datetime import date
 from hashlib import blake2b
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
-from .ingest import TweetRecord
+if TYPE_CHECKING:
+    from .ingest import TweetRecord
 
 __all__ = [
     "UserActivity",
     "BotVerdict",
     "BotConfig",
     "ActivityTracker",
-    "profile_user",
     "score_user",
     "flag_bots",
-    "filter_corpus",
     "write_report_csv",
 ]
 
@@ -82,14 +84,12 @@ class ActivityTracker:
     def __init__(self):
         self._users: dict[str, _UserState] = {}
 
-    def add(self, record: TweetRecord, day: date | None = None) -> None:
-        """Count one record; ``day`` is its pipeline day for the rate rule (UTC date by default)."""
+    def add(self, record: TweetRecord, day: date) -> None:
+        """Count one record; ``day`` is its pipeline day (its effective date), which the rate rule counts."""
         state = self._users.get(record.user_id)
         if state is None:
             state = self._users[record.user_id] = _UserState()
         state.total += 1
-        if day is None:
-            day = record.created_at.date()
         state.day_counts[day] = state.day_counts.get(day, 0) + 1
         state.texts.add(_text_key(record.text))
         ts = record.created_at.timestamp()
@@ -113,20 +113,6 @@ class ActivityTracker:
                 mean_inter_tweet_seconds=mean_gap,
             )
         return out
-
-
-def profile_user(records: Sequence[TweetRecord]) -> UserActivity:
-    """Profile one account from its records (all must share user_id)."""
-    if not records:
-        raise ValueError("cannot profile an empty record set")
-    user_id = records[0].user_id
-    for r in records:
-        if r.user_id != user_id:
-            raise ValueError(f"mixed users in profile input: {user_id!r} vs {r.user_id!r}")
-    tracker = ActivityTracker()
-    for r in records:
-        tracker.add(r)
-    return tracker.profiles()[user_id]
 
 
 def score_user(activity: UserActivity, config: BotConfig = BotConfig()) -> BotVerdict:
@@ -158,23 +144,6 @@ def flag_bots(
     """Score every tracked user: verdicts sorted by user id, and the flagged ids."""
     verdicts = [score_user(a, config) for _, a in sorted(tracker.profiles().items())]
     return verdicts, {v.user_id for v in verdicts if v.is_bot}
-
-
-def filter_corpus(
-    records: Iterable[TweetRecord], config: BotConfig = BotConfig()
-) -> tuple[list[TweetRecord], list[BotVerdict]]:
-    """Drop every record of flagged users.
-
-    Returns the clean corpus and verdicts for all observed users (sorted by
-    user id); flagged users are the ``is_bot`` subset. Idempotent: scores
-    depend only on a user's own records, which removal leaves untouched.
-    """
-    records = list(records)
-    tracker = ActivityTracker()
-    for r in records:
-        tracker.add(r)
-    verdicts, bots = flag_bots(tracker, config)
-    return [r for r in records if r.user_id not in bots], verdicts
 
 
 def write_report_csv(verdicts: Iterable[BotVerdict], fh) -> None:

@@ -1,12 +1,16 @@
 """Command-line pipeline: ingest, train, classify, trend, sweep, hashtags, synth, validate.
 
-Exit codes: 0 success, 1 validation check failed, 2 usage error,
-3 input not readable or output not writable, 4 data error (empty or
-malformed corpus, bad model or spec). Logs go to standard error with a
+Each subcommand adapts its flags to the library, which holds the rules
+(``ingest`` runs :func:`electrend.ingest.ingest_lines`), and writes files.
+
+Exit codes: 0 success, 1 validation check failed, 2 usage error (a
+malformed ``--origin-date`` included), 3 input not readable or output not
+writable, 4 data error (empty or malformed corpus, a damaged meta
+sidecar, bad model or spec). Logs go to standard error with a
 ``LEVEL name:`` prefix; every run writes a JSON manifest beside its
 primary output recording inputs (with digests), effective parameters and
-argv, so runs can be reproduced and audited. Output files are written to a temp name and renamed into
-place.
+argv, so runs can be reproduced and audited. Output files are written to
+a temp name and renamed into place.
 
 Dates on the command line are calendar dates; they are converted to
 integer day indices against the corpus origin date, which ``ingest``
@@ -32,18 +36,17 @@ from typing import Callable, Iterator, Sequence
 # subcommands that use them, so ingest, train and classify start fast.
 from . import botfilter, manifest, stance
 from .ingest import (
+    IngestConfig,
+    NoRecordsError,
     ParseError,
     QuerySet,
     atomic_text,
     day_to_date,
-    effective_date,
+    ingest_lines,
     iter_lines,
     iter_text_lines,
-    join_parts,
-    matches_query,
     parse_label,
     parse_record,
-    record_parts,
     record_to_json,
 )
 
@@ -76,11 +79,23 @@ def _meta_path(corpus_path: str) -> str:
 
 
 def _load_meta(corpus_path: str) -> dict | None:
+    """The meta sidecar of a corpus, None if there is none; a damaged one is a data error."""
+    path = _meta_path(corpus_path)
     try:
-        with open(_meta_path(corpus_path), encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            meta = json.load(fh)
     except OSError:
         return None
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise CliError(EXIT_DATA, f"bad meta sidecar {path}: {exc}") from None
+    if not isinstance(meta, dict):
+        raise CliError(EXIT_DATA, f"bad meta sidecar {path}: not a JSON object")
+    try:
+        if meta.get("origin_date"):
+            date.fromisoformat(meta["origin_date"])
+    except (TypeError, ValueError):
+        raise CliError(EXIT_DATA, f"bad meta sidecar {path}: origin_date is not a date") from None
+    return meta
 
 
 class _Corpus:
@@ -112,13 +127,12 @@ class _Corpus:
             raise CliError(EXIT_DATA, f"corpus {path} contains no records")
 
 
-def _resolve_origin(explicit: str | None, corpus_path: str) -> date | None:
-    if explicit:
-        return date.fromisoformat(explicit)
-    meta = _load_meta(corpus_path)
-    if meta and meta.get("origin_date"):
-        return date.fromisoformat(meta["origin_date"])
-    return None
+def _iso_date(token: str) -> date:
+    """``--origin-date`` value: a calendar date, else a usage error."""
+    try:
+        return date.fromisoformat(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{token!r} is not a calendar date (YYYY-MM-DD)") from None
 
 
 def _t0_to_day(token: str, origin: date | None, n_days: int, flag: str = "--t0") -> int:
@@ -184,10 +198,8 @@ def _load_spec(path: str):
         raise CliError(EXIT_DATA, f"bad spec file: {exc}") from None
 
 
-def _new_manifest(args: argparse.Namespace, skip: Sequence[str] = ()) -> manifest.RunManifest:
-    params = {
-        k: v for k, v in sorted(vars(args).items()) if k not in ("func", "argv", *skip)
-    }
+def _new_manifest(args: argparse.Namespace) -> manifest.RunManifest:
+    params = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "argv")}
     return manifest.RunManifest(
         subcommand=args.subcommand, argv=list(args.argv), parameters=params
     )
@@ -204,130 +216,57 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             queries = QuerySet.from_strings(lines)
         except ValueError as exc:
             raise CliError(EXIT_DATA, f"bad queries file {args.queries_file}: {exc}") from None
-    use_queries = not args.no_query_filter
-    use_bots = not args.no_bot_filter
-    bot_config = botfilter.BotConfig(
-        rate_cap=args.bot_rate_cap,
-        dup_cap=args.bot_dup_cap,
-        gap_floor=args.bot_gap_floor,
-        threshold=args.bot_threshold,
+    bots = botfilter.BotConfig(
+        args.bot_rate_cap, args.bot_dup_cap, args.bot_gap_floor, threshold=args.bot_threshold
     )
-    offset = args.day_offset_hours
+    config = IngestConfig(
+        queries=None if args.no_query_filter else queries,
+        bots=None if args.no_bot_filter else bots,
+        drop_retweets=args.drop_retweets, origin_date=args.origin_date, day_offset_hours=args.day_offset_hours,
+    )
     rejects_path = args.input + ".rejects.txt"
-    reject_counts: Counter = Counter()
-    tracker = botfilter.ActivityTracker()
-    user_numbers: dict[str, int] = {}
-    n_lines = 0
-    min_date: date | None = None
-
-    # Pass 1 reads the input once: it decides the per-line rules, profiles
-    # users, finds the origin and spools every kept line as
-    # "line_no, date ordinal, user number, line head, line tail", tab-separated.
-    # Pass 2 reads only the spool and applies the per-user bot rule and the
-    # origin. Rejects are logged in that order. The spool is an anonymous
-    # file beside the output, so a killed run leaves nothing behind.
-    spool_dir = os.path.dirname(os.path.abspath(args.output))
-    with atomic_text(rejects_path) as rejects, tempfile.TemporaryFile(
-        "w+", encoding="utf-8", newline="\n", dir=spool_dir
-    ) as spool:
-
-        def reject(line_no: int | str, reason: str) -> None:
-            reject_counts[reason.partition(":")[0]] += 1
-            rejects.write(f"{line_no}\t{reason}\n")
-
-        for line_no, line in iter_lines(args.input):
-            n_lines += 1
-            try:
-                record = parse_record(line, line_no)
-            except ParseError as exc:
-                reject(line_no, f"parse: {exc.reason}")
-                continue
-            if args.drop_retweets and record.text.startswith("RT @"):
-                reject(line_no, "retweet")
-                continue
-            if use_queries and not matches_query(record, queries):
-                reject(line_no, "no-query-match")
-                continue
-            day = effective_date(record, offset)
-            if min_date is None or day < min_date:
-                min_date = day
-            if use_bots:
-                tracker.add(record, day)
-            # JSON text holds no raw tab or newline, so the fields split back cleanly.
-            head, tail = record_parts(record)
-            user = user_numbers.setdefault(record.user_id, len(user_numbers))
-            spool.write(f"{line_no}\t{day.toordinal()}\t{user}\t{head}\t{tail}\n")
-
-        if n_lines == 0:
-            raise CliError(EXIT_DATA, f"{args.input} contains no records")
-        if min_date is None:
-            raise CliError(EXIT_DATA, "no record passed the parse and query filters")
-        origin = date.fromisoformat(args.origin_date) if args.origin_date else min_date
-        verdicts, bots = botfilter.flag_bots(tracker, bot_config) if use_bots else ([], set())
-        bot_numbers = {str(user_numbers[user]) for user in bots}
-
-        accepted = 0
-        max_day = 0
-        before_day_one = origin.toordinal() - 1
-        spool.seek(0)
-        with atomic_text(args.output) as out:
-            for row in spool:
-                line_no, ordinal, user, head, tail = row.split("\t")
-                if user in bot_numbers:
-                    reject(line_no, "bot-user")
-                    continue
-                day = int(ordinal) - before_day_one
-                if day < 1:
-                    reject(line_no, "before-origin")
-                    continue
-                out.write(join_parts(head, day, tail))  # the tail keeps the spool's newline
-                accepted += 1
-                max_day = max(max_day, day)
-
-    rejected = sum(reject_counts.values())
-    if accepted + rejected != n_lines:
-        raise AssertionError(
-            f"accounting violated: {accepted} accepted + {rejected} rejected != {n_lines} lines"
-        )
+    spool_dir = os.path.dirname(os.path.abspath(args.output))  # the disk the output needs anyway
+    try:
+        with atomic_text(rejects_path) as rejects, atomic_text(args.output) as out:
+            result = ingest_lines(iter_lines(args.input), config, out, rejects, spool_dir)
+    except NoRecordsError as exc:
+        raise CliError(EXIT_DATA, f"{args.input}: {exc}") from None
 
     report_path = args.bot_report or (args.output + ".bots.csv")
-    if use_bots:
+    if config.bots:
         with atomic_text(report_path, newline="") as fh:
-            botfilter.write_report_csv(verdicts, fh)
+            botfilter.write_report_csv(result.verdicts, fh)
 
+    origin = result.origin.isoformat()
     meta = {
         "meta_version": META_FORMAT_VERSION,
-        "origin_date": origin.isoformat(),
-        "day_offset_hours": offset,
-        "n_days": max_day,
-        "records": accepted,
-        "input_lines": n_lines,
-        "rejects": dict(sorted(reject_counts.items())),
+        "origin_date": origin,
+        "day_offset_hours": config.day_offset_hours,
+        "n_days": result.n_days,
+        "records": result.accepted,
+        "input_lines": result.input_lines,
+        "rejects": result.rejects,
     }
     manifest.write_json_atomic(meta, _meta_path(args.output))
 
     run = _new_manifest(args)
-    run.parameters["origin_date"] = origin.isoformat()
-    run.parameters["queries"] = [" AND ".join(q) for q in queries.queries] if use_queries else []
+    run.parameters["origin_date"] = origin
+    run.parameters["queries"] = [" AND ".join(q) for q in config.queries.queries] if config.queries else []
     run.add_input("corpus", args.input)
     run.add_output("clean_corpus", args.output)
     run.add_output("rejects", rejects_path)
     run.add_output("meta", _meta_path(args.output))
-    if use_bots:
+    if config.bots:
         run.add_output("bot_report", report_path)
     run.write(args.output + ".manifest.json")
 
     log.info(
         "ingest: %d lines, %d accepted, %d rejected (%s), %d users flagged as bots, origin %s, %d days",
-        n_lines,
-        accepted,
-        rejected,
-        ", ".join(f"{k}={v}" for k, v in sorted(reject_counts.items())) or "none",
-        len(bots),
-        origin.isoformat(),
-        max_day,
+        result.input_lines, result.accepted, sum(result.rejects.values()),
+        ", ".join(f"{k}={v}" for k, v in result.rejects.items()) or "none",
+        sum(v.is_bot for v in result.verdicts), origin, result.n_days,
     )
-    if accepted == 0:
+    if result.accepted == 0:
         raise CliError(EXIT_DATA, "no records accepted; see rejects sidecar")
     return EXIT_OK
 
@@ -391,6 +330,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         _classify_init(args.model)
     except (ValueError, KeyError) as exc:
         raise CliError(EXIT_DATA, f"bad model file: {exc}") from None
+    meta = _load_meta(args.input)
 
     workers = args.workers or os.cpu_count() or 1
     counts: Counter = Counter()
@@ -416,7 +356,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if n == 0:
         raise CliError(EXIT_DATA, f"{args.input} contains no records")
 
-    meta = _load_meta(args.input)
     if meta is not None:
         manifest.write_json_atomic(meta, _meta_path(args.output))
 
@@ -437,7 +376,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # -- trend / sweep ------------------------------------------------------
 
 
-def _load_table(path: str, origin_date: str | None = None, offset_hours: float = 0.0):
+def _load_table(path: str, origin_date: date | None = None, offset_hours: float = 0.0):
     """The counter table of a labeled corpus and the origin date of its day 1.
 
     Each line is decoded into three ``array("q")`` columns, nothing more:
@@ -449,7 +388,8 @@ def _load_table(path: str, origin_date: str | None = None, offset_hours: float =
 
     from . import trend
 
-    origin = _resolve_origin(origin_date, path)
+    meta = None if origin_date else _load_meta(path)
+    origin = date.fromisoformat(meta["origin_date"]) if meta and meta.get("origin_date") else origin_date
     shift = timedelta(hours=offset_hours)
     before_day_one = origin.toordinal() - 1 if origin else 0
     earliest = date.max.toordinal()
@@ -781,49 +721,33 @@ def cmd_validate(args: argparse.Namespace) -> int:
             return EXIT_CHECK_FAILED
 
     checks: list[tuple[str, bool, str]] = []
-
     table, _ = _load_table(labeled)
     sparse = table.to_sparse()
     final = table.n_days
 
-    codes = table.categorize_all_instant(trend.WindowConfig(day=final, window=14))
-    fast = table.categories_by_user(codes)
-    oracle = synth.oracle_categories(sparse, "instant", day=final, window=14)
-    bad_days = _oracle_mismatch_days(instant_csv, sparse, final, "instant", window=14)
-    checks.append(
-        (
-            "oracle-equivalence-instant",
-            fast == oracle and not bad_days,
-            f"{len(fast)} categorized users on day {final}, window 14; "
-            f"days of {instant_csv} off the oracle: {bad_days or 'none'}",
-        )
-    )
+    def instant(day: int) -> dict:
+        return table.categories_by_user(table.categorize_all_instant(trend.WindowConfig(day=day, window=14)))
 
-    codes = table.categorize_all_cumulative(trend.CumulativeConfig(day=final, start_day=1))
-    fast_cum = table.categories_by_user(codes)
-    oracle_cum = synth.oracle_categories(sparse, "cumulative", day=final, start_day=1)
-    bad_days = _oracle_mismatch_days(trend_csv, sparse, final, "cumulative", start_day=1)
-    checks.append(
-        (
-            "oracle-equivalence-cumulative",
-            fast_cum == oracle_cum and not bad_days,
-            f"{len(fast_cum)} categorized users on day {final}; "
-            f"days of {trend_csv} off the oracle: {bad_days or 'none'}",
-        )
-    )
+    def cumulative(day: int) -> dict:
+        return table.categories_by_user(table.categorize_all_cumulative(trend.CumulativeConfig(day=day, start_day=1)))
+
+    for mode, categories, csv_path, config, note in (
+        ("instant", instant, instant_csv, {"window": 14}, ", window 14"),
+        ("cumulative", cumulative, trend_csv, {"start_day": 1}, ""),
+    ):
+        fast = categories(final)
+        bad_days = _oracle_mismatch_days(csv_path, sparse, final, mode, **config)
+        checks.append((
+            f"oracle-equivalence-{mode}",
+            fast == synth.oracle_categories(sparse, mode, day=final, **config) and not bad_days,
+            f"{len(fast)} categorized users on day {final}{note}; "
+            f"days of {csv_path} off the oracle: {bad_days or 'none'}",
+        ))
 
     early = min(14, final)
-    inst = table.categories_by_user(
-        table.categorize_all_instant(trend.WindowConfig(day=early, window=14))
-    )
-    cum = table.categories_by_user(
-        table.categorize_all_cumulative(trend.CumulativeConfig(day=early, start_day=1))
-    )
     decided = {trend.UserCategory.MP, trend.UserCategory.FF, trend.UserCategory.UNDECIDED}
-    same = {u: c for u, c in inst.items() if c in decided} == {
-        u: c for u, c in cum.items() if c in decided
-    }
-    checks.append(("window-cumulative-coincidence", same, f"day {early} <= window 14"))
+    inst, cum = ({u: c for u, c in f(early).items() if c in decided} for f in (instant, cumulative))
+    checks.append(("window-cumulative-coincidence", inst == cum, f"day {early} <= window 14"))
 
     truth = synth.ground_truth(spec)
     points = trend.trend_cumulative(table, start_day=1)
@@ -871,7 +795,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("ingest", cmd_ingest, "parse, query-filter and bot-filter a raw corpus")
     p.add_argument("input", help="raw JSONL corpus (gzipped if the path ends in .gz)")
     p.add_argument("-o", "--output", required=True, help="clean corpus to write")
-    p.add_argument("--origin-date", default=None, help="day 1 date (default: earliest record)")
+    p.add_argument("--origin-date", type=_iso_date, default=None, help="day 1 date (default: earliest record)")
     p.add_argument(
         "--day-offset-hours",
         type=float,
@@ -907,7 +831,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("instant", "cumulative"), default="instant")
     p.add_argument("--window", type=int, default=14, help="trailing window length for instant mode")
     p.add_argument("--t0", default=None, help="cumulative start: a date or a day index (default: day 1)")
-    p.add_argument("--origin-date", default=None, help="date of day 1 (default: from the corpus meta sidecar)")
+    p.add_argument("--origin-date", type=_iso_date, default=None, help="date of day 1 (default: from the corpus meta sidecar)")
     p.add_argument("--day-offset-hours", type=float, default=0.0, help="day-boundary shift if days must be recomputed")
     p.add_argument("--exclude-undecided", action="store_true", help="drop Undecided users from the instant denominator")
     p.add_argument("--weights-file", default=None, help="stratum,weight CSV for demographic reweighting")
@@ -917,7 +841,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="labeled corpus from classify")
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.add_argument("--t0-list", required=True, help="comma-separated dates or day indices")
-    p.add_argument("--origin-date", default=None, help="date of day 1 (default: from the corpus meta sidecar)")
+    p.add_argument("--origin-date", type=_iso_date, default=None, help="date of day 1 (default: from the corpus meta sidecar)")
     p.add_argument("--day-offset-hours", type=float, default=0.0, help="day-boundary shift if days must be recomputed")
 
     p = add("hashtags", cmd_hashtags, "co-occurrence graph, camp partition and tag clouds")

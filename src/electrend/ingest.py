@@ -1,10 +1,11 @@
-"""Parsing and normalization of archived tweet corpora.
+"""Parsing, normalization and filtering of archived tweet corpora.
 
 Input is newline-delimited JSON, one record per line, with required keys
 ``id``, ``user``, ``ts`` (ISO-8601) and ``text``; an optional ``hashtags``
 list is trusted when present. Records are matched against candidate-name
 queries, hashtags are extracted, timestamps are normalized to UTC and each
-record is assigned an integer day index (day 1 = the corpus origin day).
+record is assigned an integer day index (day 1 = the corpus origin day);
+:func:`ingest_lines` chains all of it for the library and the CLI.
 """
 
 from __future__ import annotations
@@ -14,18 +15,25 @@ import io
 import json
 import os
 import re
+import tempfile
 import zlib
+from collections import Counter
 from contextlib import ExitStack, contextmanager, suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from typing import Iterable, Iterator, NamedTuple, TextIO
+
+from .botfilter import ActivityTracker, BotConfig, BotVerdict, flag_bots
 
 __all__ = [
     "TweetRecord",
     "TweetLabel",
     "QuerySet",
+    "IngestConfig",
+    "IngestResult",
     "ParseError",
     "BeforeOriginError",
+    "NoRecordsError",
     "DEFAULT_QUERY_STRINGS",
     "parse_record",
     "parse_label",
@@ -40,6 +48,7 @@ __all__ = [
     "atomic_text",
     "iter_lines",
     "iter_text_lines",
+    "ingest_lines",
 ]
 
 # Candidate-name queries for the 2019 Argentina presidential race.
@@ -88,6 +97,10 @@ class BeforeOriginError(ValueError):
     """Record timestamp predates the configured origin day."""
 
 
+class NoRecordsError(ValueError):
+    """An ingest input without lines, or without a line that passed the parse and query filters."""
+
+
 @dataclass(slots=True)
 class TweetRecord:
     """One ingested message, normalized to the corpus data model."""
@@ -99,9 +112,6 @@ class TweetRecord:
     hashtags: list[str]
     day: int | None = None  # assigned against the corpus origin date
     stance: str | None = None  # filled by the classifier
-
-    def with_day(self, day: int) -> "TweetRecord":
-        return replace(self, day=day)
 
 
 class TweetLabel(NamedTuple):
@@ -412,3 +422,113 @@ def iter_text_lines(path: str) -> Iterator[tuple[int, str]]:
         if not _is_utf8(line):
             raise ValueError(f"{path}:{line_no}: invalid UTF-8")
         yield line_no, line
+
+
+@dataclass(frozen=True)
+class IngestConfig:
+    """The rules of an ingest run, one field per ``ingest`` flag; ``None`` turns a rule off.
+
+    ``origin_date=None`` makes the earliest effective date day 1.
+    """
+
+    queries: QuerySet | None = field(default_factory=QuerySet.default)
+    bots: BotConfig | None = field(default_factory=BotConfig)
+    drop_retweets: bool = False
+    origin_date: date | None = None
+    day_offset_hours: float = 0.0
+
+
+@dataclass(frozen=True)
+class IngestResult:
+    """What an ingest run kept and dropped."""
+
+    origin: date  # the date of day 1
+    n_days: int  # the largest day index written
+    input_lines: int
+    accepted: int
+    rejects: dict[str, int]  # lines dropped, by reason, sorted by reason
+    verdicts: list[BotVerdict]  # every profiled user, sorted by id; empty when bots is None
+
+
+def ingest_lines(
+    lines: Iterable[tuple[int, str]], config: IngestConfig, out: TextIO, rejects: TextIO, spool_dir: str | None = None
+) -> IngestResult:
+    """Filter and date raw corpus lines, ``(line_no, line)`` pairs as :func:`iter_lines` yields them.
+
+    Kept records go to ``out`` as dated corpus lines in input order, dropped
+    lines to ``rejects`` as ``line_no<TAB>reason``. Pass 1 reads ``lines``
+    once: the parse, retweet and query rules, user profiles on effective
+    dates, the origin, and a spool row "line_no, date ordinal, user number,
+    line head, line tail" per kept line in an anonymous temp file in
+    ``spool_dir``. Pass 2 reads the spool and applies the bot and origin
+    rules. Raises :class:`NoRecordsError` when ``lines`` is empty or no
+    line passes the parse and query filters.
+    """
+    queries, bot_config = config.queries, config.bots
+    use_queries, use_bots = queries is not None, bot_config is not None
+    drop_retweets, offset = config.drop_retweets, config.day_offset_hours
+    reject_counts: Counter = Counter()
+    tracker = ActivityTracker()
+    user_numbers: dict[str, int] = {}
+    n_lines = 0
+    min_date: date | None = None
+
+    def reject(line_no: int | str, reason: str) -> None:
+        reject_counts[reason.partition(":")[0]] += 1
+        rejects.write(f"{line_no}\t{reason}\n")
+
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n", dir=spool_dir) as spool:
+        for line_no, line in lines:
+            n_lines += 1
+            try:
+                record = parse_record(line, line_no)
+            except ParseError as exc:
+                reject(line_no, f"parse: {exc.reason}")
+                continue
+            if drop_retweets and record.text.startswith("RT @"):
+                reject(line_no, "retweet")
+                continue
+            if use_queries and not matches_query(record, queries):
+                reject(line_no, "no-query-match")
+                continue
+            day = effective_date(record, offset)
+            if min_date is None or day < min_date:
+                min_date = day
+            if use_bots:
+                tracker.add(record, day)
+            # JSON text holds no raw tab or newline, so the fields split back cleanly.
+            head, tail = record_parts(record)
+            user = user_numbers.setdefault(record.user_id, len(user_numbers))
+            spool.write(f"{line_no}\t{day.toordinal()}\t{user}\t{head}\t{tail}\n")
+
+        if n_lines == 0:
+            raise NoRecordsError("no records")
+        if min_date is None:
+            raise NoRecordsError("no record passed the parse and query filters")
+        origin = config.origin_date or min_date
+        verdicts, bots = flag_bots(tracker, bot_config) if use_bots else ([], set())
+        bot_numbers = {str(user_numbers[user]) for user in bots}
+
+        accepted = 0
+        max_day = 0
+        before_day_one = origin.toordinal() - 1
+        spool.seek(0)
+        for row in spool:
+            line_no, ordinal, user, head, tail = row.split("\t")
+            if user in bot_numbers:
+                reject(line_no, "bot-user")
+                continue
+            day = int(ordinal) - before_day_one
+            if day < 1:
+                reject(line_no, "before-origin")
+                continue
+            out.write(join_parts(head, day, tail))  # the tail keeps the spool's newline
+            accepted += 1
+            max_day = max(max_day, day)
+
+    rejected = sum(reject_counts.values())
+    if accepted + rejected != n_lines:
+        raise AssertionError(
+            f"accounting violated: {accepted} accepted + {rejected} rejected != {n_lines} lines"
+        )
+    return IngestResult(origin, max_day, n_lines, accepted, dict(sorted(reject_counts.items())), verdicts)

@@ -18,7 +18,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .ingest import TweetRecord, atomic_text, iter_text_lines, open_text
 
@@ -31,7 +31,6 @@ __all__ = [
     "tokenize",
     "classify_tweet",
     "train_from_seeds",
-    "classify_corpus",
     "load_seeds_file",
 ]
 
@@ -245,15 +244,6 @@ def train_from_seeds(
 
     model.term_weights = weights
     return model
-
-
-def classify_corpus(
-    records: Sequence[TweetRecord], model: LexiconModel
-) -> tuple[list[Stance], Counter]:
-    """Label every record; returns labels aligned with the input plus a tally."""
-    labels = [classify_tweet(r, model) for r in records]
-    summary = Counter(label.value for label in labels)
-    return labels, summary
 
 
 def load_seeds_file(path: str) -> dict[str, str]:

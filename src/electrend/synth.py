@@ -40,7 +40,6 @@ from .trend import TrendPoint, UserCategory
 __all__ = [
     "ElectorateSpec",
     "GroundTruth",
-    "generate",
     "iter_records",
     "write_corpus",
     "ground_truth",
@@ -336,13 +335,6 @@ def iter_records(
     seed_lists = _camp_seed_lists(DEFAULT_SEEDS if seed_tags is None else seed_tags)
     for index in range(spec.n_users):
         yield from _user_records(spec, index, seed_lists)
-
-
-def generate(
-    spec: ElectorateSpec, seed_tags: Mapping[str, str] | None = None
-) -> tuple[list[TweetRecord], GroundTruth]:
-    """Materialize the full corpus plus its ground truth."""
-    return list(iter_records(spec, seed_tags)), ground_truth(spec)
 
 
 def write_corpus(

@@ -18,7 +18,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from electrend.botfilter import filter_corpus
 from electrend.cli import main
 from electrend.hashtags import build_graph, partition_graph
 from electrend.ingest import assign_day
@@ -41,7 +40,7 @@ from electrend.trend import (
     trend_cumulative,
     trend_instant,
 )
-from conftest import rec, day_ts
+from conftest import dated, day_ts, rec, screen
 
 
 _CAPSYS = None
@@ -354,11 +353,11 @@ def test_bot_filter_fixture():
     for i in range(90):
         records.append(rec(user="copybot", text="compra ya", ts=day_ts(3, second=960 * i)))
 
-    kept, verdicts = filter_corpus(records)
-    flagged = {v.user_id for v in verdicts if v.is_bot}
-    survivors = [r for r in records if r.user_id not in {"spambot", "copybot"}]
-    kept_again, verdicts_again = filter_corpus(kept)
-    idempotent = kept_again == kept and not any(v.is_bot for v in verdicts_again)
+    kept, result = screen(records)
+    flagged = {v.user_id for v in result.verdicts if v.is_bot}
+    survivors = dated([r for r in records if r.user_id not in {"spambot", "copybot"}])
+    kept_again, result_again = screen(kept)
+    idempotent = kept_again == kept and not any(v.is_bot for v in result_again.verdicts)
     report(
         "bot-filter-fixture",
         flagged == {"spambot", "copybot"} and kept == survivors and idempotent,

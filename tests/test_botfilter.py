@@ -2,7 +2,7 @@
 
 import io
 import math
-from datetime import timedelta
+from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,12 +11,11 @@ from electrend.botfilter import (
     ActivityTracker,
     BotConfig,
     UserActivity,
-    filter_corpus,
-    profile_user,
     score_user,
     write_report_csv,
 )
-from conftest import day_ts, rec
+from electrend.ingest import effective_date
+from conftest import dated, day_ts, rec, screen
 
 
 def burst_user(user, n, span_seconds, text="spam spam", day=1):
@@ -29,13 +28,22 @@ def burst_user(user, n, span_seconds, text="spam spam", day=1):
     ]
 
 
+def profile(records):
+    """The profile of the one user of ``records``, each counted on its pipeline day."""
+    tracker = ActivityTracker()
+    for r in records:
+        tracker.add(r, effective_date(r))
+    (activity,) = tracker.profiles().values()
+    return activity
+
+
 class TestProfiling:
     def test_three_distinct_same_day(self):
         records = [
             rec(user="u", text=t, ts=day_ts(1, second=s))
             for t, s in [("a", 0), ("b", 3600), ("c", 7200)]
         ]
-        act = profile_user(records)
+        act = profile(records)
         assert act.total_tweets == 3
         assert act.active_days == 1
         assert act.duplicate_text_ratio == 0.0
@@ -46,17 +54,17 @@ class TestProfiling:
             rec(user="u", text=t, ts=day_ts(1, second=i * 600))
             for i, t in enumerate(["a", "a", "a", "b"])
         ]
-        assert profile_user(records).duplicate_text_ratio == pytest.approx(0.5)
+        assert profile(records).duplicate_text_ratio == pytest.approx(0.5)
 
     def test_two_hundred_identical_in_one_hour(self):
         records = burst_user("u", 200, 3600)
-        act = profile_user(records)
+        act = profile(records)
         assert act.mean_inter_tweet_seconds == pytest.approx(3600 / 199)
         assert act.mean_inter_tweet_seconds == pytest.approx(18.09, abs=0.01)
         assert act.duplicate_text_ratio == pytest.approx(0.995)
 
     def test_single_tweet_has_infinite_gap(self):
-        act = profile_user([rec(user="u")])
+        act = profile([rec(user="u")])
         assert math.isinf(act.mean_inter_tweet_seconds)
 
     def test_duplicate_detection_normalizes_whitespace_and_case(self):
@@ -64,22 +72,29 @@ class TestProfiling:
             rec(user="u", text="Hola  Mundo", ts=day_ts(1)),
             rec(user="u", text="hola mundo", ts=day_ts(2)),
         ]
-        assert profile_user(records).duplicate_text_ratio == pytest.approx(0.5)
-
-    def test_mixed_users_rejected(self):
-        with pytest.raises(ValueError):
-            profile_user([rec(user="a"), rec(user="b")])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            profile_user([])
+        assert profile(records).duplicate_text_ratio == pytest.approx(0.5)
 
     def test_tracker_matches_batch_profile(self):
+        # 10 tweets 8 hours apart from midnight on day 1 (3 a day on days 1-3, 1 on day 4),
+        # then one other text at noon on day 9
         records = burst_user("u", 10, 86400 * 3) + [rec(user="u", text="otro", ts=day_ts(9))]
+        assert profile(records) == UserActivity(
+            user_id="u",
+            total_tweets=11,
+            active_days=5,
+            max_tweets_per_day=3,
+            duplicate_text_ratio=1 - 2 / 11,
+            mean_inter_tweet_seconds=(8 * 86400 + 43200) / 10,
+        )
+
+    def test_rate_rule_counts_the_given_days(self):
+        # four tweets on one UTC date, handed over as two days of two
+        records = [rec(user="u", text=f"t{i}", ts=day_ts(1, second=3600 * i)) for i in range(4)]
         tracker = ActivityTracker()
-        for r in records:
-            tracker.add(r)
-        assert tracker.profiles()["u"] == profile_user(records)
+        for i, r in enumerate(records):
+            tracker.add(r, date(2019, 2, 27 + i % 2))
+        activity = tracker.profiles()["u"]
+        assert (activity.active_days, activity.max_tweets_per_day) == (2, 2)
 
 
 class TestScoring:
@@ -153,35 +168,36 @@ class TestFilterCorpus:
 
     def test_no_flagged_users_is_identity(self):
         corpus = [rec(user="a", ts=day_ts(1)), rec(user="b", ts=day_ts(2), text="otro")]
-        clean, verdicts = filter_corpus(corpus)
-        assert clean == corpus
-        assert all(not v.is_bot for v in verdicts)
+        clean, result = screen(corpus)
+        assert clean == dated(corpus)
+        assert all(not v.is_bot for v in result.verdicts)
 
     def test_only_bots_empties_corpus_but_reports_all(self):
         corpus = burst_user("b1", 100, 600) + burst_user("b2", 100, 600)
-        clean, verdicts = filter_corpus(corpus)
+        clean, result = screen(corpus)
         assert clean == []
-        assert sorted(v.user_id for v in verdicts) == ["b1", "b2"]
-        assert all(v.is_bot for v in verdicts)
+        assert sorted(v.user_id for v in result.verdicts) == ["b1", "b2"]
+        assert all(v.is_bot for v in result.verdicts)
 
     def test_planted_bots_exactly_removed(self):
         corpus = self.make_mixed()
-        clean, verdicts = filter_corpus(corpus)
-        flagged = {v.user_id for v in verdicts if v.is_bot}
+        clean, result = screen(corpus)
+        flagged = {v.user_id for v in result.verdicts if v.is_bot}
         assert flagged == {"bot1", "bot2"}
         assert {r.user_id for r in clean} == {f"h{i}" for i in range(8)}
+        assert result.rejects == {"bot-user": 270}
 
     def test_idempotent(self):
         corpus = self.make_mixed()
-        once, _ = filter_corpus(corpus)
-        twice, _ = filter_corpus(once)
+        once, _ = screen(corpus)
+        twice, _ = screen(once)
         assert twice == once
 
     def test_user_completeness(self):
         corpus = self.make_mixed()
-        clean, verdicts = filter_corpus(corpus)
+        clean, result = screen(corpus)
         # report covers every observed user exactly once, sorted
-        assert [v.user_id for v in verdicts] == sorted({r.user_id for r in corpus})
+        assert [v.user_id for v in result.verdicts] == sorted({r.user_id for r in corpus})
         # each user's records fully kept or fully dropped
         before = {u: sum(1 for r in corpus if r.user_id == u) for u in {r.user_id for r in corpus}}
         after = {u: sum(1 for r in clean if r.user_id == u) for u in before}
@@ -189,9 +205,9 @@ class TestFilterCorpus:
             assert after[u] in (0, before[u])
 
     def test_report_csv_format(self):
-        _, verdicts = filter_corpus(self.make_mixed())
+        _, result = screen(self.make_mixed())
         buf = io.StringIO()
-        write_report_csv(verdicts, buf)
+        write_report_csv(result.verdicts, buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "user_id,score,is_bot,triggered_rules"
         assert len(lines) == 11

@@ -21,8 +21,17 @@ from hypothesis import given, settings, strategies as st
 
 import electrend
 from electrend import hashtags
+from electrend.botfilter import write_report_csv
 from electrend.cli import _load_table, main
-from electrend.ingest import assign_day, effective_date, parse_label, parse_record
+from electrend.ingest import (
+    IngestConfig,
+    assign_day,
+    effective_date,
+    ingest_lines,
+    iter_lines,
+    parse_label,
+    parse_record,
+)
 from electrend.manifest import rerun
 from electrend.synth import ElectorateSpec, ground_truth
 from electrend.trend import CounterTable, read_trend_csv
@@ -194,6 +203,35 @@ class TestFailedRuns:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl.gz"]
 
 
+class TestBadCalendar:
+    """A malformed --origin-date is a usage error and a damaged meta sidecar a data error; neither leaves output."""
+
+    @pytest.mark.parametrize("stage", ("ingest", "trend", "sweep"))
+    def test_malformed_origin_date_exits_2(self, stage, pipeline, tmp_path):
+        shutil.copy(pipeline.raw if stage == "ingest" else pipeline.labeled, tmp_path / "in.jsonl")
+        extra = ["--t0-list", "1"] if stage == "sweep" else []
+        for bad in ("bogus", "2019-13-01"):
+            result = run_cli([stage, "in.jsonl", "-o", "out", "--origin-date", bad, *extra], tmp_path)
+            assert result.returncode == 2, result.stderr
+            assert "Traceback" not in result.stderr
+            assert f"--origin-date: {bad!r} is not a calendar date" in result.stderr
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+    @pytest.mark.parametrize("stage", ("classify", "trend", "sweep"))
+    @pytest.mark.parametrize(
+        "sidecar", ["{bad", '["x"]', '{"origin_date": "2019-02-30"}'], ids=["not-json", "not-an-object", "bad-date"]
+    )
+    def test_damaged_meta_sidecar_exits_4(self, stage, sidecar, pipeline, tmp_path):
+        shutil.copy(pipeline.clean if stage == "classify" else pipeline.labeled, tmp_path / "in.jsonl")
+        (tmp_path / "in.jsonl.meta.json").write_text(sidecar)
+        extra = {"classify": ["--model", pipeline.model, "--workers", "1"], "sweep": ["--t0-list", "1"]}
+        result = run_cli([stage, "in.jsonl", "-o", "out", *extra.get(stage, [])], tmp_path)
+        assert result.returncode == 4, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "bad meta sidecar in.jsonl.meta.json" in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "in.jsonl.meta.json"]
+
+
 class TestNonUtf8Input:
     """One undecodable byte: ingest rejects the line, every other stage exits 4."""
 
@@ -351,9 +389,9 @@ class TestCorpusReader:
     def test_columns_equal_per_line_add(self, lines, origin_back, offset):
         labels = [parse_label(line) for line in lines]
         earliest = min(effective_date(label, offset) for label in labels)
-        flag = None if origin_back is None else (earliest - timedelta(days=origin_back)).isoformat()
+        flag = None if origin_back is None else earliest - timedelta(days=origin_back)
         if flag:
-            origin = date.fromisoformat(flag)
+            origin = flag
         elif any(label.day is None for label in labels):
             origin = earliest  # over every line, those with ``t`` too
         else:
@@ -540,10 +578,22 @@ class TestIngestSidecars:
                 ts = (start + timedelta(minutes=3 * i)).isoformat()
                 fh.write(json.dumps({"id": str(i), "user": "owl", "ts": ts, "text": f"macri dato {i}"}) + "\n")
         clean = str(tmp_path / "clean.jsonl")
-        for offset, rules in (("0", ""), ("-3", "rate")):
-            assert main(["ingest", str(raw), "-o", clean, "--day-offset-hours", offset]) == 0
-            rows = open(clean + ".bots.csv").read().splitlines()
-            assert rows[1].split(",") == ["owl", "0.3333" if rules else "0.0000", "false", rules]
+
+        def via_cli(offset):
+            assert main(["ingest", str(raw), "-o", clean, "--day-offset-hours", str(offset)]) == 0
+            return open(clean + ".bots.csv").read().splitlines()
+
+        def via_library(offset):
+            config = IngestConfig(day_offset_hours=offset)
+            result = ingest_lines(iter_lines(str(raw)), config, io.StringIO(), io.StringIO())
+            report = io.StringIO()
+            write_report_csv(result.verdicts, report)
+            return report.getvalue().splitlines()
+
+        for run in (via_cli, via_library):
+            for offset, rules in ((0, ""), (-3, "rate")):
+                rows = run(offset)
+                assert rows[1].split(",") == ["owl", "0.3333" if rules else "0.0000", "false", rules]
 
 
 class TestClassifyAndTrend:

@@ -1,12 +1,14 @@
 """Record parsing, query matching, hashtag extraction and day assignment."""
 
 import gzip
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
 from collections import Counter
+from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from electrend.cli import main
 from electrend.ingest import (
     BeforeOriginError,
     DEFAULT_QUERY_STRINGS,
+    IngestConfig,
     ParseError,
     QuerySet,
     TweetLabel,
@@ -27,6 +30,7 @@ from electrend.ingest import (
     day_to_date,
     effective_date,
     extract_hashtags,
+    ingest_lines,
     iter_lines,
     matches_query,
     open_text,
@@ -430,7 +434,7 @@ def reference_ingest(lines: list[str], origin: date, offset: float) -> tuple[lis
         except BeforeOriginError:
             rejects.append(f"{line_no}\tbefore-origin")
             continue
-        clean.append(record_to_json(record.with_day(day)))
+        clean.append(record_to_json(replace(record, day=day)))
         days.append(day)
     meta = {
         "meta_version": 1,
@@ -486,6 +490,18 @@ class TestSpooledIngest:
         assert clean.read_text(encoding="utf-8") == "".join(line + "\n" for line in want_clean)
         assert (tmp_path / "raw.jsonl.gz.rejects.txt").read_text(encoding="utf-8").splitlines() == want_rejects
         assert json.loads((tmp_path / "clean.jsonl.meta.json").read_text(encoding="utf-8")) == want_meta
+
+        # the library call the subcommand makes, spooling to the same directory
+        out, rejects = io.StringIO(), io.StringIO()
+        config = IngestConfig(origin_date=origin, day_offset_hours=offset)
+        result = ingest_lines(iter_lines(str(raw)), config, out, rejects, spool_dir=str(tmp_path))
+        assert out.getvalue() == "".join(line + "\n" for line in want_clean)
+        assert rejects.getvalue().splitlines() == want_rejects
+        assert (result.origin.isoformat(), result.n_days, result.accepted, result.input_lines, result.rejects) == (
+            want_meta["origin_date"], want_meta["n_days"], want_meta["records"], want_meta["input_lines"],
+            want_meta["rejects"],
+        )
+        assert [v.user_id for v in result.verdicts if v.is_bot] == ["botty"]
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "clean.jsonl", "clean.jsonl.bots.csv", "clean.jsonl.manifest.json", "clean.jsonl.meta.json",
             "raw.jsonl.gz", "raw.jsonl.gz.rejects.txt",

@@ -11,7 +11,6 @@ from electrend.stance import (
     LexiconModel,
     Stance,
     TrainingError,
-    classify_corpus,
     classify_tweet,
     load_seeds_file,
     tokenize,
@@ -138,12 +137,12 @@ class TestTraining:
             rec(text="#lavagna"),
             rec(text="sin palabras conocidas"),
         ]
-        before, _ = classify_corpus(probe, model)
+        before = [classify_tweet(r, model) for r in probe]
         for name in ("model.json", "model.json.gz"):
             path = str(tmp_path / name)
             model.save(path)
             loaded = LexiconModel.load(path)
-            after, _ = classify_corpus(probe, loaded)
+            after = [classify_tweet(r, loaded) for r in probe]
             assert before == after
             assert loaded.to_dict() == model.to_dict()
 
@@ -153,27 +152,19 @@ class TestTraining:
 
 
 class TestClassifyCorpus:
-    def test_empty_corpus(self):
-        model = LexiconModel(seed_tags=dict(DEFAULT_SEEDS))
-        labels, summary = classify_corpus([], model)
-        assert labels == []
-        assert sum(summary.values()) == 0
-
     def test_seed_only_corpus_matches_seed_camps(self):
         model = train_from_seeds(seeded_corpus())
         corpus = [rec(text="#fuerzacristina"), rec(text="#cambiemos"), rec(text="#lavagna")]
-        labels, _ = classify_corpus(corpus, model)
+        labels = [classify_tweet(r, model) for r in corpus]
         assert labels == [Stance.PRO_FF, Stance.PRO_MP, Stance.PRO_THIRD]
 
     def test_label_totality_and_determinism(self):
         model = train_from_seeds(seeded_corpus())
         corpus = seeded_corpus() + [rec(text="nada")]
-        labels1, summary1 = classify_corpus(corpus, model)
-        labels2, summary2 = classify_corpus(corpus, model)
-        assert len(labels1) == len(corpus)
+        labels1 = [classify_tweet(r, model) for r in corpus]
+        labels2 = [classify_tweet(r, model) for r in corpus]
+        assert all(isinstance(label, Stance) for label in labels1)
         assert labels1 == labels2
-        assert summary1 == summary2
-        assert sum(summary1.values()) == len(corpus)
 
     @given(text=st.text(max_size=50))
     def test_classifier_total_on_arbitrary_text(self, text):

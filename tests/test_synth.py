@@ -9,7 +9,6 @@ from electrend.ingest import record_to_json
 from electrend.synth import (
     ElectorateSpec,
     RecoveryReport,
-    generate,
     ground_truth,
     iter_records,
     oracle_categories,
@@ -103,13 +102,14 @@ class TestGenerator:
         assert split == prefix
 
     def test_empty_population(self):
-        records, truth = generate(small_spec(n_users=0))
+        spec = small_spec(n_users=0)
+        records, truth = list(iter_records(spec)), ground_truth(spec)
         assert records == []
         assert truth.stance_of == {} and truth.is_bot == {}
 
     def test_pure_ff_without_crosstalk(self):
         spec = small_spec(mix=(1.0, 0.0, 0.0), crosstalk=0.0, mean_rate=2.0)
-        records, truth = generate(spec)
+        records, truth = list(iter_records(spec)), ground_truth(spec)
         assert set(truth.stance_of.values()) == {"ff"}
         assert records
         for r in records:
@@ -142,7 +142,7 @@ class TestGenerator:
 
     def test_bots_lead_the_roster_and_spam(self):
         spec = small_spec(n_users=10, bot_fraction=0.2, bot_rate=25, n_days=3)
-        records, truth = generate(spec)
+        records, truth = list(iter_records(spec)), ground_truth(spec)
         assert spec.n_bots == 2
         assert [u for u, b in sorted(truth.is_bot.items()) if b] == ["u000000", "u000001"]
         bot_tweets = [r for r in records if r.user_id == "u000000"]
@@ -167,7 +167,7 @@ class TestGenerator:
         path = tmp_path / "c.jsonl"
         write_corpus(spec, str(path))
         n_lines = sum(1 for _ in path.open())
-        assert n_lines == len(generate(spec)[0])
+        assert n_lines == len(list(iter_records(spec)))
 
 
 class TestOracle:
