@@ -42,10 +42,8 @@ _EXPORTS = {
     ),
     "trend": (
         "CounterTable",
-        "CumulativeConfig",
         "TrendPoint",
         "UserCategory",
-        "WindowConfig",
         "apply_demographic_weights",
         "sweep_t0",
         "trend_cumulative",

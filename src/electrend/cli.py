@@ -4,13 +4,13 @@ Each subcommand adapts its flags to the library, which holds the rules
 (``ingest`` runs :func:`electrend.ingest.ingest_lines`), and writes files.
 
 Exit codes: 0 success, 1 validation check failed, 2 usage error (a
-malformed ``--origin-date`` included), 3 input not readable or output not
-writable, 4 data error (empty or malformed corpus, a damaged meta
-sidecar, bad model or spec). Logs go to standard error with a
-``LEVEL name:`` prefix; every run writes a JSON manifest beside its
-primary output recording inputs (with digests), effective parameters and
-argv, so runs can be reproduced and audited. Output files are written to
-a temp name and renamed into place.
+malformed ``--origin-date`` or a ``--window`` or ``--top-k`` below 1
+included), 3 input not readable or output not writable, 4 data error
+(empty or malformed corpus, a damaged meta sidecar, bad model or spec).
+Logs go to standard error with a ``LEVEL name:`` prefix; every run
+writes a JSON manifest beside its primary output recording inputs (with
+digests), effective parameters and argv, so runs can be reproduced and
+audited. Output files are written to a temp name and renamed into place.
 
 Dates on the command line are calendar dates; they are converted to
 integer day indices against the corpus origin date, which ``ingest``
@@ -41,7 +41,6 @@ from .ingest import (
     ParseError,
     QuerySet,
     atomic_text,
-    day_to_date,
     ingest_lines,
     iter_lines,
     iter_text_lines,
@@ -135,6 +134,16 @@ def _iso_date(token: str) -> date:
         raise argparse.ArgumentTypeError(f"{token!r} is not a calendar date (YYYY-MM-DD)") from None
 
 
+def _positive_int(token: str) -> int:
+    """``--window`` and ``--top-k`` value: an integer of at least 1, else a usage error."""
+    try:
+        if int(token) >= 1:
+            return int(token)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{token!r} is not a positive integer")
+
+
 def _t0_to_day(token: str, origin: date | None, n_days: int, flag: str = "--t0") -> int:
     """A ``flag`` value is a calendar date or a plain 1-based day index within the corpus."""
     try:
@@ -167,11 +176,11 @@ def _side_lines(path: str) -> Iterator[tuple[int, str]]:
 
 
 def _load_pairs(path: str, header: tuple[str, str]) -> dict[str, str]:
-    """Two-column CSV as a dict; blank and '#' lines and a header row are skipped."""
+    """Two-column CSV as a dict, skipping blank and '#' lines and a first other line equal to ``header``."""
     pairs = {}
-    for line_no, line in _side_lines(path):
+    for i, (line_no, line) in enumerate(_side_lines(path)):
         parts = [p.strip() for p in line.split(",")]
-        if line_no == 1 and tuple(parts[:2]) == header:
+        if i == 0 and tuple(parts[:2]) == header:
             continue
         if len(parts) != 2:
             raise CliError(EXIT_DATA, f"{path}:{line_no}: expected '{header[0]},{header[1]}'")
@@ -492,7 +501,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     os.makedirs(args.output, exist_ok=True)
     per_t0_paths = {}
     for t0, series in sorted(result.series.items()):
-        token = day_to_date(t0, origin).isoformat() if origin else f"day{t0:03d}"
+        token = series[0].date.isoformat() if series[0].date else f"day{t0:03d}"
         path = os.path.join(args.output, f"trend_t0_{token}.csv")
         with atomic_text(path, newline="") as fh:
             trend.write_trend_csv(series, fh)
@@ -500,18 +509,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     summary_path = os.path.join(args.output, "sweep_summary.csv")
     with atomic_text(summary_path, newline="") as fh:
-        fh.write("t0,start_day,final_day,n_mp,n_ff,n_undecided,n_unclassified,"
-                 "pct_ff,pct_mp,pct_others,denominator\n")
-        for t0, series in sorted(result.series.items()):
-            p = series[-1]
-            token = day_to_date(t0, origin).isoformat() if origin else str(t0)
-            pf = f"{p.pct_ff:.4f}" if p.pct_ff is not None else ""
-            pm = f"{p.pct_mp:.4f}" if p.pct_mp is not None else ""
-            po = f"{p.pct_others:.4f}" if p.pct_others is not None else ""
-            fh.write(
-                f"{token},{t0},{p.day},{p.n_mp:g},{p.n_ff:g},{p.n_undecided:g},"
-                f"{p.n_unclassified:g},{pf},{pm},{po},{p.denominator:g}\n"
-            )
+        trend.write_sweep_summary(result, fh)
 
     run = _new_manifest(args)
     if origin is not None:
@@ -725,28 +723,22 @@ def cmd_validate(args: argparse.Namespace) -> int:
     sparse = table.to_sparse()
     final = table.n_days
 
-    def instant(day: int) -> dict:
-        return table.categories_by_user(table.categorize_all_instant(trend.WindowConfig(day=day, window=14)))
-
-    def cumulative(day: int) -> dict:
-        return table.categories_by_user(table.categorize_all_cumulative(trend.CumulativeConfig(day=day, start_day=1)))
-
-    for mode, categories, csv_path, config, note in (
-        ("instant", instant, instant_csv, {"window": 14}, ", window 14"),
-        ("cumulative", cumulative, trend_csv, {"start_day": 1}, ""),
-    ):
-        fast = categories(final)
+    runs = (("instant", instant_csv, {"window": 14}), ("cumulative", trend_csv, {"start_day": 1}))
+    for mode, csv_path, config in runs:
+        fast = table.categories(mode, final, **config)
         bad_days = _oracle_mismatch_days(csv_path, sparse, final, mode, **config)
+        note = f", window {config['window']}" if mode == "instant" else ""
         checks.append((
             f"oracle-equivalence-{mode}",
-            fast == synth.oracle_categories(sparse, mode, day=final, **config) and not bad_days,
+            fast == synth.oracle_categories(sparse, mode, final, **config) and not bad_days,
             f"{len(fast)} categorized users on day {final}{note}; "
             f"days of {csv_path} off the oracle: {bad_days or 'none'}",
         ))
 
     early = min(14, final)
     decided = {trend.UserCategory.MP, trend.UserCategory.FF, trend.UserCategory.UNDECIDED}
-    inst, cum = ({u: c for u, c in f(early).items() if c in decided} for f in (instant, cumulative))
+    inst, cum = ({u: c for u, c in table.categories(mode, early, **config).items() if c in decided}
+                 for mode, _, config in runs)
     checks.append(("window-cumulative-coincidence", inst == cum, f"day {early} <= window 14"))
 
     truth = synth.ground_truth(spec)
@@ -829,7 +821,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="labeled corpus from classify")
     p.add_argument("-o", "--output", required=True, help="trend CSV to write")
     p.add_argument("--mode", choices=("instant", "cumulative"), default="instant")
-    p.add_argument("--window", type=int, default=14, help="trailing window length for instant mode")
+    p.add_argument("--window", type=_positive_int, default=14, help="trailing window length for instant mode")
     p.add_argument("--t0", default=None, help="cumulative start: a date or a day index (default: day 1)")
     p.add_argument("--origin-date", type=_iso_date, default=None, help="date of day 1 (default: from the corpus meta sidecar)")
     p.add_argument("--day-offset-hours", type=float, default=0.0, help="day-boundary shift if days must be recomputed")
@@ -848,7 +840,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="corpus (labeled input enables camp clouds)")
     p.add_argument("-o", "--output", required=True, help="output base path")
     p.add_argument("--min-count", type=int, default=5, help="drop tags and edges seen fewer times")
-    p.add_argument("--top-k", type=int, default=25, help="tags per camp in the cloud CSV")
+    p.add_argument("--top-k", type=_positive_int, default=25, help="tags per camp in the cloud CSV")
     p.add_argument("--dedup-users", action="store_true", help="count each user at most once per tag and pair")
     p.add_argument("--graphml", default=None, help="GraphML path (default <output>.graphml)")
     p.add_argument("--dot", default=None, help="DOT path (default <output>.dot)")

@@ -35,7 +35,7 @@ import numpy as np
 from .ingest import TweetRecord, atomic_text, record_to_json
 from .manifest import write_json_atomic
 from .stance import DEFAULT_SEEDS
-from .trend import TrendPoint, UserCategory
+from .trend import TrendPoint, UserCategory, first_day
 
 __all__ = [
     "ElectorateSpec",
@@ -374,23 +374,10 @@ def oracle_categories(
     ``counts`` maps user -> day -> (n_mp, n_ff, n_other). Users that fall
     in no category (no window evidence, or silent over the cumulative
     range) are omitted. Deliberately loop-based and independent of the
-    aggregation module's summation paths.
+    aggregation module's summation paths; only the argument checks and the
+    range's first day (:func:`electrend.trend.first_day`) are shared.
     """
-    if mode == "instant":
-        if window is None:
-            raise ValueError("instant mode needs a window length")
-        first = day - window + 1
-        if first < 1:
-            first = 1
-    elif mode == "cumulative":
-        if start_day is None:
-            raise ValueError("cumulative mode needs a start day")
-        if not 1 <= start_day <= day:
-            raise ValueError("need 1 <= start_day <= day")
-        first = start_day
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
+    first = first_day(mode, day, window, start_day)
     verdicts: dict[str, UserCategory] = {}
     for user, day_counts in counts.items():
         total_mp = 0

@@ -18,11 +18,16 @@ tweet at a time (:meth:`CounterTable.add`). The table folds them into one
 sweep: running sums per user at those change points, then a per-day tally
 of verdicts entering and leaving each category. A series costs O(rows), a
 k-origin sweep O(k x rows), and memory is O(users + rows).
+
+``table.categories(mode, day, window=..., start_day=...)`` gives the per-user
+verdicts of one day with the arguments of :func:`electrend.synth.oracle_categories`,
+so the two compare directly. A trend CSV and the sweep summary share one row format.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from array import array
 from dataclasses import dataclass, replace
 from datetime import date
@@ -36,17 +41,17 @@ from .stance import Stance
 
 __all__ = [
     "UserCategory",
-    "WindowConfig",
-    "CumulativeConfig",
     "TrendPoint",
     "CounterTable",
     "SweepResult",
+    "first_day",
     "trend_instant",
     "trend_cumulative",
     "sweep_t0",
     "user_weights",
     "apply_demographic_weights",
     "write_trend_csv",
+    "write_sweep_summary",
     "read_trend_csv",
 ]
 
@@ -72,32 +77,6 @@ CODE_TO_CATEGORY = {
     CODE_UNDECIDED: UserCategory.UNDECIDED,
     CODE_UNCLASSIFIED: UserCategory.UNCLASSIFIED,
 }
-
-
-@dataclass(frozen=True)
-class WindowConfig:
-    """Trailing window of ``window`` days ending on ``day`` (clamped at day 1)."""
-
-    day: int
-    window: int = 14
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.day < 1:
-            raise ValueError("day must be >= 1")
-
-
-@dataclass(frozen=True)
-class CumulativeConfig:
-    """Accumulation from ``start_day`` through ``day``, inclusive."""
-
-    day: int
-    start_day: int = 1
-
-    def __post_init__(self):
-        if not 1 <= self.start_day <= self.day:
-            raise ValueError("need 1 <= start_day <= day")
 
 
 @dataclass(frozen=True)
@@ -133,6 +112,27 @@ def _verdicts(sums: np.ndarray, cumulative: bool) -> np.ndarray:
     cases = [s_mp > s_ff, s_mp < s_ff, s_mp > 0, sums.any(axis=1) & cumulative]
     choices = [CODE_MP, CODE_FF, CODE_UNDECIDED, CODE_UNCLASSIFIED]
     return np.select(cases, choices, CODE_NONE).astype(np.int8)
+
+
+def first_day(mode: str, day: int, window: int | None = None, start_day: int | None = None) -> int:
+    """The first day a verdict on ``day`` counts; the argument checks of every verdict query.
+
+    ``instant`` needs a ``window`` >= 1 (its range is clamped at day 1),
+    ``cumulative`` a ``start_day`` in [1, ``day``]; anything else is a ``ValueError``.
+    """
+    if mode == "instant":
+        if window is None:
+            raise ValueError("instant mode needs a window length")
+        if window < 1:
+            raise ValueError("window must be >= 1")
+        return max(1, day - window + 1)
+    if mode != "cumulative":
+        raise ValueError(f"unknown mode {mode!r}")
+    if start_day is None:
+        raise ValueError("cumulative mode needs a start day")
+    if not 1 <= start_day <= day:
+        raise ValueError("need 1 <= start_day <= day")
+    return start_day
 
 
 class CounterTable:
@@ -264,35 +264,21 @@ class CounterTable:
         before[first] = CODE_NONE
         return user, day, after, before
 
-    def _codes_on(self, day: int, start_day: int = 1, window: int | None = None) -> np.ndarray:
-        user, _, after, _ = self._change_points(day, start_day, window)
+    def categories(
+        self, mode: str, day: int, window: int | None = None, start_day: int | None = None
+    ) -> dict[str, UserCategory]:
+        """Each user's verdict on ``day``, omitting users in no category.
+
+        ``instant`` judges the trailing ``window`` days, ``cumulative`` the days
+        from ``start_day``, both through :func:`first_day`, as the oracle does.
+        """
+        first = first_day(mode, day, window, start_day)
+        user, _, after, _ = self._change_points(day, first, window if mode == "instant" else None)
         last = np.diff(user, append=-1) != 0
-        codes = np.full(len(self.users), CODE_NONE, dtype=np.int8)
-        codes[user[last]] = after[last]
-        return codes
-
-    def categorize_all_instant(self, cfg: WindowConfig) -> np.ndarray:
-        """Per-user category codes for the trailing window ending at cfg.day.
-
-        Users with no MP/FF evidence in the window get CODE_NONE and are
-        excluded from the instantaneous denominator.
-        """
-        return self._codes_on(cfg.day, window=cfg.window)
-
-    def categorize_all_cumulative(self, cfg: CumulativeConfig) -> np.ndarray:
-        """Per-user category codes for the cumulative range [start_day, day].
-
-        Users with no tweets at all in the range get CODE_NONE; active users
-        with no MP/FF evidence are CODE_UNCLASSIFIED.
-        """
-        return self._codes_on(cfg.day, start_day=cfg.start_day)
-
-    def categories_by_user(self, codes: np.ndarray) -> dict[str, UserCategory]:
-        """Dict view of a code vector, omitting CODE_NONE users."""
-        users = self.users
+        names = self.users
         return {
-            users[i]: CODE_TO_CATEGORY[code]
-            for i, code in enumerate(codes.tolist())
+            names[u]: CODE_TO_CATEGORY[code]
+            for u, code in zip(user[last].tolist(), after[last].tolist())
             if code != CODE_NONE
         }
 
@@ -474,10 +460,11 @@ def user_weights(
 
     Users in strata absent from ``weights`` and users with no stratum both
     get weight 1, so the identity weighting reproduces the unweighted counts.
+    A negative or non-finite weight is a ``ValueError``.
     """
     for stratum, weight in weights.items():
-        if weight < 0:
-            raise ValueError(f"negative weight for stratum {stratum!r}")
+        if not 0 <= weight < math.inf:
+            raise ValueError(f"weight {weight} for stratum {stratum!r} is not a finite number >= 0")
     return np.array([weights.get(user_strata.get(u), 1.0) for u in users], dtype=np.float64)
 
 
@@ -490,7 +477,7 @@ def apply_demographic_weights(
     """Reweight a point's category counts by stratum weights (see :func:`user_weights`).
 
     ``categories`` is the per-user verdict map the point was built from
-    (see :meth:`CounterTable.categories_by_user`). The input point is not
+    (see :meth:`CounterTable.categories`). The input point is not
     modified.
     """
     users = sorted(categories)
@@ -525,24 +512,32 @@ def _fmt_pct(value: float | None) -> str:
     return "" if value is None else f"{value:.4f}"
 
 
+def _row(p: TrendPoint) -> list:
+    """The fields ``T`` to ``denominator`` of a trend CSV row."""
+    counts = (p.n_mp, p.n_ff, p.n_undecided, p.n_unclassified)
+    pcts = (p.pct_ff, p.pct_mp, p.pct_others)
+    return [p.day, *map(_fmt_count, counts), *map(_fmt_pct, pcts), _fmt_count(p.denominator)]
+
+
 def write_trend_csv(points: Iterable[TrendPoint], fh) -> None:
+    """One row per point under :data:`TREND_CSV_COLUMNS`, CRLF line ends."""
     writer = csv.writer(fh)
     writer.writerow(TREND_CSV_COLUMNS)
     for p in points:
-        writer.writerow(
-            [
-                p.date.isoformat() if p.date else "",
-                p.day,
-                _fmt_count(p.n_mp),
-                _fmt_count(p.n_ff),
-                _fmt_count(p.n_undecided),
-                _fmt_count(p.n_unclassified),
-                _fmt_pct(p.pct_ff),
-                _fmt_pct(p.pct_mp),
-                _fmt_pct(p.pct_others),
-                _fmt_count(p.denominator),
-            ]
-        )
+        writer.writerow([p.date.isoformat() if p.date else "", *_row(p)])
+
+
+def write_sweep_summary(result: SweepResult, fh) -> None:
+    """The sweep summary: one row per origin, LF line ends.
+
+    A row is the origin's date (its day index when the calendar is unknown),
+    its day, then its series' final trend CSV row from ``T`` on.
+    """
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(("t0", "start_day", "final_day", *TREND_CSV_COLUMNS[2:]))
+    for t0, series in sorted(result.series.items()):
+        first = series[0]
+        writer.writerow([first.date.isoformat() if first.date else t0, t0, *_row(series[-1])])
 
 
 def read_trend_csv(fh) -> list[dict]:

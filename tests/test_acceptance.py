@@ -33,9 +33,7 @@ from electrend.synth import (
 )
 from electrend.trend import (
     CounterTable,
-    CumulativeConfig,
     UserCategory,
-    WindowConfig,
     sweep_t0,
     trend_cumulative,
     trend_instant,
@@ -144,18 +142,14 @@ def test_oracle_equivalence(random_counters):
     for _ in range(20):
         day = int(rng.integers(1, 181))
         window = int(rng.integers(1, 200))
-        fast = table.categories_by_user(
-            table.categorize_all_instant(WindowConfig(day=day, window=window))
-        )
-        if fast != oracle_categories(counts, "instant", day=day, window=window):
+        cfg = dict(mode="instant", day=day, window=window)
+        if table.categories(**cfg) != oracle_categories(counts, **cfg):
             bad.append(("instant", day, window))
     for _ in range(20):
         day = int(rng.integers(1, 181))
         t0 = int(rng.integers(1, day + 1))
-        fast = table.categories_by_user(
-            table.categorize_all_cumulative(CumulativeConfig(day=day, start_day=t0))
-        )
-        if fast != oracle_categories(counts, "cumulative", day=day, start_day=t0):
+        cfg = dict(mode="cumulative", day=day, start_day=t0)
+        if table.categories(**cfg) != oracle_categories(counts, **cfg):
             bad.append(("cumulative", day, t0))
     elapsed = time.perf_counter() - start
     report(
@@ -171,12 +165,8 @@ def test_window_cumulative_coincidence(random_counters):
     cases = 0
     for window in (1, 3, 7, 14, 30, 60):
         for day in range(1, window + 1):
-            inst = table.categories_by_user(
-                table.categorize_all_instant(WindowConfig(day=day, window=window))
-            )
-            cum = table.categories_by_user(
-                table.categorize_all_cumulative(CumulativeConfig(day=day, start_day=1))
-            )
+            inst = table.categories("instant", day, window=window)
+            cum = table.categories("cumulative", day, start_day=1)
             decided = {u: c for u, c in cum.items() if c is not UserCategory.UNCLASSIFIED}
             cases += 1
             mismatches += inst != decided

@@ -2,9 +2,11 @@
 
 import gzip
 import hashlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import resource
 import shutil
 import signal
@@ -230,6 +232,22 @@ class TestBadCalendar:
         assert "Traceback" not in result.stderr
         assert "bad meta sidecar in.jsonl.meta.json" in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "in.jsonl.meta.json"]
+
+
+class TestNonPositiveCounts:
+    """A --window or --top-k below 1 is a usage error that leaves no output."""
+
+    @pytest.mark.parametrize(
+        "flag, bad", [("--window", "0"), ("--window", "-3"), ("--window", "x"), ("--top-k", "-2"), ("--top-k", "0")]
+    )
+    def test_exits_2(self, flag, bad, pipeline, tmp_path):
+        shutil.copy(pipeline.labeled, tmp_path / "in.jsonl")
+        stage = ["trend", "--mode", "instant"] if flag == "--window" else ["hashtags"]
+        result = run_cli([stage[0], "in.jsonl", "-o", "out", *stage[1:], flag, bad], tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert f"{flag}: {bad!r} is not a positive integer" in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
 
 
 class TestNonUtf8Input:
@@ -510,6 +528,12 @@ class TestStartup:
         for name in electrend.__all__:
             assert getattr(electrend, name) is not None, name
         assert set(electrend.__all__) <= set(dir(electrend))
+        modules = [m.name for m in pkgutil.iter_modules(electrend.__path__) if not m.name.startswith("_")]
+        assert modules
+        for module in modules:
+            mod = importlib.import_module(f"electrend.{module}")
+            for name in mod.__all__:
+                assert getattr(mod, name, None) is not None, f"{module}.{name}"
         with pytest.raises(AttributeError):
             electrend.no_such_name
 
@@ -650,6 +674,10 @@ class TestClassifyAndTrend:
         summary = (outdir / "sweep_summary.csv").read_text().splitlines()
         assert summary[0].startswith("t0,start_day,final_day")
         assert len(summary) == 3
+        for line in summary[1:]:  # the final row of the origin's own CSV, from T on
+            fields = line.split(",")
+            final_row = (outdir / f"trend_t0_{fields[0]}.csv").read_text().splitlines()[-1]
+            assert fields[2:] == final_row.split(",")[1:]
         man = json.load(open(outdir / "sweep.manifest.json"))
         assert "spread_pct_ff" in man["parameters"]
 
@@ -688,6 +716,27 @@ class TestClassifyAndTrend:
         ])
         assert code == 4
         assert not (tmp_path / "w.csv").exists()
+
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_weight_is_a_data_error(self, weight, pipeline, tmp_path):
+        code = main([
+            "trend", pipeline.labeled, "-o", str(tmp_path / "w.csv"), "--mode", "cumulative",
+            *self.write_strata(pipeline, tmp_path, weight=weight),
+        ])
+        assert code == 4
+        assert not (tmp_path / "w.csv").exists()
+
+    def test_header_after_comments_and_blank_lines(self, pipeline, tmp_path):
+        flags = self.write_strata(pipeline, tmp_path)
+        argv = ["trend", pipeline.labeled, "--mode", "cumulative"]
+        assert main([*argv, "-o", str(tmp_path / "plain.csv"), *flags]) == 0
+        for path in flags[1::2]:
+            with open(path, encoding="utf-8") as fh:
+                body = fh.read()
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("# exported 2019-08-11\n\n" + body)
+        assert main([*argv, "-o", str(tmp_path / "commented.csv"), *flags]) == 0
+        assert (tmp_path / "commented.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
     def test_sweep_t0_beyond_corpus_rejected(self, pipeline, tmp_path):
         code = main([

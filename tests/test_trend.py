@@ -7,6 +7,7 @@ brute-force reference the acceptance gate and ``validate`` also use.
 import io
 import random
 from array import array
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -18,16 +19,16 @@ from electrend.trend import (
     OTHER_CLASS,
     STANCE_CLASS,
     CounterTable,
-    CumulativeConfig,
+    SweepResult,
     TrendPoint,
     UserCategory,
-    WindowConfig,
     apply_demographic_weights,
     read_trend_csv,
     sweep_t0,
     trend_cumulative,
     trend_instant,
     user_weights,
+    write_sweep_summary,
     write_trend_csv,
 )
 from conftest import rec
@@ -155,19 +156,35 @@ class TestVectorizedAgainstReference:
     def test_instant_matches_per_user(self, seed):
         counts, table = self.random_table(seed)
         for day, window in [(1, 14), (7, 3), (30, 14), (15, 1), (30, 60)]:
-            fast = table.categories_by_user(
-                table.categorize_all_instant(WindowConfig(day=day, window=window))
-            )
-            assert fast == oracle_categories(counts, "instant", day=day, window=window)
+            cfg = dict(mode="instant", day=day, window=window)
+            assert table.categories(**cfg) == oracle_categories(counts, **cfg)
 
     @pytest.mark.parametrize("seed", [4, 5])
     def test_cumulative_matches_per_user(self, seed):
         counts, table = self.random_table(seed)
         for day, start in [(1, 1), (30, 1), (30, 15), (20, 20)]:
-            fast = table.categories_by_user(
-                table.categorize_all_cumulative(CumulativeConfig(day=day, start_day=start))
-            )
-            assert fast == oracle_categories(counts, "cumulative", day=day, start_day=start)
+            cfg = dict(mode="cumulative", day=day, start_day=start)
+            assert table.categories(**cfg) == oracle_categories(counts, **cfg)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            dict(mode="instant", day=5),
+            dict(mode="instant", day=5, window=0),
+            dict(mode="instant", day=5, window=-3),
+            dict(mode="cumulative", day=5),
+            dict(mode="cumulative", day=5, start_day=0),
+            dict(mode="cumulative", day=5, start_day=6),
+            dict(mode="weekly", day=5, window=7),
+        ],
+    )
+    def test_bad_arguments_raise_like_the_oracle(self, cfg):
+        counts, table = self.random_table(6)
+        with pytest.raises(ValueError) as fast:
+            table.categories(**cfg)
+        with pytest.raises(ValueError) as oracle:
+            oracle_categories(counts, **cfg)
+        assert str(fast.value) == str(oracle.value)
 
 
 class TestTrendPoints:
@@ -225,8 +242,7 @@ class TestTrendPoints:
     def test_cumulative_partition_of_active_users(self):
         counts, table = TestVectorizedAgainstReference().random_table(12)
         day = 30
-        codes = table.categorize_all_cumulative(CumulativeConfig(day=day, start_day=1))
-        cats = table.categories_by_user(codes)
+        cats = table.categories("cumulative", day, start_day=1)
         active = {
             u
             for u, days in counts.items()
@@ -239,12 +255,8 @@ class TestCoincidence:
     def test_instant_equals_cumulative_when_window_covers(self):
         counts, table = TestVectorizedAgainstReference().random_table(13, n_days=14)
         for day in range(1, 15):
-            inst = table.categories_by_user(
-                table.categorize_all_instant(WindowConfig(day=day, window=14))
-            )
-            cum = table.categories_by_user(
-                table.categorize_all_cumulative(CumulativeConfig(day=day, start_day=1))
-            )
+            inst = table.categories("instant", day, window=14)
+            cum = table.categories("cumulative", day, start_day=1)
             decided = {UserCategory.MP, UserCategory.FF, UserCategory.UNDECIDED}
             assert {u: c for u, c in inst.items() if c in decided} == {
                 u: c for u, c in cum.items() if c in decided
@@ -360,8 +372,7 @@ class TestDemographicWeights:
                 "b1": {1: (1, 0, 0)},
             }
         )
-        codes = table.categorize_all_cumulative(CumulativeConfig(day=1, start_day=1))
-        cats = table.categories_by_user(codes)
+        cats = table.categories("cumulative", 1, start_day=1)
         point = trend_cumulative(table)[0]
         strata = {"a1": "A", "a2": "A", "a3": "A", "b1": "B"}
         return point, cats, strata
@@ -395,6 +406,11 @@ class TestDemographicWeights:
         with pytest.raises(ValueError):
             apply_demographic_weights(point, {"A": -1.0}, strata, cats)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="not a finite number"):
+            user_weights(["a1", "b1"], {"A": 1.0, "B": weight}, {"a1": "A", "b1": "B"})
+
     def test_original_point_untouched(self):
         point, cats, strata = self.build()
         before = point.pct_ff
@@ -425,6 +441,31 @@ class TestCsv:
         write_trend_csv([point], buf)
         row = read_trend_csv(io.StringIO(buf.getvalue()))[0]
         assert row["pct_ff"] is None and row["pct_others"] is None
+
+    def test_summary_row_is_the_final_trend_row(self):
+        big = TrendPoint(
+            day=9, date=date(2019, 3, 9), mode="cumulative", n_mp=1_000_000, n_ff=2.5,
+            n_undecided=0, n_unclassified=3, denominator=1_000_005.5,
+            pct_ff=0.25, pct_mp=99.5, pct_others=None,
+        )
+        start = replace(big, day=4, date=date(2019, 3, 4))
+        result = SweepResult(final_day=9, series={4: [start, big]}, spread_pct_ff=0.0, spread_pct_mp=0.0)
+        summary, trend_csv = io.StringIO(), io.StringIO()
+        write_sweep_summary(result, summary)
+        write_trend_csv([big], trend_csv)
+        assert summary.getvalue() == (
+            "t0,start_day,final_day,n_mp,n_ff,n_undecided,n_unclassified,pct_ff,pct_mp,pct_others,denominator\n"
+            "2019-03-04,4,9,1000000,2.5000,0,3,0.2500,99.5000,,1000005.5000\n"
+        )
+        assert summary.getvalue().splitlines()[1].split(",")[2:] == trend_csv.getvalue().splitlines()[1].split(",")[1:]
+
+    def test_summary_names_origins_by_day_without_a_calendar(self):
+        result = sweep_t0(table_from({"u": {1: (1, 0, 0), 3: (0, 1, 0)}}), [1, 2])
+        summary = io.StringIO()
+        write_sweep_summary(result, summary)
+        assert [line.split(",")[:3] for line in summary.getvalue().splitlines()[1:]] == [
+            ["1", "1", "3"], ["2", "2", "3"],
+        ]
 
 
 day_counts_strategy = st.dictionaries(
@@ -459,8 +500,7 @@ class TestProperties:
             table_dict = dict(table_dict)
             table_dict.setdefault("pad", {})[day] = (0, 0, 1)
             table = table_from(table_dict)
-        codes = table.categorize_all_cumulative(CumulativeConfig(day=day, start_day=1))
-        cats = table.categories_by_user(codes)
+        cats = table.categories("cumulative", day, start_day=1)
         active = {
             u
             for u, days in table_dict.items()
