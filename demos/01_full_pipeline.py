@@ -29,14 +29,13 @@ print()
 model = train_from_seeds(iter_records(spec))
 print("trained lexicon:", len(model.term_weights), "weighted tokens")
 
-# Pass 2: label every tweet and pour it into the counter table.
-table = CounterTable()
-n_tweets = 0
-for record in iter_records(spec):
-    label = classify_tweet(record, model)
-    table.add(record.user_id, assign_day(record, spec.start_date), label)
-    n_tweets += 1
-print("classified", n_tweets, "tweets from", len(table.users), "active users")
+# Pass 2: label every tweet and fold the labels into the counter table.
+tweets = [
+    (record.user_id, assign_day(record, spec.start_date), classify_tweet(record, model))
+    for record in iter_records(spec)
+]
+table = CounterTable(tweets)
+print("classified", len(tweets), "tweets from", len(table.users), "active users")
 print()
 
 points = trend_cumulative(table, start_day=1, origin_date=spec.start_date)

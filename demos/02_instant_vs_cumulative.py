@@ -29,9 +29,10 @@ print("window length:", WINDOW, "days")
 print()
 
 model = train_from_seeds(iter_records(spec))
-table = CounterTable()
-for record in iter_records(spec):
-    table.add(record.user_id, assign_day(record, spec.start_date), classify_tweet(record, model))
+table = CounterTable(
+    (record.user_id, assign_day(record, spec.start_date), classify_tweet(record, model))
+    for record in iter_records(spec)
+)
 
 instant = trend_instant(table, window=WINDOW, origin_date=spec.start_date)
 cumulative = trend_cumulative(table, start_day=1, origin_date=spec.start_date)

@@ -16,9 +16,10 @@ spec = ElectorateSpec(n_users=4000, n_days=80, crosstalk=0.05, rng_seed=20190811
 origins = [1, 21, 41, 61]
 
 model = train_from_seeds(iter_records(spec))
-table = CounterTable()
-for record in iter_records(spec):
-    table.add(record.user_id, assign_day(record, spec.start_date), classify_tweet(record, model))
+table = CounterTable(
+    (record.user_id, assign_day(record, spec.start_date), classify_tweet(record, model))
+    for record in iter_records(spec)
+)
 
 result = sweep_t0(table, origins, origin_date=spec.start_date)
 

@@ -4,9 +4,11 @@ Each subcommand adapts its flags to the library, which holds the rules
 (``ingest`` runs :func:`electrend.ingest.ingest_lines`), and writes files.
 
 Exit codes: 0 success, 1 validation check failed, 2 usage error (a
-malformed ``--origin-date`` or a ``--window`` or ``--top-k`` below 1
+malformed ``--origin-date`` or ``--start-date``, a ``--window``, ``--top-k``
+or ``--workers`` below 1, a ``--day-offset-hours`` outside [-24, 24]
 included), 3 input not readable or output not writable, 4 data error
-(empty or malformed corpus, a damaged meta sidecar, bad model or spec).
+(empty or malformed corpus, no record accepted, a damaged meta sidecar,
+bad model or spec).
 Logs go to standard error with a ``LEVEL name:`` prefix; every run
 writes a JSON manifest beside its primary output recording inputs (with
 digests), effective parameters and argv, so runs can be reproduced and
@@ -29,7 +31,7 @@ import tempfile
 from array import array
 from collections import Counter
 from contextlib import ExitStack
-from datetime import date, timedelta
+from datetime import date
 from typing import Callable, Iterator, Sequence
 
 # numpy and the trend, synth and hashtags modules are imported by the
@@ -127,15 +129,25 @@ class _Corpus:
 
 
 def _iso_date(token: str) -> date:
-    """``--origin-date`` value: a calendar date, else a usage error."""
+    """``--origin-date`` and ``--start-date`` value: a calendar date, else a usage error."""
     try:
         return date.fromisoformat(token)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{token!r} is not a calendar date (YYYY-MM-DD)") from None
 
 
+def _offset_hours(token: str) -> float:
+    """``--day-offset-hours`` value: a finite number of hours in [-24, 24], else a usage error."""
+    try:
+        if -24 <= float(token) <= 24:
+            return float(token)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{token!r} is not a number of hours in [-24, 24]")
+
+
 def _positive_int(token: str) -> int:
-    """``--window`` and ``--top-k`` value: an integer of at least 1, else a usage error."""
+    """``--window``, ``--top-k`` and ``--workers`` value: an integer of at least 1, else a usage error."""
     try:
         if int(token) >= 1:
             return int(token)
@@ -209,6 +221,7 @@ def _load_spec(path: str):
 
 def _new_manifest(args: argparse.Namespace) -> manifest.RunManifest:
     params = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "argv")}
+    params = {k: v.isoformat() if isinstance(v, date) else v for k, v in params.items()}
     return manifest.RunManifest(
         subcommand=args.subcommand, argv=list(args.argv), parameters=params
     )
@@ -275,8 +288,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         ", ".join(f"{k}={v}" for k, v in result.rejects.items()) or "none",
         sum(v.is_bot for v in result.verdicts), origin, result.n_days,
     )
-    if result.accepted == 0:
-        raise CliError(EXIT_DATA, "no records accepted; see rejects sidecar")
     return EXIT_OK
 
 
@@ -385,42 +396,27 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # -- trend / sweep ------------------------------------------------------
 
 
-def _load_table(path: str, origin_date: date | None = None, offset_hours: float = 0.0):
+def _load_table(path: str, origin_date: date | None = None):
     """The counter table of a labeled corpus and the origin date of its day 1.
 
     Each line is decoded into three ``array("q")`` columns, nothing more:
-    the user's code, the day and the stance class. A line without ``t`` gets
-    its day from the origin, which is ``origin_date``, else the corpus meta
-    sidecar's, else the earliest effective date over every line.
+    the user's code, the day index ``t`` that ingest wrote and the stance
+    class. The origin is ``origin_date``, else the corpus meta sidecar's,
+    else unknown (None); it only dates the output rows.
     """
-    import numpy as np
-
     from . import trend
 
     meta = None if origin_date else _load_meta(path)
     origin = date.fromisoformat(meta["origin_date"]) if meta and meta.get("origin_date") else origin_date
-    shift = timedelta(hours=offset_hours)
-    before_day_one = origin.toordinal() - 1 if origin else 0
-    earliest = date.max.toordinal()
     stance_class = trend.STANCE_CLASS.get
 
     def decode(line: str, line_no: int) -> tuple[str, int, int]:
-        """(user, day, stance class); the day is minus the date ordinal while the origin is unknown."""
-        nonlocal earliest
-        _, user, created_at, day, stance = parse_label(line, line_no)
+        _, user, _, day, stance = parse_label(line, line_no)
         if stance is None:
             raise ParseError("no stance label; run the classify subcommand first", line_no)
-        if day is None or origin is None:
-            ordinal = (created_at + shift).toordinal()
-            earliest = min(earliest, ordinal)
         if day is None:
-            if origin is None:
-                day = -ordinal
-            elif ordinal <= before_day_one:
-                raise ParseError(f"timestamp predates the origin date {origin.isoformat()}", line_no)
-            else:
-                day = ordinal - before_day_one
-        elif day < 1:
+            raise ParseError("no day index 't'; run the ingest subcommand first", line_no)
+        if day < 1:
             raise ParseError(f"day index must be >= 1, got {day}", line_no)
         return user, day, stance_class(stance, trend.OTHER_CLASS)
 
@@ -430,14 +426,6 @@ def _load_table(path: str, origin_date: date | None = None, offset_hours: float 
         users.append(codes.setdefault(user, len(codes)))
         days.append(day)
         classes.append(klass)
-    if origin is None:
-        column = np.frombuffer(days, dtype=np.int64)
-        undated = column < 0
-        if undated.any():
-            origin = date.fromordinal(earliest)
-            log.info("derived origin date %s from corpus", origin.isoformat())
-            column[undated] = -column[undated] - (earliest - 1)
-        del column  # a live view would stop the column from growing
     return trend.CounterTable.from_columns(codes, users, days, classes), origin
 
 
@@ -446,7 +434,7 @@ def cmd_trend(args: argparse.Namespace) -> int:
 
     if bool(args.weights_file) != bool(args.strata_file):
         raise CliError(EXIT_USAGE, "--weights-file and --strata-file go together")
-    table, origin = _load_table(args.input, args.origin_date, args.day_offset_hours)
+    table, origin = _load_table(args.input, args.origin_date)
     weights = None
     if args.weights_file:
         strata = _load_pairs(args.strata_file, ("user_id", "stratum"))
@@ -491,7 +479,7 @@ def cmd_trend(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     from . import trend
 
-    table, origin = _load_table(args.input, args.origin_date, args.day_offset_hours)
+    table, origin = _load_table(args.input, args.origin_date)
     tokens = [t.strip() for t in args.t0_list.split(",") if t.strip()]
     if not tokens:
         raise CliError(EXIT_USAGE, "--t0-list is empty")
@@ -624,7 +612,7 @@ def _spec_from_args(args: argparse.Namespace):
             bot_fraction=args.bot_fraction,
             bot_rate=args.bot_rate,
             drift=tuple(drift),
-            start_date=date.fromisoformat(args.start_date),
+            start_date=args.start_date,
             rng_seed=args.seed,
         )
     except ValueError as exc:
@@ -790,9 +778,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--origin-date", type=_iso_date, default=None, help="day 1 date (default: earliest record)")
     p.add_argument(
         "--day-offset-hours",
-        type=float,
+        type=_offset_hours,
         default=0.0,
-        help="shift day boundaries by this many hours (e.g. -3 for Argentina)",
+        help="shift day boundaries by this many hours, -24 to 24 (e.g. -3 for Argentina)",
     )
     p.add_argument("--queries-file", default=None, help="one query per line, terms joined by ' AND '")
     p.add_argument("--no-query-filter", action="store_true", help="keep records matching no query")
@@ -815,7 +803,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="clean corpus from ingest")
     p.add_argument("-o", "--output", required=True, help="labeled corpus to write")
     p.add_argument("--model", required=True, help="model file from train")
-    p.add_argument("--workers", type=int, default=None, help="worker processes (default: all cores)")
+    p.add_argument("--workers", type=_positive_int, default=None, help="worker processes (default: all cores)")
 
     p = add("trend", cmd_trend, "aggregate a labeled corpus into a trend series")
     p.add_argument("input", help="labeled corpus from classify")
@@ -824,7 +812,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_positive_int, default=14, help="trailing window length for instant mode")
     p.add_argument("--t0", default=None, help="cumulative start: a date or a day index (default: day 1)")
     p.add_argument("--origin-date", type=_iso_date, default=None, help="date of day 1 (default: from the corpus meta sidecar)")
-    p.add_argument("--day-offset-hours", type=float, default=0.0, help="day-boundary shift if days must be recomputed")
     p.add_argument("--exclude-undecided", action="store_true", help="drop Undecided users from the instant denominator")
     p.add_argument("--weights-file", default=None, help="stratum,weight CSV for demographic reweighting")
     p.add_argument("--strata-file", default=None, help="user_id,stratum CSV assigning users to strata")
@@ -834,7 +821,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.add_argument("--t0-list", required=True, help="comma-separated dates or day indices")
     p.add_argument("--origin-date", type=_iso_date, default=None, help="date of day 1 (default: from the corpus meta sidecar)")
-    p.add_argument("--day-offset-hours", type=float, default=0.0, help="day-boundary shift if days must be recomputed")
 
     p = add("hashtags", cmd_hashtags, "co-occurrence graph, camp partition and tag clouds")
     p.add_argument("input", help="corpus (labeled input enables camp clouds)")
@@ -860,7 +846,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bot-fraction", type=float, default=0.0, help="fraction of users generated as bots")
     p.add_argument("--bot-rate", type=int, default=150, help="bot tweets per day")
     p.add_argument("--drift", default=None, help="mix overrides 'day:ff,mp,third;day:...'")
-    p.add_argument("--start-date", default="2019-03-01", help="calendar date of day 1")
+    p.add_argument("--start-date", type=_iso_date, default=date(2019, 3, 1), help="calendar date of day 1")
     p.add_argument("--seed", type=int, default=20190811, help="generator seed")
 
     p = add("validate", cmd_validate, "synth + full pipeline + oracle and recovery checks")

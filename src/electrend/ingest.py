@@ -98,7 +98,7 @@ class BeforeOriginError(ValueError):
 
 
 class NoRecordsError(ValueError):
-    """An ingest input without lines, or without a line that passed the parse and query filters."""
+    """An ingest input without lines, or without a line that the ingest rules accepted."""
 
 
 @dataclass(slots=True)
@@ -461,8 +461,8 @@ def ingest_lines(
     dates, the origin, and a spool row "line_no, date ordinal, user number,
     line head, line tail" per kept line in an anonymous temp file in
     ``spool_dir``. Pass 2 reads the spool and applies the bot and origin
-    rules. Raises :class:`NoRecordsError` when ``lines`` is empty or no
-    line passes the parse and query filters.
+    rules. Raises :class:`NoRecordsError` when ``lines`` is empty, no line
+    passes the parse and query filters, or no line is accepted.
     """
     queries, bot_config = config.queries, config.bots
     use_queries, use_bots = queries is not None, bot_config is not None
@@ -531,4 +531,7 @@ def ingest_lines(
         raise AssertionError(
             f"accounting violated: {accepted} accepted + {rejected} rejected != {n_lines} lines"
         )
-    return IngestResult(origin, max_day, n_lines, accepted, dict(sorted(reject_counts.items())), verdicts)
+    counts = dict(sorted(reject_counts.items()))
+    if not accepted:
+        raise NoRecordsError(f"no record accepted ({', '.join(f'{k}={v}' for k, v in counts.items())})")
+    return IngestResult(origin, max_day, n_lines, accepted, counts, verdicts)

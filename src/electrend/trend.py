@@ -9,11 +9,12 @@ cumulative indicator):
 * more MP than FF tweets -> MP; fewer -> FF; equal and positive -> Undecided;
 * cumulative only: active in the range but no MP/FF evidence -> Unclassified.
 
-Tweets reach the table as three int64 columns, a user code, the day and
-the stance class (:data:`STANCE_CLASS`), either handed over whole
-(:meth:`CounterTable.from_columns`, as the CLI decodes a corpus) or one
-tweet at a time (:meth:`CounterTable.add`). The table folds them into one
-(mp, ff, other) row per active user-day, sorted by (user, day). A verdict can change only on a day a row enters the range
+A :class:`CounterTable` is built once, from ``(user, day, stance)`` tweets
+or from three int64 columns (user code, day, stance class, see
+:data:`STANCE_CLASS`) as the CLI decodes a corpus. Days are the 1-based
+indices ``ingest`` assigns; the table never dates a tweet itself. It folds
+the tweets into one (mp, ff, other) row per active user-day, sorted by
+(user, day). A verdict can change only on a day a row enters the range
 (and, for a window, on the day it leaves), so every estimator is one event
 sweep: running sums per user at those change points, then a per-day tally
 of verdicts entering and leaving each category. A series costs O(rows), a
@@ -138,33 +139,21 @@ def first_day(mode: str, day: int, window: int | None = None, start_day: int | N
 class CounterTable:
     """Stance counters for a whole corpus, one row per active (user, day).
 
-    Tweets arrive as pending columns: a user code per tweet (numbering the
-    user names in order of first appearance), the day and the stance class.
-    ``add`` appends one tweet to them and :meth:`from_columns` hands over
-    whole columns. The next query codes them together with the rows already
-    held: the sorted user names, and per active user-day the user's index,
-    the day and the (mp, ff, other) counts, sorted by (user, day).
-    Incremental updates and full rebuilds therefore agree by construction.
+    Built once, from tweets ``(user, day, stance)`` or from whole columns
+    (:meth:`from_columns`), and never changed: the sorted user names, and per
+    active user-day the user's index, the day and the (mp, ff, other)
+    counts, sorted by (user, day).
     """
 
-    def __init__(self):
-        self._names: list[str] = []
-        self._user = self._day = np.zeros(0, dtype=np.int64)
-        self._counts = np.zeros((0, 3), dtype=np.int64)
-        self._codes: dict[str, int] = {}  # the pending columns, filled since the last query
-        self._new_users, self._new_days, self._new_classes = array("q"), array("q"), array("q")
-        self._n_days = 0
-
-    # -- building ------------------------------------------------------
-
-    def add(self, user_id: str, day: int, stance: Stance | str) -> None:
-        if day < 1:
-            raise ValueError(f"day index must be >= 1, got {day}")
-        value = stance.value if isinstance(stance, Stance) else str(stance)
-        self._new_users.append(self._codes.setdefault(user_id, len(self._codes)))
-        self._new_days.append(day)
-        self._new_classes.append(STANCE_CLASS.get(value, OTHER_CLASS))
-        self._n_days = max(self._n_days, day)
+    def __init__(self, tweets: Iterable[tuple[str, int, Stance | str]] = ()):
+        codes: dict[str, int] = {}
+        users, days, classes = array("q"), array("q"), array("q")
+        for user, day, stance in tweets:
+            value = stance.value if isinstance(stance, Stance) else str(stance)
+            users.append(codes.setdefault(user, len(codes)))
+            days.append(day)
+            classes.append(STANCE_CLASS.get(value, OTHER_CLASS))
+        self._fold(codes, users, days, classes)
 
     @classmethod
     def from_columns(
@@ -174,58 +163,35 @@ class CounterTable:
 
         ``codes`` numbers the user names 0, 1, ... in insertion order, as
         ``codes.setdefault(name, len(codes))`` does; ``classes`` holds
-        :data:`STANCE_CLASS` values. The table takes the ``array("q")``
-        columns over without copying them, and ``add`` appends to them.
+        :data:`STANCE_CLASS` values.
         """
-        table = cls()
+        table = cls.__new__(cls)
+        table._fold(codes, users, days, classes)
+        return table
+
+    def _fold(self, codes: dict[str, int], users: array, days: array, classes: array) -> None:
         day = np.frombuffer(days, dtype=np.int64)
         if len(day) and day.min() < 1:
             raise ValueError(f"day index must be >= 1, got {day.min()}")
-        table._n_days = int(day.max()) if len(day) else 0
-        del day  # a live view would stop ``add`` from growing the column
-        table._codes, table._new_users, table._new_days, table._new_classes = codes, users, days, classes
-        return table
-
-    def _rows(self) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-        """(sorted user names, user index, day, (mp, ff, other) counts) per active user-day."""
-        if self._new_users:
-            names = sorted(set(self._names).union(self._codes))
-            code = {u: i for i, u in enumerate(names)}
-            held = np.array([code[u] for u in self._names], dtype=np.int64)[self._user]
-            pending = np.array([code[u] for u in self._codes], dtype=np.int64)
-            added = pending[np.frombuffer(self._new_users, dtype=np.int64)]
-            user = np.concatenate([held, added])
-            day = np.concatenate([self._day, np.frombuffer(self._new_days, dtype=np.int64)])
-            span = self._n_days + 1
-            keys, inverse = np.unique(user * span + day, return_inverse=True)
-            del user, day, added
-            counts = np.zeros((len(keys), 3), dtype=np.int64)
-            counts[inverse[: len(held)]] = self._counts  # held rows are distinct user-days
-            inverse = inverse[len(held) :]
-            classes = np.frombuffer(self._new_classes, dtype=np.int64)
-            for c in range(3):
-                counts[:, c] += np.bincount(inverse[classes == c], minlength=len(keys))
-            self._names, (self._user, self._day), self._counts = names, np.divmod(keys, span), counts
-            self._codes = {}
-            self._new_users, self._new_days, self._new_classes = array("q"), array("q"), array("q")
-        return self._names, self._user, self._day, self._counts
+        self.n_days = int(day.max()) if len(day) else 0
+        self.users = sorted(codes)
+        rank = {u: i for i, u in enumerate(self.users)}
+        sorted_code = np.array([rank[u] for u in codes], dtype=np.int64)
+        user = sorted_code[np.frombuffer(users, dtype=np.int64)]
+        span = self.n_days + 1
+        keys, inverse = np.unique(user * span + day, return_inverse=True)
+        del user, day
+        klass = np.frombuffer(classes, dtype=np.int64)
+        self._counts = np.stack([np.bincount(inverse[klass == c], minlength=len(keys)) for c in range(3)], axis=1)
+        self._user, self._day = np.divmod(keys, span)
 
     # -- views ---------------------------------------------------------
 
-    @property
-    def n_days(self) -> int:
-        return self._n_days
-
-    @property
-    def users(self) -> list[str]:
-        return self._rows()[0]
-
     def to_sparse(self) -> dict[str, dict[int, tuple[int, int, int]]]:
         """Plain-data copy of the counters (user -> day -> counts)."""
-        names, user, day, counts = self._rows()
         sparse: dict[str, dict[int, tuple[int, int, int]]] = {}
-        for u, d, c in zip(user.tolist(), day.tolist(), counts.tolist()):
-            sparse.setdefault(names[u], {})[d] = tuple(c)
+        for u, d, c in zip(self._user.tolist(), self._day.tolist(), self._counts.tolist()):
+            sparse.setdefault(self.users[u], {})[d] = tuple(c)
         return sparse
 
     # -- change points and categories ----------------------------------
@@ -240,7 +206,7 @@ class CounterTable:
         ``start_day``: a row counts from its day on. With ``window`` a row
         counts from its day d through d + window - 1 and leaves on d + window.
         """
-        _, user, day, counts = self._rows()
+        user, day, counts = self._user, self._day, self._counts
         if window is None:
             keep = (day >= start_day) & (day <= horizon)
             user, day, counts = user[keep], day[keep], counts[keep]
@@ -275,9 +241,8 @@ class CounterTable:
         first = first_day(mode, day, window, start_day)
         user, _, after, _ = self._change_points(day, first, window if mode == "instant" else None)
         last = np.diff(user, append=-1) != 0
-        names = self.users
         return {
-            names[u]: CODE_TO_CATEGORY[code]
+            self.users[u]: CODE_TO_CATEGORY[code]
             for u, code in zip(user[last].tolist(), after[last].tolist())
             if code != CODE_NONE
         }

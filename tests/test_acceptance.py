@@ -66,10 +66,9 @@ def report(name: str, ok: bool, detail: str) -> None:
 def pipeline_table(spec: ElectorateSpec) -> CounterTable:
     """Generate, train, classify and count a synthetic corpus in-process."""
     model = train_from_seeds(iter_records(spec))
-    table = CounterTable()
-    for r in iter_records(spec):
-        table.add(r.user_id, assign_day(r, spec.start_date), classify_tweet(r, model))
-    return table
+    return CounterTable(
+        (r.user_id, assign_day(r, spec.start_date), classify_tweet(r, model)) for r in iter_records(spec)
+    )
 
 
 # -- shared corpora -----------------------------------------------------
@@ -79,7 +78,7 @@ def pipeline_table(spec: ElectorateSpec) -> CounterTable:
 def random_counters():
     """1,000 users x 180 days of random sparse counters, dual-tracked."""
     rng = np.random.default_rng(20190811)
-    table = CounterTable()
+    tweets = []
     counts = {}
     for i in range(1000):
         user = f"r{i:04d}"
@@ -90,10 +89,9 @@ def random_counters():
             triple = tuple(int(x) for x in rng.integers(0, 4, 3))
             per_day[day] = triple
             for stance, n in zip((Stance.PRO_MP, Stance.PRO_FF, Stance.PRO_THIRD), triple):
-                for _ in range(n):
-                    table.add(user, day, stance)
+                tweets += [(user, day, stance)] * n
         counts[user] = per_day
-    return counts, table
+    return counts, CounterTable(tweets)
 
 
 @pytest.fixture(scope="module")

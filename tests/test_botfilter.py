@@ -14,7 +14,7 @@ from electrend.botfilter import (
     score_user,
     write_report_csv,
 )
-from electrend.ingest import effective_date
+from electrend.ingest import NoRecordsError, effective_date
 from conftest import dated, day_ts, rec, screen
 
 
@@ -174,10 +174,12 @@ class TestFilterCorpus:
 
     def test_only_bots_empties_corpus_but_reports_all(self):
         corpus = burst_user("b1", 100, 600) + burst_user("b2", 100, 600)
-        clean, result = screen(corpus)
-        assert clean == []
-        assert sorted(v.user_id for v in result.verdicts) == ["b1", "b2"]
-        assert all(v.is_bot for v in result.verdicts)
+        with pytest.raises(NoRecordsError, match=r"^no record accepted \(bot-user=200\)$"):
+            screen(corpus)
+        human = rec(user="h", ts=day_ts(2))
+        clean, result = screen(corpus + [human])
+        assert clean == dated([human])
+        assert [(v.user_id, v.is_bot) for v in result.verdicts] == [("b1", True), ("b2", True), ("h", False)]
 
     def test_planted_bots_exactly_removed(self):
         corpus = self.make_mixed()

@@ -27,8 +27,6 @@ from electrend.botfilter import write_report_csv
 from electrend.cli import _load_table, main
 from electrend.ingest import (
     IngestConfig,
-    assign_day,
-    effective_date,
     ingest_lines,
     iter_lines,
     parse_label,
@@ -204,9 +202,20 @@ class TestFailedRuns:
         assert "Traceback" not in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl.gz"]
 
+    def test_ingest_accepting_no_record(self, pipeline, tmp_path):
+        shutil.copy(pipeline.raw, tmp_path / "raw.jsonl")
+        result = run_cli(["ingest", "raw.jsonl", "-o", "clean.jsonl", "--origin-date", "2030-01-01"], tmp_path)
+        assert result.returncode == 4, result.stderr
+        assert "Traceback" not in result.stderr
+        meta = json.load(open(pipeline.clean + ".meta.json"))
+        rejects = {**meta["rejects"], "before-origin": meta["records"]}
+        counts = ", ".join(f"{k}={v}" for k, v in sorted(rejects.items()))
+        assert f"raw.jsonl: no record accepted ({counts})" in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.jsonl"]
+
 
 class TestBadCalendar:
-    """A malformed --origin-date is a usage error and a damaged meta sidecar a data error; neither leaves output."""
+    """A malformed date or day offset is a usage error and a damaged meta sidecar a data error; neither leaves output."""
 
     @pytest.mark.parametrize("stage", ("ingest", "trend", "sweep"))
     def test_malformed_origin_date_exits_2(self, stage, pipeline, tmp_path):
@@ -218,6 +227,23 @@ class TestBadCalendar:
             assert "Traceback" not in result.stderr
             assert f"--origin-date: {bad!r} is not a calendar date" in result.stderr
             assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+    def test_malformed_start_date_exits_2(self, tmp_path):
+        for bad in ("bogus", "2019-13-01"):
+            result = run_cli(["synth", "-o", "c.jsonl", "--users", "5", "--days", "3", "--start-date", bad], tmp_path)
+            assert result.returncode == 2, result.stderr
+            assert "Traceback" not in result.stderr
+            assert f"--start-date: {bad!r} is not a calendar date" in result.stderr
+            assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e12", "-24.5", "x"])
+    def test_bad_day_offset_exits_2(self, bad, pipeline, tmp_path):
+        shutil.copy(pipeline.raw, tmp_path / "in.jsonl")
+        result = run_cli(["ingest", "in.jsonl", "-o", "out", f"--day-offset-hours={bad}"], tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert f"--day-offset-hours: {bad!r} is not a number of hours in [-24, 24]" in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
 
     @pytest.mark.parametrize("stage", ("classify", "trend", "sweep"))
     @pytest.mark.parametrize(
@@ -235,14 +261,20 @@ class TestBadCalendar:
 
 
 class TestNonPositiveCounts:
-    """A --window or --top-k below 1 is a usage error that leaves no output."""
+    """A --window, --top-k or --workers below 1 is a usage error that leaves no output."""
+
+    STAGES = {"--window": ["trend", "--mode", "instant"], "--top-k": ["hashtags"], "--workers": ["classify", "--model", "m.json"]}
 
     @pytest.mark.parametrize(
-        "flag, bad", [("--window", "0"), ("--window", "-3"), ("--window", "x"), ("--top-k", "-2"), ("--top-k", "0")]
+        "flag, bad",
+        [
+            ("--window", "0"), ("--window", "-3"), ("--window", "x"), ("--top-k", "-2"), ("--top-k", "0"),
+            ("--workers", "-3"), ("--workers", "0"),
+        ],
     )
     def test_exits_2(self, flag, bad, pipeline, tmp_path):
         shutil.copy(pipeline.labeled, tmp_path / "in.jsonl")
-        stage = ["trend", "--mode", "instant"] if flag == "--window" else ["hashtags"]
+        stage = self.STAGES[flag]
         result = run_cli([stage[0], "in.jsonl", "-o", "out", *stage[1:], flag, bad], tmp_path)
         assert result.returncode == 2, result.stderr
         assert "Traceback" not in result.stderr
@@ -337,6 +369,7 @@ class TestLabeledLineChecks:
         "t-zero": ({"t": 0}, "day index must be >= 1, got 0"),
         "t-negative": ({"t": -4}, "day index must be >= 1, got -4"),
         "no-stance": ({"stance": None}, "no stance label; run the classify subcommand first"),
+        "no-t": ({"t": None}, "no day index 't'; run the ingest subcommand first"),
     }
     STAGES = {
         "trend-instant": ["trend", "in.jsonl", "-o", "out", "--mode", "instant"],
@@ -368,13 +401,6 @@ class TestLabeledLineChecks:
         assert "Traceback" not in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
 
-    def test_undated_line_before_the_origin(self, pipeline, tmp_path):
-        self.change_third_line(pipeline.labeled, tmp_path / "in.jsonl", {"t": None, "ts": "2019-03-31T23:00:00Z"})
-        result = run_cli(["trend", "in.jsonl", "-o", "out", "--origin-date", "2019-04-01"], tmp_path)
-        assert result.returncode == 4, result.stderr
-        assert "in.jsonl:3: timestamp predates the origin date 2019-04-01" in result.stderr
-        assert "Traceback" not in result.stderr
-
     @pytest.mark.parametrize("t", [0, -4])
     def test_ingest_recomputes_such_t(self, t, pipeline, tmp_path):
         self.change_third_line(pipeline.raw, tmp_path / "raw.jsonl", {"t": t})
@@ -385,16 +411,14 @@ class TestLabeledLineChecks:
 
 @st.composite
 def labeled_lines(draw):
-    """Labeled corpus lines, some without ``t``, with UTC offsets that move days across midnight."""
+    """Labeled corpus lines as classify writes them, with UTC offsets that move days across midnight."""
     lines = []
     for i in range(draw(st.integers(min_value=1, max_value=25))):
         minutes = draw(st.integers(min_value=0, max_value=20 * 24 * 60))
         zone = draw(st.sampled_from(["Z", "+05:00", "-03:00"]))
         ts = (datetime(2019, 3, 10) + timedelta(minutes=minutes)).isoformat() + zone
         obj = {"id": str(i), "user": draw(st.sampled_from(["ana", "bo", "ü", "z9"])), "ts": ts, "text": "x"}
-        day = draw(st.none() | st.integers(min_value=1, max_value=30))
-        if day is not None:
-            obj["t"] = day
+        obj["t"] = draw(st.integers(min_value=1, max_value=30))
         obj["stance"] = draw(st.sampled_from(["pro_mp", "pro_ff", "pro_third", "neutral"]))
         lines.append(json.dumps(obj, ensure_ascii=False))
     return lines
@@ -402,29 +426,17 @@ def labeled_lines(draw):
 
 class TestCorpusReader:
     @settings(max_examples=150, deadline=None)
-    @given(lines=labeled_lines(), origin_back=st.none() | st.integers(min_value=0, max_value=3),
-           offset=st.sampled_from([0.0, -3.0]))
-    def test_columns_equal_per_line_add(self, lines, origin_back, offset):
+    @given(lines=labeled_lines(), flag=st.none() | st.dates(date(2019, 3, 1), date(2019, 3, 31)))
+    def test_columns_equal_per_line_add(self, lines, flag):
         labels = [parse_label(line) for line in lines]
-        earliest = min(effective_date(label, offset) for label in labels)
-        flag = None if origin_back is None else earliest - timedelta(days=origin_back)
-        if flag:
-            origin = flag
-        elif any(label.day is None for label in labels):
-            origin = earliest  # over every line, those with ``t`` too
-        else:
-            origin = None
-        expected = CounterTable()
-        for label in labels:
-            day = label.day if label.day is not None else assign_day(label, origin, offset)
-            expected.add(label.user_id, day, label.stance)
+        expected = CounterTable((label.user_id, label.day, label.stance) for label in labels)
 
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "labeled.jsonl")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(lines) + "\n")
-            table, got_origin = _load_table(path, flag, offset)
-        assert got_origin == origin
+            table, origin = _load_table(path, flag)
+        assert origin == flag  # no meta sidecar: only the flag dates the rows
         assert table.users == expected.users
         assert table.n_days == expected.n_days
         assert table.to_sparse() == expected.to_sparse()
@@ -643,19 +655,6 @@ class TestClassifyAndTrend:
         ])
         assert code == 0
         assert by_date.read_bytes() == open(pipeline.trend, "rb").read()
-
-    def test_trend_assigns_days_when_t_is_missing(self, pipeline, tmp_path):
-        bare = tmp_path / "bare.jsonl"
-        with open(pipeline.labeled, encoding="utf-8") as src, bare.open("w", encoding="utf-8") as dst:
-            for line in src:
-                obj = json.loads(line)
-                del obj["t"]
-                dst.write(json.dumps(obj) + "\n")
-        origin = json.load(open(pipeline.labeled + ".meta.json"))["origin_date"]
-        out = tmp_path / "t.csv"
-        code = main(["trend", str(bare), "-o", str(out), "--mode", "cumulative", "--origin-date", origin])
-        assert code == 0
-        assert out.read_bytes() == open(pipeline.trend, "rb").read()
 
     def test_trend_csv_has_dates(self, pipeline):
         lines = open(pipeline.trend).read().splitlines()

@@ -35,26 +35,20 @@ from conftest import rec
 
 
 def table_from(counts: dict[str, dict[int, tuple[int, int, int]]]) -> CounterTable:
-    """Build a table by repeated add() calls from explicit count triples."""
-    table = CounterTable()
-    for user, days in counts.items():
-        for day, (n_mp, n_ff, n_other) in days.items():
-            for _ in range(n_mp):
-                table.add(user, day, "pro_mp")
-            for _ in range(n_ff):
-                table.add(user, day, "pro_ff")
-            for _ in range(n_other):
-                table.add(user, day, "pro_third")
-    return table
+    """Build a table from one tweet per unit of the explicit count triples."""
+    return CounterTable(
+        (user, day, stance)
+        for user, days in counts.items()
+        for day, triple in days.items()
+        for stance, n in zip(("pro_mp", "pro_ff", "pro_third"), triple)
+        for _ in range(n)
+    )
 
 
 @pytest.fixture
 def tiny_table():
     """Three users on one day: A pro_mp, B and C pro_ff."""
-    table = CounterTable()
-    for user, stance in (("A", "pro_mp"), ("B", "pro_ff"), ("C", "pro_ff")):
-        table.add(user, 1, stance)
-    return table
+    return CounterTable([("A", 1, "pro_mp"), ("B", 1, "pro_ff"), ("C", 1, "pro_ff")])
 
 
 def loop_window_sum(days: dict[int, tuple[int, int, int]], day: int, window: int):
@@ -196,9 +190,8 @@ class TestTrendPoints:
         assert point.denominator == 3
 
     def test_empty_window_gives_null_point(self):
-        table = table_from({"u": {1: (1, 0, 0)}})
-        # extend the calendar so day 30's window misses all activity
-        table.add("u", 30, "pro_third")
+        # day 30 extends the calendar, and its window misses all MP/FF activity
+        table = table_from({"u": {1: (1, 0, 0), 30: (0, 0, 1)}})
         point = [p for p in trend_instant(table, window=5) if p.day == 30][0]
         assert point.denominator == 0
         assert point.pct_ff is None and point.pct_mp is None and point.pct_others is None
@@ -270,39 +263,14 @@ class TestPermutationAndIncremental:
             (f"u{rng.randint(0, 20)}", rng.randint(1, 25), rng.choice(["pro_mp", "pro_ff", "pro_third"]))
             for _ in range(400)
         ]
-        t1 = CounterTable()
-        for u, d, s in triples:
-            t1.add(u, d, s)
+        t1 = CounterTable(triples)
         shuffled = triples[:]
         rng.shuffle(shuffled)
-        t2 = CounterTable()
-        for u, d, s in shuffled:
-            t2.add(u, d, s)
+        t2 = CounterTable(shuffled)
         assert trend_instant(t1, window=7) == trend_instant(t2, window=7)
         assert trend_cumulative(t1) == trend_cumulative(t2)
 
-    def test_incremental_update_equals_rebuild(self):
-        rng = random.Random(7)
-        all_triples = [
-            (f"u{rng.randint(0, 10)}", d, rng.choice(["pro_mp", "pro_ff"]))
-            for d in range(1, 21)
-            for _ in range(rng.randint(0, 4))
-        ]
-        head = [t for t in all_triples if t[1] <= 19]
-        tail = [t for t in all_triples if t[1] == 20]
-        incremental = CounterTable()
-        for u, d, s in head:
-            incremental.add(u, d, s)
-        trend_instant(incremental, window=5)  # force a freeze before appending
-        for u, d, s in tail:
-            incremental.add(u, d, s)
-        rebuilt = CounterTable()
-        for u, d, s in all_triples:
-            rebuilt.add(u, d, s)
-        assert trend_instant(incremental, window=5) == trend_instant(rebuilt, window=5)
-        assert trend_cumulative(incremental) == trend_cumulative(rebuilt)
-
-    def test_columns_then_add_equal_add_alone(self):
+    def test_columns_equal_tweets(self):
         rng = random.Random(11)
         triples = [
             (f"u{rng.randint(0, 12)}", rng.randint(1, 30), rng.choice(["pro_mp", "pro_ff", "pro_third", "neutral"]))
@@ -310,23 +278,21 @@ class TestPermutationAndIncremental:
         ]
         codes: dict[str, int] = {}
         users, days, classes = array("q"), array("q"), array("q")
-        for u, d, s in triples[:200]:
+        for u, d, s in triples:
             users.append(codes.setdefault(u, len(codes)))
             days.append(d)
             classes.append(STANCE_CLASS.get(s, OTHER_CLASS))
         columns = CounterTable.from_columns(codes, users, days, classes)
-        for u, d, s in triples[200:]:
-            columns.add(u, d, s)  # appends to the handed-over columns
-        added = CounterTable()
-        for u, d, s in triples:
-            added.add(u, d, s)
-        assert columns.n_days == added.n_days
-        assert columns.users == added.users
-        assert columns.to_sparse() == added.to_sparse()
+        tweets = CounterTable(triples)
+        assert columns.n_days == tweets.n_days
+        assert columns.users == tweets.users
+        assert columns.to_sparse() == tweets.to_sparse()
 
     def test_columns_reject_day_zero(self):
         with pytest.raises(ValueError, match="got 0"):
             CounterTable.from_columns({"u": 0}, array("q", [0, 0]), array("q", [3, 0]), array("q", [0, 1]))
+        with pytest.raises(ValueError, match="got 0"):
+            CounterTable([("u", 3, "pro_mp"), ("u", 0, "pro_ff")])
 
 
 class TestSweep:
