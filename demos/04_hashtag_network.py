@@ -12,9 +12,7 @@ from pathlib import Path
 from electrend.hashtags import build_graph, partition_graph, write_dot, write_graphml
 from electrend.synth import generate_planted_tag_corpus
 
-records, planted = generate_planted_tag_corpus(
-    n_blocks=3, tags_per_block=8, n_tweets=900, inter_block_prob=0.08, rng_seed=7
-)
+records, planted = generate_planted_tag_corpus()
 print(len(records), "tweets carrying", len(planted), "distinct planted tags")
 
 graph = build_graph(records, min_count=3)

@@ -1,9 +1,9 @@
 """Bot-like account scoring: per-user activity profiles and three rules.
 
 Three desk-scale rules on per-user activity profiles: a daily-rate cap, a
-duplicate-text cap and an inter-tweet-gap floor. Each fired rule
-contributes its weight to a score in [0, 1]; accounts at or above the
-threshold are flagged. All caps are configuration, not constants.
+duplicate-text cap and an inter-tweet-gap floor. Each fired rule adds a
+third to a score in [0, 1]; accounts at or above the threshold are flagged.
+The three caps and the threshold are configuration; the equal weights are not.
 :func:`electrend.ingest.ingest_lines` profiles users on their pipeline days
 (:class:`ActivityTracker`), scores them (:func:`flag_bots`) and drops every
 record of a flagged account.
@@ -54,12 +54,11 @@ class BotVerdict:
 
 @dataclass(frozen=True)
 class BotConfig:
-    """Rule caps, weights and the decision threshold."""
+    """Rule caps and the decision threshold."""
 
     rate_cap: int = 72  # max tweets per day before the rate rule fires
     dup_cap: float = 0.8  # duplicate-text ratio cap
     gap_floor: float = 30.0  # seconds; mean gap below this fires the burst rule
-    weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)  # rate, dup, burst
     threshold: float = 0.5
 
 
@@ -116,20 +115,15 @@ class ActivityTracker:
 
 
 def score_user(activity: UserActivity, config: BotConfig = BotConfig()) -> BotVerdict:
-    """Deterministic weighted-rule score; is_bot iff score >= threshold."""
-    w_rate, w_dup, w_burst = config.weights
+    """Deterministic score, a third per fired rule; is_bot iff score >= threshold."""
     fired = []
-    score = 0.0
     if activity.max_tweets_per_day > config.rate_cap:
         fired.append("rate")
-        score += w_rate
     if activity.duplicate_text_ratio > config.dup_cap:
         fired.append("duplication")
-        score += w_dup
     if activity.mean_inter_tweet_seconds < config.gap_floor:
         fired.append("burst")
-        score += w_burst
-    score = min(1.0, max(0.0, score))
+    score = len(fired) / 3  # the same floats as adding 1/3 per fired rule
     return BotVerdict(
         user_id=activity.user_id,
         score=score,

@@ -5,10 +5,11 @@ Each subcommand adapts its flags to the library, which holds the rules
 
 Exit codes: 0 success, 1 validation check failed, 2 usage error (a
 malformed ``--origin-date`` or ``--start-date``, a ``--window``, ``--top-k``
-or ``--workers`` below 1, a ``--day-offset-hours`` outside [-24, 24]
-included), 3 input not readable or output not writable, 4 data error
-(empty or malformed corpus, no record accepted, a damaged meta sidecar,
-bad model or spec).
+or ``--workers`` below 1, a ``--day-offset-hours`` outside [-24, 24], a
+``--bot-*`` or ``--margin`` that is not a finite number >= 0 and a
+``--smoothing`` that is not one > 0 included), 3 input not readable or
+output not writable, 4 data error (empty or malformed corpus, no record
+accepted, a damaged meta sidecar, bad model, bad spec or one with no users).
 Logs go to standard error with a ``LEVEL name:`` prefix; every run
 writes a JSON manifest beside its primary output recording inputs (with
 digests), effective parameters and argv, so runs can be reproduced and
@@ -25,10 +26,10 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
-from array import array
 from collections import Counter
 from contextlib import ExitStack
 from datetime import date
@@ -136,14 +137,24 @@ def _iso_date(token: str) -> date:
         raise argparse.ArgumentTypeError(f"{token!r} is not a calendar date (YYYY-MM-DD)") from None
 
 
-def _offset_hours(token: str) -> float:
-    """``--day-offset-hours`` value: a finite number of hours in [-24, 24], else a usage error."""
-    try:
-        if -24 <= float(token) <= 24:
-            return float(token)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"{token!r} is not a number of hours in [-24, 24]")
+def _number(what: str, ok: Callable[[float], bool]) -> Callable[[str], float]:
+    """A float flag's converter: a finite number that is ``ok``, else a usage error saying it is not ``what``."""
+
+    def convert(token: str) -> float:
+        try:
+            value = float(token)
+        except ValueError:
+            value = math.nan
+        if math.isfinite(value) and ok(value):
+            return value
+        raise argparse.ArgumentTypeError(f"{token!r} is not {what}")
+
+    return convert
+
+
+_offset_hours = _number("a number of hours in [-24, 24]", lambda x: -24 <= x <= 24)
+_non_negative = _number("a finite number >= 0", lambda x: x >= 0)
+_positive = _number("a finite number > 0", lambda x: x > 0)
 
 
 def _positive_int(token: str) -> int:
@@ -370,11 +381,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
                 counts[value] += 1
                 out.write(line)
                 out.write("\n")
+            if not counts:
+                raise CliError(EXIT_DATA, f"corpus {args.input} contains no records")
     except ParseError as exc:
         raise CliError(EXIT_DATA, f"{args.input}:{exc.line_no}: {exc.reason}") from None
     n = sum(counts.values())
-    if n == 0:
-        raise CliError(EXIT_DATA, f"{args.input} contains no records")
 
     if meta is not None:
         manifest.write_json_atomic(meta, _meta_path(args.output))
@@ -399,18 +410,16 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def _load_table(path: str, origin_date: date | None = None):
     """The counter table of a labeled corpus and the origin date of its day 1.
 
-    Each line is decoded into three ``array("q")`` columns, nothing more:
-    the user's code, the day index ``t`` that ingest wrote and the stance
-    class. The origin is ``origin_date``, else the corpus meta sidecar's,
-    else unknown (None); it only dates the output rows.
+    Each line is decoded into its user, the day index ``t`` that ingest wrote
+    and its stance, nothing more. The origin is ``origin_date``, else the
+    corpus meta sidecar's, else unknown (None); it only dates the output rows.
     """
     from . import trend
 
     meta = None if origin_date else _load_meta(path)
     origin = date.fromisoformat(meta["origin_date"]) if meta and meta.get("origin_date") else origin_date
-    stance_class = trend.STANCE_CLASS.get
 
-    def decode(line: str, line_no: int) -> tuple[str, int, int]:
+    def decode(line: str, line_no: int) -> tuple[str, int, str]:
         _, user, _, day, stance = parse_label(line, line_no)
         if stance is None:
             raise ParseError("no stance label; run the classify subcommand first", line_no)
@@ -418,15 +427,9 @@ def _load_table(path: str, origin_date: date | None = None):
             raise ParseError("no day index 't'; run the ingest subcommand first", line_no)
         if day < 1:
             raise ParseError(f"day index must be >= 1, got {day}", line_no)
-        return user, day, stance_class(stance, trend.OTHER_CLASS)
+        return user, day, stance
 
-    codes: dict[str, int] = {}
-    users, days, classes = array("q"), array("q"), array("q")
-    for user, day, klass in _Corpus(path, decode):
-        users.append(codes.setdefault(user, len(codes)))
-        days.append(day)
-        classes.append(klass)
-    return trend.CounterTable.from_columns(codes, users, days, classes), origin
+    return trend.CounterTable(_Corpus(path, decode)), origin
 
 
 def cmd_trend(args: argparse.Namespace) -> int:
@@ -623,6 +626,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     from . import synth
 
     spec = _spec_from_args(args)
+    if spec.n_users == 0:
+        raise CliError(EXIT_DATA, "invalid electorate spec: need n_users >= 1")
     truth_path = args.truth or (args.output + ".truth.csv")
     n = synth.write_corpus(spec, args.output, truth_path)
     spec_echo = args.output + ".spec.json"
@@ -672,14 +677,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if args.spec:
         spec = _load_spec(args.spec)
     else:
-        spec = synth.ElectorateSpec(
-            n_users=6000,
-            n_days=40,
-            mix=(0.475, 0.309, 0.216),
-            mean_rate=0.5,
-            crosstalk=0.05,
-            rng_seed=20190811,
-        )
+        spec = synth.ElectorateSpec(n_users=6000, n_days=40)
 
     workdir = args.workdir or tempfile.mkdtemp(prefix="electrend-validate-")
     os.makedirs(workdir, exist_ok=True)
@@ -786,18 +784,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-query-filter", action="store_true", help="keep records matching no query")
     p.add_argument("--drop-retweets", action="store_true", help="reject lines whose text starts with 'RT @'")
     p.add_argument("--no-bot-filter", action="store_true", help="skip bot scoring and removal")
-    p.add_argument("--bot-threshold", type=float, default=0.5, help="flag users with score >= this")
-    p.add_argument("--bot-rate-cap", type=float, default=72, help="max tweets in one day before the rate rule fires")
-    p.add_argument("--bot-dup-cap", type=float, default=0.8, help="duplicate-text ratio above which the duplication rule fires")
-    p.add_argument("--bot-gap-floor", type=float, default=30.0, help="mean seconds between tweets below which the burst rule fires")
+    p.add_argument("--bot-threshold", type=_non_negative, default=0.5, help="flag users with score >= this")
+    p.add_argument("--bot-rate-cap", type=_non_negative, default=72, help="max tweets in one day before the rate rule fires")
+    p.add_argument("--bot-dup-cap", type=_non_negative, default=0.8, help="duplicate-text ratio above which the duplication rule fires")
+    p.add_argument("--bot-gap-floor", type=_non_negative, default=30.0, help="mean seconds between tweets below which the burst rule fires")
     p.add_argument("--bot-report", default=None, help="bot report CSV (default <output>.bots.csv)")
 
     p = add("train", cmd_train, "fit the stance lexicon from seed hashtags")
     p.add_argument("input", help="clean corpus from ingest")
     p.add_argument("-o", "--output", required=True, help="model file to write")
     p.add_argument("--seeds", default=None, help="seeds file, 'camp tag' per line (default: builtin list)")
-    p.add_argument("--smoothing", type=float, default=1.0, help="additive smoothing for token weights")
-    p.add_argument("--margin", type=float, default=0.0, help="score margin under which a tweet is Neutral")
+    p.add_argument("--smoothing", type=_positive, default=1.0, help="additive smoothing for token weights")
+    p.add_argument("--margin", type=_non_negative, default=0.0, help="score margin under which a tweet is Neutral")
 
     p = add("classify", cmd_classify, "label every record with a stance")
     p.add_argument("input", help="clean corpus from ingest")

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 DEFAULT_MIN_COUNT = 5
+MAX_ROUNDS = 100  # label-propagation rounds before the partition is taken as it stands
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,6 @@ class CooccurrenceGraph:
 
     node_freq: dict[str, int]
     edge_weight: dict[tuple[str, str], int]  # keys are sorted pairs, a < b
-    min_count: int
 
     @property
     def nodes(self) -> list[str]:
@@ -111,7 +111,7 @@ class TagCounts:
             for pair, w in self._pairs.items()
             if w >= min_count and pair[0] in kept and pair[1] in kept
         }
-        return CooccurrenceGraph(node_freq=kept, edge_weight=edges, min_count=min_count)
+        return CooccurrenceGraph(node_freq=kept, edge_weight=edges)
 
     def clouds(self) -> dict[str, list[tuple[str, int]]]:
         """The counts of :meth:`add_labeled`, ranked as :func:`camp_clouds` returns them."""
@@ -153,12 +153,12 @@ class CampPartition:
     camps: tuple[CampSummary, ...]
 
 
-def _propagate_labels(graph: CooccurrenceGraph, max_rounds: int) -> dict[str, str]:
+def _propagate_labels(graph: CooccurrenceGraph) -> dict[str, str]:
     labels = {tag: tag for tag in graph.node_freq}
     adj = graph.neighbors()
     order = sorted(graph.node_freq)
     previous: dict[str, str] | None = None
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         votes: dict[str, str] = {}
         changed = False
         for tag in order:
@@ -183,7 +183,7 @@ def _propagate_labels(graph: CooccurrenceGraph, max_rounds: int) -> dict[str, st
     return labels
 
 
-def partition_graph(graph: CooccurrenceGraph, max_rounds: int = 100) -> CampPartition:
+def partition_graph(graph: CooccurrenceGraph) -> CampPartition:
     """Deterministic camp assignment for every retained tag.
 
     Camps are numbered by descending total frequency (ties by smallest
@@ -191,7 +191,7 @@ def partition_graph(graph: CooccurrenceGraph, max_rounds: int = 100) -> CampPart
     """
     if not graph.node_freq:
         raise ValueError("cannot partition an empty graph")
-    labels = _propagate_labels(graph, max_rounds)
+    labels = _propagate_labels(graph)
 
     members: dict[str, list[str]] = defaultdict(list)
     for tag in sorted(labels):
@@ -276,12 +276,10 @@ def write_dot(graph: CooccurrenceGraph, fh, partition: CampPartition | None = No
     fh.write("}\n")
 
 
-def write_clouds_csv(
-    clouds: dict[str, list[tuple[str, int]]], fh, top_k: int | None = None
-) -> None:
+def write_clouds_csv(clouds: dict[str, list[tuple[str, int]]], fh, top_k: int) -> None:
+    """The ``top_k`` first tags of each camp's cloud, one row per tag."""
     writer = csv.writer(fh)
     writer.writerow(["camp", "rank", "tag", "count"])
     for stance in sorted(clouds):
-        ranked = clouds[stance][:top_k] if top_k else clouds[stance]
-        for rank, (tag, count) in enumerate(ranked, start=1):
+        for rank, (tag, count) in enumerate(clouds[stance][:top_k], start=1):
             writer.writerow([stance, rank, tag, count])

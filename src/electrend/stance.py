@@ -80,13 +80,13 @@ class TrainingError(RuntimeError):
     """Raised when the pseudo-labeled training set cannot support a camp."""
 
 
-def tokenize(text: str, keep_mentions: frozenset[str] = CANDIDATE_HANDLES) -> list[str]:
-    """Lowercase unicode word tokens; URLs dropped, mentions dropped unless kept."""
+def tokenize(text: str) -> list[str]:
+    """Lowercase unicode word tokens; URLs dropped, mentions dropped unless a candidate handle."""
     text = _URL_RE.sub(" ", text.lower())
 
     def _mention(match: re.Match) -> str:
         handle = match.group(1)
-        return handle if handle in keep_mentions else " "
+        return handle if handle in CANDIDATE_HANDLES else " "
 
     text = _MENTION_RE.sub(_mention, text)
     return _TOKEN_RE.findall(text)

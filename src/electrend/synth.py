@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from hashlib import blake2b
@@ -61,6 +62,9 @@ _CAMPS = ("ff", "mp", "third")
 _NAME_REFS = ("macri", "cfk", "kirchner", "lavagna", "pichetto", "alferdez")
 
 _UTC = timezone.utc
+
+# Each camp's default seed tags, sorted; a seeded synthetic tweet carries one.
+_SEED_LISTS = {camp: sorted(t for t, c in DEFAULT_SEEDS.items() if c == camp) for camp in _CAMPS}
 
 
 def _check_mix(mix: Sequence[float], what: str) -> Mix:
@@ -102,8 +106,8 @@ class ElectorateSpec:
             raise ValueError("seed_rate must lie in [0, 1]")
         if not 0 <= self.bot_fraction < 1:
             raise ValueError("bot_fraction must lie in [0, 1)")
-        if self.mean_rate <= 0 or self.rate_shape <= 0:
-            raise ValueError("mean_rate and rate_shape must be positive")
+        if not (0 < self.mean_rate < math.inf and 0 < self.rate_shape < math.inf):
+            raise ValueError("mean_rate and rate_shape must be finite and positive")
         checked = tuple(
             (int(day), _check_mix(mix, f"drift mix at day {day}")) for day, mix in self.drift
         )
@@ -238,20 +242,11 @@ def ground_truth(spec: ElectorateSpec) -> GroundTruth:
     )
 
 
-def _camp_seed_lists(seed_tags: Mapping[str, str]) -> dict[str, list[str]]:
-    camps: dict[str, list[str]] = {camp: [] for camp in _CAMPS}
-    for tag in sorted(seed_tags):
-        camps[seed_tags[tag]].append(tag)
-    return camps
-
-
 def _phase_starts(spec: ElectorateSpec) -> list[int]:
     return [from_day for from_day, _ in spec.phases]
 
 
-def _user_records(
-    spec: ElectorateSpec, index: int, seed_lists: dict[str, list[str]]
-) -> Iterator[TweetRecord]:
+def _user_records(spec: ElectorateSpec, index: int) -> Iterator[TweetRecord]:
     stances, rate, is_bot = _user_params(spec, index)
     uid = _user_id(index)
     rng = np.random.default_rng((spec.rng_seed, index, 1))
@@ -259,7 +254,7 @@ def _user_records(
 
     if is_bot:
         camp = stances[0]
-        tag = seed_lists[camp][0] if seed_lists[camp] else None
+        tag = _SEED_LISTS[camp][0] if _SEED_LISTS[camp] else None
         name = _NAME_REFS[int(rng.integers(0, len(_NAME_REFS)))]
         text = f"{name} vota vota" + (f" #{tag}" if tag else "")
         seq = 0
@@ -314,8 +309,8 @@ def _user_records(
                 f"comun{int(common[seq]):02d}",
             ]
             tags: list[str] = []
-            if seeded[seq] and seed_lists[camp]:
-                tag = seed_lists[camp][int(seed_u[seq] * len(seed_lists[camp]))]
+            if seeded[seq] and _SEED_LISTS[camp]:
+                tag = _SEED_LISTS[camp][int(seed_u[seq] * len(_SEED_LISTS[camp]))]
                 tokens.append(f"#{tag}")
                 tags.append(tag)
             yield TweetRecord(
@@ -328,28 +323,20 @@ def _user_records(
             seq += 1
 
 
-def iter_records(
-    spec: ElectorateSpec, seed_tags: Mapping[str, str] | None = None
-) -> Iterator[TweetRecord]:
+def iter_records(spec: ElectorateSpec) -> Iterator[TweetRecord]:
     """Stream the corpus user by user with bounded memory."""
-    seed_lists = _camp_seed_lists(DEFAULT_SEEDS if seed_tags is None else seed_tags)
     for index in range(spec.n_users):
-        yield from _user_records(spec, index, seed_lists)
+        yield from _user_records(spec, index)
 
 
-def write_corpus(
-    spec: ElectorateSpec,
-    corpus_path: str,
-    truth_path: str | None = None,
-    seed_tags: Mapping[str, str] | None = None,
-) -> int:
+def write_corpus(spec: ElectorateSpec, corpus_path: str, truth_path: str | None = None) -> int:
     """Stream the corpus to a JSONL file in the ingest input schema.
 
     Both files are written atomically; returns the number of records.
     """
     n = 0
     with atomic_text(corpus_path) as fh:
-        for record in iter_records(spec, seed_tags):
+        for record in iter_records(spec):
             fh.write(record_to_json(record))
             fh.write("\n")
             n += 1
@@ -434,7 +421,6 @@ def recovery_report(
     points: Sequence[TrendPoint],
     truth: GroundTruth,
     series_run_id: str | None = None,
-    convergence_tolerance: float = 1.0,
 ) -> RecoveryReport:
     """Per-day absolute error of the FF/MP percentages against the scheduled mix.
 
@@ -465,7 +451,7 @@ def recovery_report(
 
     convergence_day = None
     for row in reversed(rows):
-        if max(row.err_ff, row.err_mp) >= convergence_tolerance:
+        if max(row.err_ff, row.err_mp) >= 1.0:
             break
         convergence_day = row.day
     return RecoveryReport(
@@ -479,44 +465,41 @@ def recovery_report(
 # -- planted-partition corpus for the hashtag graph ---------------------
 
 
+_PLANTED_BLOCKS = 3
+_TAGS_PER_BLOCK = 8
+_TAGS_PER_TWEET = 3
+_INTER_BLOCK_PROB = 0.08
+
+
 def generate_planted_tag_corpus(
-    n_blocks: int = 3,
-    tags_per_block: int = 8,
-    n_tweets: int = 900,
-    tags_per_tweet: int = 3,
-    inter_block_prob: float = 0.08,
-    rng_seed: int = 7,
-    start_date: date = date(2019, 3, 1),
+    n_tweets: int = 900, rng_seed: int = 7
 ) -> tuple[list[TweetRecord], dict[str, int]]:
     """Tweets whose hashtags form blocks with strong intra, weak inter ties.
 
     Returns the records and the planted tag -> block map. Each tweet draws
-    its tags from one block; with ``inter_block_prob`` it also carries one
-    tag from a different block, creating the weak cross edges.
+    three tags from one of three blocks of eight; with probability 0.08 it
+    also carries one tag from a different block, creating the weak cross
+    edges. Tweets are a minute apart from 2019-03-01 00:00 UTC.
     """
     rng = np.random.default_rng(rng_seed)
-    blocks = [
-        [f"b{b}tag{i:02d}" for i in range(tags_per_block)] for b in range(n_blocks)
-    ]
+    blocks = [[f"b{b}tag{i:02d}" for i in range(_TAGS_PER_BLOCK)] for b in range(_PLANTED_BLOCKS)]
     planted = {tag: b for b, tags in enumerate(blocks) for tag in tags}
+    start = datetime(2019, 3, 1, tzinfo=_UTC)
     records = []
     for i in range(n_tweets):
-        b = int(rng.integers(0, n_blocks))
-        picks = rng.choice(tags_per_block, size=min(tags_per_tweet, tags_per_block), replace=False)
+        b = int(rng.integers(0, _PLANTED_BLOCKS))
+        picks = rng.choice(_TAGS_PER_BLOCK, size=_TAGS_PER_TWEET, replace=False)
         tags = [blocks[b][int(p)] for p in sorted(picks)]
-        if n_blocks > 1 and rng.random() < inter_block_prob:
-            other = int(rng.integers(0, n_blocks - 1))
+        if rng.random() < _INTER_BLOCK_PROB:
+            other = int(rng.integers(0, _PLANTED_BLOCKS - 1))
             if other >= b:
                 other += 1
-            tags.append(blocks[other][int(rng.integers(0, tags_per_block))])
-        created = datetime.combine(start_date, datetime.min.time(), tzinfo=_UTC) + timedelta(
-            minutes=i
-        )
+            tags.append(blocks[other][int(rng.integers(0, _TAGS_PER_BLOCK))])
         records.append(
             TweetRecord(
                 tweet_id=f"p{i}",
                 user_id=f"pu{i % 40}",
-                created_at=created,
+                created_at=start + timedelta(minutes=i),
                 text=" ".join(f"#{t}" for t in tags),
                 hashtags=tags,
             )

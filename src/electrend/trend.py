@@ -9,16 +9,16 @@ cumulative indicator):
 * more MP than FF tweets -> MP; fewer -> FF; equal and positive -> Undecided;
 * cumulative only: active in the range but no MP/FF evidence -> Unclassified.
 
-A :class:`CounterTable` is built once, from ``(user, day, stance)`` tweets
-or from three int64 columns (user code, day, stance class, see
-:data:`STANCE_CLASS`) as the CLI decodes a corpus. Days are the 1-based
-indices ``ingest`` assigns; the table never dates a tweet itself. It folds
-the tweets into one (mp, ff, other) row per active user-day, sorted by
-(user, day). A verdict can change only on a day a row enters the range
-(and, for a window, on the day it leaves), so every estimator is one event
-sweep: running sums per user at those change points, then a per-day tally
-of verdicts entering and leaving each category. A series costs O(rows), a
-k-origin sweep O(k x rows), and memory is O(users + rows).
+A :class:`CounterTable` is built once, from ``(user, day, stance)`` tweets;
+it is the one place that maps a stance to its counter (:data:`STANCE_CLASS`).
+Days are the 1-based indices ``ingest`` assigns; the table never dates a
+tweet itself. It folds the tweets into one (mp, ff, other) row per active
+user-day, sorted by (user, day). A verdict can change only on a day a row
+enters the range (and, for a window, on the day it leaves), so every
+estimator is one event sweep: running sums per user at those change points,
+then a per-day tally of verdicts entering and leaving each category. A
+series costs O(rows), a k-origin sweep O(k x rows), and memory is
+O(users + rows).
 
 ``table.categories(mode, day, window=..., start_day=...)`` gives the per-user
 verdicts of one day with the arguments of :func:`electrend.synth.oracle_categories`,
@@ -139,37 +139,19 @@ def first_day(mode: str, day: int, window: int | None = None, start_day: int | N
 class CounterTable:
     """Stance counters for a whole corpus, one row per active (user, day).
 
-    Built once, from tweets ``(user, day, stance)`` or from whole columns
-    (:meth:`from_columns`), and never changed: the sorted user names, and per
-    active user-day the user's index, the day and the (mp, ff, other)
-    counts, sorted by (user, day).
+    Built once, from tweets ``(user, day, stance)``, and never changed: the
+    sorted user names, and per active user-day the user's index, the day and
+    the (mp, ff, other) counts, sorted by (user, day). A stance is a
+    :class:`Stance` or its string value; a day below 1 is a ``ValueError``.
     """
 
     def __init__(self, tweets: Iterable[tuple[str, int, Stance | str]] = ()):
         codes: dict[str, int] = {}
         users, days, classes = array("q"), array("q"), array("q")
         for user, day, stance in tweets:
-            value = stance.value if isinstance(stance, Stance) else str(stance)
             users.append(codes.setdefault(user, len(codes)))
             days.append(day)
-            classes.append(STANCE_CLASS.get(value, OTHER_CLASS))
-        self._fold(codes, users, days, classes)
-
-    @classmethod
-    def from_columns(
-        cls, codes: dict[str, int], users: array, days: array, classes: array
-    ) -> "CounterTable":
-        """The table of tweets ``(users[i], days[i], classes[i])``.
-
-        ``codes`` numbers the user names 0, 1, ... in insertion order, as
-        ``codes.setdefault(name, len(codes))`` does; ``classes`` holds
-        :data:`STANCE_CLASS` values.
-        """
-        table = cls.__new__(cls)
-        table._fold(codes, users, days, classes)
-        return table
-
-    def _fold(self, codes: dict[str, int], users: array, days: array, classes: array) -> None:
+            classes.append(STANCE_CLASS.get(stance, OTHER_CLASS))
         day = np.frombuffer(days, dtype=np.int64)
         if len(day) and day.min() < 1:
             raise ValueError(f"day index must be >= 1, got {day.min()}")
@@ -386,33 +368,29 @@ class SweepResult:
 
 
 def sweep_t0(
-    table: CounterTable,
-    start_days: Sequence[int],
-    final_day: int | None = None,
-    origin_date: date | None = None,
+    table: CounterTable, start_days: Sequence[int], origin_date: date | None = None
 ) -> SweepResult:
     """Recompute the cumulative indicator from several origin days.
 
-    The dispersion summary is the max pairwise spread (max minus min) of
-    the FF and MP percentages on the final day; origins whose final point
-    has an empty denominator are excluded from the spread.
+    Every series runs to the table's last day. The dispersion summary is the
+    max pairwise spread (max minus min) of the FF and MP percentages on that
+    day; origins whose final point has an empty denominator are excluded
+    from the spread.
     """
     if not start_days:
         raise ValueError("need at least one origin day")
-    final = final_day if final_day is not None else table.n_days
-    if any(t0 > final for t0 in start_days):
+    if any(t0 > table.n_days for t0 in start_days):
         raise ValueError("every origin day must be <= the final day")
-    series = {}
-    for t0 in sorted(set(start_days)):
-        series[t0] = trend_cumulative(
-            table, start_day=t0, days=range(t0, final + 1), origin_date=origin_date
-        )
+    series = {
+        t0: trend_cumulative(table, start_day=t0, origin_date=origin_date)
+        for t0 in sorted(set(start_days))
+    }
     finals_ff = [s[-1].pct_ff for s in series.values() if s and s[-1].pct_ff is not None]
     finals_mp = [s[-1].pct_mp for s in series.values() if s and s[-1].pct_mp is not None]
     spread_ff = max(finals_ff) - min(finals_ff) if finals_ff else 0.0
     spread_mp = max(finals_mp) - min(finals_mp) if finals_mp else 0.0
     return SweepResult(
-        final_day=final, series=series, spread_pct_ff=spread_ff, spread_pct_mp=spread_mp
+        final_day=table.n_days, series=series, spread_pct_ff=spread_ff, spread_pct_mp=spread_mp
     )
 
 

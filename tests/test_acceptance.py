@@ -227,7 +227,7 @@ def test_classifier_bootstrap():
         rng_seed=13,
     )
     seeds = {tag: camp for tag, camp in DEFAULT_SEEDS.items() if camp != "third"}
-    records = list(iter_records(spec, seeds))
+    records = list(iter_records(spec))
     model = train_from_seeds(records, seeds)
     expected = {"ff": Stance.PRO_FF, "mp": Stance.PRO_MP}
     dominated = seeded = held_right = held = 0

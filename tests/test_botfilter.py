@@ -119,12 +119,11 @@ class TestScoring:
         assert v.is_bot
         assert v.triggered_rules == ("rate", "duplication", "burst")
 
-    def test_duplication_only_with_unequal_weights(self):
+    def test_duplication_only_scores_a_third(self):
         act = UserActivity("u", 50, 10, 10, 0.9, 3600.0)
-        config = BotConfig(weights=(0.4, 0.3, 0.3))
-        v = score_user(act, config)
-        assert v.score == pytest.approx(0.3)
-        assert not v.is_bot  # 0.3 < threshold 0.5
+        v = score_user(act)
+        assert v.score == 1 / 3
+        assert not v.is_bot  # 1/3 < threshold 0.5
         assert v.triggered_rules == ("duplication",)
 
     def test_caps_are_strict_boundaries(self):
@@ -132,11 +131,6 @@ class TestScoring:
         assert score_user(at_cap).score == 0.0
         over = UserActivity("u", 73, 1, 73, 0.81, 29.9)
         assert score_user(over).score == pytest.approx(1.0)
-
-    def test_score_clamped_to_one(self):
-        act = UserActivity("u", 500, 2, 400, 0.99, 5.0)
-        v = score_user(act, BotConfig(weights=(0.8, 0.8, 0.8)))
-        assert v.score == 1.0
 
     @given(
         ratio=st.floats(min_value=0, max_value=1),

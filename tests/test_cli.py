@@ -213,6 +213,22 @@ class TestFailedRuns:
         assert f"raw.jsonl: no record accepted ({counts})" in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.jsonl"]
 
+    @pytest.mark.parametrize("content", ["", "\n  \n\t\n"], ids=["empty", "blank-only"])
+    def test_corpus_without_records(self, content, pipeline, tmp_path):
+        (tmp_path / "in.jsonl").write_text(content)
+        runs = [
+            ["train"],
+            ["classify", "--model", pipeline.model, "--workers", "1"],
+            ["classify", "--model", pipeline.model, "--workers", "2"],
+            ["trend", "--mode", "cumulative"],
+        ]
+        for stage, *extra in runs:
+            result = run_cli([stage, "in.jsonl", "-o", "out", *extra], tmp_path)
+            assert result.returncode == 4, (stage, extra, result.stderr)
+            assert "Traceback" not in result.stderr
+            assert "corpus in.jsonl contains no records" in result.stderr
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"], (stage, extra)
+
 
 class TestBadCalendar:
     """A malformed date or day offset is a usage error and a damaged meta sidecar a data error; neither leaves output."""
@@ -279,6 +295,29 @@ class TestNonPositiveCounts:
         assert result.returncode == 2, result.stderr
         assert "Traceback" not in result.stderr
         assert f"{flag}: {bad!r} is not a positive integer" in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+
+class TestBadFloatFlags:
+    """A --bot-* or --margin value that is not a finite number >= 0, or a --smoothing not > 0, is a usage error."""
+
+    @pytest.mark.parametrize(
+        "flag, bad",
+        [
+            ("--bot-threshold", "nan"), ("--bot-threshold", "-0.1"), ("--bot-rate-cap", "nan"),
+            ("--bot-rate-cap", "inf"), ("--bot-dup-cap", "-1"), ("--bot-gap-floor", "x"),
+            ("--smoothing", "0"), ("--smoothing", "-1"), ("--smoothing", "nan"), ("--smoothing", "inf"),
+            ("--margin", "-1"), ("--margin", "nan"),
+        ],
+    )
+    def test_exits_2(self, flag, bad, pipeline, tmp_path):
+        stage = "train" if flag in ("--smoothing", "--margin") else "ingest"
+        shutil.copy(pipeline.clean if stage == "train" else pipeline.raw, tmp_path / "in.jsonl")
+        result = run_cli([stage, "in.jsonl", "-o", "out", f"{flag}={bad}"], tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        what = "a finite number > 0" if flag == "--smoothing" else "a finite number >= 0"
+        assert f"{flag}: {bad!r} is not {what}" in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
 
 
@@ -824,6 +863,27 @@ class TestSynthCommand:
             assert result.returncode == 0, result.stderr
             digests.append(hashlib.sha256((tmp_path / name / "s.jsonl.gz").read_bytes()).hexdigest())
         assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--users", "0"], ["--users", "5", "--mean-rate", "nan"], ["--users", "5", "--mean-rate", "inf"],
+         ["--users", "5", "--rate-shape", "nan"]],
+        ids=["no-users", "nan-rate", "inf-rate", "nan-shape"],
+    )
+    def test_bad_spec_flags_exit_4(self, flags, tmp_path):
+        result = run_cli(["synth", "-o", "c.jsonl", "--days", "3", *flags], tmp_path)
+        assert result.returncode == 4, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "invalid electorate spec: " in result.stderr
+        assert not list(tmp_path.iterdir())
+
+    def test_spec_file_without_users_exits_4(self, tmp_path):
+        ElectorateSpec(n_users=0, n_days=3).save(str(tmp_path / "s.json"))
+        result = run_cli(["synth", "-o", "c.jsonl", "--spec", "s.json"], tmp_path)
+        assert result.returncode == 4, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "invalid electorate spec: need n_users >= 1" in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
     def test_gzip_corpus_accepted_downstream(self, tmp_path):
         packed = tmp_path / "c.jsonl.gz"

@@ -145,9 +145,7 @@ class TestPartition:
         assert "a" in p.camps[0].top_tags
 
     def test_planted_three_blocks_recovered(self):
-        records, planted = generate_planted_tag_corpus(
-            n_blocks=3, tags_per_block=8, n_tweets=900, inter_block_prob=0.08, rng_seed=7
-        )
+        records, planted = generate_planted_tag_corpus()
         g = build_graph(records, min_count=3)
         p = partition_graph(g)
         total = correct = 0

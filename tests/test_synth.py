@@ -46,6 +46,10 @@ class TestSpec:
     def test_positive_rates_required(self):
         with pytest.raises(ValueError):
             small_spec(mean_rate=0.0)
+        for field in ("mean_rate", "rate_shape"):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="finite and positive"):
+                    small_spec(**{field: bad})
 
     def test_drift_sorted_and_mix_for_day(self):
         spec = small_spec(

@@ -6,7 +6,6 @@ brute-force reference the acceptance gate and ``validate`` also use.
 
 import io
 import random
-from array import array
 from dataclasses import replace
 from datetime import date
 
@@ -16,8 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from electrend.synth import oracle_categories
 from electrend.trend import (
-    OTHER_CLASS,
-    STANCE_CLASS,
     CounterTable,
     SweepResult,
     TrendPoint,
@@ -270,27 +267,7 @@ class TestPermutationAndIncremental:
         assert trend_instant(t1, window=7) == trend_instant(t2, window=7)
         assert trend_cumulative(t1) == trend_cumulative(t2)
 
-    def test_columns_equal_tweets(self):
-        rng = random.Random(11)
-        triples = [
-            (f"u{rng.randint(0, 12)}", rng.randint(1, 30), rng.choice(["pro_mp", "pro_ff", "pro_third", "neutral"]))
-            for _ in range(300)
-        ]
-        codes: dict[str, int] = {}
-        users, days, classes = array("q"), array("q"), array("q")
-        for u, d, s in triples:
-            users.append(codes.setdefault(u, len(codes)))
-            days.append(d)
-            classes.append(STANCE_CLASS.get(s, OTHER_CLASS))
-        columns = CounterTable.from_columns(codes, users, days, classes)
-        tweets = CounterTable(triples)
-        assert columns.n_days == tweets.n_days
-        assert columns.users == tweets.users
-        assert columns.to_sparse() == tweets.to_sparse()
-
     def test_columns_reject_day_zero(self):
-        with pytest.raises(ValueError, match="got 0"):
-            CounterTable.from_columns({"u": 0}, array("q", [0, 0]), array("q", [3, 0]), array("q", [0, 1]))
         with pytest.raises(ValueError, match="got 0"):
             CounterTable([("u", 3, "pro_mp"), ("u", 0, "pro_ff")])
 
