@@ -9,13 +9,13 @@ Run with: python3 demos/04_hashtag_network.py
 
 from pathlib import Path
 
-from electrend.hashtags import build_graph, partition_graph, write_dot, write_graphml
+from electrend.hashtags import TagCounts, partition_graph, write_dot, write_graphml
 from electrend.synth import generate_planted_tag_corpus
 
 records, planted = generate_planted_tag_corpus()
 print(len(records), "tweets carrying", len(planted), "distinct planted tags")
 
-graph = build_graph(records, min_count=3)
+graph = TagCounts(records).graph(3)
 print("graph after pruning:", len(graph.nodes), "tags,", len(graph.edges), "edges")
 print()
 

@@ -420,7 +420,7 @@ def _load_table(path: str, origin_date: date | None = None):
     origin = date.fromisoformat(meta["origin_date"]) if meta and meta.get("origin_date") else origin_date
 
     def decode(line: str, line_no: int) -> tuple[str, int, str]:
-        _, user, _, day, stance = parse_label(line, line_no)
+        user, day, stance = parse_label(line, line_no)
         if stance is None:
             raise ParseError("no stance label; run the classify subcommand first", line_no)
         if day is None:
@@ -529,11 +529,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_hashtags(args: argparse.Namespace) -> int:
     from . import hashtags
 
-    counts = hashtags.TagCounts(dedup_users=args.dedup_users)
-    for record in _Corpus(args.input, parse_record):
-        counts.add(record)
-        if record.stance is not None:
-            counts.add_labeled(record, record.stance)
+    counts = hashtags.TagCounts(_Corpus(args.input, parse_record), args.dedup_users)
     graph = counts.graph(args.min_count)
     partition = None
     if graph.nodes:

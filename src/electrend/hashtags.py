@@ -14,7 +14,7 @@ import csv
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 from xml.sax.saxutils import quoteattr
 
 from .ingest import TweetRecord
@@ -25,15 +25,12 @@ __all__ = [
     "CampSummary",
     "CampPartition",
     "TagCounts",
-    "build_graph",
     "partition_graph",
-    "camp_clouds",
     "write_graphml",
     "write_dot",
     "write_clouds_csv",
 ]
 
-DEFAULT_MIN_COUNT = 5
 MAX_ROUNDS = 100  # label-propagation rounds before the partition is taken as it stands
 
 
@@ -61,50 +58,43 @@ class CooccurrenceGraph:
 
 
 class TagCounts:
-    """Single-pass hashtag counts: tags and tag pairs for the graph, tags per stance for the clouds.
+    """Hashtag counts of a corpus, folded in one pass: tags and pairs for :meth:`graph`.
 
-    :func:`build_graph` and :func:`camp_clouds` each make one pass of it;
-    a caller that needs both feeds each record to :meth:`add` and
-    :meth:`add_labeled` in one pass.
+    With ``dedup_users`` each (user, tag) and (user, pair) counts once, so a
+    flooding account adds at most 1 to any weight. A record whose ``stance``
+    is set also counts its tags, never deduplicated, toward that stance's
+    cloud (:meth:`clouds`); ``labeled`` counts those records.
     """
 
-    def __init__(self, dedup_users: bool = False):
-        self.dedup_users = dedup_users
-        self.labeled = 0  # records given to add_labeled
+    def __init__(self, records: Iterable[TweetRecord], dedup_users: bool = False):
+        self.labeled = 0
         self._nodes: Counter = Counter()
         self._pairs: Counter = Counter()
-        self._seen_node: set = set()
-        self._seen_pair: set = set()
         self._per_stance: dict[str, Counter] = {s.value: Counter() for s in Stance}
+        seen_node: set = set()
+        seen_pair: set = set()
+        for record in records:
+            tags = sorted(set(record.hashtags))
+            for tag in tags:
+                if dedup_users:
+                    key = (record.user_id, tag)
+                    if key in seen_node:
+                        continue
+                    seen_node.add(key)
+                self._nodes[tag] += 1
+            for a, b in combinations(tags, 2):
+                if dedup_users:
+                    key = (record.user_id, a, b)
+                    if key in seen_pair:
+                        continue
+                    seen_pair.add(key)
+                self._pairs[(a, b)] += 1
+            if record.stance is not None:
+                self._per_stance.setdefault(record.stance, Counter()).update(tags)
+                self.labeled += 1
 
-    def add(self, record: TweetRecord) -> None:
-        """Count the record's tags and tag pairs."""
-        tags = sorted(set(record.hashtags))
-        for tag in tags:
-            if self.dedup_users:
-                key = (record.user_id, tag)
-                if key in self._seen_node:
-                    continue
-                self._seen_node.add(key)
-            self._nodes[tag] += 1
-        for a, b in combinations(tags, 2):
-            if self.dedup_users:
-                key = (record.user_id, a, b)
-                if key in self._seen_pair:
-                    continue
-                self._seen_pair.add(key)
-            self._pairs[(a, b)] += 1
-
-    def add_labeled(self, record: TweetRecord, stance: Stance | str) -> None:
-        """Count the record's tags under its stance label."""
-        value = stance.value if isinstance(stance, Stance) else str(stance)
-        counter = self._per_stance.setdefault(value, Counter())
-        for tag in set(record.hashtags):
-            counter[tag] += 1
-        self.labeled += 1
-
-    def graph(self, min_count: int = DEFAULT_MIN_COUNT) -> CooccurrenceGraph:
-        """The counts of :meth:`add`, pruned below ``min_count``."""
+    def graph(self, min_count: int) -> CooccurrenceGraph:
+        """Tag and pair counts, pruned below ``min_count``."""
         kept = {t: c for t, c in self._nodes.items() if c >= min_count}
         edges = {
             pair: w
@@ -114,27 +104,15 @@ class TagCounts:
         return CooccurrenceGraph(node_freq=kept, edge_weight=edges)
 
     def clouds(self) -> dict[str, list[tuple[str, int]]]:
-        """The counts of :meth:`add_labeled`, ranked as :func:`camp_clouds` returns them."""
+        """Each stance's tags with their counts, by descending count then tag.
+
+        A tag used in several camps appears in each; summed over the stances,
+        a tag's counts equal its frequency among labeled records.
+        """
         return {
             stance: sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
             for stance, counts in self._per_stance.items()
         }
-
-
-def build_graph(
-    records: Iterable[TweetRecord],
-    min_count: int = DEFAULT_MIN_COUNT,
-    dedup_users: bool = False,
-) -> CooccurrenceGraph:
-    """Count tag and pair occurrences, then prune below ``min_count``.
-
-    With ``dedup_users`` each (user, tag) and (user, pair) counts once, so
-    a flooding account contributes at most 1 to any weight.
-    """
-    counts = TagCounts(dedup_users)
-    for record in records:
-        counts.add(record)
-    return counts.graph(min_count)
 
 
 @dataclass(frozen=True)
@@ -215,22 +193,6 @@ def partition_graph(graph: CooccurrenceGraph) -> CampPartition:
             )
         )
     return CampPartition(camp_of=camp_of, camps=tuple(camps))
-
-
-def camp_clouds(
-    labeled: Iterable[tuple[TweetRecord, Stance | str]]
-) -> dict[str, list[tuple[str, int]]]:
-    """Tag frequencies conditioned on the tweet's stance label.
-
-    Returns, for every stance value, tags with their counts sorted by
-    descending count then tag. A tag used in several camps appears in each
-    with its respective count, and per-tag counts summed over all stances
-    equal the tag's corpus frequency.
-    """
-    counts = TagCounts()
-    for record, stance in labeled:
-        counts.add_labeled(record, stance)
-    return counts.clouds()
 
 
 # -- exports ------------------------------------------------------------

@@ -21,13 +21,12 @@ from collections import Counter
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .botfilter import ActivityTracker, BotConfig, BotVerdict, flag_bots
 
 __all__ = [
     "TweetRecord",
-    "TweetLabel",
     "QuerySet",
     "IngestConfig",
     "IngestResult",
@@ -112,16 +111,6 @@ class TweetRecord:
     hashtags: list[str]
     day: int | None = None  # assigned against the corpus origin date
     stance: str | None = None  # filled by the classifier
-
-
-class TweetLabel(NamedTuple):
-    """The fields of a record that the trend estimators read (see :func:`parse_label`)."""
-
-    tweet_id: str
-    user_id: str
-    created_at: datetime  # tz-aware, UTC
-    day: int | None
-    stance: str | None
 
 
 @dataclass(frozen=True)
@@ -263,14 +252,14 @@ def parse_record(line: str, line_no: int = 0) -> TweetRecord:
     return TweetRecord(tweet_id, user_id, created_at, text, hashtags, day, stance)
 
 
-def parse_label(line: str, line_no: int = 0) -> TweetLabel:
-    """The id, user, timestamp, day and stance of one line.
+def parse_label(line: str, line_no: int = 0) -> tuple[str, int | None, str | None]:
+    """The ``(user, day, stance)`` of one line: the fields the trend estimators read.
 
     Accepts and rejects exactly the lines :func:`parse_record` does, but
-    keeps neither the text nor the hashtags.
+    keeps only these three fields.
     """
-    tweet_id, user_id, created_at, _, _, day, stance = _decode(line, line_no)
-    return TweetLabel(tweet_id, user_id, created_at, day, stance)
+    _, user_id, _, _, _, day, stance = _decode(line, line_no)
+    return user_id, day, stance
 
 
 def record_parts(record: TweetRecord) -> tuple[str, str]:

@@ -30,9 +30,12 @@ def file_sha256(path: str) -> str:
 
 
 def write_json_atomic(obj: dict, path: str) -> None:
-    """Write ``obj`` as indented, key-sorted JSON through the atomic writer."""
+    """Write ``obj`` as indented, key-sorted JSON through the atomic writer.
+
+    A non-finite float raises ``ValueError`` and leaves no file.
+    """
     with atomic_text(path) as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
+        json.dump(obj, fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

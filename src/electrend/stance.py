@@ -144,7 +144,7 @@ class LexiconModel:
 
     def save(self, path: str) -> None:
         with atomic_text(path) as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True, ensure_ascii=False)
+            json.dump(self.to_dict(), fh, indent=1, sort_keys=True, ensure_ascii=False, allow_nan=False)
             fh.write("\n")
 
     @classmethod

@@ -70,7 +70,7 @@ _SEED_LISTS = {camp: sorted(t for t, c in DEFAULT_SEEDS.items() if c == camp) fo
 def _check_mix(mix: Sequence[float], what: str) -> Mix:
     if len(mix) != 3:
         raise ValueError(f"{what} must have three components (ff, mp, third)")
-    if any(p < 0 or p > 1 for p in mix):
+    if not all(0 <= p <= 1 for p in mix):
         raise ValueError(f"{what} components must lie in [0, 1]")
     if abs(sum(mix) - 1.0) > 1e-9:
         raise ValueError(f"{what} must sum to 1, got {sum(mix)!r}")
@@ -106,6 +106,8 @@ class ElectorateSpec:
             raise ValueError("seed_rate must lie in [0, 1]")
         if not 0 <= self.bot_fraction < 1:
             raise ValueError("bot_fraction must lie in [0, 1)")
+        if type(self.bot_rate) is not int or self.bot_rate < 0:  # bool is not a rate
+            raise ValueError("bot_rate must be an integer >= 0")
         if not (0 < self.mean_rate < math.inf and 0 < self.rate_shape < math.inf):
             raise ValueError("mean_rate and rate_shape must be finite and positive")
         checked = tuple(

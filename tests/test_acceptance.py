@@ -7,6 +7,7 @@ per module and shared.
 """
 
 import itertools
+import os
 import random
 import resource
 import subprocess
@@ -18,8 +19,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import electrend
 from electrend.cli import main
-from electrend.hashtags import build_graph, partition_graph
+from electrend.hashtags import TagCounts, partition_graph
 from electrend.ingest import assign_day
 from electrend.stance import DEFAULT_SEEDS, Stance, classify_tweet, train_from_seeds
 from electrend.synth import (
@@ -250,7 +252,7 @@ def test_classifier_bootstrap():
 
 def test_planted_partition():
     records, planted = generate_planted_tag_corpus()
-    partition = partition_graph(build_graph(records, min_count=3))
+    partition = partition_graph(TagCounts(records).graph(3))
     members = {}
     for tag, camp in partition.camp_of.items():
         members.setdefault(camp, []).append(tag)
@@ -260,9 +262,7 @@ def test_planted_partition():
     purity = correct / len(partition.camp_of)
 
     tweets = [["a", "b", "c"], ["a", "b"], ["b", "c", "d"], ["d"], ["a", "d"]]
-    g = build_graph(
-        [rec(text=" ".join(f"#{t}" for t in ts), tags=ts) for ts in tweets], min_count=1
-    )
+    g = TagCounts([rec(text=" ".join(f"#{t}" for t in ts), tags=ts) for ts in tweets]).graph(1)
     expected = Counter()
     for ts in tweets:
         expected.update(itertools.combinations(sorted(set(ts)), 2))
@@ -362,10 +362,13 @@ def test_throughput_one_million(tmp_path):
     labeled = tmp_path / "labeled.jsonl"
     curve = tmp_path / "trend.csv"
 
+    src = os.path.dirname(os.path.dirname(os.path.abspath(electrend.__file__)))
+
     def run(args):
         start = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-m", "electrend", *args], capture_output=True, text=True
+            [sys.executable, "-m", "electrend", *args], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         return time.perf_counter() - start

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from electrend.hashtags import (
-    build_graph,
-    camp_clouds,
+    TagCounts,
     partition_graph,
     write_clouds_csv,
     write_dot,
@@ -20,18 +19,18 @@ from electrend.synth import generate_planted_tag_corpus
 from conftest import rec
 
 
-def tag_rec(tags, user="u1"):
-    return rec(user=user, text=" ".join(f"#{t}" for t in tags), tags=list(tags))
+def tag_rec(tags, user="u1", stance=None):
+    return rec(user=user, text=" ".join(f"#{t}" for t in tags), tags=list(tags), stance=stance)
 
 
 class TestBuildGraph:
     def test_triangle_from_one_tweet(self):
-        g = build_graph([tag_rec(["a", "b", "c"])], min_count=1)
+        g = TagCounts([tag_rec(["a", "b", "c"])]).graph(1)
         assert g.nodes == ["a", "b", "c"]
         assert g.edges == [("a", "b", 1), ("a", "c", 1), ("b", "c", 1)]
 
     def test_weight_accumulates(self):
-        g = build_graph([tag_rec(["a", "b"]), tag_rec(["b", "a"])], min_count=1)
+        g = TagCounts([tag_rec(["a", "b"]), tag_rec(["b", "a"])]).graph(1)
         assert g.edges == [("a", "b", 2)]
         assert g.node_freq == {"a": 2, "b": 2}
 
@@ -44,7 +43,7 @@ class TestBuildGraph:
             ["a", "d"],
         ]
         records = [tag_rec(t) for t in tweets]
-        g = build_graph(records, min_count=1)
+        g = TagCounts(records).graph(1)
 
         freq = Counter()
         pairs = Counter()
@@ -56,13 +55,13 @@ class TestBuildGraph:
         assert {(a, b): w for a, b, w in g.edges} == dict(pairs)
 
     def test_duplicate_tags_in_one_tweet_count_once(self):
-        g = build_graph([tag_rec(["a", "a", "b"])], min_count=1)
+        g = TagCounts([tag_rec(["a", "a", "b"])]).graph(1)
         assert g.node_freq == {"a": 1, "b": 1}
         assert g.edges == [("a", "b", 1)]
 
     def test_min_count_prunes_rare_tags_and_edges(self):
         records = [tag_rec(["a", "b"]) for _ in range(5)] + [tag_rec(["a", "z"])]
-        g = build_graph(records, min_count=2)
+        g = TagCounts(records).graph(2)
         assert "z" not in g.node_freq
         assert g.edges == [("a", "b", 5)]
 
@@ -70,14 +69,14 @@ class TestBuildGraph:
         records = [tag_rec(["a", "b"], user="u1") for _ in range(4)] + [
             tag_rec(["a", "b"], user="u2")
         ]
-        plain = build_graph(records, min_count=1)
-        dedup = build_graph(records, min_count=1, dedup_users=True)
+        plain = TagCounts(records).graph(1)
+        dedup = TagCounts(records, dedup_users=True).graph(1)
         assert plain.edges == [("a", "b", 5)]
         assert dedup.edges == [("a", "b", 2)]
         assert dedup.node_freq == {"a": 2, "b": 2}
 
     def test_empty_corpus(self):
-        g = build_graph([], min_count=1)
+        g = TagCounts([]).graph(1)
         assert g.nodes == [] and g.edges == []
 
     @settings(max_examples=40)
@@ -90,8 +89,9 @@ class TestBuildGraph:
     )
     def test_pruning_monotone(self, tweets, low, raise_by):
         records = [tag_rec(t) for t in tweets if t]
-        small = build_graph(records, min_count=low + raise_by)
-        big = build_graph(records, min_count=low)
+        counts = TagCounts(records)
+        small = counts.graph(low + raise_by)
+        big = counts.graph(low)
         assert set(small.node_freq) <= set(big.node_freq)
         assert {(a, b) for a, b, _ in small.edges} <= {(a, b) for a, b, _ in big.edges}
 
@@ -102,7 +102,7 @@ class TestBuildGraph:
         )
     )
     def test_edges_canonical_and_symmetric(self, tweets):
-        g = build_graph([tag_rec(t) for t in tweets], min_count=1)
+        g = TagCounts([tag_rec(t) for t in tweets]).graph(1)
         for a, b, w in g.edges:
             assert a < b
             assert w >= 1
@@ -111,7 +111,7 @@ class TestBuildGraph:
 
 class TestPartition:
     def test_single_node(self):
-        g = build_graph([tag_rec(["solo"]) ], min_count=1)
+        g = TagCounts([tag_rec(["solo"]) ]).graph(1)
         p = partition_graph(g)
         assert p.camp_of == {"solo": 0}
         assert len(p.camps) == 1
@@ -122,7 +122,7 @@ class TestPartition:
         for _ in range(4):
             records.append(tag_rec(["a", "b", "c"]))
             records.append(tag_rec(["x", "y", "z"]))
-        p = partition_graph(build_graph(records, min_count=1))
+        p = partition_graph(TagCounts(records).graph(1))
         assert len(p.camps) == 2
         groups = {}
         for tag, camp in p.camp_of.items():
@@ -131,7 +131,7 @@ class TestPartition:
 
     def test_deterministic(self):
         records, _ = generate_planted_tag_corpus(n_tweets=300, rng_seed=3)
-        g = build_graph(records, min_count=3)
+        g = TagCounts(records).graph(3)
         p1 = partition_graph(g)
         p2 = partition_graph(g)
         assert p1.camp_of == p2.camp_of
@@ -140,13 +140,13 @@ class TestPartition:
         records = [tag_rec(["a", "b"]) for _ in range(10)] + [
             tag_rec(["x", "y"]) for _ in range(3)
         ]
-        p = partition_graph(build_graph(records, min_count=1))
+        p = partition_graph(TagCounts(records).graph(1))
         assert p.camps[0].total_freq >= p.camps[1].total_freq
         assert "a" in p.camps[0].top_tags
 
     def test_planted_three_blocks_recovered(self):
         records, planted = generate_planted_tag_corpus()
-        g = build_graph(records, min_count=3)
+        g = TagCounts(records).graph(3)
         p = partition_graph(g)
         total = correct = 0
         camp_members = {}
@@ -161,21 +161,21 @@ class TestPartition:
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
-            partition_graph(build_graph([], min_count=1))
+            partition_graph(TagCounts([]).graph(1))
 
 
 class TestClouds:
     def test_single_tweet_both_tags(self):
-        clouds = camp_clouds([(tag_rec(["a", "b"]), "pro_ff")])
+        clouds = TagCounts([tag_rec(["a", "b"], stance="pro_ff")]).clouds()
         assert clouds["pro_ff"] == [("a", 1), ("b", 1)]
 
     def test_tag_in_two_camps_counted_in_each(self):
         labeled = [
-            (tag_rec(["comun", "ff1"]), "pro_ff"),
-            (tag_rec(["comun"]), "pro_mp"),
-            (tag_rec(["comun"]), "pro_mp"),
+            tag_rec(["comun", "ff1"], stance="pro_ff"),
+            tag_rec(["comun"], stance="pro_mp"),
+            tag_rec(["comun"], stance="pro_mp"),
         ]
-        clouds = camp_clouds(labeled)
+        clouds = TagCounts(labeled).clouds()
         assert ("comun", 1) in clouds["pro_ff"]
         assert clouds["pro_mp"] == [("comun", 2)]
 
@@ -184,27 +184,27 @@ class TestClouds:
         stances = ["pro_ff", "pro_mp", "pro_third", "neutral"]
         for i in range(40):
             tags = ["a"] if i % 2 else ["a", "b"]
-            labeled.append((tag_rec(tags), stances[i % 4]))
-        clouds = camp_clouds(labeled)
+            labeled.append(tag_rec(tags, stance=stances[i % 4]))
+        clouds = TagCounts(labeled).clouds()
         totals = Counter()
         for ranked in clouds.values():
             for tag, count in ranked:
                 totals[tag] += count
         corpus_freq = Counter()
-        for record, _ in labeled:
+        for record in labeled:
             corpus_freq.update(set(record.hashtags))
         assert totals == corpus_freq
 
     def test_ranked_by_count_then_tag(self):
-        labeled = [(tag_rec(["b"]), "pro_ff"), (tag_rec(["b"]), "pro_ff"), (tag_rec(["a"]), "pro_ff")]
-        clouds = camp_clouds(labeled)
+        labeled = [tag_rec(["b"], stance="pro_ff"), tag_rec(["b"], stance="pro_ff"), tag_rec(["a"], stance="pro_ff")]
+        clouds = TagCounts(labeled).clouds()
         assert clouds["pro_ff"] == [("b", 2), ("a", 1)]
 
 
 class TestExports:
     def graph(self):
         records = [tag_rec(["a", "b"]) for _ in range(3)] + [tag_rec(['q"uote'])] * 2
-        return build_graph(records, min_count=1)
+        return TagCounts(records).graph(1)
 
     def test_graphml_well_formed_with_attributes(self):
         g = self.graph()
@@ -240,7 +240,7 @@ class TestExports:
 
     def test_export_determinism(self):
         records, _ = generate_planted_tag_corpus(n_tweets=200, rng_seed=5)
-        g = build_graph(records, min_count=2)
+        g = TagCounts(records).graph(2)
         p = partition_graph(g)
         outs = []
         for _ in range(2):

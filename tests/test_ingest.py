@@ -24,7 +24,6 @@ from electrend.ingest import (
     IngestConfig,
     ParseError,
     QuerySet,
-    TweetLabel,
     assign_day,
     atomic_text,
     day_to_date,
@@ -39,6 +38,7 @@ from electrend.ingest import (
     record_parts,
     record_to_json,
 )
+from electrend.manifest import write_json_atomic
 from conftest import rec
 
 UTC = timezone.utc
@@ -153,10 +153,9 @@ class TestParseRecord:
 
     def test_label_keeps_the_estimator_fields(self):
         line = '{"id": 7, "user": "u9", "ts": "2019-03-01T23:00:00-03:00", "text": "x", "t": 4, "stance": "pro_mp"}'
-        created = datetime(2019, 3, 2, 2, tzinfo=UTC)
-        assert parse_label(line, 1) == TweetLabel("7", "u9", created, 4, "pro_mp")
+        assert parse_label(line, 1) == ("u9", 4, "pro_mp")
         r = parse_record(line, 1)
-        assert (r.tweet_id, r.user_id, r.created_at, r.day, r.stance) == parse_label(line, 1)
+        assert (r.user_id, r.day, r.stance) == parse_label(line, 1)
 
 
 class TestHashtagExtraction:
@@ -382,6 +381,12 @@ class TestFileIO:
         assert not dead.exists()
         assert all(path.exists() for path in kept)
         assert (tmp_path / "out.csv").read_text() == "whole\n"
+
+    def test_non_finite_json_leaves_no_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError):
+            write_json_atomic({"x": float("nan")}, str(path))
+        assert list(tmp_path.iterdir()) == []
 
     def test_truncated_gzip_is_a_read_error(self, tmp_path):
         path = tmp_path / "cut.jsonl.gz"
