@@ -10,7 +10,7 @@ Run with: python3 demos/01_full_pipeline.py
 from electrend.ingest import assign_day
 from electrend.stance import classify_tweet, train_from_seeds
 from electrend.synth import ElectorateSpec, ground_truth, iter_records, recovery_report
-from electrend.trend import CounterTable, trend_cumulative
+from electrend.trend import CounterTable, series
 
 spec = ElectorateSpec(
     n_users=3000,
@@ -38,7 +38,7 @@ table = CounterTable(tweets)
 print("classified", len(tweets), "tweets from", len(table.users), "active users")
 print()
 
-points = trend_cumulative(table, start_day=1, origin_date=spec.start_date)
+points = series(table, "cumulative", start_day=1, origin_date=spec.start_date)
 
 print("cumulative estimate (every fifth day):")
 print("  day   pct_ff  pct_mp  pct_others  denominator")

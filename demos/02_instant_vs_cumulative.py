@@ -11,7 +11,7 @@ Run with: python3 demos/02_instant_vs_cumulative.py
 from electrend.ingest import assign_day
 from electrend.stance import classify_tweet, train_from_seeds
 from electrend.synth import ElectorateSpec, iter_records
-from electrend.trend import CounterTable, trend_cumulative, trend_instant
+from electrend.trend import CounterTable, series
 
 WINDOW = 14
 
@@ -34,8 +34,8 @@ table = CounterTable(
     for record in iter_records(spec)
 )
 
-instant = trend_instant(table, window=WINDOW, origin_date=spec.start_date)
-cumulative = trend_cumulative(table, start_day=1, origin_date=spec.start_date)
+instant = series(table, "instant", window=WINDOW, origin_date=spec.start_date)
+cumulative = series(table, "cumulative", start_day=1, origin_date=spec.start_date)
 
 print("        --- instant ---    -- cumulative --")
 print("  day    pct_ff  pct_mp     pct_ff  pct_mp")

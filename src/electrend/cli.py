@@ -418,6 +418,7 @@ def _load_table(path: str, origin_date: date | None = None):
 
     meta = None if origin_date else _load_meta(path)
     origin = date.fromisoformat(meta["origin_date"]) if meta and meta.get("origin_date") else origin_date
+    last_day = (date.max - origin).days + 1 if origin else date.max.toordinal()  # the largest t a date can have
 
     def decode(line: str, line_no: int) -> tuple[str, int, str]:
         user, day, stance = parse_label(line, line_no)
@@ -427,6 +428,8 @@ def _load_table(path: str, origin_date: date | None = None):
             raise ParseError("no day index 't'; run the ingest subcommand first", line_no)
         if day < 1:
             raise ParseError(f"day index must be >= 1, got {day}", line_no)
+        if day > last_day:
+            raise ParseError(f"day index must be <= {last_day}, got {day}", line_no)
         return user, day, stance
 
     return trend.CounterTable(_Corpus(path, decode)), origin
@@ -445,14 +448,8 @@ def cmd_trend(args: argparse.Namespace) -> int:
             weights = trend.user_weights(table.users, _load_weights_file(args.weights_file), strata)
         except ValueError as exc:
             raise CliError(EXIT_DATA, f"{args.weights_file}: {exc}") from None
-    if args.mode == "instant":
-        points = trend.trend_instant(
-            table, args.window, origin_date=origin, weights=weights,
-            include_undecided=not args.exclude_undecided,
-        )
-    else:
-        start_day = _t0_to_day(args.t0, origin, table.n_days) if args.t0 else 1
-        points = trend.trend_cumulative(table, start_day, origin_date=origin, weights=weights)
+    start_day = _t0_to_day(args.t0, origin, table.n_days) if args.t0 and args.mode == "cumulative" else 1
+    points = trend.series(table, args.mode, args.window, start_day, origin, weights, not args.exclude_undecided)
 
     with atomic_text(args.output, newline="") as fh:
         trend.write_trend_csv(points, fh)
@@ -668,6 +665,15 @@ def _oracle_mismatch_days(
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    if args.workdir:
+        os.makedirs(args.workdir, exist_ok=True)
+        return _validate(args, args.workdir)
+    with tempfile.TemporaryDirectory(prefix="electrend-validate-") as workdir:
+        return _validate(args, workdir)
+
+
+def _validate(args: argparse.Namespace, workdir: str) -> int:
+    """The pipeline on a known electorate in ``workdir``, then the oracle and recovery checks."""
     from . import synth, trend
 
     if args.spec:
@@ -675,8 +681,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     else:
         spec = synth.ElectorateSpec(n_users=6000, n_days=40)
 
-    workdir = args.workdir or tempfile.mkdtemp(prefix="electrend-validate-")
-    os.makedirs(workdir, exist_ok=True)
     corpus = os.path.join(workdir, "corpus.jsonl")
     clean = os.path.join(workdir, "clean.jsonl")
     model_path = os.path.join(workdir, "model.json")
@@ -724,7 +728,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     checks.append(("window-cumulative-coincidence", inst == cum, f"day {early} <= window 14"))
 
     truth = synth.ground_truth(spec)
-    points = trend.trend_cumulative(table, start_day=1)
+    points = trend.series(table, "cumulative", start_day=1)
     report = synth.recovery_report(points, truth)
     ok = (
         report.final_error_ff is not None
@@ -744,7 +748,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
         if not passed:
             failed += 1
-    print(f"{len(checks) - failed}/{len(checks)} checks passed (workdir {workdir})")
+    kept = f" (workdir {workdir})" if args.workdir else ""
+    print(f"{len(checks) - failed}/{len(checks)} checks passed{kept}")
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 
@@ -845,7 +850,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("validate", cmd_validate, "synth + full pipeline + oracle and recovery checks")
     p.add_argument("--spec", default=None, help="electorate spec JSON (default: builtin 6k-user spec)")
-    p.add_argument("--workdir", default=None, help="working directory (default: a fresh temp dir)")
+    p.add_argument("--workdir", default=None, help="keep the run's files here (default: a temp dir, removed at the end)")
     p.add_argument("--tolerance", type=float, default=1.5, help="max final-day recovery error in points")
 
     return parser

@@ -166,9 +166,14 @@ def _parse_timestamp(raw: str, line_no: int) -> datetime:
         ts = datetime.fromisoformat(raw)
     except ValueError:
         raise ParseError(f"invalid timestamp {raw!r}", line_no) from None
-    if ts.tzinfo is None:  # naive timestamps are taken as UTC
-        return ts.replace(tzinfo=_UTC)
-    return ts.astimezone(_UTC)
+    try:  # naive timestamps are taken as UTC
+        ts = ts.replace(tzinfo=_UTC) if ts.tzinfo is None else ts.astimezone(_UTC)
+    except OverflowError:
+        ts = None
+    # The calendar's first and last days are refused too, so no day offset of up to 24 hours leaves it.
+    if ts is None or not date.min < ts.date() < date.max:
+        raise ParseError(f"timestamp {raw!r} out of range", line_no)
+    return ts
 
 
 def _is_utf8(text: str) -> bool:

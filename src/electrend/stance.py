@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -149,12 +150,21 @@ class LexiconModel:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "LexiconModel":
+        """The model of a JSON object; anything else, or a term weight that is no finite number, is a ``ValueError``."""
+        if not isinstance(obj, dict):
+            raise ValueError("the model is not a JSON object")
         version = obj.get("format_version")
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version: {version!r}")
+        weights = obj.get("term_weights", {})
+        if not isinstance(weights, dict) or not all(
+            isinstance(ws, dict) and all(type(w) in (int, float) and abs(w) <= sys.float_info.max for w in ws.values())
+            for ws in weights.values()
+        ):
+            raise ValueError("term_weights must map each token to an object of finite numbers")
         return cls(
             seed_tags=dict(obj["seed_tags"]),
-            term_weights={t: dict(ws) for t, ws in obj.get("term_weights", {}).items()},
+            term_weights={t: dict(ws) for t, ws in weights.items()},
             smoothing=float(obj.get("smoothing", 1.0)),
             decision_margin=float(obj.get("decision_margin", 0.0)),
         )
@@ -254,5 +264,7 @@ def load_seeds_file(path: str) -> dict[str, str]:
         if len(parts) != 2:
             raise ValueError(f"{path}:{line_no}: expected 'camp tag', got {line!r}")
         camp, tag = parts
+        if camp.lower() not in CAMPS:
+            raise ValueError(f"{path}:{line_no}: unknown camp {camp!r}, expected one of {', '.join(CAMPS)}")
         seeds[tag.lower().lstrip("#")] = camp.lower()
     return seeds

@@ -108,6 +108,8 @@ class ElectorateSpec:
             raise ValueError("bot_fraction must lie in [0, 1)")
         if type(self.bot_rate) is not int or self.bot_rate < 0:  # bool is not a rate
             raise ValueError("bot_rate must be an integer >= 0")
+        if type(self.rng_seed) is not int or self.rng_seed < 0:  # numpy takes no negative seed
+            raise ValueError("rng_seed must be an integer >= 0")
         if not (0 < self.mean_rate < math.inf and 0 < self.rate_shape < math.inf):
             raise ValueError("mean_rate and rate_shape must be finite and positive")
         checked = tuple(

@@ -22,7 +22,10 @@ O(users + rows).
 
 ``table.categories(mode, day, window=..., start_day=...)`` gives the per-user
 verdicts of one day with the arguments of :func:`electrend.synth.oracle_categories`,
-so the two compare directly. A trend CSV and the sweep summary share one row format.
+so the two compare directly. ``series(table, mode, window=..., start_day=...)``
+takes the same arguments and gives one point per day through the table's
+last day; :func:`first_day` checks them for both queries. A trend CSV and the
+sweep summary share one row format.
 """
 
 from __future__ import annotations
@@ -46,8 +49,7 @@ __all__ = [
     "CounterTable",
     "SweepResult",
     "first_day",
-    "trend_instant",
-    "trend_cumulative",
+    "series",
     "sweep_t0",
     "user_weights",
     "apply_demographic_weights",
@@ -116,10 +118,12 @@ def _verdicts(sums: np.ndarray, cumulative: bool) -> np.ndarray:
 
 
 def first_day(mode: str, day: int, window: int | None = None, start_day: int | None = None) -> int:
-    """The first day a verdict on ``day`` counts; the argument checks of every verdict query.
+    """The first day a verdict on ``day`` counts; the argument checks of every query.
 
-    ``instant`` needs a ``window`` >= 1 (its range is clamped at day 1),
-    ``cumulative`` a ``start_day`` in [1, ``day``]; anything else is a ``ValueError``.
+    :meth:`CounterTable.categories` and :func:`series` (with ``day`` its
+    last day) check their arguments here and nowhere else. ``instant`` needs
+    a ``window`` >= 1 (its range is clamped at day 1), ``cumulative`` a
+    ``start_day`` in [1, ``day``]; anything else is a ``ValueError``.
     """
     if mode == "instant":
         if window is None:
@@ -294,19 +298,22 @@ def _weighted_tally(
     return tally
 
 
-def _series(
-    table: CounterTable, mode: str, days: Iterable[int], origin_date: date | None,
-    weights: np.ndarray | None, include_undecided: bool = True, start_day: int = 1,
-    window: int | None = None,
+def series(
+    table: CounterTable, mode: str, window: int | None = None, start_day: int | None = None,
+    origin_date: date | None = None, weights: np.ndarray | None = None, include_undecided: bool = True,
 ) -> list[TrendPoint]:
-    """One point per day, from a tally of the verdicts entering and leaving each category."""
-    days = list(days)
-    if not days:
+    """One point per day, ``instant`` from day 1 and ``cumulative`` from ``start_day``, to the last day.
+
+    The arguments are those of :meth:`CounterTable.categories`. ``include_undecided``
+    keeps Undecided users in the instant denominator; ``weights`` (one per
+    user, see :func:`user_weights`) reweights the counts.
+    """
+    horizon = table.n_days
+    if not horizon:
         return []
-    if min(days) < start_day:
-        raise ValueError(f"every day must be >= {start_day}")
-    horizon = max(days)
-    user, day, after, before = table._change_points(horizon, start_day, window)
+    first_day(mode, horizon, window, start_day)
+    start, window = (1, window) if mode == "instant" else (start_day, None)
+    user, day, after, before = table._change_points(horizon, start, window)
     if weights is None:
         cells = (horizon + 1) * N_CODES
         delta = np.bincount(day * N_CODES + after, minlength=cells)
@@ -317,44 +324,7 @@ def _series(
     else:
         tally = _weighted_tally(user, day, after, weights, horizon)
     counts = tally.tolist()
-    return [_make_point(d, mode, counts[d][1:], origin_date, include_undecided) for d in days]
-
-
-def trend_instant(
-    table: CounterTable,
-    window: int = 14,
-    days: Iterable[int] | None = None,
-    origin_date: date | None = None,
-    include_undecided: bool = True,
-    weights: np.ndarray | None = None,
-) -> list[TrendPoint]:
-    """Instantaneous series: one point per evaluation day.
-
-    ``include_undecided`` keeps Undecided users in the denominator
-    (the default reading); pass False to report shares of MP+FF only.
-    ``weights`` (one per user, see :func:`user_weights`) reweights the counts.
-    """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    days = range(1, table.n_days + 1) if days is None else days
-    return _series(table, "instant", days, origin_date, weights, include_undecided, window=window)
-
-
-def trend_cumulative(
-    table: CounterTable,
-    start_day: int = 1,
-    days: Iterable[int] | None = None,
-    origin_date: date | None = None,
-    weights: np.ndarray | None = None,
-) -> list[TrendPoint]:
-    """Cumulative series from ``start_day``; denominator spans all four categories.
-
-    ``weights`` (one per user, see :func:`user_weights`) reweights the counts.
-    """
-    if start_day < 1:
-        raise ValueError("start_day must be >= 1")
-    days = range(start_day, table.n_days + 1) if days is None else days
-    return _series(table, "cumulative", days, origin_date, weights, start_day=start_day)
+    return [_make_point(d, mode, counts[d][1:], origin_date, include_undecided) for d in range(start, horizon + 1)]
 
 
 @dataclass(frozen=True)
@@ -379,18 +349,16 @@ def sweep_t0(
     """
     if not start_days:
         raise ValueError("need at least one origin day")
-    if any(t0 > table.n_days for t0 in start_days):
-        raise ValueError("every origin day must be <= the final day")
-    series = {
-        t0: trend_cumulative(table, start_day=t0, origin_date=origin_date)
+    by_origin = {
+        t0: series(table, "cumulative", start_day=t0, origin_date=origin_date)
         for t0 in sorted(set(start_days))
     }
-    finals_ff = [s[-1].pct_ff for s in series.values() if s and s[-1].pct_ff is not None]
-    finals_mp = [s[-1].pct_mp for s in series.values() if s and s[-1].pct_mp is not None]
+    finals_ff = [s[-1].pct_ff for s in by_origin.values() if s and s[-1].pct_ff is not None]
+    finals_mp = [s[-1].pct_mp for s in by_origin.values() if s and s[-1].pct_mp is not None]
     spread_ff = max(finals_ff) - min(finals_ff) if finals_ff else 0.0
     spread_mp = max(finals_mp) - min(finals_mp) if finals_mp else 0.0
     return SweepResult(
-        final_day=table.n_days, series=series, spread_pct_ff=spread_ff, spread_pct_mp=spread_mp
+        final_day=table.n_days, series=by_origin, spread_pct_ff=spread_ff, spread_pct_mp=spread_mp
     )
 
 
@@ -478,9 +446,9 @@ def write_sweep_summary(result: SweepResult, fh) -> None:
     """
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(("t0", "start_day", "final_day", *TREND_CSV_COLUMNS[2:]))
-    for t0, series in sorted(result.series.items()):
-        first = series[0]
-        writer.writerow([first.date.isoformat() if first.date else t0, t0, *_row(series[-1])])
+    for t0, points in sorted(result.series.items()):
+        first = points[0]
+        writer.writerow([first.date.isoformat() if first.date else t0, t0, *_row(points[-1])])
 
 
 def read_trend_csv(fh) -> list[dict]:

@@ -36,9 +36,8 @@ from electrend.synth import (
 from electrend.trend import (
     CounterTable,
     UserCategory,
+    series,
     sweep_t0,
-    trend_cumulative,
-    trend_instant,
 )
 from conftest import dated, day_ts, rec, screen
 
@@ -102,7 +101,7 @@ def stationary():
     spec = ElectorateSpec(n_users=10_000, n_days=120, crosstalk=0.05, rng_seed=20190811)
     start = time.perf_counter()
     table = pipeline_table(spec)
-    points = trend_cumulative(table, start_day=1, origin_date=spec.start_date)
+    points = series(table, "cumulative", start_day=1, origin_date=spec.start_date)
     elapsed = time.perf_counter() - start
     return SimpleNamespace(
         spec=spec, truth=ground_truth(spec), table=table, points=points, elapsed=elapsed
@@ -126,8 +125,8 @@ def drift_run():
     )
     table = pipeline_table(spec)
     return SimpleNamespace(
-        instant=trend_instant(table, window=14, origin_date=spec.start_date),
-        cumulative=trend_cumulative(table, start_day=1, origin_date=spec.start_date),
+        instant=series(table, "instant", window=14, origin_date=spec.start_date),
+        cumulative=series(table, "cumulative", start_day=1, origin_date=spec.start_date),
     )
 
 
@@ -277,11 +276,11 @@ def test_planted_partition():
 
 
 def test_closure_and_permutation(stationary, origin_sweep, drift_run, tmp_path):
-    series = [stationary.points, drift_run.instant, drift_run.cumulative]
-    series.extend(origin_sweep.series.values())
+    all_series = [stationary.points, drift_run.instant, drift_run.cumulative]
+    all_series.extend(origin_sweep.series.values())
     worst = 0.0
     n_points = 0
-    for p in itertools.chain.from_iterable(series):
+    for p in itertools.chain.from_iterable(all_series):
         if p.pct_ff is None:
             continue
         others = p.pct_others if p.pct_others is not None else 0.0

@@ -128,6 +128,28 @@ class TestExitCodes:
         ])
         assert code == 4
 
+    def test_seeds_with_an_unknown_camp(self, pipeline, tmp_path):
+        (tmp_path / "seeds.txt").write_text("ff fuerzacristina\ngreen #verde\n")
+        result = run_cli(["train", pipeline.clean, "-o", "m.json", "--seeds", "seeds.txt"], tmp_path)
+        assert result.returncode == 4, result.stderr
+        assert "seeds.txt:2: unknown camp 'green'" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["seeds.txt"]
+
+    @pytest.mark.parametrize(
+        "model",
+        ["[1,2]", '{"format_version": 1, "seed_tags": {"a": "ff"}, "term_weights": {"x": 5}}',
+         '{"format_version": 1, "seed_tags": {"a": "ff"}, "term_weights": {"x": {"ff": NaN}}}'],
+        ids=["list", "number-weights", "nan-weight"],
+    )
+    def test_malformed_model_file(self, model, pipeline, tmp_path):
+        (tmp_path / "model.json").write_text(model)
+        result = run_cli(["classify", pipeline.clean, "-o", "out.jsonl", "--model", "model.json", "--workers", "1"], tmp_path)
+        assert result.returncode == 4, result.stderr
+        assert "bad model file: " in result.stderr
+        assert "Traceback" not in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
     def test_queries_file_without_queries(self, pipeline, tmp_path):
         queries = tmp_path / "queries.txt"
         queries.write_text("# comments only\n")
@@ -372,6 +394,8 @@ class TestMalformedFields:
         "t-string": ("t", "x"),
         "t-float": ("t", 1.7),
         "t-bool": ("t", True),
+        "ts-before-calendar": ("ts", "0001-01-01T00:00:00+05:00"),
+        "ts-last-day": ("ts", "9999-12-31T23:00:00"),
     }
 
     @staticmethod
@@ -400,6 +424,15 @@ class TestMalformedFields:
             assert "Traceback" not in result.stderr
             assert not (tmp_path / argv[3]).exists()
 
+    @pytest.mark.parametrize("ts, hours", [("9999-12-31T23:00:00", "3"), ("0001-01-01T01:00:00", "-3")])
+    def test_day_offset_cannot_leave_the_calendar(self, ts, hours, pipeline, tmp_path):
+        self.corrupt_third_line(pipeline.raw, tmp_path / "raw.jsonl", "ts", ts)
+        result = run_cli(["ingest", "raw.jsonl", "-o", "clean.jsonl", "--day-offset-hours", hours], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        rejects = (tmp_path / "raw.jsonl.rejects.txt").read_text().splitlines()
+        assert rejects[0] == f"3\tparse: timestamp {ts!r} out of range"
+
 
 class TestLabeledLineChecks:
     """A labeled line the estimators cannot place is a data error naming its line."""
@@ -407,6 +440,8 @@ class TestLabeledLineChecks:
     CASES = {
         "t-zero": ({"t": 0}, "day index must be >= 1, got 0"),
         "t-negative": ({"t": -4}, "day index must be >= 1, got -4"),
+        "t-past-calendar": ({"t": 10**20}, "day index must be <= 3652059, got 100000000000000000000"),
+        "t-huge": ({"t": 3_000_000_000}, "day index must be <= 3652059, got 3000000000"),
         "no-stance": ({"stance": None}, "no stance label; run the classify subcommand first"),
         "no-t": ({"t": None}, "no day index 't'; run the ingest subcommand first"),
     }
@@ -437,6 +472,15 @@ class TestLabeledLineChecks:
         result = run_cli(self.STAGES[stage], tmp_path)
         assert result.returncode == 4, result.stderr
         assert f"in.jsonl:3: {message}" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+    def test_day_index_past_the_origin_calendar(self, pipeline, tmp_path):
+        # day 3652059 is 9999-12-31 from 0001-01-01, and beyond the calendar from 2019-03-01
+        self.change_third_line(pipeline.labeled, tmp_path / "in.jsonl", {"t": 3652059})
+        result = run_cli(["trend", "in.jsonl", "-o", "out", "--origin-date", "2019-03-01"], tmp_path)
+        assert result.returncode == 4, result.stderr
+        assert "in.jsonl:3: day index must be <= 2914941, got 3652059" in result.stderr
         assert "Traceback" not in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
 
@@ -869,8 +913,9 @@ class TestSynthCommand:
         "flags",
         [["--users", "0"], ["--users", "5", "--mean-rate", "nan"], ["--users", "5", "--mean-rate", "inf"],
          ["--users", "5", "--rate-shape", "nan"], ["--users", "20", "--mix", "1,nan,0"],
-         ["--users", "20", "--drift", "2:1,nan,0"], ["--users", "20", "--bot-fraction", "0.1", "--bot-rate", "-1"]],
-        ids=["no-users", "nan-rate", "inf-rate", "nan-shape", "nan-mix", "nan-drift", "negative-bot-rate"],
+         ["--users", "20", "--drift", "2:1,nan,0"], ["--users", "20", "--bot-fraction", "0.1", "--bot-rate", "-1"],
+         ["--users", "5", "--seed", "-1"]],
+        ids=["no-users", "nan-rate", "inf-rate", "nan-shape", "nan-mix", "nan-drift", "negative-bot-rate", "negative-seed"],
     )
     def test_bad_spec_flags_exit_4(self, flags, tmp_path):
         result = run_cli(["synth", "-o", "c.jsonl", "--days", "3", *flags], tmp_path)
@@ -885,6 +930,17 @@ class TestSynthCommand:
         assert result.returncode == 4, result.stderr
         assert "Traceback" not in result.stderr
         assert "invalid electorate spec: need n_users >= 1" in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+    @pytest.mark.parametrize("seed", [-1, True], ids=["negative", "bool"])
+    def test_spec_file_with_a_bad_seed_exits_4(self, seed, tmp_path):
+        spec = ElectorateSpec(n_users=5, n_days=3).to_dict()
+        spec["rng_seed"] = seed
+        (tmp_path / "s.json").write_text(json.dumps(spec))
+        result = run_cli(["synth", "-o", "c.jsonl", "--spec", "s.json"], tmp_path)
+        assert result.returncode == 4, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "bad spec file: rng_seed must be an integer >= 0" in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
     def test_gzip_corpus_accepted_downstream(self, tmp_path):
@@ -912,3 +968,18 @@ class TestValidateCommand:
         assert "PASS oracle-equivalence-instant" in out
         assert "PASS ground-truth-recovery" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize(
+        "n_users, tolerance, code",
+        [(400, "100", 0), (400, "-1", 1), (0, "100", 1)],
+        ids=["pass", "failed-check", "failed-step"],
+    )
+    def test_temp_workdir_is_removed(self, n_users, tolerance, code, tmp_path, monkeypatch, capsys):
+        spec_path = tmp_path / "v.spec.json"
+        ElectorateSpec(n_users=n_users, n_days=8, mean_rate=1.0, rng_seed=3).save(str(spec_path))
+        temp = tmp_path / "temp"
+        temp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        assert main(["validate", "--spec", str(spec_path), "--tolerance", tolerance]) == code
+        assert not list(temp.iterdir())
+        assert "(workdir " not in capsys.readouterr().out

@@ -1,4 +1,9 @@
-"""Every worked example in ``demos/`` runs to the end on the current library API."""
+"""Every worked example in ``demos/`` runs to the end on the current library API.
+
+Each demo's standard output is pinned in ``demo_stdout/<stem>.txt``: a change
+that moves a printed number, or a line, shows here. To re-pin after an
+intended change, run the demo from an empty directory and save its stdout.
+"""
 
 import os
 import subprocess
@@ -9,7 +14,8 @@ import pytest
 
 import electrend
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+HERE = Path(__file__).resolve().parent
+DEMOS = sorted((HERE.parent / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
@@ -22,3 +28,4 @@ def test_demo_runs(demo, tmp_path):
     )
     assert result.returncode == 0, result.stderr[-2000:]
     assert "Traceback" not in result.stderr
+    assert result.stdout == (HERE / "demo_stdout" / f"{demo.stem}.txt").read_text(encoding="utf-8")

@@ -69,6 +69,18 @@ class TestParseRecord:
         r = parse_record('{"id":"1","user":"u","ts":"2019-03-01T10:00:00","text":"x"}')
         assert r.created_at == datetime(2019, 3, 1, 10, tzinfo=UTC)
 
+    def test_calendar_edge_timestamps_are_parse_errors(self):
+        # UTC dates 0001-01-01 and 9999-12-31, or before the calendar once in UTC
+        for ts in ("0001-01-01T00:00:00+05:00", "0001-01-01T10:00:00Z", "0001-01-02T01:00:00+05:00",
+                   "9999-12-31T23:00:00", "9999-12-31T00:00:00Z"):
+            with pytest.raises(ParseError, match="out of range") as err:
+                parse_record(json.dumps({"id": "1", "user": "u", "ts": ts, "text": "x"}), line_no=3)
+            assert err.value.line_no == 3
+        # one day in, every day offset still dates the record
+        for ts in ("0001-01-02T00:00:00Z", "9999-12-30T23:59:59Z"):
+            record = parse_record(json.dumps({"id": "1", "user": "u", "ts": ts, "text": "x"}))
+            assert effective_date(record, 24) - effective_date(record, -24) == timedelta(days=2)
+
     @pytest.mark.parametrize("missing", ["id", "user", "ts", "text"])
     def test_missing_required_field(self, missing):
         obj = {"id": "1", "user": "u", "ts": "2019-03-01T00:00:00Z", "text": "x"}

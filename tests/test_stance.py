@@ -56,6 +56,12 @@ class TestSeeds:
         with pytest.raises(ValueError):
             load_seeds_file(str(path))
 
+    def test_seeds_file_unknown_camp_names_the_line(self, tmp_path):
+        path = tmp_path / "seeds.txt"
+        path.write_text("ff fuerzacristina\ngreen #verde\n")
+        with pytest.raises(ValueError, match=r"seeds.txt:2: unknown camp 'green'"):
+            load_seeds_file(str(path))
+
 
 class TestClassifyTweet:
     def test_single_ff_seed_wins(self):
@@ -149,6 +155,17 @@ class TestTraining:
     def test_unsupported_model_version_rejected(self):
         with pytest.raises(ValueError):
             LexiconModel.from_dict({"format_version": 99, "seed_tags": {}})
+
+    @pytest.mark.parametrize(
+        "weights",
+        [{"x": 5}, {"x": {"ff": float("nan")}}, {"x": {"ff": "1"}}, {"x": {"ff": True}}, {"x": {"ff": 10**400}}, [1]],
+        ids=["number", "nan", "string", "bool", "huge-int", "list"],
+    )
+    def test_malformed_model_rejected(self, weights):
+        with pytest.raises(ValueError, match="term_weights"):
+            LexiconModel.from_dict({"format_version": 1, "seed_tags": {"a": "ff"}, "term_weights": weights})
+        with pytest.raises(ValueError, match="not a JSON object"):
+            LexiconModel.from_dict([1, 2])
 
 
 class TestClassifyCorpus:

@@ -43,6 +43,11 @@ class TestSpec:
         with pytest.raises(ValueError, match="drift day"):
             small_spec(drift=((6, (0.3, 0.5, 0.2)),))
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "7"])
+    def test_rng_seed_is_an_int_at_least_zero(self, seed):
+        with pytest.raises(ValueError, match="rng_seed must be an integer >= 0"):
+            small_spec(rng_seed=seed)
+
     def test_positive_rates_required(self):
         with pytest.raises(ValueError):
             small_spec(mean_rate=0.0)

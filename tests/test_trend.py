@@ -21,9 +21,8 @@ from electrend.trend import (
     UserCategory,
     apply_demographic_weights,
     read_trend_csv,
+    series,
     sweep_t0,
-    trend_cumulative,
-    trend_instant,
     user_weights,
     write_sweep_summary,
     write_trend_csv,
@@ -176,11 +175,17 @@ class TestVectorizedAgainstReference:
         with pytest.raises(ValueError) as oracle:
             oracle_categories(counts, **cfg)
         assert str(fast.value) == str(oracle.value)
+        # a series asks on its last day: cut the table there
+        last = table_from({u: {d: c for d, c in days.items() if d <= cfg["day"]} for u, days in counts.items()})
+        assert last.n_days == cfg["day"]
+        with pytest.raises(ValueError) as whole:
+            series(last, cfg["mode"], cfg.get("window"), cfg.get("start_day"))
+        assert str(whole.value) == str(oracle.value)
 
 
 class TestTrendPoints:
     def test_three_user_split(self, tiny_table):
-        point = trend_instant(tiny_table, window=14)[0]
+        point = series(tiny_table, "instant", window=14)[0]
         assert point.n_ff == 2 and point.n_mp == 1
         assert point.pct_ff == pytest.approx(200 / 3)
         assert point.pct_mp == pytest.approx(100 / 3)
@@ -189,19 +194,19 @@ class TestTrendPoints:
     def test_empty_window_gives_null_point(self):
         # day 30 extends the calendar, and its window misses all MP/FF activity
         table = table_from({"u": {1: (1, 0, 0), 30: (0, 0, 1)}})
-        point = [p for p in trend_instant(table, window=5) if p.day == 30][0]
+        point = [p for p in series(table, "instant", window=5) if p.day == 30][0]
         assert point.denominator == 0
         assert point.pct_ff is None and point.pct_mp is None and point.pct_others is None
 
     def test_singleton_full_share(self):
         table = table_from({"u": {1: (0, 1, 0)}})
-        point = trend_cumulative(table)[0]
+        point = series(table, "cumulative", start_day=1)[0]
         assert point.pct_ff == pytest.approx(100.0)
         assert point.denominator == 1
 
     def test_cumulative_denominator_includes_unclassified(self):
         table = table_from({"a": {1: (1, 0, 0)}, "b": {1: (0, 0, 2)}})
-        point = trend_cumulative(table)[0]
+        point = series(table, "cumulative", start_day=1)[0]
         assert point.n_unclassified == 1
         assert point.denominator == 2
         assert point.pct_mp == pytest.approx(50.0)
@@ -209,21 +214,21 @@ class TestTrendPoints:
 
     def test_instant_exclude_undecided_denominator(self):
         table = table_from({"a": {1: (1, 0, 0)}, "b": {1: (2, 2, 0)}})
-        with_u = trend_instant(table, window=14)[0]
-        without_u = trend_instant(table, window=14, include_undecided=False)[0]
+        with_u = series(table, "instant", window=14)[0]
+        without_u = series(table, "instant", window=14, include_undecided=False)[0]
         assert with_u.denominator == 2 and with_u.pct_mp == pytest.approx(50.0)
         assert without_u.denominator == 1 and without_u.pct_mp == pytest.approx(100.0)
 
     def test_origin_date_fills_calendar_column(self):
         table = table_from({"u": {2: (1, 0, 0)}})
-        points = trend_instant(table, origin_date=date(2019, 3, 1))
+        points = series(table, "instant", window=14, origin_date=date(2019, 3, 1))
         assert points[0].date == date(2019, 3, 1)
         assert points[1].date == date(2019, 3, 2)
 
     def test_closure_on_every_point(self):
         counts, _ = TestVectorizedAgainstReference().random_table(11)
         table = table_from(counts)
-        for point in trend_instant(table, window=7) + trend_cumulative(table):
+        for point in series(table, "instant", window=7) + series(table, "cumulative", start_day=1):
             if point.denominator > 0:
                 assert point.pct_ff + point.pct_mp + point.pct_others == pytest.approx(
                     100.0, abs=0.01
@@ -264,8 +269,8 @@ class TestPermutationAndIncremental:
         shuffled = triples[:]
         rng.shuffle(shuffled)
         t2 = CounterTable(shuffled)
-        assert trend_instant(t1, window=7) == trend_instant(t2, window=7)
-        assert trend_cumulative(t1) == trend_cumulative(t2)
+        assert series(t1, "instant", window=7) == series(t2, "instant", window=7)
+        assert series(t1, "cumulative", start_day=1) == series(t2, "cumulative", start_day=1)
 
     def test_columns_reject_day_zero(self):
         with pytest.raises(ValueError, match="got 0"):
@@ -316,7 +321,7 @@ class TestDemographicWeights:
             }
         )
         cats = table.categories("cumulative", 1, start_day=1)
-        point = trend_cumulative(table)[0]
+        point = series(table, "cumulative", start_day=1)[0]
         strata = {"a1": "A", "a2": "A", "a3": "A", "b1": "B"}
         return point, cats, strata
 
@@ -363,7 +368,7 @@ class TestDemographicWeights:
 
 class TestCsv:
     def test_round_trip_and_header(self, tiny_table):
-        points = trend_cumulative(tiny_table, origin_date=date(2019, 3, 1))
+        points = series(tiny_table, "cumulative", start_day=1, origin_date=date(2019, 3, 1))
         buf = io.StringIO()
         write_trend_csv(points, buf)
         text = buf.getvalue()
@@ -481,19 +486,20 @@ class TestSeriesAgainstOracle:
         if table.n_days == 0:
             return
         weights = user_weights(table.users, stratum_weights, strata)
-        days = range(1, table.n_days + window + 2)  # past the last day, as the window drains
 
-        plain = trend_instant(table, window=window, days=days)
-        weighted = trend_instant(table, window=window, days=days, weights=weights)
+        plain = series(table, "instant", window=window)
+        weighted = series(table, "instant", window=window, weights=weights)
+        assert [p.day for p in plain] == [p.day for p in weighted] == list(range(1, table.n_days + 1))
         for point, reweighted in zip(plain, weighted):
             cats, tally = self.oracle_counts(table_dict, "instant", point.day, window=window)
             assert self.counts_of(point) == tally
             reference = apply_demographic_weights(point, stratum_weights, strata, cats)
             assert self.counts_of(reweighted) == self.counts_of(reference)
 
-        t0 = min(origins)
-        plain = trend_cumulative(table, start_day=t0, days=range(t0, 41))
-        weighted = trend_cumulative(table, start_day=t0, days=range(t0, 41), weights=weights)
+        t0 = min(min(origins), table.n_days)
+        plain = series(table, "cumulative", start_day=t0)
+        weighted = series(table, "cumulative", start_day=t0, weights=weights)
+        assert [p.day for p in plain] == [p.day for p in weighted] == list(range(t0, table.n_days + 1))
         for point, reweighted in zip(plain, weighted):
             cats, tally = self.oracle_counts(table_dict, "cumulative", point.day, start_day=t0)
             assert self.counts_of(point) == tally
@@ -501,9 +507,9 @@ class TestSeriesAgainstOracle:
             assert self.counts_of(reweighted) == self.counts_of(reference)
 
         result = sweep_t0(table, [t0 for t0 in origins if t0 <= table.n_days] or [1])
-        for t0, series in result.series.items():
-            assert [p.day for p in series] == list(range(t0, table.n_days + 1))
-            for point in series:
+        for t0, points in result.series.items():
+            assert [p.day for p in points] == list(range(t0, table.n_days + 1))
+            for point in points:
                 _, tally = self.oracle_counts(table_dict, "cumulative", point.day, start_day=t0)
                 assert self.counts_of(point) == tally
 
@@ -515,18 +521,18 @@ class TestSeriesAgainstOracle:
             stratum_weights = {s: rng.uniform(0, 3) for s in "ABC"}
             weights = user_weights(table.users, stratum_weights, strata)
             window = rng.randint(1, 20)
-            for point in trend_instant(table, window=window, weights=weights):
+            for point in series(table, "instant", window=window, weights=weights):
                 cats = oracle_categories(counts, "instant", day=point.day, window=window)
                 assert point == apply_demographic_weights(point, stratum_weights, strata, cats)
             t0 = rng.randint(1, table.n_days)
-            for point in trend_cumulative(table, start_day=t0, weights=weights):
+            for point in series(table, "cumulative", start_day=t0, weights=weights):
                 cats = oracle_categories(counts, "cumulative", day=point.day, start_day=t0)
                 assert point == apply_demographic_weights(point, stratum_weights, strata, cats)
 
     def test_weight_vector_must_match_users(self):
         table = table_from({"a": {1: (1, 0, 0)}, "b": {2: (0, 1, 0)}})
         with pytest.raises(ValueError):
-            trend_cumulative(table, weights=np.ones(3))
+            series(table, "cumulative", start_day=1, weights=np.ones(3))
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
