@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 from datetime import date
 from hashlib import blake2b
@@ -72,7 +73,7 @@ def _text_key(text: str) -> int:
 class _UserState:
     total: int = 0
     day_counts: dict = field(default_factory=dict)
-    texts: set = field(default_factory=set)
+    texts: array = field(default_factory=lambda: array("Q"))  # one text key per record
     first_ts: float = math.inf
     last_ts: float = -math.inf
 
@@ -90,10 +91,24 @@ class ActivityTracker:
             state = self._users[record.user_id] = _UserState()
         state.total += 1
         state.day_counts[day] = state.day_counts.get(day, 0) + 1
-        state.texts.add(_text_key(record.text))
+        state.texts.append(_text_key(record.text))
         ts = record.created_at.timestamp()
         state.first_ts = min(state.first_ts, ts)
         state.last_ts = max(state.last_ts, ts)
+
+    def merge(self, other: ActivityTracker) -> None:
+        """Take over the records ``other`` counted, as if they had been added here."""
+        for user_id, theirs in other._users.items():
+            state = self._users.get(user_id)
+            if state is None:
+                self._users[user_id] = theirs
+                continue
+            state.total += theirs.total
+            for day, n in theirs.day_counts.items():
+                state.day_counts[day] = state.day_counts.get(day, 0) + n
+            state.texts.extend(theirs.texts)
+            state.first_ts = min(state.first_ts, theirs.first_ts)
+            state.last_ts = max(state.last_ts, theirs.last_ts)
 
     def profiles(self) -> dict[str, UserActivity]:
         out = {}
@@ -108,7 +123,7 @@ class ActivityTracker:
                 total_tweets=s.total,
                 active_days=len(s.day_counts),
                 max_tweets_per_day=max(s.day_counts.values()),
-                duplicate_text_ratio=1.0 - len(s.texts) / s.total,
+                duplicate_text_ratio=1.0 - len(set(s.texts)) / s.total,
                 mean_inter_tweet_seconds=mean_gap,
             )
         return out

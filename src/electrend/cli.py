@@ -6,8 +6,9 @@ Each subcommand adapts its flags to the library, which holds the rules
 Exit codes: 0 success, 1 validation check failed, 2 usage error (a
 malformed ``--origin-date`` or ``--start-date``, a ``--window``, ``--top-k``
 or ``--workers`` below 1, a ``--day-offset-hours`` outside [-24, 24], a
-``--bot-*`` or ``--margin`` that is not a finite number >= 0 and a
-``--smoothing`` that is not one > 0 included), 3 input not readable or
+``--bot-*`` or ``--margin`` that is not a finite number >= 0, a
+``--smoothing`` that is not one > 0 and a ``--tolerance`` that is not a
+finite number included), 3 input not readable or
 output not writable, 4 data error (empty or malformed corpus, no record
 accepted, a damaged meta sidecar, bad model, bad spec or one with no users).
 Logs go to standard error with a ``LEVEL name:`` prefix; every run
@@ -31,7 +32,7 @@ import os
 import sys
 import tempfile
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import closing, contextmanager
 from datetime import date
 from typing import Callable, Iterator, Sequence
 
@@ -47,9 +48,11 @@ from .ingest import (
     ingest_lines,
     iter_lines,
     iter_text_lines,
+    map_chunks,
     parse_label,
     parse_record,
     record_to_json,
+    usable_cpus,
 )
 
 __all__ = ["main"]
@@ -105,28 +108,46 @@ class _Corpus:
 
     A malformed line is a data error naming ``path:line``, a read error is
     an input error, and a corpus without records is a data error once the
-    read ends. ``records`` counts the lines decoded so far.
+    read ends. ``records`` counts the lines read so far.
     """
 
-    def __init__(self, path: str, decode: Callable):
+    def __init__(self, path: str, decode: Callable = parse_record):
         self.path = path
         self.decode = decode
         self.records = 0
 
     def __iter__(self) -> Iterator:
-        path, decode = self.path, self.decode
-        try:
-            for line_no, line in iter_lines(path):
-                try:
-                    item = decode(line, line_no)
-                except ParseError as exc:
-                    raise CliError(EXIT_DATA, f"{path}:{line_no}: {exc.reason}") from None
+        decode = self.decode
+        with self._errors():
+            for line_no, line in iter_lines(self.path):
+                item = decode(line, line_no)
                 self.records += 1
                 yield item
+
+    def chunks(self, fn: Callable[[list], object], workers: int) -> Iterator:
+        """``fn`` of each chunk of ``(line_no, line)`` pairs, in line order, on ``workers`` processes (see ``map_chunks``).
+
+        ``fn`` raises :class:`ParseError` for a malformed line.
+        """
+
+        def counted() -> Iterator[tuple[int, str]]:
+            for item in iter_lines(self.path):
+                self.records += 1
+                yield item
+
+        with self._errors(), closing(map_chunks(fn, counted(), workers)) as results:
+            yield from results
+
+    @contextmanager
+    def _errors(self) -> Iterator[None]:
+        try:
+            yield
+        except ParseError as exc:
+            raise CliError(EXIT_DATA, f"{self.path}:{exc.line_no}: {exc.reason}") from None
         except OSError as exc:
-            raise CliError(EXIT_INPUT, f"cannot read corpus {path}: {exc}") from None
+            raise CliError(EXIT_INPUT, f"cannot read corpus {self.path}: {exc}") from None
         if not self.records:
-            raise CliError(EXIT_DATA, f"corpus {path} contains no records")
+            raise CliError(EXIT_DATA, f"corpus {self.path} contains no records")
 
 
 def _iso_date(token: str) -> date:
@@ -306,7 +327,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    seeds = None
+    seeds = stance.DEFAULT_SEEDS
     if args.seeds:
         try:
             seeds = stance.load_seeds_file(args.seeds)
@@ -314,11 +335,16 @@ def cmd_train(args: argparse.Namespace) -> int:
             raise CliError(EXIT_INPUT, f"cannot read seeds file: {exc}") from None
         except ValueError as exc:
             raise CliError(EXIT_DATA, str(exc)) from None
-    records = _Corpus(args.input, parse_record)
+
+    def count(lines: list) -> stance.SeedCounts:
+        return stance.count_seeded((parse_record(line, line_no) for line_no, line in lines), seeds)
+
+    corpus = _Corpus(args.input)
+    counts = stance.SeedCounts()
+    for part in corpus.chunks(count, usable_cpus()):
+        counts.update(part)
     try:
-        model = stance.train_from_seeds(
-            records, seeds, smoothing=args.smoothing, decision_margin=args.margin
-        )
+        model = stance.fit(counts, seeds, smoothing=args.smoothing, decision_margin=args.margin)
     except stance.TrainingError as exc:
         raise CliError(EXIT_DATA, f"training failed: {exc}") from None
     model.save(args.output)
@@ -331,60 +357,41 @@ def cmd_train(args: argparse.Namespace) -> int:
     run.write(args.output + ".manifest.json")
     log.info(
         "train: %d records, %d camps, %d vocabulary terms",
-        records.records,
+        corpus.records,
         len(model.camps),
         len(model.term_weights),
     )
     return EXIT_OK
 
 
-# The model _classify_line uses, loaded by _classify_init in this process
-# and in every pool worker.
-_WORKER_MODEL: stance.LexiconModel | None = None
-
-
-def _classify_init(model_path: str) -> None:
-    global _WORKER_MODEL
-    _WORKER_MODEL = stance.LexiconModel.load(model_path)
-
-
-def _classify_line(item: tuple[int, str]) -> tuple[str, str]:
-    line_no, line = item
-    record = parse_record(line, line_no)
-    label = stance.classify_tweet(record, _WORKER_MODEL)
-    record.stance = label.value
-    return label.value, record_to_json(record)
-
-
 def cmd_classify(args: argparse.Namespace) -> int:
     try:
-        _classify_init(args.model)
+        model = stance.LexiconModel.load(args.model)
     except (ValueError, KeyError) as exc:
         raise CliError(EXIT_DATA, f"bad model file: {exc}") from None
     meta = _load_meta(args.input)
 
-    workers = args.workers or os.cpu_count() or 1
-    counts: Counter = Counter()
-    try:
-        with atomic_text(args.output) as out, ExitStack() as stack:
-            lines = iter_lines(args.input)
-            if workers > 1:
-                import multiprocessing
-
-                pool = stack.enter_context(
-                    multiprocessing.Pool(workers, initializer=_classify_init, initargs=(args.model,))
-                )
-                results = pool.imap(_classify_line, lines, chunksize=512)
+    def label(lines: list) -> tuple[Counter, str]:
+        """The stance tally of a chunk and its labeled lines: each line plus its stance."""
+        counts: Counter = Counter()
+        labeled = []
+        for line_no, line in lines:
+            record = parse_record(line, line_no)
+            value = stance.classify_tweet(record, model).value
+            counts[value] += 1
+            if '"stance"' in line and "stance" in json.loads(line):  # a stance to replace: encode anew
+                record.stance = value
+                labeled.append(record_to_json(record) + "\n")
             else:
-                results = map(_classify_line, lines)
-            for value, line in results:
-                counts[value] += 1
-                out.write(line)
-                out.write("\n")
-            if not counts:
-                raise CliError(EXIT_DATA, f"corpus {args.input} contains no records")
-    except ParseError as exc:
-        raise CliError(EXIT_DATA, f"{args.input}:{exc.line_no}: {exc.reason}") from None
+                labeled.append(f'{line[:-1]}, "stance": "{value}"}}\n')
+        return counts, "".join(labeled)
+
+    workers = args.workers or usable_cpus()
+    counts: Counter = Counter()
+    with atomic_text(args.output) as out:
+        for tally, text in _Corpus(args.input).chunks(label, workers):
+            counts.update(tally)
+            out.write(text)
     n = sum(counts.values())
 
     if meta is not None:
@@ -802,7 +809,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="clean corpus from ingest")
     p.add_argument("-o", "--output", required=True, help="labeled corpus to write")
     p.add_argument("--model", required=True, help="model file from train")
-    p.add_argument("--workers", type=_positive_int, default=None, help="worker processes (default: all cores)")
+    p.add_argument("--workers", type=_positive_int, default=None, help="worker processes (default: the CPUs this process may use)")
 
     p = add("trend", cmd_trend, "aggregate a labeled corpus into a trend series")
     p.add_argument("input", help="labeled corpus from classify")
@@ -851,7 +858,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("validate", cmd_validate, "synth + full pipeline + oracle and recovery checks")
     p.add_argument("--spec", default=None, help="electorate spec JSON (default: builtin 6k-user spec)")
     p.add_argument("--workdir", default=None, help="keep the run's files here (default: a temp dir, removed at the end)")
-    p.add_argument("--tolerance", type=float, default=1.5, help="max final-day recovery error in points")
+    p.add_argument("--tolerance", type=_number("a finite number", lambda x: True), default=1.5, help="max final-day recovery error in points")
 
     return parser
 

@@ -17,11 +17,13 @@ import os
 import re
 import tempfile
 import zlib
-from collections import Counter
-from contextlib import ExitStack, contextmanager, suppress
+from collections import Counter, deque
+from contextlib import ExitStack, closing, contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
-from typing import Iterable, Iterator, TextIO
+from functools import partial
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, TextIO
 
 from .botfilter import ActivityTracker, BotConfig, BotVerdict, flag_bots
 
@@ -47,6 +49,8 @@ __all__ = [
     "atomic_text",
     "iter_lines",
     "iter_text_lines",
+    "usable_cpus",
+    "map_chunks",
     "ingest_lines",
 ]
 
@@ -78,6 +82,7 @@ _UTC = timezone.utc
 _ENCODE = json.encoder.c_make_encoder(
     None, json.JSONEncoder().default, json.encoder.encode_basestring, None, ": ", ", ", False, False, True
 )
+_encode_str = json.encoder.encode_basestring  # the string encoder of _ENCODE
 # The scanner json.loads calls after its BOM and whitespace handling, which
 # a stripped line does not need.
 _SCAN = json.JSONDecoder().scan_once
@@ -405,6 +410,89 @@ def iter_lines(path: str) -> Iterator[tuple[int, str]]:
             raise OSError(f"{path}: damaged gzip stream: {exc}") from None
 
 
+# Lines per task of :func:`map_chunks`, and tasks in flight per worker process.
+CHUNK_LINES = 512
+_CHUNKS_PER_WORKER = 2
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# The chunk function of the pool this process serves, set when the worker starts.
+_CHUNK_FN: Callable | None = None
+
+
+def _serve(fn: Callable) -> None:
+    global _CHUNK_FN
+    _CHUNK_FN = fn
+
+
+def _call(chunk: list):
+    return _CHUNK_FN(chunk)
+
+
+def _fork_pool(workers: int, fn: Callable):
+    """A pool of ``workers`` forked processes that run ``fn`` on the chunks they are sent."""
+    from multiprocessing import get_context
+    from multiprocessing.pool import Pool
+
+    class QuietPool(Pool):
+        # Pool's worker handler also waits on the result pipe, so it polls in a loop
+        # until the result handler has read a large result: a fifth of the parent's
+        # CPU in ingest. Worker exits and an emptied task cache still wake it.
+        def _get_sentinels(self):
+            return [self._change_notifier._reader]
+
+    return QuietPool(workers, _serve, (fn,), context=get_context("fork"))
+
+
+def map_chunks(fn: Callable[[list], object], lines: Iterable[tuple[int, str]], workers: int) -> Iterator:
+    """``fn`` of each run of :data:`CHUNK_LINES` ``(line_no, line)`` pairs, in input order.
+
+    With one worker, or input that fits in one chunk, ``fn`` runs in this
+    process. Otherwise a pool of ``workers`` forked processes runs it, with
+    at most ``2 * workers`` chunks in flight; the workers inherit ``fn``, so
+    it need not pickle, but its chunks and results do. An exception from
+    ``fn`` is raised when its chunk's turn comes, so the first bad chunk in
+    input order decides it. A read error (``OSError``) from ``lines`` is
+    raised after the chunks read before it. The pool ends with the iterator:
+    exhausted, failed or closed. Forking is safe only in a process that runs
+    no other thread, as the CLI's do not.
+    """
+    read_error: list[OSError] = []
+
+    def read() -> Iterator[tuple[int, str]]:
+        try:
+            yield from lines
+        except OSError as exc:
+            read_error.append(exc)
+
+    it = read()
+    chunks = iter(lambda: list(islice(it, CHUNK_LINES)), [])
+    head = list(islice(chunks, 2))
+    pooled = workers > 1 and len(head) > 1
+    chunks = chain(head, chunks)
+    del head  # so that each chunk is freed once taken
+    if not pooled:
+        yield from map(fn, chunks)
+    else:
+        with _fork_pool(workers, fn) as pool:
+            pending: deque = deque()
+            for chunk in chunks:
+                pending.append(pool.apply_async(_call, (chunk,)))
+                if len(pending) == _CHUNKS_PER_WORKER * workers:
+                    yield pending.popleft().get()
+            while pending:
+                yield pending.popleft().get()
+    if read_error:
+        raise read_error[0]
+
+
 def iter_text_lines(path: str) -> Iterator[tuple[int, str]]:
     """(line_no, line) of a small text file, skipping blank and ``#`` comment lines.
 
@@ -444,6 +532,48 @@ class IngestResult:
     verdicts: list[BotVerdict]  # every profiled user, sorted by id; empty when bots is None
 
 
+def _pass_one(config: IngestConfig, chunk: list[tuple[int, str]]) -> tuple:
+    """Pass 1 of :func:`ingest_lines` over one chunk of lines.
+
+    Returns the number of lines, their rejects sidecar text, the rejects by
+    reason, their spool rows, the kept records' user profiles (None without
+    the bot rules) and the earliest effective date's ordinal (None when no
+    line is kept).
+    """
+    queries, drop_retweets, offset = config.queries, config.drop_retweets, config.day_offset_hours
+    tracker = ActivityTracker() if config.bots is not None else None
+    counts: Counter = Counter()
+    rejects, rows = [], []
+    first = None
+
+    def reject(line_no: int, reason: str) -> None:
+        counts[reason.partition(":")[0]] += 1
+        rejects.append(f"{line_no}\t{reason}\n")
+
+    for line_no, line in chunk:
+        try:
+            record = parse_record(line, line_no)
+        except ParseError as exc:
+            reject(line_no, f"parse: {exc.reason}")
+            continue
+        if drop_retweets and record.text.startswith("RT @"):
+            reject(line_no, "retweet")
+            continue
+        if queries is not None and not matches_query(record, queries):
+            reject(line_no, "no-query-match")
+            continue
+        day = effective_date(record, offset)
+        ordinal = day.toordinal()
+        if first is None or ordinal < first:
+            first = ordinal
+        if tracker is not None:
+            tracker.add(record, day)
+        # JSON text holds no raw tab or newline, so the fields split back cleanly.
+        head, tail = record_parts(record)
+        rows.append(f"{line_no}\t{ordinal}\t{_encode_str(record.user_id)}\t{head}\t{tail}\n")
+    return len(chunk), "".join(rejects), counts, "".join(rows), tracker, first
+
+
 def ingest_lines(
     lines: Iterable[tuple[int, str]], config: IngestConfig, out: TextIO, rejects: TextIO, spool_dir: str | None = None
 ) -> IngestResult:
@@ -451,57 +581,43 @@ def ingest_lines(
 
     Kept records go to ``out`` as dated corpus lines in input order, dropped
     lines to ``rejects`` as ``line_no<TAB>reason``. Pass 1 reads ``lines``
-    once: the parse, retweet and query rules, user profiles on effective
-    dates, the origin, and a spool row "line_no, date ordinal, user number,
-    line head, line tail" per kept line in an anonymous temp file in
+    once, in chunks that :func:`map_chunks` spreads over the usable CPUs:
+    the parse, retweet and query rules, user profiles on effective dates,
+    the origin, and a spool row "line_no, date ordinal, user as a JSON
+    string, line head, line tail" per kept line in an anonymous temp file in
     ``spool_dir``. Pass 2 reads the spool and applies the bot and origin
     rules. Raises :class:`NoRecordsError` when ``lines`` is empty, no line
     passes the parse and query filters, or no line is accepted.
     """
-    queries, bot_config = config.queries, config.bots
-    use_queries, use_bots = queries is not None, bot_config is not None
-    drop_retweets, offset = config.drop_retweets, config.day_offset_hours
+    bot_config = config.bots
     reject_counts: Counter = Counter()
     tracker = ActivityTracker()
-    user_numbers: dict[str, int] = {}
     n_lines = 0
-    min_date: date | None = None
+    min_ordinal = None
 
-    def reject(line_no: int | str, reason: str) -> None:
-        reject_counts[reason.partition(":")[0]] += 1
+    def reject(line_no: str, reason: str) -> None:
+        reject_counts[reason] += 1
         rejects.write(f"{line_no}\t{reason}\n")
 
     with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n", dir=spool_dir) as spool:
-        for line_no, line in lines:
-            n_lines += 1
-            try:
-                record = parse_record(line, line_no)
-            except ParseError as exc:
-                reject(line_no, f"parse: {exc.reason}")
-                continue
-            if drop_retweets and record.text.startswith("RT @"):
-                reject(line_no, "retweet")
-                continue
-            if use_queries and not matches_query(record, queries):
-                reject(line_no, "no-query-match")
-                continue
-            day = effective_date(record, offset)
-            if min_date is None or day < min_date:
-                min_date = day
-            if use_bots:
-                tracker.add(record, day)
-            # JSON text holds no raw tab or newline, so the fields split back cleanly.
-            head, tail = record_parts(record)
-            user = user_numbers.setdefault(record.user_id, len(user_numbers))
-            spool.write(f"{line_no}\t{day.toordinal()}\t{user}\t{head}\t{tail}\n")
+        with closing(map_chunks(partial(_pass_one, config), lines, usable_cpus())) as results:
+            for n, rejected, counts, rows, part, first in results:
+                n_lines += n
+                rejects.write(rejected)
+                reject_counts.update(counts)
+                spool.write(rows)
+                if part is not None:
+                    tracker.merge(part)
+                if first is not None and (min_ordinal is None or first < min_ordinal):
+                    min_ordinal = first
 
         if n_lines == 0:
             raise NoRecordsError("no records")
-        if min_date is None:
+        if min_ordinal is None:
             raise NoRecordsError("no record passed the parse and query filters")
-        origin = config.origin_date or min_date
-        verdicts, bots = flag_bots(tracker, bot_config) if use_bots else ([], set())
-        bot_numbers = {str(user_numbers[user]) for user in bots}
+        origin = config.origin_date or date.fromordinal(min_ordinal)
+        verdicts, bots = flag_bots(tracker, bot_config) if bot_config is not None else ([], set())
+        bot_users = {_encode_str(user) for user in bots}
 
         accepted = 0
         max_day = 0
@@ -509,7 +625,7 @@ def ingest_lines(
         spool.seek(0)
         for row in spool:
             line_no, ordinal, user, head, tail = row.split("\t")
-            if user in bot_numbers:
+            if user in bot_users:
                 reject(line_no, "bot-user")
                 continue
             day = int(ordinal) - before_day_one

@@ -16,7 +16,7 @@ import json
 import math
 import re
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
@@ -31,6 +31,9 @@ __all__ = [
     "CAMPS",
     "tokenize",
     "classify_tweet",
+    "SeedCounts",
+    "count_seeded",
+    "fit",
     "train_from_seeds",
     "load_seeds_file",
 ]
@@ -198,42 +201,60 @@ def classify_tweet(record: TweetRecord, model: LexiconModel) -> Stance:
     return CAMP_TO_STANCE[ranked[0][0]]
 
 
-def train_from_seeds(
-    records: Iterable[TweetRecord],
+@dataclass
+class SeedCounts:
+    """What training reads of a corpus: seed-labelled tweets and token counts, per camp.
+
+    The counts of a corpus are the sum (:meth:`update`) of the counts of its parts.
+    """
+
+    tweets: Counter = field(default_factory=Counter)
+    tokens: dict[str, Counter] = field(default_factory=lambda: defaultdict(Counter))
+
+    def update(self, other: SeedCounts) -> None:
+        self.tweets.update(other.tweets)
+        for camp, counts in other.tokens.items():
+            self.tokens[camp].update(counts)
+
+
+def count_seeded(records: Iterable[TweetRecord], seed_tags: dict[str, str]) -> SeedCounts:
+    """Count the tweets of ``records`` that carry exactly one camp's seed tags, and their tokens, for that camp."""
+    counts = SeedCounts()
+    for record in records:
+        seed_camps = {seed_tags[t] for t in record.hashtags if t in seed_tags}
+        if len(seed_camps) != 1:
+            continue
+        camp = seed_camps.pop()
+        counts.tweets[camp] += 1
+        counts.tokens[camp].update(tokenize(record.text))
+    return counts
+
+
+def fit(
+    counts: SeedCounts,
     seed_tags: dict[str, str] | None = None,
     smoothing: float = 1.0,
     decision_margin: float = 0.0,
 ) -> LexiconModel:
-    """Fit token weights from seed-pseudo-labeled tweets.
+    """The model whose token weights fit ``counts``, which :func:`count_seeded` made with the same seeds.
 
-    Tweets carrying exactly one camp's seed tags become training data for
-    that camp. Token weights are additive-smoothed log-likelihood ratios:
-    positive for tokens over-represented in a camp relative to the rest.
-    A camp with zero pseudo-labeled tweets is a training error.
+    Token weights are additive-smoothed log-likelihood ratios: positive for
+    tokens over-represented in a camp relative to the rest. A camp with
+    zero pseudo-labeled tweets is a training error.
     """
     seeds = dict(DEFAULT_SEEDS if seed_tags is None else seed_tags)
     model = LexiconModel(seed_tags=seeds, smoothing=smoothing, decision_margin=decision_margin)
     camps = model.camps
     if not camps:
         raise TrainingError("seed set names no camps")
-
-    token_counts: dict[str, Counter] = {camp: Counter() for camp in camps}
-    labeled_tweets = {camp: 0 for camp in camps}
-    for record in records:
-        seed_camps = model.seed_camps(record.hashtags)
-        if len(seed_camps) != 1:
-            continue
-        camp = next(iter(seed_camps))
-        labeled_tweets[camp] += 1
-        token_counts[camp].update(tokenize(record.text))
-
     for camp in camps:
-        if labeled_tweets[camp] == 0:
+        if counts.tweets[camp] == 0:
             raise TrainingError(f"camp {camp!r} has no seed-tagged tweets to learn from")
+    token_counts = {camp: counts.tokens[camp] for camp in camps}
 
     vocab = set()
-    for counts in token_counts.values():
-        vocab.update(counts)
+    for tokens in token_counts.values():
+        vocab.update(tokens)
     v = len(vocab)
     totals = {camp: sum(token_counts[camp].values()) for camp in camps}
     grand_total = sum(totals.values())
@@ -254,6 +275,21 @@ def train_from_seeds(
 
     model.term_weights = weights
     return model
+
+
+def train_from_seeds(
+    records: Iterable[TweetRecord],
+    seed_tags: dict[str, str] | None = None,
+    smoothing: float = 1.0,
+    decision_margin: float = 0.0,
+) -> LexiconModel:
+    """Fit token weights from seed-pseudo-labeled tweets: :func:`fit` of :func:`count_seeded`.
+
+    Tweets carrying exactly one camp's seed tags become training data for
+    that camp.
+    """
+    seeds = dict(DEFAULT_SEEDS if seed_tags is None else seed_tags)
+    return fit(count_seeded(records, seeds), seeds, smoothing, decision_margin)
 
 
 def load_seeds_file(path: str) -> dict[str, str]:

@@ -96,6 +96,19 @@ class TestProfiling:
         activity = tracker.profiles()["u"]
         assert (activity.active_days, activity.max_tweets_per_day) == (2, 2)
 
+    def test_merged_trackers_equal_one_tracker(self):
+        # two users whose records are split over three trackers, one text repeated across them
+        records = burst_user("u", 9, 86400 * 2) + [rec(user="v", text=f"t{i % 2}", ts=day_ts(i + 1)) for i in range(5)]
+        whole, parts = ActivityTracker(), [ActivityTracker() for _ in range(3)]
+        for i, r in enumerate(records):
+            whole.add(r, effective_date(r))
+            parts[i % 3].add(r, effective_date(r))
+        merged = ActivityTracker()
+        for part in parts:
+            merged.merge(part)
+        assert merged.profiles() == whole.profiles()
+        assert merged.profiles()["u"].duplicate_text_ratio == 1 - 1 / 9
+
 
 class TestScoring:
     def test_human_activity_scores_zero(self):

@@ -15,6 +15,7 @@ import sys
 import tempfile
 import time
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
 from types import SimpleNamespace
 
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import electrend
-from electrend import hashtags
+from electrend import hashtags, ingest
 from electrend.botfilter import write_report_csv
 from electrend.cli import _load_table, main
 from electrend.ingest import (
@@ -546,33 +547,117 @@ class TestCorpusReader:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
 
 
+def start_stage(argv, cwd, cpus=2):
+    """``python -m electrend <argv>`` in a new session, seeing ``cpus`` usable CPUs whatever the machine has."""
+    script = (
+        "import os, sys\n"
+        f"os.sched_getaffinity = lambda pid: set(range({cpus}))\n"
+        "from electrend.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(electrend.__file__)))
+    return subprocess.Popen(
+        [sys.executable, "-c", script, *argv], cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
+    )
+
+
+def children(pid):
+    """The child processes of ``pid``; skips the test where the platform does not list them."""
+    try:
+        with open(f"/proc/{pid}/task/{pid}/children") as fh:
+            return fh.read().split()
+    except FileNotFoundError:
+        pytest.skip("no /proc child list on this platform")
+
+
+def kill_when(proc, ready, what):
+    """SIGKILL ``proc`` alone once ``ready()`` holds; its pool workers must then end by themselves."""
+    deadline = time.monotonic() + 60
+    try:
+        while not ready():
+            assert proc.poll() is None, f"the stage ended before {what}"
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+
+
+def assert_no_survivor(proc):
+    """No process of ``proc``'s session is left a few seconds after it died."""
+    deadline = time.monotonic() + 10
+    while True:
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            return
+        assert time.monotonic() < deadline, "a process of the killed stage is still running"
+        time.sleep(0.05)
+
+
+def non_empty(path):
+    return path.exists() and path.stat().st_size > 0
+
+
+def vocabulary_corpus(n_lines):
+    """Seed-tagged lines for every camp with eight new words each: a large model, slow to save."""
+    tags = ["fuerzacristina", "cambiemos", "lavagna"]
+    lines = []
+    for i in range(n_lines):
+        text = f"#{tags[i % 3]} " + " ".join(f"w{i}x{j}" for j in range(8))
+        lines.append(json.dumps({"id": str(i), "user": f"u{i % 50}", "ts": "2019-03-01T12:00:00+00:00", "text": text}))
+    return "\n".join(lines) + "\n"
+
+
 class TestKilledRun:
     def test_rerun_after_sigkill_leaves_no_temp_file(self, pipeline, tmp_path):
         with open(pipeline.clean, encoding="utf-8") as fh:
             (tmp_path / "in.jsonl").write_text(fh.read() * 30, encoding="utf-8")
         argv = ["classify", "in.jsonl", "-o", "out.jsonl", "--model", pipeline.model, "--workers", "1"]
-        src = os.path.dirname(os.path.dirname(os.path.abspath(electrend.__file__)))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "electrend", *argv], cwd=tmp_path,
-            env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
+        proc = start_stage(argv, tmp_path)
         temp = tmp_path / f"out.jsonl.tmp{proc.pid}"
-        deadline = time.monotonic() + 60
-        try:
-            while not (temp.exists() and temp.stat().st_size > 0):
-                assert proc.poll() is None, "classify ended before it could be killed"
-                assert time.monotonic() < deadline
-                time.sleep(0.001)
-        finally:
-            proc.kill()
-            proc.wait(timeout=60)
+        kill_when(proc, lambda: non_empty(temp), "it could be killed")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", temp.name]
+        assert_no_survivor(proc)
 
         result = run_cli(argv, tmp_path)
         assert result.returncode == 0, result.stderr
         assert not list(tmp_path.glob("*.tmp*"))
         assert (tmp_path / "out.jsonl").stat().st_size > 0
+
+    @pytest.mark.parametrize("stage, moment", [
+        ("ingest", "writing"), ("train", "counting"), ("train", "writing"), ("classify", "writing"),
+    ])
+    def test_pooled_stage_killed_leaves_no_process_and_no_target(self, stage, moment, pipeline, tmp_path):
+        if stage == "ingest":  # an off-topic line after each: rejects are written while the pool runs
+            with open(pipeline.raw, encoding="utf-8") as fh:
+                lines = fh.read().splitlines() * 8
+            off_topic = '{"id": "x", "user": "v", "ts": "2019-04-02T10:00:00", "text": "lluvia y cafe"}'
+            (tmp_path / "in.jsonl").write_text("".join(f"{line}\n{off_topic}\n" for line in lines), encoding="utf-8")
+            argv, target, temp_of = ["ingest", "in.jsonl", "-o", "out.jsonl"], "out.jsonl", "in.jsonl.rejects.txt"
+        elif stage == "train":
+            (tmp_path / "in.jsonl").write_text(vocabulary_corpus(4500), encoding="utf-8")
+            argv, target, temp_of = ["train", "in.jsonl", "-o", "model.json"], "model.json", "model.json"
+        else:
+            with open(pipeline.clean, encoding="utf-8") as fh:
+                (tmp_path / "in.jsonl").write_text(fh.read() * 30, encoding="utf-8")
+            argv = ["classify", "in.jsonl", "-o", "out.jsonl", "--model", pipeline.model, "--workers", "2"]
+            target, temp_of = "out.jsonl", "out.jsonl"
+        proc = start_stage(argv, tmp_path)
+        temp = tmp_path / f"{temp_of}.tmp{proc.pid}"
+        if moment == "counting":
+            kill_when(proc, lambda: children(proc.pid), "its pool started")
+        else:
+            kill_when(proc, lambda: non_empty(temp) and (stage == "train" or children(proc.pid)), "it wrote")
+        assert not (tmp_path / target).exists()
+        assert_no_survivor(proc)
+
+        result = run_cli(argv, tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert not list(tmp_path.glob("*.tmp*"))
+        assert (tmp_path / target).stat().st_size > 0
 
 
 class TestSideFiles:
@@ -632,6 +717,14 @@ class TestStartup:
 
 
 class TestClassifyWorkers:
+    def test_default_is_the_usable_cpu_count(self, pipeline, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        out = tmp_path / "labeled.jsonl"
+        assert main(["classify", pipeline.clean, "-o", str(out), "--model", pipeline.model]) == 0
+        run = json.loads((tmp_path / "labeled.jsonl.manifest.json").read_text(encoding="utf-8"))
+        assert run["parameters"]["workers"] == 1
+        assert out.read_bytes() == open(pipeline.labeled, "rb").read()
+
     def test_parse_error_inside_a_worker(self, pipeline, tmp_path):
         with open(pipeline.clean, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -642,6 +735,71 @@ class TestClassifyWorkers:
         assert "in.jsonl:701: invalid JSON" in result.stderr
         assert "Traceback" not in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+
+class TestPooledStages:
+    """``train`` and ``classify`` map line chunks over worker processes; neither changes their outputs or errors."""
+
+    @pytest.mark.parametrize("chunk, workers", [(3, 1), (5, 2), (7, 3), (512, 2)])
+    def test_train_model_does_not_depend_on_chunks_or_workers(self, chunk, workers, pipeline, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "CHUNK_LINES", chunk)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+        model = tmp_path / "model.json"
+        assert main(["train", pipeline.clean, "-o", str(model)]) == 0
+        assert model.read_bytes() == open(pipeline.model, "rb").read()
+
+    @pytest.mark.parametrize("stage", ["train", "classify"])
+    def test_the_first_bad_line_names_the_error(self, stage, pipeline, tmp_path, monkeypatch, caplog):
+        monkeypatch.setattr(ingest, "CHUNK_LINES", 5)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with open(pipeline.clean, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines[12] = lines[12][:30]  # line 13, in the third chunk
+        lines[1] = '{"id": "2", "user": "u", "ts": "2019-04-01"}'  # line 2, in the first
+        corpus = tmp_path / "in.jsonl"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        extra = ["--model", pipeline.model, "--workers", "2"] if stage == "classify" else []
+        assert main([stage, str(corpus), "-o", str(tmp_path / "out"), *extra]) == 4
+        assert f"{corpus}:2: missing required field 'text'" in caplog.text
+        assert ":13:" not in caplog.text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+    def test_classify_replaces_a_stance(self, pipeline, tmp_path):
+        with open(pipeline.labeled, encoding="utf-8") as fh:
+            want = fh.read().splitlines()
+        relabeled = []
+        for i, line in enumerate(want):
+            obj = json.loads(line)
+            obj["stance"] = [None, "pro_ff", "bogus"][i % 3]
+            if i % 4 == 0:
+                del obj["stance"]
+            relabeled.append(json.dumps(obj, ensure_ascii=False))
+        (tmp_path / "in.jsonl").write_text("\n".join(relabeled) + "\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main(["classify", str(tmp_path / "in.jsonl"), "-o", str(out), "--model", pipeline.model, "--workers", "2"]) == 0
+        got = out.read_text(encoding="utf-8").splitlines()
+        assert got == want
+        for line in got:
+            assert [k for k, _ in json.loads(line, object_pairs_hook=list)].count("stance") == 1
+
+    def test_labeled_line_is_the_input_line_plus_stance(self, pipeline, tmp_path):
+        lines = [
+            # hand-written: keys in another order, a hashtag in capitals, "stance" only as a value
+            '{"text": "Macri y #Cambiemos", "ts": "2019-04-02T10:00:00Z", "id": 7, "user": "stance", "t": 2,'
+            ' "hashtags": ["#Cambiemos"]}',
+            '{"id": "8", "user": "u", "ts": "2019-04-02T11:00:00+00:00", "text": "dijo \\"stance\\"", "t": 2}',
+        ]
+        (tmp_path / "in.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main(["classify", str(tmp_path / "in.jsonl"), "-o", str(out), "--model", pipeline.model, "--workers", "1"]) == 0
+        got = out.read_text(encoding="utf-8").splitlines()
+        assert [line[: len(inp) - 1] for line, inp in zip(got, lines)] == [inp[:-1] for inp in lines]
+        for inp, line in zip(lines, got):
+            record = parse_record(line)
+            assert line == f'{inp[:-1]}, "stance": "{record.stance}"}}'
+            assert replace(record, stance=None) == parse_record(inp)
+        assert parse_record(got[0]).hashtags == ["cambiemos"]
+        assert parse_record(got[0]).stance == "pro_mp"
 
 
 class TestIngestSidecars:
@@ -716,14 +874,16 @@ class TestIngestSidecars:
 
 
 class TestClassifyAndTrend:
-    def test_worker_count_does_not_change_output(self, pipeline, tmp_path):
+    def test_worker_count_does_not_change_output(self, pipeline, tmp_path, monkeypatch):
         two = tmp_path / "labeled2.jsonl"
-        code = main([
-            "classify", pipeline.clean, "-o", str(two),
-            "--model", pipeline.model, "--workers", "2",
-        ])
-        assert code == 0
-        assert two.read_bytes() == open(pipeline.labeled, "rb").read()
+        for chunk, workers in ((512, 2), (3, 2), (5, 3), (7, 1)):
+            monkeypatch.setattr(ingest, "CHUNK_LINES", chunk)
+            code = main([
+                "classify", pipeline.clean, "-o", str(two),
+                "--model", pipeline.model, "--workers", str(workers),
+            ])
+            assert code == 0
+            assert two.read_bytes() == open(pipeline.labeled, "rb").read(), (chunk, workers)
 
     def test_meta_sidecar_travels_with_classify(self, pipeline):
         src = json.load(open(pipeline.clean + ".meta.json"))
@@ -968,6 +1128,13 @@ class TestValidateCommand:
         assert "PASS oracle-equivalence-instant" in out
         assert "PASS ground-truth-recovery" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "x"])
+    def test_tolerance_is_a_finite_number(self, tolerance, tmp_path, capsys):
+        work = tmp_path / "work"
+        assert main(["validate", "--workdir", str(work), f"--tolerance={tolerance}"]) == 2
+        assert f"{tolerance!r} is not a finite number" in capsys.readouterr().err
+        assert not work.exists()
 
     @pytest.mark.parametrize(
         "n_users, tolerance, code",

@@ -3,10 +3,12 @@
 import gzip
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from electrend.botfilter import ActivityTracker, BotConfig, flag_bots
+from electrend import ingest
 from electrend.cli import main
 
 from electrend.ingest import (
@@ -31,6 +34,7 @@ from electrend.ingest import (
     extract_hashtags,
     ingest_lines,
     iter_lines,
+    map_chunks,
     matches_query,
     open_text,
     parse_label,
@@ -420,16 +424,22 @@ class TestDocumentedFormat:
         assert (r.hashtags, r.day, r.stance) == (["yosigo"], 1, "pro_ff")
 
 
-def reference_ingest(lines: list[str], origin: date, offset: float) -> tuple[list[str], list[str], dict]:
-    """Clean lines, rejects sidecar lines and meta of the line-by-line ingest.
+def reference_ingest(lines: list[str], origin: date, offset: float) -> tuple[list[str], list[str], dict, list]:
+    """Clean lines, rejects sidecar lines, meta and bot verdicts of the line-by-line ingest.
 
-    Every line is parsed with ``parse_record`` and every kept record is
-    dated with ``assign_day`` and written with ``record_to_json``; bots are
-    scored over all the kept records first.
+    Lines are numbered from 1 and stripped, and blank ones skipped, as
+    ``iter_lines`` does. Every line is parsed with ``parse_record`` and every
+    kept record is dated with ``assign_day`` and written with
+    ``record_to_json``; bots are scored over all the kept records first.
     """
     queries = QuerySet.default()
     rejects, kept, tracker = [], [], ActivityTracker()
+    n_lines = 0
     for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        n_lines += 1
         try:
             record = parse_record(line, line_no)
         except ParseError as exc:
@@ -440,7 +450,7 @@ def reference_ingest(lines: list[str], origin: date, offset: float) -> tuple[lis
             continue
         tracker.add(record, effective_date(record, offset))
         kept.append((line_no, record))
-    _, bots = flag_bots(tracker, BotConfig())
+    verdicts, bots = flag_bots(tracker, BotConfig())
     clean, days = [], []
     for line_no, record in kept:
         if record.user_id in bots:
@@ -459,10 +469,10 @@ def reference_ingest(lines: list[str], origin: date, offset: float) -> tuple[lis
         "day_offset_hours": offset,
         "n_days": max(days),
         "records": len(clean),
-        "input_lines": len(lines),
+        "input_lines": n_lines,
         "rejects": dict(sorted(Counter(r.split("\t")[1].partition(":")[0] for r in rejects).items())),
     }
-    return clean, rejects, meta
+    return clean, rejects, meta, verdicts
 
 
 def labeled_corpus() -> list[str]:
@@ -502,7 +512,7 @@ class TestSpooledIngest:
             "--origin-date", origin.isoformat(), "--day-offset-hours", str(offset),
         ])
         assert code == 0
-        want_clean, want_rejects, want_meta = reference_ingest(lines, origin, offset)
+        want_clean, want_rejects, want_meta, want_verdicts = reference_ingest(lines, origin, offset)
         assert {"bot-user", "before-origin", "no-query-match", "parse"} <= set(want_meta["rejects"])
         assert clean.read_text(encoding="utf-8") == "".join(line + "\n" for line in want_clean)
         assert (tmp_path / "raw.jsonl.gz.rejects.txt").read_text(encoding="utf-8").splitlines() == want_rejects
@@ -518,6 +528,7 @@ class TestSpooledIngest:
             want_meta["origin_date"], want_meta["n_days"], want_meta["records"], want_meta["input_lines"],
             want_meta["rejects"],
         )
+        assert result.verdicts == want_verdicts
         assert [v.user_id for v in result.verdicts if v.is_bot] == ["botty"]
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "clean.jsonl", "clean.jsonl.bots.csv", "clean.jsonl.manifest.json", "clean.jsonl.meta.json",
@@ -568,3 +579,106 @@ class TestFaultInjection:
         assert accepted == meta["records"] == 40
         assert accepted + sum(meta["rejects"].values()) == meta["input_lines"]
         assert dict(sidecar) == meta["rejects"] == ({"parse": malformed} if malformed else {})
+
+
+def planted_corpus() -> list[bytes]:
+    """Good lines, one line of each fault class of ``TestFaultInjection`` and a planted bot, around a local midnight."""
+    lines = [good_line(i) for i in range(60)]
+    for i, kind in enumerate(sorted(FAULTS)):
+        lines.insert(5 + 9 * i, FAULTS[kind](i))
+    for i in range(90):  # rate, duplicate and burst rules all fire
+        ts = (datetime(2019, 3, 2, tzinfo=UTC) + timedelta(seconds=10 * i)).isoformat()
+        bot = {"id": f"b{i}", "user": "botty", "ts": ts, "text": "MACRI MACRI"}
+        lines.insert(3 * i % len(lines), json.dumps(bot).encode())
+    return lines
+
+
+class TestPooledIngest:
+    """Pass 1 of ``ingest_lines`` runs in chunks over worker processes; neither changes what it writes."""
+
+    @pytest.mark.parametrize("chunk, workers", [(3, 1), (5, 2), (7, 3), (4, 2), (512, 2)])
+    def test_outputs_equal_the_line_by_line_ingest(self, chunk, workers, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "CHUNK_LINES", chunk)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+        lines = planted_corpus()
+        raw = tmp_path / "raw.jsonl"
+        raw.write_bytes(b"\n".join(lines) + b"\n")
+        origin, offset = date(2019, 3, 1), -3.0
+        want_clean, want_rejects, want_meta, want_verdicts = reference_ingest(
+            [line.decode("utf-8", "surrogateescape") for line in lines], origin, offset
+        )
+        assert {"bot-user", "before-origin", "parse"} <= set(want_meta["rejects"])
+
+        out, rejects = io.StringIO(), io.StringIO()
+        config = IngestConfig(origin_date=origin, day_offset_hours=offset)
+        result = ingest_lines(iter_lines(str(raw)), config, out, rejects, spool_dir=str(tmp_path))
+        assert out.getvalue() == "".join(line + "\n" for line in want_clean)
+        assert rejects.getvalue().splitlines() == want_rejects
+        assert (result.origin.isoformat(), result.n_days, result.accepted, result.input_lines, result.rejects) == (
+            want_meta["origin_date"], want_meta["n_days"], want_meta["records"], want_meta["input_lines"],
+            want_meta["rejects"],
+        )
+        assert result.verdicts == want_verdicts
+        assert [v.user_id for v in result.verdicts if v.is_bot] == ["botty"]
+
+
+def line_numbers(chunk: list[tuple[int, str]]) -> list[int]:
+    return [line_no for line_no, _ in chunk]
+
+
+class TestMapChunks:
+    PAIRS = [(n, f"line {n}") for n in range(1, 31)]
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(ingest, "CHUNK_LINES", 4)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_chunks_come_back_in_input_order(self, workers):
+        want = [list(range(n, min(n + 4, 31))) for n in range(1, 31, 4)]
+        assert list(map_chunks(line_numbers, self.PAIRS, workers)) == want
+
+    def test_pool_only_for_several_chunks_and_workers(self):
+        me = os.getpid()
+        assert me not in set(map_chunks(lambda chunk: os.getpid(), self.PAIRS, 2))
+        assert set(map_chunks(lambda chunk: os.getpid(), self.PAIRS, 1)) == {me}
+        assert set(map_chunks(lambda chunk: os.getpid(), self.PAIRS[:4], 2)) == {me}
+        assert list(map_chunks(lambda chunk: os.getpid(), [], 2)) == []
+
+    def test_the_first_failing_chunk_in_input_order_decides(self):
+        def fn(chunk):
+            first = chunk[0][0]
+            if first == 5:
+                time.sleep(0.3)  # the later chunk fails first
+                raise ParseError("slow", first)
+            if first == 25:
+                raise ParseError("fast", first)
+            return first
+
+        done = []
+        with pytest.raises(ParseError) as err:
+            for first in map_chunks(fn, self.PAIRS, 3):
+                done.append(first)
+        assert (err.value.line_no, err.value.reason, done) == (5, "slow", [1])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_read_error_comes_after_the_lines_before_it(self, workers):
+        def lines():
+            yield from self.PAIRS[:10]
+            raise OSError("damaged gzip stream")
+
+        done = []
+        with pytest.raises(OSError, match="damaged gzip stream"):
+            for numbers in map_chunks(line_numbers, lines(), workers):
+                done.append(numbers)
+        assert done == [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10]]
+
+    def test_the_pool_ends_with_the_iterator(self):
+        results = map_chunks(line_numbers, self.PAIRS, 2)
+        assert next(results) == [1, 2, 3, 4]
+        assert len(multiprocessing.active_children()) == 2
+        results.close()
+        assert not multiprocessing.active_children()
+        with pytest.raises(ParseError):
+            list(map_chunks(lambda chunk: parse_record(chunk[0][1], chunk[0][0]), self.PAIRS, 2))
+        assert not multiprocessing.active_children()

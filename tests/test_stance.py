@@ -11,7 +11,10 @@ from electrend.stance import (
     LexiconModel,
     Stance,
     TrainingError,
+    SeedCounts,
     classify_tweet,
+    count_seeded,
+    fit,
     load_seeds_file,
     tokenize,
     train_from_seeds,
@@ -128,6 +131,15 @@ class TestTraining:
         corpus = [rec(text="#fuerzacristina"), rec(text="#cambiemos")]
         with pytest.raises(TrainingError, match="third"):
             train_from_seeds(corpus)
+
+    def test_counts_of_parts_add_up_to_the_same_model(self):
+        corpus = seeded_corpus() + [rec(text="#cambiemos #fuerzacristina ruido"), rec(text="sin semilla")]
+        counts = SeedCounts()
+        for start in range(0, len(corpus), 7):
+            counts.update(count_seeded(corpus[start:start + 7], DEFAULT_SEEDS))
+        assert counts == count_seeded(corpus, DEFAULT_SEEDS)
+        assert counts.tweets == {"ff": 30, "mp": 30, "third": 30}
+        assert fit(counts, smoothing=0.5).to_dict() == train_from_seeds(corpus, smoothing=0.5).to_dict()
 
     def test_learned_weights_classify_unseeded_text(self):
         model = train_from_seeds(seeded_corpus())
