@@ -456,10 +456,10 @@ def cmd_trend(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise CliError(EXIT_DATA, f"{args.weights_file}: {exc}") from None
     start_day = _t0_to_day(args.t0, origin, table.n_days) if args.t0 and args.mode == "cumulative" else 1
-    points = trend.series(table, args.mode, args.window, start_day, origin, weights, not args.exclude_undecided)
+    columns = trend.series_columns(table, args.mode, args.window, start_day, origin, weights, not args.exclude_undecided)
 
     with atomic_text(args.output, newline="") as fh:
-        trend.write_trend_csv(points, fh)
+        trend.write_trend_csv(columns, fh)
 
     run = _new_manifest(args)
     if origin is not None:
@@ -471,14 +471,12 @@ def cmd_trend(args: argparse.Namespace) -> int:
     run.add_output("trend_csv", args.output)
     run.write(args.output + ".manifest.json")
 
-    last = points[-1]
+    last = (columns.pct_ff[-1], columns.pct_mp[-1], columns.pct_others[-1])
     log.info(
         "trend: %s series over %d days; final pct_ff=%s pct_mp=%s pct_others=%s",
         args.mode,
-        len(points),
-        f"{last.pct_ff:.2f}" if last.pct_ff is not None else "n/a",
-        f"{last.pct_mp:.2f}" if last.pct_mp is not None else "n/a",
-        f"{last.pct_others:.2f}" if last.pct_others is not None else "n/a",
+        len(columns.T),
+        *(f"{pct:.2f}" if pct is not None else "n/a" for pct in last),
     )
     return EXIT_OK
 
@@ -492,25 +490,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise CliError(EXIT_USAGE, "--t0-list is empty")
     start_days = [_t0_to_day(t, origin, table.n_days, "--t0-list entry") for t in tokens]
 
-    result = trend.sweep_t0(table, start_days, origin_date=origin)
     os.makedirs(args.output, exist_ok=True)
+    finals = trend.SweepFinals()
     per_t0_paths = {}
-    for t0, series in sorted(result.series.items()):
-        token = series[0].date.isoformat() if series[0].date else f"day{t0:03d}"
+    for t0, columns in trend.sweep_columns(table, start_days, origin):  # one origin's rows at a time
+        token = columns.date[0].isoformat() if columns.date[0] else f"day{t0:03d}"
         path = os.path.join(args.output, f"trend_t0_{token}.csv")
         with atomic_text(path, newline="") as fh:
-            trend.write_trend_csv(series, fh)
+            trend.write_trend_csv(columns, fh)
         per_t0_paths[t0] = path
+        finals.add(t0, columns)
 
     summary_path = os.path.join(args.output, "sweep_summary.csv")
     with atomic_text(summary_path, newline="") as fh:
-        trend.write_sweep_summary(result, fh)
+        finals.write(fh)
+    spread_ff, spread_mp = finals.spread("pct_ff"), finals.spread("pct_mp")
 
     run = _new_manifest(args)
     if origin is not None:
         run.parameters["origin_date"] = origin.isoformat()
-    run.parameters["spread_pct_ff"] = result.spread_pct_ff
-    run.parameters["spread_pct_mp"] = result.spread_pct_mp
+    run.parameters["spread_pct_ff"] = spread_ff
+    run.parameters["spread_pct_mp"] = spread_mp
     run.add_input("corpus", args.input)
     run.add_output("summary", summary_path)
     for t0, path in per_t0_paths.items():
@@ -519,10 +519,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     log.info(
         "sweep: %d origins, final day %d, spread pct_ff=%.3f pct_mp=%.3f",
-        len(result.series),
-        result.final_day,
-        result.spread_pct_ff,
-        result.spread_pct_mp,
+        len(per_t0_paths), table.n_days, spread_ff, spread_mp,
     )
     return EXIT_OK
 

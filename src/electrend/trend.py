@@ -16,16 +16,23 @@ tweet itself. It folds the tweets into one (mp, ff, other) row per active
 user-day, sorted by (user, day). A verdict can change only on a day a row
 enters the range (and, for a window, on the day it leaves), so every
 estimator is one event sweep: running sums per user at those change points,
-then a per-day tally of verdicts entering and leaving each category. A
-series costs O(rows), a k-origin sweep O(k x rows), and memory is
-O(users + rows).
+then a per-day tally of verdicts entering and leaving each category.
+
+Every sum is a difference of running totals: the table keeps running
+mp - ff and mp totals over its rows, made once, and a user's sums over a
+run of its rows are the totals after the run less those before it. So a
+series costs O(rows + days), a k-origin sweep one prefix pass plus
+O(rows + days) per origin, and memory is O(users + rows).
 
 ``table.categories(mode, day, window=..., start_day=...)`` gives the per-user
 verdicts of one day with the arguments of :func:`electrend.synth.oracle_categories`,
 so the two compare directly. ``series(table, mode, window=..., start_day=...)``
 takes the same arguments and gives one point per day through the table's
-last day; :func:`first_day` checks them for both queries. A trend CSV and the
-sweep summary share one row format.
+last day; :func:`first_day` checks them for both queries. A series is made
+as :class:`TrendColumns`, the columns of its trend CSV: one function
+computes them from the per-day tally and one formats every trend CSV and
+sweep summary row from them. :func:`sweep_columns` makes one origin's
+series at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +43,8 @@ from array import array
 from dataclasses import dataclass, replace
 from datetime import date
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,10 +54,14 @@ from .stance import Stance
 __all__ = [
     "UserCategory",
     "TrendPoint",
+    "TrendColumns",
     "CounterTable",
     "SweepResult",
+    "SweepFinals",
     "first_day",
     "series",
+    "series_columns",
+    "sweep_columns",
     "sweep_t0",
     "user_weights",
     "apply_demographic_weights",
@@ -103,18 +115,59 @@ class TrendPoint:
     pct_others: float | None
 
 
+class TrendColumns(NamedTuple):
+    """A series as the columns of its trend CSV, one entry per day, as Python values.
+
+    ``date`` holds None without a calendar; a percentage is None where its
+    field is blank.
+    """
+
+    date: list
+    T: list
+    n_mp: list
+    n_ff: list
+    n_undecided: list
+    n_unclassified: list
+    pct_ff: list
+    pct_mp: list
+    pct_others: list
+    denominator: list
+
+    @classmethod
+    def of(cls, points: Iterable[TrendPoint]) -> TrendColumns:
+        """The columns of ``points``, in their order."""
+        rows = [
+            (p.date, p.day, p.n_mp, p.n_ff, p.n_undecided, p.n_unclassified,
+             p.pct_ff, p.pct_mp, p.pct_others, p.denominator)
+            for p in points
+        ]
+        return cls(*map(list, zip(*rows))) if rows else cls(*([] for _ in cls._fields))
+
+    def points(self, mode: str) -> list[TrendPoint]:
+        """One :class:`TrendPoint` per day."""
+        return [
+            TrendPoint(day, when, mode, n_mp, n_ff, n_und, n_uncl, denom, pct_ff, pct_mp, pct_others)
+            for when, day, n_mp, n_ff, n_und, n_uncl, pct_ff, pct_mp, pct_others, denom in zip(*self)
+        ]
+
+
 # Stance -> class column of the table: 0 favors MP, 1 favors FF, and every
 # other stance (pro_third, neutral) is 2, talk about the race that backs neither.
 STANCE_CLASS = {Stance.PRO_MP.value: 0, Stance.PRO_FF.value: 1}
 OTHER_CLASS = 2
 
 
-def _verdicts(sums: np.ndarray, cumulative: bool) -> np.ndarray:
-    """Category codes of (mp, ff, other) sum rows; Unclassified only when ``cumulative``."""
-    s_mp, s_ff = sums[:, 0], sums[:, 1]
-    cases = [s_mp > s_ff, s_mp < s_ff, s_mp > 0, sums.any(axis=1) & cumulative]
-    choices = [CODE_MP, CODE_FF, CODE_UNDECIDED, CODE_UNCLASSIFIED]
-    return np.select(cases, choices, CODE_NONE).astype(np.int8)
+def _verdicts(lead: np.ndarray, mp: np.ndarray, silent: int) -> np.ndarray:
+    """Category codes from mp - ff sums (``lead``) and mp sums; ``silent`` where both are 0.
+
+    ``silent`` is Unclassified for a cumulative range, in which every row
+    counted is activity, and no category for a window.
+    """
+    codes = np.full(len(lead), silent, dtype=np.int8)
+    codes[mp > 0] = CODE_UNDECIDED
+    codes[lead < 0] = CODE_FF
+    codes[lead > 0] = CODE_MP
+    return codes
 
 
 def first_day(mode: str, day: int, window: int | None = None, start_day: int | None = None) -> int:
@@ -182,6 +235,20 @@ class CounterTable:
 
     # -- change points and categories ----------------------------------
 
+    @cached_property
+    def _totals(self) -> np.ndarray:
+        """Running mp - ff and mp totals over the rows in table order, shape (2, rows + 1).
+
+        Column i sums the rows before row i, so a user's sums over the rows
+        ``lo`` to ``hi - 1`` are column ``hi`` less column ``lo``. Made on
+        the first query.
+        """
+        mp, ff = self._counts[:, 0], self._counts[:, 1]
+        totals = np.zeros((2, len(mp) + 1), dtype=np.int64)
+        np.cumsum(mp - ff, out=totals[0, 1:])
+        np.cumsum(mp, out=totals[1, 1:])
+        return totals
+
     def _change_points(
         self, horizon: int, start_day: int = 1, window: int | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -189,28 +256,32 @@ class CounterTable:
 
         Returns (user index, day, code after, code before), sorted by
         (user, day). Without ``window`` this is the cumulative range from
-        ``start_day``: a row counts from its day on. With ``window`` a row
-        counts from its day d through d + window - 1 and leaves on d + window.
+        ``start_day``: a row counts from its day on, so every row in range is
+        a change point, summed from its user's first row in range. With
+        ``window`` a row counts from its day d through d + window - 1 and
+        leaves on d + window; a change point's sums are those of its user's
+        rows in the window ending on its day. Either way the sums are
+        differences of :attr:`_totals`, with no cumulative sum of their own.
         """
-        user, day, counts = self._user, self._day, self._counts
         if window is None:
-            keep = (day >= start_day) & (day <= horizon)
-            user, day, counts = user[keep], day[keep], counts[keep]
+            rows = np.flatnonzero((self._day >= start_day) & (self._day <= horizon))
+            user, day = self._user[rows], self._day[rows]
+            first = np.diff(user, prepend=-1) != 0
+            starts = np.flatnonzero(first)
+            lo = np.repeat(rows[starts], np.diff(starts, append=len(rows)))  # each row's user's first row
+            hi = rows + 1
         else:
-            enter = day <= horizon
-            leave = day + window <= horizon
-            user = np.concatenate([user[enter], user[leave]])
-            day = np.concatenate([day[enter], day[leave] + window])
-            span = horizon + 1
-            keys, inverse = np.unique(user * span + day, return_inverse=True)
-            merged = np.zeros((len(keys), 3), dtype=np.int64)
-            np.add.at(merged, inverse, np.concatenate([counts[enter], -counts[leave]]))
-            user, day = np.divmod(keys, span)
-            counts = merged
-        first = np.diff(user, prepend=-1) != 0
-        sums = np.cumsum(counts, axis=0)
-        sums -= (sums - counts)[first][np.cumsum(first) - 1]  # drop the earlier users' rows
-        after = _verdicts(sums, cumulative=window is None)
+            span = self.n_days + window + 1  # room for a leave day past any row's day
+            keys = self._user * span + self._day
+            changes = np.union1d(keys[self._day <= horizon], keys[self._day + window <= horizon] + window)
+            lo = np.searchsorted(keys, changes - window, side="right")
+            hi = np.searchsorted(keys, changes, side="right")
+            user, day = np.divmod(changes, span)
+            first = np.diff(user, prepend=-1) != 0
+        lead_total, mp_total = self._totals
+        lead = lead_total[hi] - lead_total[lo]
+        mp = mp_total[hi] - mp_total[lo]
+        after = _verdicts(lead, mp, CODE_NONE if window else CODE_UNCLASSIFIED)
         before = np.empty_like(after)
         before[1:] = after[:-1]
         before[first] = CODE_NONE
@@ -237,39 +308,34 @@ class CounterTable:
 # -- series assembly ----------------------------------------------------
 
 
-def _make_point(
-    day: int,
-    mode: str,
-    counts: Sequence[float],
-    origin_date: date | None,
-    include_undecided: bool = True,
-) -> TrendPoint:
-    n_mp, n_ff, n_und, n_uncl = (float(c) for c in counts)
+def _columns(
+    first: int, tally: np.ndarray, mode: str, origin_date: date | None, include_undecided: bool = True
+) -> TrendColumns:
+    """The columns of the per-day category ``tally``, shape (days, N_CODES), its first row day ``first``.
+
+    The one place for the series math, done on whole columns with the float
+    operations of scalar code in the same order: ``n_mp + n_ff + n_und
+    (+ n_uncl)``, then ``100.0 * x / denom``. A zero denominator leaves the
+    percentages blank.
+    """
+    n_mp, n_ff, n_und, n_uncl = tally[:, CODE_MP:].T.astype(np.float64)
     if mode == "instant":
         denom = n_mp + n_ff + (n_und if include_undecided else 0.0)
         others = n_und if include_undecided else None
     else:
         denom = n_mp + n_ff + n_und + n_uncl
         others = n_und + n_uncl
-    if denom > 0:
-        pct_ff = 100.0 * n_ff / denom
-        pct_mp = 100.0 * n_mp / denom
-        pct_others = 100.0 * others / denom if others is not None else None
-    else:
-        pct_ff = pct_mp = pct_others = None
-    return TrendPoint(
-        day=day,
-        date=day_to_date(day, origin_date) if origin_date else None,
-        mode=mode,
-        n_mp=n_mp,
-        n_ff=n_ff,
-        n_undecided=n_und,
-        n_unclassified=n_uncl,
-        denominator=denom,
-        pct_ff=pct_ff,
-        pct_mp=pct_mp,
-        pct_others=pct_others,
-    )
+    shown = (denom > 0).tolist()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pcts = [
+            [pct if ok else None for pct, ok in zip((100.0 * x / denom).tolist(), shown)]
+            if x is not None else [None] * len(shown)
+            for x in (n_ff, n_mp, others)
+        ]
+    days = list(range(first, first + len(shown)))
+    dates = [day_to_date(d, origin_date) for d in days] if origin_date else [None] * len(days)
+    counts = [n.tolist() for n in (n_mp, n_ff, n_und, n_uncl)]
+    return TrendColumns(dates, days, *counts, *pcts, denom.tolist())
 
 
 def _weighted_tally(
@@ -298,19 +364,14 @@ def _weighted_tally(
     return tally
 
 
-def series(
+def series_columns(
     table: CounterTable, mode: str, window: int | None = None, start_day: int | None = None,
     origin_date: date | None = None, weights: np.ndarray | None = None, include_undecided: bool = True,
-) -> list[TrendPoint]:
-    """One point per day, ``instant`` from day 1 and ``cumulative`` from ``start_day``, to the last day.
-
-    The arguments are those of :meth:`CounterTable.categories`. ``include_undecided``
-    keeps Undecided users in the instant denominator; ``weights`` (one per
-    user, see :func:`user_weights`) reweights the counts.
-    """
+) -> TrendColumns:
+    """:func:`series` as the columns of its trend CSV, with no :class:`TrendPoint` made."""
     horizon = table.n_days
     if not horizon:
-        return []
+        return TrendColumns.of([])
     first_day(mode, horizon, window, start_day)
     start, window = (1, window) if mode == "instant" else (start_day, None)
     user, day, after, before = table._change_points(horizon, start, window)
@@ -323,8 +384,21 @@ def series(
         raise ValueError(f"need one weight per user ({len(table.users)}), got {len(weights)}")
     else:
         tally = _weighted_tally(user, day, after, weights, horizon)
-    counts = tally.tolist()
-    return [_make_point(d, mode, counts[d][1:], origin_date, include_undecided) for d in range(start, horizon + 1)]
+    return _columns(start, tally[start:], mode, origin_date, include_undecided)
+
+
+def series(
+    table: CounterTable, mode: str, window: int | None = None, start_day: int | None = None,
+    origin_date: date | None = None, weights: np.ndarray | None = None, include_undecided: bool = True,
+) -> list[TrendPoint]:
+    """One point per day, ``instant`` from day 1 and ``cumulative`` from ``start_day``, to the last day.
+
+    The arguments are those of :meth:`CounterTable.categories`. ``include_undecided``
+    keeps Undecided users in the instant denominator; ``weights`` (one per
+    user, see :func:`user_weights`) reweights the counts.
+    """
+    columns = series_columns(table, mode, window, start_day, origin_date, weights, include_undecided)
+    return columns.points(mode)
 
 
 @dataclass(frozen=True)
@@ -337,6 +411,56 @@ class SweepResult:
     spread_pct_mp: float
 
 
+class SweepFinals:
+    """Each origin's final trend row: the rows of the sweep summary and the spreads.
+
+    Origins are added in day order with their whole series, of which only
+    the first date and the final row are kept.
+    """
+
+    def __init__(self):
+        self.origins: list[int] = []
+        self.labels: list[str] = []
+        self.rows = TrendColumns.of([])
+
+    def add(self, t0: int, columns: TrendColumns) -> None:
+        """Keep the final row of origin ``t0``'s series; an empty series (an empty table) adds nothing."""
+        if not columns.T:
+            return
+        self.origins.append(t0)
+        self.labels.append(columns.date[0].isoformat() if columns.date[0] else str(t0))
+        for kept, column in zip(self.rows, columns):
+            kept.append(column[-1])
+
+    def spread(self, field: str) -> float:
+        """Max minus min of the final ``field`` (``pct_ff`` or ``pct_mp``) over the origins that have one."""
+        values = [v for v in getattr(self.rows, field) if v is not None]
+        return max(values) - min(values) if values else 0.0
+
+    def write(self, fh) -> None:
+        """The sweep summary: one row per origin, LF line ends.
+
+        A row is the origin's date (its day index when the calendar is
+        unknown), its day, then its series' final trend CSV row from ``T`` on.
+        """
+        fh.write(",".join(("t0", "start_day", "final_day", *TREND_CSV_COLUMNS[2:])) + "\n")
+        fh.write(_csv_lines([self.labels, list(map(str, self.origins))], self.rows, "\n"))
+
+
+def sweep_columns(
+    table: CounterTable, start_days: Sequence[int], origin_date: date | None = None
+) -> Iterator[tuple[int, TrendColumns]]:
+    """Each origin's cumulative series, ``(t0, columns)`` in day order, made as it is asked for.
+
+    Every series runs to the table's last day and reads the table's one set
+    of running totals; an origin outside the calendar raises when reached.
+    """
+    origins = sorted(set(start_days))
+    if not origins:
+        raise ValueError("need at least one origin day")
+    return ((t0, series_columns(table, "cumulative", start_day=t0, origin_date=origin_date)) for t0 in origins)
+
+
 def sweep_t0(
     table: CounterTable, start_days: Sequence[int], origin_date: date | None = None
 ) -> SweepResult:
@@ -347,18 +471,14 @@ def sweep_t0(
     day; origins whose final point has an empty denominator are excluded
     from the spread.
     """
-    if not start_days:
-        raise ValueError("need at least one origin day")
-    by_origin = {
-        t0: series(table, "cumulative", start_day=t0, origin_date=origin_date)
-        for t0 in sorted(set(start_days))
-    }
-    finals_ff = [s[-1].pct_ff for s in by_origin.values() if s and s[-1].pct_ff is not None]
-    finals_mp = [s[-1].pct_mp for s in by_origin.values() if s and s[-1].pct_mp is not None]
-    spread_ff = max(finals_ff) - min(finals_ff) if finals_ff else 0.0
-    spread_mp = max(finals_mp) - min(finals_mp) if finals_mp else 0.0
+    finals = SweepFinals()
+    by_origin = {}
+    for t0, columns in sweep_columns(table, start_days, origin_date):
+        finals.add(t0, columns)
+        by_origin[t0] = columns.points("cumulative")
     return SweepResult(
-        final_day=table.n_days, series=by_origin, spread_pct_ff=spread_ff, spread_pct_mp=spread_mp
+        final_day=table.n_days, series=by_origin,
+        spread_pct_ff=finals.spread("pct_ff"), spread_pct_mp=finals.spread("pct_mp"),
     )
 
 
@@ -395,24 +515,14 @@ def apply_demographic_weights(
     sums = {cat: 0.0 for cat in UserCategory}
     for user_id, weight in zip(users, user_weights(users, weights, user_strata).tolist()):
         sums[categories[user_id]] += weight
-    reweighted = _make_point(point.day, point.mode, [sums[c] for c in UserCategory], None)
+    tally = np.array([[0.0, *(sums[c] for c in UserCategory)]])
+    reweighted = _columns(point.day, tally, point.mode, None).points(point.mode)[0]
     return replace(reweighted, date=point.date)
 
 
 # -- CSV output ---------------------------------------------------------
 
-TREND_CSV_COLUMNS = (
-    "date",
-    "T",
-    "n_mp",
-    "n_ff",
-    "n_undecided",
-    "n_unclassified",
-    "pct_ff",
-    "pct_mp",
-    "pct_others",
-    "denominator",
-)
+TREND_CSV_COLUMNS = TrendColumns._fields
 
 
 def _fmt_count(value: float) -> str:
@@ -423,32 +533,37 @@ def _fmt_pct(value: float | None) -> str:
     return "" if value is None else f"{value:.4f}"
 
 
-def _row(p: TrendPoint) -> list:
-    """The fields ``T`` to ``denominator`` of a trend CSV row."""
-    counts = (p.n_mp, p.n_ff, p.n_undecided, p.n_unclassified)
-    pcts = (p.pct_ff, p.pct_mp, p.pct_others)
-    return [p.day, *map(_fmt_count, counts), *map(_fmt_pct, pcts), _fmt_count(p.denominator)]
+def _csv_lines(lead: Sequence[list[str]], columns: TrendColumns, eol: str) -> str:
+    """The rows of a trend CSV or sweep summary: the ``lead`` text columns, then ``T`` to ``denominator``.
+
+    Each field is formatted column by column and each row joined once:
+    counts print as an int when integral, else with four decimals, and a
+    None percentage as an empty field.
+    """
+    fields = [
+        *lead,
+        list(map(str, columns.T)),
+        *([_fmt_count(v) for v in column] for column in columns[2:6]),
+        *([_fmt_pct(v) for v in column] for column in columns[6:9]),
+        [_fmt_count(v) for v in columns.denominator],
+    ]
+    return "".join([",".join(row) + eol for row in zip(*fields)])
 
 
-def write_trend_csv(points: Iterable[TrendPoint], fh) -> None:
-    """One row per point under :data:`TREND_CSV_COLUMNS`, CRLF line ends."""
-    writer = csv.writer(fh)
-    writer.writerow(TREND_CSV_COLUMNS)
-    for p in points:
-        writer.writerow([p.date.isoformat() if p.date else "", *_row(p)])
+def write_trend_csv(points: TrendColumns | Iterable[TrendPoint], fh) -> None:
+    """One row per day under :data:`TREND_CSV_COLUMNS`, CRLF line ends, from columns or points."""
+    columns = points if isinstance(points, TrendColumns) else TrendColumns.of(points)
+    dates = [when.isoformat() if when else "" for when in columns.date]
+    fh.write(",".join(TREND_CSV_COLUMNS) + "\r\n")
+    fh.write(_csv_lines([dates], columns, "\r\n"))
 
 
 def write_sweep_summary(result: SweepResult, fh) -> None:
-    """The sweep summary: one row per origin, LF line ends.
-
-    A row is the origin's date (its day index when the calendar is unknown),
-    its day, then its series' final trend CSV row from ``T`` on.
-    """
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(("t0", "start_day", "final_day", *TREND_CSV_COLUMNS[2:]))
+    """The sweep summary of ``result`` (see :meth:`SweepFinals.write`)."""
+    finals = SweepFinals()
     for t0, points in sorted(result.series.items()):
-        first = points[0]
-        writer.writerow([first.date.isoformat() if first.date else t0, t0, *_row(points[-1])])
+        finals.add(t0, TrendColumns.of(points))
+    finals.write(fh)
 
 
 def read_trend_csv(fh) -> list[dict]:

@@ -35,7 +35,7 @@ from electrend.ingest import (
 )
 from electrend.manifest import rerun
 from electrend.synth import ElectorateSpec, ground_truth
-from electrend.trend import CounterTable, read_trend_csv
+from electrend.trend import CounterTable, read_trend_csv, series, user_weights, write_trend_csv
 
 SUBCOMMANDS = [
     "ingest",
@@ -627,6 +627,20 @@ class TestKilledRun:
         assert not list(tmp_path.glob("*.tmp*"))
         assert (tmp_path / "out.jsonl").stat().st_size > 0
 
+    def test_synth_killed_writing_leaves_no_corpus_and_no_truth(self, tmp_path):
+        argv = ["synth", "-o", "out.jsonl", "--users", "600", "--days", "30", "--seed", "3"]
+        proc = start_stage(argv, tmp_path)
+        temp = tmp_path / f"out.jsonl.tmp{proc.pid}"
+        kill_when(proc, lambda: non_empty(temp), "it wrote")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [temp.name]  # no corpus, no truth file
+        assert_no_survivor(proc)
+
+        result = run_cli(argv, tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert not list(tmp_path.glob("*.tmp*"))
+        assert (tmp_path / "out.jsonl").stat().st_size > 0
+        assert (tmp_path / "out.jsonl.truth.csv").stat().st_size > 0
+
     @pytest.mark.parametrize("stage, moment", [
         ("ingest", "writing"), ("train", "counting"), ("train", "writing"), ("classify", "writing"),
     ])
@@ -985,6 +999,52 @@ class TestClassifyAndTrend:
             "sweep", pipeline.labeled, "-o", str(tmp_path / "s"), "--t0-list", "1,400",
         ])
         assert code == 2
+
+
+class TestOneRowFormat:
+    """Every trend CSV the CLI writes has the bytes of the library's writer."""
+
+    def test_sweep_csvs_equal_single_trend_runs(self, pipeline, tmp_path):
+        outdir = tmp_path / "sweep"
+        assert main(["sweep", pipeline.labeled, "-o", str(outdir), "--t0-list", "12,4,2019-04-07,1,4"]) == 0
+        for t0 in (1, 4, 7, 12):
+            single = tmp_path / f"trend_{t0}.csv"
+            assert main(["trend", pipeline.labeled, "-o", str(single), "--mode", "cumulative", "--t0", str(t0)]) == 0
+            day = date(2019, 4, 1) + timedelta(days=t0 - 1)
+            assert (outdir / f"trend_t0_{day.isoformat()}.csv").read_bytes() == single.read_bytes(), t0
+
+    def test_weighted_instant_equals_the_library_writer(self, tmp_path):
+        tweets = [
+            ("a", 1, "pro_mp"), ("b", 1, "pro_ff"),  # weights 0.7 and 2: a fractional and an integral count
+            ("c", 2, "pro_mp"), ("c", 2, "pro_ff"),  # Undecided, left out of the denominator
+            ("b", 6, "pro_mp"),  # days 4 and 5 see nobody in their 2-day window
+        ]
+        corpus = tmp_path / "labeled.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": str(i), "user": user, "ts": f"2019-04-0{day}T12:00:00+00:00", "text": "x",
+                        "hashtags": [], "t": day, "stance": stance}) + "\n"
+            for i, (user, day, stance) in enumerate(tweets)
+        ), encoding="utf-8")
+        strata = {"a": "A", "b": "B", "c": "A"}
+        (tmp_path / "users.csv").write_text("user_id,stratum\n" + "".join(f"{u},{s}\n" for u, s in strata.items()))
+        (tmp_path / "strata.csv").write_text("stratum,weight\nA,0.7\nB,2\n")
+        out = tmp_path / "w.csv"
+        assert main([
+            "trend", str(corpus), "-o", str(out), "--mode", "instant", "--window", "2", "--exclude-undecided",
+            "--origin-date", "2019-04-01",
+            "--strata-file", str(tmp_path / "users.csv"), "--weights-file", str(tmp_path / "strata.csv"),
+        ]) == 0
+
+        table = CounterTable(tweets)
+        weights = user_weights(table.users, {"A": 0.7, "B": 2.0}, strata)
+        points = series(table, "instant", window=2, origin_date=date(2019, 4, 1), weights=weights, include_undecided=False)
+        expected = io.StringIO(newline="")
+        write_trend_csv(points, expected)
+        assert out.read_bytes() == expected.getvalue().encode("utf-8")
+        lines = out.read_bytes().decode("utf-8").split("\r\n")
+        assert lines[1] == "2019-04-01,1,0.7000,2,0,0,74.0741,25.9259,,2.7000"
+        assert lines[4] == "2019-04-04,4,0,0,0,0,,,,0"
+        assert lines[6] == "2019-04-06,6,2,0,0,0,0.0000,100.0000,,2"
 
 
 class TestHashtagsCommand:

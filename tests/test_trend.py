@@ -296,6 +296,41 @@ class TestSweep:
         assert [s[0].day for s in result.series.values()] == [1, 4, 8]
         assert all(s[-1].day == 10 for s in result.series.values())
 
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_every_origin_equals_its_own_series_and_the_oracle(self, seed):
+        # longer than the strategies' 40 days; most users fall silent before
+        # the last day, so late origins come after their last rows
+        rng = random.Random(seed)
+        n_days = 90
+        counts = {}
+        for i in range(30):
+            last = rng.randint(1, n_days)
+            counts[f"u{i:02d}"] = {
+                d: (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2))
+                for d in rng.sample(range(1, last + 1), rng.randint(0, min(last, 15)))
+            }
+        counts["late"] = {n_days: (0, 0, 1), n_days - 1: (1, 1, 0)}
+        table = table_from(counts)
+        assert table.n_days == n_days
+        picked = rng.sample(range(2, n_days), 5)
+        origins = [picked[0], n_days, *picked, 1, picked[3]]  # unsorted, with duplicates and the last day
+        result = sweep_t0(table, origins)
+        assert list(result.series) == sorted(set(origins))
+        fields = ("n_mp", "n_ff", "n_undecided", "n_unclassified")
+        for t0, points in result.series.items():
+            assert points == series(table, "cumulative", start_day=t0)
+            for point in points:
+                cats = oracle_categories(counts, "cumulative", day=point.day, start_day=t0)
+                tally = [sum(c is cat for c in cats.values()) for cat in UserCategory]
+                assert [getattr(point, f) for f in fields] == tally, (t0, point.day)
+        assert result.series[n_days][0].n_unclassified == 1  # only the late user speaks on the last day
+
+    @pytest.mark.parametrize("bad", [0, -1, 91])
+    def test_origin_outside_the_calendar_raises(self, bad):
+        table = table_from({"u": {1: (1, 0, 0), 90: (0, 1, 0)}})
+        with pytest.raises(ValueError):
+            sweep_t0(table, [1, bad])
+
     def test_spread_measures_final_day_dispersion(self):
         # user flips stance at day 6; later origins see only the new stance
         counts = {f"u{i}": {d: (1, 0, 0) for d in range(1, 6)} for i in range(4)}
