@@ -54,7 +54,7 @@ for i in range(90):
 
 tracker = ActivityTracker()
 for r in records:
-    tracker.add(r, effective_date(r))
+    tracker.add(r.user_id, r.created_at, r.text, effective_date(r))
 
 print(f"{'user':<13}{'tweets':>7}{'max/day':>9}{'dup':>7}{'gap(s)':>9}{'score':>7}  verdict")
 for user, activity in tracker.profiles().items():

@@ -15,12 +15,9 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass, field
-from datetime import date
+from datetime import date, datetime
 from hashlib import blake2b
-from typing import TYPE_CHECKING, Iterable
-
-if TYPE_CHECKING:
-    from .ingest import TweetRecord
+from typing import Iterable
 
 __all__ = [
     "UserActivity",
@@ -84,15 +81,23 @@ class ActivityTracker:
     def __init__(self):
         self._users: dict[str, _UserState] = {}
 
-    def add(self, record: TweetRecord, day: date) -> None:
-        """Count one record; ``day`` is its pipeline day (its effective date), which the rate rule counts."""
-        state = self._users.get(record.user_id)
+    def add(self, user_id: str, created_at: datetime, text: str, day: date, keys: dict[str, int] | None = None) -> None:
+        """Count one tweet; ``day`` is its pipeline day (its effective date), which the rate rule counts.
+
+        ``keys`` memoises text keys by text over the calls that share it;
+        its owner decides how long it lives.
+        """
+        state = self._users.get(user_id)
         if state is None:
-            state = self._users[record.user_id] = _UserState()
+            state = self._users[user_id] = _UserState()
         state.total += 1
         state.day_counts[day] = state.day_counts.get(day, 0) + 1
-        state.texts.append(_text_key(record.text))
-        ts = record.created_at.timestamp()
+        keys = {} if keys is None else keys
+        key = keys.get(text)
+        if key is None:
+            key = keys[text] = _text_key(text)
+        state.texts.append(key)
+        ts = created_at.timestamp()
         state.first_ts = min(state.first_ts, ts)
         state.last_ts = max(state.last_ts, ts)
 

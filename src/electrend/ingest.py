@@ -42,7 +42,6 @@ __all__ = [
     "record_parts",
     "join_parts",
     "extract_hashtags",
-    "matches_query",
     "assign_day",
     "day_to_date",
     "open_text",
@@ -75,6 +74,9 @@ DEFAULT_QUERY_STRINGS = (
 _HASHTAG_RE = re.compile(r"#(\w+)", re.UNICODE)
 
 _UTC = timezone.utc
+
+# A timestamp that ``isoformat`` writes back unchanged: UTC, whole seconds.
+_ISO_UTC = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}\+00:00").fullmatch
 
 # The C encoder json.dumps(obj, ensure_ascii=False) uses, built once:
 # JSONEncoder.encode builds a new one, with its closures, on every call.
@@ -124,7 +126,9 @@ class QuerySet:
 
     Terms are matched against the lowercased text, so a term that is not
     lowercase never matches. The single-term queries are compiled into one
-    alternation; the multi-term queries are tested term by term.
+    alternation, without any term that holds another (the shorter one
+    matches wherever the longer one does); the multi-term queries are
+    tested term by term.
     """
 
     queries: tuple[tuple[str, ...], ...]
@@ -137,7 +141,8 @@ class QuerySet:
         for terms in self.queries:
             if not terms:
                 raise ValueError("each query needs at least one term")
-        singles = sorted({terms[0] for terms in self.queries if len(terms) == 1})
+        singles = {terms[0] for terms in self.queries if len(terms) == 1}
+        singles = sorted(t for t in singles if not any(s != t and s in t for s in singles))
         pattern = re.compile("|".join(map(re.escape, singles))) if singles else None
         object.__setattr__(self, "_any_single", pattern)
         object.__setattr__(self, "_conjunctions", tuple(t for t in self.queries if len(t) > 1))
@@ -154,6 +159,19 @@ class QuerySet:
     def default(cls) -> "QuerySet":
         return cls.from_strings(DEFAULT_QUERY_STRINGS)
 
+    def matches(self, text: str) -> bool:
+        """True iff any query's terms all appear (case-insensitive) in ``text``."""
+        lowered = text.lower()
+        if self._any_single is not None and self._any_single.search(lowered):
+            return True
+        for terms in self._conjunctions:
+            for term in terms:
+                if term not in lowered:
+                    break
+            else:
+                return True
+        return False
+
 
 def extract_hashtags(text: str) -> list[str]:
     """Lowercased tags in order of first appearance, deduplicated."""
@@ -161,6 +179,15 @@ def extract_hashtags(text: str) -> list[str]:
     for match in _HASHTAG_RE.finditer(text):
         seen.setdefault(match.group(1).lower())
     return list(seen)
+
+
+def _hashtags(text: str, tags: list[str] | None) -> list[str]:
+    """A record's hashtags: ``tags`` when present, normalized to the extraction convention, else the text's."""
+    if tags is None:
+        return extract_hashtags(text)
+    normal = dict.fromkeys([tag.lstrip("#").lower() for tag in tags])
+    normal.pop("", None)
+    return list(normal)
 
 
 def _parse_timestamp(raw: str, line_no: int) -> datetime:
@@ -210,7 +237,7 @@ def _load_json(line: str, line_no: int):
 
 
 def _decode(line: str, line_no: int) -> tuple:
-    """``(id, user, created_at, text, raw hashtags, day, stance)`` of one line, every field checked."""
+    """``(id, user, ts as read, created_at, text, raw hashtags, day, stance)`` of one line, every field checked."""
     if not _is_utf8(line):
         raise ParseError("invalid UTF-8", line_no)
     obj = _load_json(line, line_no)
@@ -222,7 +249,8 @@ def _decode(line: str, line_no: int) -> tuple:
         raise ParseError(f"missing required field {exc.args[0]!r}", line_no) from None
     if not isinstance(text, str):
         raise ParseError("field 'text' is not a string", line_no)
-    created_at = _parse_timestamp(str(raw_ts), line_no)
+    raw_ts = str(raw_ts)
+    created_at = _parse_timestamp(raw_ts, line_no)
     tags = obj.get("hashtags")
     if tags is not None and not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
         raise ParseError("field 'hashtags' is not a list of strings", line_no)
@@ -231,12 +259,13 @@ def _decode(line: str, line_no: int) -> tuple:
         raise ParseError("field 't' is not an integer", line_no)
     # A JSON escape of an unpaired surrogate decodes to one; only a line
     # holding a \ud.. escape can carry it.
-    if ("\\ud" in line or "\\uD" in line) and not _is_utf8("".join(_ENCODE(obj, 0))):
+    if "\\" in line and ("\\ud" in line or "\\uD" in line) and not _is_utf8("".join(_ENCODE(obj, 0))):
         raise ParseError("unpaired surrogate escape", line_no)
     stance = obj.get("stance")
     return (
         str(tweet_id),
         str(user_id),
+        raw_ts,
         created_at,
         text,
         tags,
@@ -253,13 +282,8 @@ def parse_record(line: str, line_no: int = 0) -> TweetRecord:
     Bytes that were not UTF-8 reach here as lone surrogates (see
     :func:`iter_lines`) and make the line malformed.
     """
-    tweet_id, user_id, created_at, text, tags, day, stance = _decode(line, line_no)
-    if tags is not None:
-        # Trusted when present; normalized to the extraction convention.
-        hashtags = [t for t in dict.fromkeys(tag.lstrip("#").lower() for tag in tags) if t]
-    else:
-        hashtags = extract_hashtags(text)
-    return TweetRecord(tweet_id, user_id, created_at, text, hashtags, day, stance)
+    tweet_id, user_id, _, created_at, text, tags, day, stance = _decode(line, line_no)
+    return TweetRecord(tweet_id, user_id, created_at, text, _hashtags(text, tags), day, stance)
 
 
 def parse_label(line: str, line_no: int = 0) -> tuple[str, int | None, str | None]:
@@ -268,7 +292,7 @@ def parse_label(line: str, line_no: int = 0) -> tuple[str, int | None, str | Non
     Accepts and rejects exactly the lines :func:`parse_record` does, but
     keeps only these three fields.
     """
-    _, user_id, _, _, _, day, stance = _decode(line, line_no)
+    _, user_id, _, _, _, _, day, stance = _decode(line, line_no)
     return user_id, day, stance
 
 
@@ -297,12 +321,20 @@ def record_to_json(record: TweetRecord) -> str:
     return join_parts(head, record.day, tail)
 
 
-def matches_query(record: TweetRecord, qs: QuerySet) -> bool:
-    """True iff any query's terms all appear (case-insensitive) in the text."""
-    lowered = record.text.lower()
-    if qs._any_single is not None and qs._any_single.search(lowered):
-        return True
-    return any(all(term in lowered for term in terms) for terms in qs._conjunctions)
+def _written_as_read(line: str, tweet_id: str, user_id: str, raw_ts: str, text: str, hashtags: list[str]) -> bool:
+    """True when ``line`` is, byte for byte, the line :func:`record_parts` writes for these fields, without stance.
+
+    A JSON line without a backslash holds no escape, so each of its strings
+    decoded to the text between its quotes, with no character that the
+    encoder escapes; and a timestamp of the ``_ISO_UTC`` form is its own
+    ``isoformat``. So the line equals the encoding when it equals this
+    skeleton of the decoded fields.
+    """
+    if "\\" in line or _ISO_UTC(raw_ts) is None:
+        return False
+    tags = '"' + '", "'.join(hashtags) + '"' if hashtags else ""
+    skeleton = f'{{"id": "{tweet_id}", "user": "{user_id}", "ts": "{raw_ts}", "text": "{text}", "hashtags": [{tags}]}}'
+    return line == skeleton
 
 
 def effective_date(record: TweetRecord, day_offset_hours: float = 0) -> date:
@@ -535,13 +567,18 @@ class IngestResult:
 def _pass_one(config: IngestConfig, chunk: list[tuple[int, str]]) -> tuple:
     """Pass 1 of :func:`ingest_lines` over one chunk of lines.
 
-    Returns the number of lines, their rejects sidecar text, the rejects by
-    reason, their spool rows, the kept records' user profiles (None without
-    the bot rules) and the earliest effective date's ordinal (None when no
-    line is kept).
+    Each line is decoded and checked once; the retweet and query rules read
+    the decoded text before anything else is built. A kept line that is
+    already what :func:`record_parts` writes (no stance, no day) is spooled
+    as read; any other is encoded again. Returns the number of lines, their
+    rejects sidecar text, the rejects by reason, their spool rows, the kept
+    records' user profiles (None without the bot rules) and the earliest
+    effective date's ordinal (None when no line is kept).
     """
-    queries, drop_retweets, offset = config.queries, config.drop_retweets, config.day_offset_hours
+    queries, drop_retweets = config.queries, config.drop_retweets
+    shift = timedelta(hours=config.day_offset_hours)
     tracker = ActivityTracker() if config.bots is not None else None
+    text_keys: dict[str, int] = {}  # the bot rules' text keys, for this chunk only
     counts: Counter = Counter()
     rejects, rows = [], []
     first = None
@@ -552,25 +589,29 @@ def _pass_one(config: IngestConfig, chunk: list[tuple[int, str]]) -> tuple:
 
     for line_no, line in chunk:
         try:
-            record = parse_record(line, line_no)
+            tweet_id, user_id, raw_ts, created_at, text, tags, _, stance = _decode(line, line_no)
         except ParseError as exc:
             reject(line_no, f"parse: {exc.reason}")
             continue
-        if drop_retweets and record.text.startswith("RT @"):
+        if drop_retweets and text.startswith("RT @"):
             reject(line_no, "retweet")
             continue
-        if queries is not None and not matches_query(record, queries):
+        if queries is not None and not queries.matches(text):
             reject(line_no, "no-query-match")
             continue
-        day = effective_date(record, offset)
+        day = (created_at + shift).date()
         ordinal = day.toordinal()
         if first is None or ordinal < first:
             first = ordinal
         if tracker is not None:
-            tracker.add(record, day)
+            tracker.add(user_id, created_at, text, day, text_keys)
+        hashtags = _hashtags(text, tags)
+        if stance is None and _written_as_read(line, tweet_id, user_id, raw_ts, text, hashtags):
+            head, tail = line[:-1], "}"
+        else:
+            head, tail = record_parts(TweetRecord(tweet_id, user_id, created_at, text, hashtags, None, stance))
         # JSON text holds no raw tab or newline, so the fields split back cleanly.
-        head, tail = record_parts(record)
-        rows.append(f"{line_no}\t{ordinal}\t{_encode_str(record.user_id)}\t{head}\t{tail}\n")
+        rows.append(f"{line_no}\t{ordinal}\t{_encode_str(user_id)}\t{head}\t{tail}\n")
     return len(chunk), "".join(rejects), counts, "".join(rows), tracker, first
 
 
@@ -585,9 +626,11 @@ def ingest_lines(
     the parse, retweet and query rules, user profiles on effective dates,
     the origin, and a spool row "line_no, date ordinal, user as a JSON
     string, line head, line tail" per kept line in an anonymous temp file in
-    ``spool_dir``. Pass 2 reads the spool and applies the bot and origin
-    rules. Raises :class:`NoRecordsError` when ``lines`` is empty, no line
-    passes the parse and query filters, or no line is accepted.
+    ``spool_dir``. A kept line already in the corpus encoding is spooled as
+    read, any other is encoded again. Pass 2 reads the spool and applies the
+    bot and origin rules. Raises :class:`NoRecordsError` when ``lines`` is
+    empty, no line passes the parse and query filters, or no line is
+    accepted.
     """
     bot_config = config.bots
     reject_counts: Counter = Counter()

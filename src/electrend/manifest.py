@@ -18,14 +18,16 @@ from .ingest import atomic_text
 __all__ = ["RunManifest", "write_json_atomic", "rerun"]
 
 MANIFEST_FORMAT_VERSION = 1
-_HASH_CHUNK = 1 << 20
+_HASH_BUFFER = 1 << 16
 
 
 def file_sha256(path: str) -> str:
+    """The SHA-256 of a file, read into one reused buffer so that hashing adds nothing to the peak memory."""
     digest = sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_HASH_CHUNK):
-            digest.update(chunk)
+    buffer = memoryview(bytearray(_HASH_BUFFER))
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buffer):
+            digest.update(buffer[:n])
     return digest.hexdigest()
 
 

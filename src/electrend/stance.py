@@ -104,26 +104,25 @@ class LexiconModel:
     term_weights: dict[str, dict[str, float]] = field(default_factory=dict)
     smoothing: float = 1.0
     decision_margin: float = 0.0
+    # The camps the seeds name, in CAMPS order; set from seed_tags once, when the model is made.
+    camps: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        camps = set(self.seed_tags.values())
-        unknown = camps - set(CAMPS)
+        named = set(self.seed_tags.values())
+        unknown = named - set(CAMPS)
         if unknown:
             raise ValueError(f"unknown camps in seeds: {sorted(unknown)}")
         if self.smoothing <= 0:
             raise ValueError("smoothing must be positive")
         if self.decision_margin < 0:
             raise ValueError("decision margin must be nonnegative")
-
-    @property
-    def camps(self) -> tuple[str, ...]:
-        return tuple(c for c in CAMPS if c in set(self.seed_tags.values()))
+        self.camps = tuple(c for c in CAMPS if c in named)
 
     def seed_camps(self, hashtags: Iterable[str]) -> set[str]:
         return {self.seed_tags[t] for t in hashtags if t in self.seed_tags}
 
     def scores(self, tokens: Iterable[str]) -> dict[str, float]:
-        totals = {camp: 0.0 for camp in self.camps}
+        totals = dict.fromkeys(self.camps, 0.0)
         for tok in tokens:
             weights = self.term_weights.get(tok)
             if weights:

@@ -32,7 +32,7 @@ def profile(records):
     """The profile of the one user of ``records``, each counted on its pipeline day."""
     tracker = ActivityTracker()
     for r in records:
-        tracker.add(r, effective_date(r))
+        tracker.add(r.user_id, r.created_at, r.text, effective_date(r))
     (activity,) = tracker.profiles().values()
     return activity
 
@@ -92,17 +92,19 @@ class TestProfiling:
         records = [rec(user="u", text=f"t{i}", ts=day_ts(1, second=3600 * i)) for i in range(4)]
         tracker = ActivityTracker()
         for i, r in enumerate(records):
-            tracker.add(r, date(2019, 2, 27 + i % 2))
+            tracker.add(r.user_id, r.created_at, r.text, date(2019, 2, 27 + i % 2))
         activity = tracker.profiles()["u"]
         assert (activity.active_days, activity.max_tweets_per_day) == (2, 2)
 
     def test_merged_trackers_equal_one_tracker(self):
-        # two users whose records are split over three trackers, one text repeated across them
+        # two users whose records are split over three trackers, one text repeated across them;
+        # the parts share one memo of text keys
         records = burst_user("u", 9, 86400 * 2) + [rec(user="v", text=f"t{i % 2}", ts=day_ts(i + 1)) for i in range(5)]
-        whole, parts = ActivityTracker(), [ActivityTracker() for _ in range(3)]
+        whole, parts, keys = ActivityTracker(), [ActivityTracker() for _ in range(3)], {}
         for i, r in enumerate(records):
-            whole.add(r, effective_date(r))
-            parts[i % 3].add(r, effective_date(r))
+            whole.add(r.user_id, r.created_at, r.text, effective_date(r))
+            parts[i % 3].add(r.user_id, r.created_at, r.text, effective_date(r), keys)
+        assert sorted(keys) == ["spam spam", "t0", "t1"]
         merged = ActivityTracker()
         for part in parts:
             merged.merge(part)

@@ -35,7 +35,6 @@ from electrend.ingest import (
     ingest_lines,
     iter_lines,
     map_chunks,
-    matches_query,
     open_text,
     parse_label,
     parse_record,
@@ -191,29 +190,29 @@ class TestHashtagExtraction:
 class TestQueries:
     def test_conjunction_met(self):
         qs = QuerySet.from_strings(["Alberto AND Fernandez"])
-        assert matches_query(rec(text="Alberto Fernandez habló hoy"), qs)
+        assert qs.matches("Alberto Fernandez habló hoy")
 
     def test_conjunction_unmet(self):
         qs = QuerySet.from_strings(["Alberto AND Fernandez"])
-        assert not matches_query(rec(text="Fernandez habló"), qs)
+        assert not qs.matches("Fernandez habló")
 
     def test_single_term_query_matches_inside_mention(self):
         qs = QuerySet.from_strings(["mauriciomacri"])
-        assert matches_query(rec(text="dijo @mauriciomacri"), qs)
+        assert qs.matches("dijo @mauriciomacri")
 
     def test_default_query_list(self):
         assert "mauriciomacri" in DEFAULT_QUERY_STRINGS
         assert "Alberto AND Fernandez" in DEFAULT_QUERY_STRINGS
         assert len(DEFAULT_QUERY_STRINGS) == 10
         qs = QuerySet.default()
-        assert matches_query(rec(text="hoy CFK dijo"), qs)
-        assert matches_query(rec(text="Lavagna presidente"), qs)
-        assert not matches_query(rec(text="nada que ver"), qs)
+        assert qs.matches("hoy CFK dijo")
+        assert qs.matches("Lavagna presidente")
+        assert not qs.matches("nada que ver")
 
     def test_case_insensitive(self):
         qs = QuerySet.from_strings(["Macri"])
-        assert matches_query(rec(text="MACRI habla"), qs)
-        assert matches_query(rec(text="macri habla"), qs)
+        assert qs.matches("MACRI habla")
+        assert qs.matches("macri habla")
 
     @given(
         text=st.text(max_size=40),
@@ -221,11 +220,11 @@ class TestQueries:
         extra=st.from_regex(r"[a-zA-Z0-9]{1,6}", fullmatch=True),
     )
     def test_adding_a_query_is_monotone(self, text, base, extra):
-        r = rec(text=text or "x")
+        text = text or "x"
         smaller = QuerySet.from_strings(base) if base else None
         bigger = QuerySet.from_strings([*base, extra])
-        if smaller is not None and matches_query(r, smaller):
-            assert matches_query(r, bigger)
+        if smaller is not None and smaller.matches(text):
+            assert bigger.matches(text)
 
 
 # Terms and texts share an alphabet of regex metacharacters, letters and
@@ -247,14 +246,14 @@ class TestCompiledQueries:
         qs = QuerySet(tuple(queries))
         lowered = text.lower()
         oracle = any(all(t in lowered for t in q) for q in qs.queries)
-        assert matches_query(rec(text=text), qs) == oracle
+        assert qs.matches(text) == oracle
 
     def test_metacharacters_are_literal(self):
         qs = QuerySet.from_strings(["a.b", "(", "c+"])
-        assert not matches_query(rec(text="axb"), qs)
-        assert matches_query(rec(text="A.B"), qs)
-        assert matches_query(rec(text="x (y"), qs)
-        assert not matches_query(rec(text="ccc"), qs)
+        assert not qs.matches("axb")
+        assert qs.matches("A.B")
+        assert qs.matches("x (y")
+        assert not qs.matches("ccc")
 
     def test_equal_query_sets_compare_equal(self):
         assert QuerySet.default() == QuerySet.default()
@@ -445,10 +444,10 @@ def reference_ingest(lines: list[str], origin: date, offset: float) -> tuple[lis
         except ParseError as exc:
             rejects.append(f"{line_no}\tparse: {exc.reason}")
             continue
-        if not matches_query(record, queries):
+        if not queries.matches(record.text):
             rejects.append(f"{line_no}\tno-query-match")
             continue
-        tracker.add(record, effective_date(record, offset))
+        tracker.add(record.user_id, record.created_at, record.text, effective_date(record, offset))
         kept.append((line_no, record))
     verdicts, bots = flag_bots(tracker, BotConfig())
     clean, days = [], []
@@ -534,6 +533,121 @@ class TestSpooledIngest:
             "clean.jsonl", "clean.jsonl.bots.csv", "clean.jsonl.manifest.json", "clean.jsonl.meta.json",
             "raw.jsonl.gz", "raw.jsonl.gz.rejects.txt",
         ]
+
+
+# Ways a corpus line can differ from the encoding ``record_parts`` writes.
+LINE_VARIANTS = (
+    "key-order", "blanks", "tabs", "e-escape", "slash-escape", "int-id", "duplicate-key", "no-hashtags",
+    "#-tag", "upper-tag", "repeated-tag", "t", "stance",
+    "ts-Z", "ts-fraction", "ts-zero-fraction", "ts--03:00", "ts-naive", "ts-week-date",
+)
+
+
+@st.composite
+def raw_corpus_line(draw) -> str:
+    """A corpus line in the encoding ``record_parts`` writes, changed in up to two of ``LINE_VARIANTS``.
+
+    Its text may also hold quotes, backslashes or U+2028, which the
+    encoding escapes (the first two) or writes as is (the last).
+    """
+    variants = draw(st.sets(st.sampled_from(LINE_VARIANTS), max_size=2))
+    at = datetime(2019, 2, 28, tzinfo=UTC) + timedelta(seconds=draw(st.integers(0, 6 * 86400)))
+    ts = at.isoformat()
+    if "ts-Z" in variants:
+        ts = at.strftime("%Y-%m-%dT%H:%M:%SZ")
+    if "ts-fraction" in variants:
+        ts = at.replace(microsecond=draw(st.integers(1, 999_999))).isoformat()
+    if "ts-zero-fraction" in variants:
+        ts = at.strftime("%Y-%m-%dT%H:%M:%S.000+00:00")
+    if "ts--03:00" in variants:
+        ts = at.astimezone(timezone(timedelta(hours=-3))).isoformat()
+    if "ts-naive" in variants:
+        ts = at.replace(tzinfo=None).isoformat()
+    if "ts-week-date" in variants:
+        year, week, weekday = at.isocalendar()
+        ts = f"{year}-W{week:02d}-{weekday}T{at:%H:%M:%S}+00:00"
+    tags = draw(st.lists(st.sampled_from(["cambiemos", "fuerzacristina", "é"]), max_size=2, unique=True))
+    if "#-tag" in variants:
+        tags = ["#cambiemos", *tags]
+    if "upper-tag" in variants:
+        tags = ["Cambiemos", *tags]
+    if "repeated-tag" in variants:
+        tags = ["x", "x", *tags]
+    fields = {
+        "id": draw(st.integers(0, 99)) if "int-id" in variants else str(draw(st.integers(0, 99))),
+        "user": draw(st.sampled_from(["u1", "u2", "Ñandú", "u x", "a/b"])),
+        "ts": ts,
+        "text": "".join(draw(st.lists(
+            st.sampled_from(["macri", "Macri ", "cfk", " nada", "é", "a/b", " ", " ", "#Tag ", '"', "\\"]),
+            min_size=1, max_size=5,
+        ))),
+        "hashtags": tags,
+    }
+    if "no-hashtags" in variants:
+        del fields["hashtags"]
+    if "t" in variants:
+        fields["t"] = draw(st.integers(-2, 9))
+    if "stance" in variants:
+        fields["stance"] = draw(st.sampled_from(["pro_ff", "neutral"]))
+    pairs = list(fields.items())
+    if "key-order" in variants:
+        pairs = draw(st.permutations(pairs))
+    if "duplicate-key" in variants:  # the last one counts
+        pairs.insert(0, (draw(st.sampled_from(sorted(fields))), draw(st.sampled_from(["x", 7]))))
+    colon, comma, inner = ": ", ", ", ""
+    if "blanks" in variants:
+        colon, comma, inner = " :  ", " ,", " "
+    if "tabs" in variants:
+        colon, comma = ":\t", ",\t"
+
+    def encode(value) -> str:
+        if isinstance(value, list):
+            return "[" + comma.join(map(encode, value)) + "]"
+        text = json.dumps(value, ensure_ascii=False)
+        if "e-escape" in variants:
+            text = text.replace("é", "\\u00e9")
+        if "slash-escape" in variants:
+            text = text.replace("/", "\\/")
+        return text
+
+    return "{" + inner + comma.join(f'"{key}"{colon}{encode(value)}' for key, value in pairs) + inner + "}"
+
+
+# Kept by every rule, so that a run always accepts a line.
+ANCHOR_LINE = '{"id": "a", "user": "anchor", "ts": "2019-03-02T12:00:00+00:00", "text": "macri", "hashtags": []}'
+
+
+class TestWrittenAsRead:
+    """A kept line already in the corpus encoding is spooled as read; every other kept line is encoded again."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(raw_corpus_line(), min_size=1, max_size=12), offset=st.sampled_from([0.0, -3.0, 5.5]))
+    def test_outputs_equal_the_line_by_line_ingest(self, lines, offset):
+        lines = [ANCHOR_LINE, *lines]
+        origin = date(2019, 3, 1)
+        want_clean, want_rejects, want_meta, want_verdicts = reference_ingest(lines, origin, offset)
+        out, rejects = io.StringIO(), io.StringIO()
+        config = IngestConfig(origin_date=origin, day_offset_hours=offset)
+        result = ingest_lines(enumerate(lines, start=1), config, out, rejects)
+        assert out.getvalue() == "".join(line + "\n" for line in want_clean)
+        assert rejects.getvalue().splitlines() == want_rejects
+        assert (result.n_days, result.accepted, result.rejects) == (
+            want_meta["n_days"], want_meta["records"], want_meta["rejects"]
+        )
+        assert result.verdicts == want_verdicts
+
+    def test_synth_lines_gain_only_their_day(self, tmp_path):
+        raw, clean = tmp_path / "raw.jsonl", tmp_path / "clean.jsonl"
+        assert main(["synth", "-o", str(raw), "--users", "40", "--days", "5", "--seed", "3"]) == 0
+        assert main(["ingest", str(raw), "-o", str(clean)]) == 0
+        dropped = {int(row.split("\t")[0]) for row in (tmp_path / "raw.jsonl.rejects.txt").read_text().splitlines()}
+        kept = [line for n, line in iter_lines(str(raw)) if n not in dropped]
+        written = clean.read_text(encoding="utf-8").splitlines()
+        assert len(written) == len(kept) > 0
+        for line, out in zip(kept, written):
+            head, _, day = out[:-1].rpartition(', "t": ')
+            assert head + "}" == line
+            assert day.isdigit() and int(day) >= 1
 
 
 def good_line(i: int) -> bytes:
