@@ -16,6 +16,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from datetime import date, datetime
+from functools import lru_cache
 from hashlib import blake2b
 from typing import Iterable
 
@@ -60,6 +61,7 @@ class BotConfig:
     threshold: float = 0.5
 
 
+@lru_cache(maxsize=1024)  # bots repeat a few texts; the bound keeps memory at 8 bytes a record
 def _text_key(text: str) -> int:
     # Deterministic across runs, unlike hash(str).
     normalized = " ".join(text.lower().split())
@@ -81,22 +83,14 @@ class ActivityTracker:
     def __init__(self):
         self._users: dict[str, _UserState] = {}
 
-    def add(self, user_id: str, created_at: datetime, text: str, day: date, keys: dict[str, int] | None = None) -> None:
-        """Count one tweet; ``day`` is its pipeline day (its effective date), which the rate rule counts.
-
-        ``keys`` memoises text keys by text over the calls that share it;
-        its owner decides how long it lives.
-        """
+    def add(self, user_id: str, created_at: datetime, text: str, day: date) -> None:
+        """Count one tweet; ``day`` is its pipeline day (its effective date), which the rate rule counts."""
         state = self._users.get(user_id)
         if state is None:
             state = self._users[user_id] = _UserState()
         state.total += 1
         state.day_counts[day] = state.day_counts.get(day, 0) + 1
-        keys = {} if keys is None else keys
-        key = keys.get(text)
-        if key is None:
-            key = keys[text] = _text_key(text)
-        state.texts.append(key)
+        state.texts.append(_text_key(text))
         ts = created_at.timestamp()
         state.first_ts = min(state.first_ts, ts)
         state.last_ts = max(state.last_ts, ts)

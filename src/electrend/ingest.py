@@ -492,9 +492,10 @@ def map_chunks(fn: Callable[[list], object], lines: Iterable[tuple[int, str]], w
     it need not pickle, but its chunks and results do. An exception from
     ``fn`` is raised when its chunk's turn comes, so the first bad chunk in
     input order decides it. A read error (``OSError``) from ``lines`` is
-    raised after the chunks read before it. The pool ends with the iterator:
-    exhausted, failed or closed. Forking is safe only in a process that runs
-    no other thread, as the CLI's do not.
+    raised after the chunks read before it. The pool ends with the iterator,
+    exhausted, failed or closed: its workers finish the chunks in flight
+    and exit. Forking is safe only in a process that runs no other thread,
+    as the CLI's do not.
     """
     read_error: list[OSError] = []
 
@@ -513,7 +514,13 @@ def map_chunks(fn: Callable[[list], object], lines: Iterable[tuple[int, str]], w
     if not pooled:
         yield from map(fn, chunks)
     else:
-        with _fork_pool(workers, fn) as pool:
+        pool = _fork_pool(workers, fn)
+        # A worker stopped by a signal while it sends a result keeps the result
+        # pipe's lock, and Pool.terminate then waits on that lock for ever. So
+        # the workers finish the chunks in flight and exit on their own, unless
+        # an interrupt, which they may have taken too, ends the iterator.
+        interrupted = True
+        try:
             pending: deque = deque()
             for chunk in chunks:
                 pending.append(pool.apply_async(_call, (chunk,)))
@@ -521,6 +528,16 @@ def map_chunks(fn: Callable[[list], object], lines: Iterable[tuple[int, str]], w
                     yield pending.popleft().get()
             while pending:
                 yield pending.popleft().get()
+            interrupted = False
+        except (Exception, GeneratorExit):
+            interrupted = False
+            raise
+        finally:
+            if interrupted:
+                pool.terminate()
+            else:
+                pool.close()
+                pool.join()
     if read_error:
         raise read_error[0]
 
@@ -578,7 +595,6 @@ def _pass_one(config: IngestConfig, chunk: list[tuple[int, str]]) -> tuple:
     queries, drop_retweets = config.queries, config.drop_retweets
     shift = timedelta(hours=config.day_offset_hours)
     tracker = ActivityTracker() if config.bots is not None else None
-    text_keys: dict[str, int] = {}  # the bot rules' text keys, for this chunk only
     counts: Counter = Counter()
     rejects, rows = [], []
     first = None
@@ -604,7 +620,7 @@ def _pass_one(config: IngestConfig, chunk: list[tuple[int, str]]) -> tuple:
         if first is None or ordinal < first:
             first = ordinal
         if tracker is not None:
-            tracker.add(user_id, created_at, text, day, text_keys)
+            tracker.add(user_id, created_at, text, day)
         hashtags = _hashtags(text, tags)
         if stance is None and _written_as_read(line, tweet_id, user_id, raw_ts, text, hashtags):
             head, tail = line[:-1], "}"

@@ -97,14 +97,12 @@ class TestProfiling:
         assert (activity.active_days, activity.max_tweets_per_day) == (2, 2)
 
     def test_merged_trackers_equal_one_tracker(self):
-        # two users whose records are split over three trackers, one text repeated across them;
-        # the parts share one memo of text keys
+        # two users whose records are split over three trackers, one text repeated across them
         records = burst_user("u", 9, 86400 * 2) + [rec(user="v", text=f"t{i % 2}", ts=day_ts(i + 1)) for i in range(5)]
-        whole, parts, keys = ActivityTracker(), [ActivityTracker() for _ in range(3)], {}
+        whole, parts = ActivityTracker(), [ActivityTracker() for _ in range(3)]
         for i, r in enumerate(records):
             whole.add(r.user_id, r.created_at, r.text, effective_date(r))
-            parts[i % 3].add(r.user_id, r.created_at, r.text, effective_date(r), keys)
-        assert sorted(keys) == ["spam spam", "t0", "t1"]
+            parts[i % 3].add(r.user_id, r.created_at, r.text, effective_date(r))
         merged = ActivityTracker()
         for part in parts:
             merged.merge(part)

@@ -5,6 +5,7 @@ import io
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -786,6 +787,29 @@ class TestMapChunks:
             for numbers in map_chunks(line_numbers, lines(), workers):
                 done.append(numbers)
         assert done == [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10]]
+
+    @pytest.mark.parametrize("end", ["a chunk fails", "the iterator is closed"])
+    def test_the_workers_finish_their_chunks_and_exit_unsignalled(self, end, tmp_path):
+        # A worker stopped by a signal while it sends a result keeps the result
+        # pipe's lock, and the end of the pool would then wait on it for ever.
+        signalled = tmp_path / "signalled"
+
+        def fn(chunk):
+            signal.signal(signal.SIGTERM, lambda *_: (signalled.touch(), os._exit(1)))
+            if chunk[0][0] == 1 and end == "a chunk fails":
+                raise ParseError("bad", 1)
+            time.sleep(0.2)
+            return chunk
+
+        results = map_chunks(fn, self.PAIRS, 2)
+        if end == "a chunk fails":
+            with pytest.raises(ParseError):
+                next(results)
+        else:
+            next(results)
+            results.close()
+        assert not multiprocessing.active_children()
+        assert not signalled.exists()
 
     def test_the_pool_ends_with_the_iterator(self):
         results = map_chunks(line_numbers, self.PAIRS, 2)
