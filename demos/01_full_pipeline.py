@@ -38,19 +38,18 @@ table = CounterTable(tweets)
 print("classified", len(tweets), "tweets from", len(table.users), "active users")
 print()
 
-points = series(table, "cumulative", start_day=1, origin_date=spec.start_date)
+cumulative = series(table, "cumulative", start_day=1, origin_date=spec.start_date)
 
 print("cumulative estimate (every fifth day):")
 print("  day   pct_ff  pct_mp  pct_others  denominator")
-for p in points:
-    if p.day % 5 == 0 or p.day == spec.n_days:
-        print(
-            f"  {p.day:3d}   {p.pct_ff:6.2f}  {p.pct_mp:6.2f}      {p.pct_others:6.2f}  {p.denominator:11.0f}"
-        )
+rows = zip(cumulative.T, cumulative.pct_ff, cumulative.pct_mp, cumulative.pct_others, cumulative.denominator)
+for day, pct_ff, pct_mp, pct_others, denominator in rows:
+    if day % 5 == 0 or day == spec.n_days:
+        print(f"  {day:3d}   {pct_ff:6.2f}  {pct_mp:6.2f}      {pct_others:6.2f}  {denominator:11.0f}")
 print()
 
 truth = ground_truth(spec)
-report = recovery_report(points, truth, series_run_id=spec.run_id)
+report = recovery_report(cumulative, truth, series_run_id=spec.run_id)
 print(
     "final-day error vs scheduled mix: ff=%.2fpp mp=%.2fpp"
     % (report.final_error_ff, report.final_error_mp)

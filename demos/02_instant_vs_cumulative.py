@@ -39,24 +39,23 @@ cumulative = series(table, "cumulative", start_day=1, origin_date=spec.start_dat
 
 print("        --- instant ---    -- cumulative --")
 print("  day    pct_ff  pct_mp     pct_ff  pct_mp")
-for inst, cum in zip(instant, cumulative):
-    if inst.day % 5 == 0 and inst.day >= 40:
-        marker = "  <- flip" if inst.day == 60 else ""
-        print(
-            f"  {inst.day:3d}    {inst.pct_ff:6.2f}  {inst.pct_mp:6.2f}     "
-            f"{cum.pct_ff:6.2f}  {cum.pct_mp:6.2f}{marker}"
-        )
+for day, inst_ff, inst_mp, cum_ff, cum_mp in zip(
+    instant.T, instant.pct_ff, instant.pct_mp, cumulative.pct_ff, cumulative.pct_mp
+):
+    if day % 5 == 0 and day >= 40:
+        marker = "  <- flip" if day == 60 else ""
+        print(f"  {day:3d}    {inst_ff:6.2f}  {inst_mp:6.2f}     {cum_ff:6.2f}  {cum_mp:6.2f}{marker}")
 print()
 
 crossing = next(
-    (p.day for p in instant if p.day >= 60 and p.pct_mp is not None and p.pct_mp > p.pct_ff),
+    (day for day, ff, mp in zip(instant.T, instant.pct_ff, instant.pct_mp)
+     if day >= 60 and mp is not None and mp > ff),
     None,
 )
-last = cumulative[-1]
 print("instant series crosses (mp above ff) at day", crossing)
 print(
-    f"cumulative series at day {last.day}: ff={last.pct_ff:.2f} mp={last.pct_mp:.2f}"
-    " (still uncrossed)"
+    f"cumulative series at day {cumulative.T[-1]}: "
+    f"ff={cumulative.pct_ff[-1]:.2f} mp={cumulative.pct_mp[-1]:.2f} (still uncrossed)"
 )
 print()
 print("moral: read the window estimate like a poll tracker and the")

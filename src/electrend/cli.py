@@ -456,7 +456,7 @@ def cmd_trend(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise CliError(EXIT_DATA, f"{args.weights_file}: {exc}") from None
     start_day = _t0_to_day(args.t0, origin, table.n_days) if args.t0 and args.mode == "cumulative" else 1
-    columns = trend.series_columns(table, args.mode, args.window, start_day, origin, weights, not args.exclude_undecided)
+    columns = trend.series(table, args.mode, args.window, start_day, origin, weights, not args.exclude_undecided)
 
     with atomic_text(args.output, newline="") as fh:
         trend.write_trend_csv(columns, fh)
@@ -732,8 +732,7 @@ def _validate(args: argparse.Namespace, workdir: str) -> int:
     checks.append(("window-cumulative-coincidence", inst == cum, f"day {early} <= window 14"))
 
     truth = synth.ground_truth(spec)
-    points = trend.series(table, "cumulative", start_day=1)
-    report = synth.recovery_report(points, truth)
+    report = synth.recovery_report(trend.series(table, "cumulative", start_day=1), truth)
     ok = (
         report.final_error_ff is not None
         and report.final_error_ff <= args.tolerance

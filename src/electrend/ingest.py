@@ -22,7 +22,7 @@ from contextlib import ExitStack, closing, contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator, TextIO
 
 from .botfilter import ActivityTracker, BotConfig, BotVerdict, flag_bots
@@ -252,7 +252,7 @@ def _decode(line: str, line_no: int) -> tuple:
     raw_ts = str(raw_ts)
     created_at = _parse_timestamp(raw_ts, line_no)
     tags = obj.get("hashtags")
-    if tags is not None and not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
+    if tags is not None and not (isinstance(tags, list) and all(map(isinstance, tags, repeat(str)))):
         raise ParseError("field 'hashtags' is not a list of strings", line_no)
     day = obj.get("t")
     if day is not None and type(day) is not int:  # bool and float are not day indices

@@ -36,7 +36,7 @@ import numpy as np
 from .ingest import TweetRecord, atomic_text, record_to_json
 from .manifest import write_json_atomic
 from .stance import DEFAULT_SEEDS
-from .trend import TrendPoint, UserCategory, first_day
+from .trend import TrendColumns, UserCategory, first_day
 
 __all__ = [
     "ElectorateSpec",
@@ -422,11 +422,11 @@ class RecoveryReport:
 
 
 def recovery_report(
-    points: Sequence[TrendPoint],
+    columns: TrendColumns,
     truth: GroundTruth,
     series_run_id: str | None = None,
 ) -> RecoveryReport:
-    """Per-day absolute error of the FF/MP percentages against the scheduled mix.
+    """Per-day absolute error of a series' FF/MP percentages against the scheduled mix.
 
     Days with an empty denominator are skipped. ``series_run_id``, when
     given, must match the truth's run id (guards against comparing a
@@ -437,15 +437,15 @@ def recovery_report(
             f"series run id {series_run_id!r} does not match truth run id {truth.run_id!r}"
         )
     rows = []
-    for point in points:
-        if point.pct_ff is None or point.pct_mp is None:
+    for day, pct_ff, pct_mp in zip(columns.T, columns.pct_ff, columns.pct_mp):
+        if pct_ff is None or pct_mp is None:
             continue
-        mix = truth.mix_by_day[min(point.day, len(truth.mix_by_day)) - 1]
+        mix = truth.mix_by_day[min(day, len(truth.mix_by_day)) - 1]
         rows.append(
             RecoveryRow(
-                day=point.day,
-                est_ff=point.pct_ff,
-                est_mp=point.pct_mp,
+                day=day,
+                est_ff=pct_ff,
+                est_mp=pct_mp,
                 true_ff=100.0 * mix[0],
                 true_mp=100.0 * mix[1],
             )

@@ -27,12 +27,12 @@ O(rows + days) per origin, and memory is O(users + rows).
 ``table.categories(mode, day, window=..., start_day=...)`` gives the per-user
 verdicts of one day with the arguments of :func:`electrend.synth.oracle_categories`,
 so the two compare directly. ``series(table, mode, window=..., start_day=...)``
-takes the same arguments and gives one point per day through the table's
-last day; :func:`first_day` checks them for both queries. A series is made
-as :class:`TrendColumns`, the columns of its trend CSV: one function
+takes the same arguments and gives one row per day through the table's
+last day; :func:`first_day` checks them for both queries. A series is a
+:class:`TrendColumns`, the columns of its trend CSV: one function
 computes them from the per-day tally and one formats every trend CSV and
 sweep summary row from them. :func:`sweep_columns` makes one origin's
-series at a time.
+series at a time, and :class:`SweepFinals` keeps each origin's final row.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from dataclasses import dataclass, replace
 from datetime import date
 from enum import Enum
 from functools import cached_property
@@ -53,20 +52,14 @@ from .stance import Stance
 
 __all__ = [
     "UserCategory",
-    "TrendPoint",
     "TrendColumns",
     "CounterTable",
-    "SweepResult",
     "SweepFinals",
     "first_day",
     "series",
-    "series_columns",
     "sweep_columns",
-    "sweep_t0",
     "user_weights",
-    "apply_demographic_weights",
     "write_trend_csv",
-    "write_sweep_summary",
     "read_trend_csv",
 ]
 
@@ -94,27 +87,6 @@ CODE_TO_CATEGORY = {
 }
 
 
-@dataclass(frozen=True)
-class TrendPoint:
-    """One dated prediction row.
-
-    Percentages are None when the denominator is zero; null points
-    serialize as empty fields rather than fabricated zeros.
-    """
-
-    day: int
-    date: date | None
-    mode: str  # "instant" | "cumulative"
-    n_mp: float
-    n_ff: float
-    n_undecided: float
-    n_unclassified: float
-    denominator: float
-    pct_ff: float | None
-    pct_mp: float | None
-    pct_others: float | None
-
-
 class TrendColumns(NamedTuple):
     """A series as the columns of its trend CSV, one entry per day, as Python values.
 
@@ -134,21 +106,9 @@ class TrendColumns(NamedTuple):
     denominator: list
 
     @classmethod
-    def of(cls, points: Iterable[TrendPoint]) -> TrendColumns:
-        """The columns of ``points``, in their order."""
-        rows = [
-            (p.date, p.day, p.n_mp, p.n_ff, p.n_undecided, p.n_unclassified,
-             p.pct_ff, p.pct_mp, p.pct_others, p.denominator)
-            for p in points
-        ]
-        return cls(*map(list, zip(*rows))) if rows else cls(*([] for _ in cls._fields))
-
-    def points(self, mode: str) -> list[TrendPoint]:
-        """One :class:`TrendPoint` per day."""
-        return [
-            TrendPoint(day, when, mode, n_mp, n_ff, n_und, n_uncl, denom, pct_ff, pct_mp, pct_others)
-            for when, day, n_mp, n_ff, n_und, n_uncl, pct_ff, pct_mp, pct_others, denom in zip(*self)
-        ]
+    def empty(cls) -> TrendColumns:
+        """The columns of a series of no days."""
+        return cls(*([] for _ in cls._fields))
 
 
 # Stance -> class column of the table: 0 favors MP, 1 favors FF, and every
@@ -345,7 +305,7 @@ def _weighted_tally(
 
     The per-user codes are kept day by day, and each category touched on a
     day is summed again: its users' weights added in sorted-user order from
-    0.0, as :func:`apply_demographic_weights` adds them, so both give the
+    0.0, so a plain loop over the day's verdicts in that order gives the
     same floats.
     """
     codes = np.full(len(weights), CODE_NONE, dtype=np.int8)
@@ -364,14 +324,19 @@ def _weighted_tally(
     return tally
 
 
-def series_columns(
+def series(
     table: CounterTable, mode: str, window: int | None = None, start_day: int | None = None,
     origin_date: date | None = None, weights: np.ndarray | None = None, include_undecided: bool = True,
 ) -> TrendColumns:
-    """:func:`series` as the columns of its trend CSV, with no :class:`TrendPoint` made."""
+    """One row per day, ``instant`` from day 1 and ``cumulative`` from ``start_day``, to the last day.
+
+    The arguments are those of :meth:`CounterTable.categories`. ``include_undecided``
+    keeps Undecided users in the instant denominator; ``weights`` (one per
+    user, see :func:`user_weights`) reweights the counts.
+    """
     horizon = table.n_days
     if not horizon:
-        return TrendColumns.of([])
+        return TrendColumns.empty()
     first_day(mode, horizon, window, start_day)
     start, window = (1, window) if mode == "instant" else (start_day, None)
     user, day, after, before = table._change_points(horizon, start, window)
@@ -387,30 +352,6 @@ def series_columns(
     return _columns(start, tally[start:], mode, origin_date, include_undecided)
 
 
-def series(
-    table: CounterTable, mode: str, window: int | None = None, start_day: int | None = None,
-    origin_date: date | None = None, weights: np.ndarray | None = None, include_undecided: bool = True,
-) -> list[TrendPoint]:
-    """One point per day, ``instant`` from day 1 and ``cumulative`` from ``start_day``, to the last day.
-
-    The arguments are those of :meth:`CounterTable.categories`. ``include_undecided``
-    keeps Undecided users in the instant denominator; ``weights`` (one per
-    user, see :func:`user_weights`) reweights the counts.
-    """
-    columns = series_columns(table, mode, window, start_day, origin_date, weights, include_undecided)
-    return columns.points(mode)
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Cumulative series per origin day plus final-day dispersion."""
-
-    final_day: int
-    series: dict[int, list[TrendPoint]]
-    spread_pct_ff: float
-    spread_pct_mp: float
-
-
 class SweepFinals:
     """Each origin's final trend row: the rows of the sweep summary and the spreads.
 
@@ -421,7 +362,7 @@ class SweepFinals:
     def __init__(self):
         self.origins: list[int] = []
         self.labels: list[str] = []
-        self.rows = TrendColumns.of([])
+        self.rows = TrendColumns.empty()
 
     def add(self, t0: int, columns: TrendColumns) -> None:
         """Keep the final row of origin ``t0``'s series; an empty series (an empty table) adds nothing."""
@@ -458,28 +399,7 @@ def sweep_columns(
     origins = sorted(set(start_days))
     if not origins:
         raise ValueError("need at least one origin day")
-    return ((t0, series_columns(table, "cumulative", start_day=t0, origin_date=origin_date)) for t0 in origins)
-
-
-def sweep_t0(
-    table: CounterTable, start_days: Sequence[int], origin_date: date | None = None
-) -> SweepResult:
-    """Recompute the cumulative indicator from several origin days.
-
-    Every series runs to the table's last day. The dispersion summary is the
-    max pairwise spread (max minus min) of the FF and MP percentages on that
-    day; origins whose final point has an empty denominator are excluded
-    from the spread.
-    """
-    finals = SweepFinals()
-    by_origin = {}
-    for t0, columns in sweep_columns(table, start_days, origin_date):
-        finals.add(t0, columns)
-        by_origin[t0] = columns.points("cumulative")
-    return SweepResult(
-        final_day=table.n_days, series=by_origin,
-        spread_pct_ff=finals.spread("pct_ff"), spread_pct_mp=finals.spread("pct_mp"),
-    )
+    return ((t0, series(table, "cumulative", start_day=t0, origin_date=origin_date)) for t0 in origins)
 
 
 # -- demographic reweighting --------------------------------------------
@@ -497,27 +417,6 @@ def user_weights(
         if not 0 <= weight < math.inf:
             raise ValueError(f"weight {weight} for stratum {stratum!r} is not a finite number >= 0")
     return np.array([weights.get(user_strata.get(u), 1.0) for u in users], dtype=np.float64)
-
-
-def apply_demographic_weights(
-    point: TrendPoint,
-    weights: Mapping[str, float],
-    user_strata: Mapping[str, str],
-    categories: Mapping[str, UserCategory],
-) -> TrendPoint:
-    """Reweight a point's category counts by stratum weights (see :func:`user_weights`).
-
-    ``categories`` is the per-user verdict map the point was built from
-    (see :meth:`CounterTable.categories`). The input point is not
-    modified.
-    """
-    users = sorted(categories)
-    sums = {cat: 0.0 for cat in UserCategory}
-    for user_id, weight in zip(users, user_weights(users, weights, user_strata).tolist()):
-        sums[categories[user_id]] += weight
-    tally = np.array([[0.0, *(sums[c] for c in UserCategory)]])
-    reweighted = _columns(point.day, tally, point.mode, None).points(point.mode)[0]
-    return replace(reweighted, date=point.date)
 
 
 # -- CSV output ---------------------------------------------------------
@@ -550,20 +449,11 @@ def _csv_lines(lead: Sequence[list[str]], columns: TrendColumns, eol: str) -> st
     return "".join([",".join(row) + eol for row in zip(*fields)])
 
 
-def write_trend_csv(points: TrendColumns | Iterable[TrendPoint], fh) -> None:
-    """One row per day under :data:`TREND_CSV_COLUMNS`, CRLF line ends, from columns or points."""
-    columns = points if isinstance(points, TrendColumns) else TrendColumns.of(points)
+def write_trend_csv(columns: TrendColumns, fh) -> None:
+    """One row per day under :data:`TREND_CSV_COLUMNS`, CRLF line ends."""
     dates = [when.isoformat() if when else "" for when in columns.date]
     fh.write(",".join(TREND_CSV_COLUMNS) + "\r\n")
     fh.write(_csv_lines([dates], columns, "\r\n"))
-
-
-def write_sweep_summary(result: SweepResult, fh) -> None:
-    """The sweep summary of ``result`` (see :meth:`SweepFinals.write`)."""
-    finals = SweepFinals()
-    for t0, points in sorted(result.series.items()):
-        finals.add(t0, TrendColumns.of(points))
-    finals.write(fh)
 
 
 def read_trend_csv(fh) -> list[dict]:

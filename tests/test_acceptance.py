@@ -35,9 +35,10 @@ from electrend.synth import (
 )
 from electrend.trend import (
     CounterTable,
+    SweepFinals,
     UserCategory,
     series,
-    sweep_t0,
+    sweep_columns,
 )
 from conftest import dated, day_ts, rec, screen
 
@@ -101,16 +102,22 @@ def stationary():
     spec = ElectorateSpec(n_users=10_000, n_days=120, crosstalk=0.05, rng_seed=20190811)
     start = time.perf_counter()
     table = pipeline_table(spec)
-    points = series(table, "cumulative", start_day=1, origin_date=spec.start_date)
+    cumulative = series(table, "cumulative", start_day=1, origin_date=spec.start_date)
     elapsed = time.perf_counter() - start
     return SimpleNamespace(
-        spec=spec, truth=ground_truth(spec), table=table, points=points, elapsed=elapsed
+        spec=spec, truth=ground_truth(spec), table=table, cumulative=cumulative, elapsed=elapsed
     )
 
 
 @pytest.fixture(scope="module")
 def origin_sweep(stationary):
-    return sweep_t0(stationary.table, [1, 31, 61], origin_date=stationary.spec.start_date)
+    finals, by_origin = SweepFinals(), []
+    for t0, columns in sweep_columns(stationary.table, [1, 31, 61], origin_date=stationary.spec.start_date):
+        finals.add(t0, columns)
+        by_origin.append(columns)
+    return SimpleNamespace(
+        series=by_origin, spread_pct_ff=finals.spread("pct_ff"), spread_pct_mp=finals.spread("pct_mp")
+    )
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +184,7 @@ def test_window_cumulative_coincidence(random_counters):
 
 
 def test_ground_truth_recovery(stationary):
-    rep = recovery_report(stationary.points, stationary.truth)
+    rep = recovery_report(stationary.cumulative, stationary.truth)
     ok = (
         rep.final_error_ff is not None
         and rep.final_error_ff <= 1.0
@@ -202,18 +209,19 @@ def test_origin_sweep_stability(origin_sweep):
 
 
 def test_drift_sensitivity(drift_run):
+    instant, cumulative = drift_run.instant, drift_run.cumulative
     crossing = None
-    for p in drift_run.instant:
-        if p.day >= 60 and p.pct_mp is not None and p.pct_mp > p.pct_ff:
-            crossing = p.day
+    for day, pct_ff, pct_mp in zip(instant.T, instant.pct_ff, instant.pct_mp):
+        if day >= 60 and pct_mp is not None and pct_mp > pct_ff:
+            crossing = day
             break
-    last = drift_run.cumulative[-1]
-    ok = crossing is not None and crossing <= 77 and last.pct_ff > last.pct_mp
+    last_day, last_ff, last_mp = cumulative.T[-1], cumulative.pct_ff[-1], cumulative.pct_mp[-1]
+    ok = crossing is not None and crossing <= 77 and last_ff > last_mp
     report(
         "drift-sensitivity",
         ok,
-        f"instant series crosses at day {crossing} (limit 77); cumulative at day {last.day} "
-        f"still ff={last.pct_ff:.1f} vs mp={last.pct_mp:.1f}",
+        f"instant series crosses at day {crossing} (limit 77); cumulative at day {last_day} "
+        f"still ff={last_ff:.1f} vs mp={last_mp:.1f}",
     )
 
 
@@ -276,16 +284,16 @@ def test_planted_partition():
 
 
 def test_closure_and_permutation(stationary, origin_sweep, drift_run, tmp_path):
-    all_series = [stationary.points, drift_run.instant, drift_run.cumulative]
-    all_series.extend(origin_sweep.series.values())
+    all_series = [stationary.cumulative, drift_run.instant, drift_run.cumulative, *origin_sweep.series]
     worst = 0.0
     n_points = 0
-    for p in itertools.chain.from_iterable(all_series):
-        if p.pct_ff is None:
-            continue
-        others = p.pct_others if p.pct_others is not None else 0.0
-        worst = max(worst, abs(p.pct_ff + p.pct_mp + others - 100.0))
-        n_points += 1
+    for columns in all_series:
+        for pct_ff, pct_mp, pct_others in zip(columns.pct_ff, columns.pct_mp, columns.pct_others):
+            if pct_ff is None:
+                continue
+            others = pct_others if pct_others is not None else 0.0
+            worst = max(worst, abs(pct_ff + pct_mp + others - 100.0))
+            n_points += 1
 
     spec = ElectorateSpec(n_users=250, n_days=8, mean_rate=1.5, bot_fraction=0.04, rng_seed=31)
     ordered = tmp_path / "ordered.jsonl"

@@ -1037,9 +1037,9 @@ class TestOneRowFormat:
 
         table = CounterTable(tweets)
         weights = user_weights(table.users, {"A": 0.7, "B": 2.0}, strata)
-        points = series(table, "instant", window=2, origin_date=date(2019, 4, 1), weights=weights, include_undecided=False)
+        columns = series(table, "instant", window=2, origin_date=date(2019, 4, 1), weights=weights, include_undecided=False)
         expected = io.StringIO(newline="")
-        write_trend_csv(points, expected)
+        write_trend_csv(columns, expected)
         assert out.read_bytes() == expected.getvalue().encode("utf-8")
         lines = out.read_bytes().decode("utf-8").split("\r\n")
         assert lines[1] == "2019-04-01,1,0.7000,2,0,0,74.0741,25.9259,,2.7000"
@@ -1134,8 +1134,10 @@ class TestSynthCommand:
         [["--users", "0"], ["--users", "5", "--mean-rate", "nan"], ["--users", "5", "--mean-rate", "inf"],
          ["--users", "5", "--rate-shape", "nan"], ["--users", "20", "--mix", "1,nan,0"],
          ["--users", "20", "--drift", "2:1,nan,0"], ["--users", "20", "--bot-fraction", "0.1", "--bot-rate", "-1"],
-         ["--users", "5", "--seed", "-1"]],
-        ids=["no-users", "nan-rate", "inf-rate", "nan-shape", "nan-mix", "nan-drift", "negative-bot-rate", "negative-seed"],
+         ["--users", "5", "--seed", "-1"], ["--users", "5", "--crosstalk", "nan"], ["--users", "5", "--seed-rate", "inf"],
+         ["--users", "20", "--bot-fraction", "nan"], ["--users", "5", "--mean-rate", "1e309"]],
+        ids=["no-users", "nan-rate", "inf-rate", "nan-shape", "nan-mix", "nan-drift", "negative-bot-rate", "negative-seed",
+             "nan-crosstalk", "inf-seed-rate", "nan-bot-fraction", "overflow-rate"],
     )
     def test_bad_spec_flags_exit_4(self, flags, tmp_path):
         result = run_cli(["synth", "-o", "c.jsonl", "--days", "3", *flags], tmp_path)

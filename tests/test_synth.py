@@ -15,7 +15,7 @@ from electrend.synth import (
     recovery_report,
     write_corpus,
 )
-from electrend.trend import TrendPoint, UserCategory
+from electrend.trend import TrendColumns, UserCategory
 
 
 def small_spec(**overrides):
@@ -238,20 +238,25 @@ class TestOracle:
 
 
 def point(day, pct_ff, pct_mp):
+    """One day of a cumulative series, as one-row columns."""
     filled = pct_ff is not None
-    return TrendPoint(
-        day=day,
-        date=None,
-        mode="cumulative",
-        n_mp=10,
-        n_ff=10,
-        n_undecided=0,
-        n_unclassified=0,
-        denominator=20 if filled else 0,
-        pct_ff=pct_ff,
-        pct_mp=pct_mp,
-        pct_others=0.0 if filled else None,
+    return TrendColumns(
+        date=[None],
+        T=[day],
+        n_mp=[10],
+        n_ff=[10],
+        n_undecided=[0],
+        n_unclassified=[0],
+        pct_ff=[pct_ff],
+        pct_mp=[pct_mp],
+        pct_others=[0.0 if filled else None],
+        denominator=[20 if filled else 0],
     )
+
+
+def joined(points):
+    """The series of the one-row ``points``, in their order."""
+    return TrendColumns(*(sum(column, []) for column in zip(*points)))
 
 
 class TestRecoveryReport:
@@ -262,7 +267,7 @@ class TestRecoveryReport:
             point(d, 100 * spec.mix[0], 100 * spec.mix[1])
             for d in range(1, spec.n_days + 1)
         ]
-        report = recovery_report(points, truth)
+        report = recovery_report(joined(points), truth)
         assert report.final_error_ff == 0.0
         assert report.final_error_mp == 0.0
         assert report.convergence_day == 1
@@ -278,7 +283,7 @@ class TestRecoveryReport:
             point(4, good[0] - 0.4, good[1] + 0.1),
             point(5, good[0], good[1]),
         ]
-        report = recovery_report(points, truth)
+        report = recovery_report(joined(points), truth)
         assert report.convergence_day == 4
         assert report.final_error_ff == 0.0
 
@@ -286,21 +291,21 @@ class TestRecoveryReport:
         truth = ground_truth(small_spec())
         mix = truth.mix_by_day[0]
         points = [point(1, None, None), point(2, 100 * mix[0], 100 * mix[1])]
-        report = recovery_report(points, truth)
+        report = recovery_report(joined(points), truth)
         assert [row.day for row in report.rows] == [2]
 
     def test_no_usable_points(self):
         truth = ground_truth(small_spec())
-        report = recovery_report([point(1, None, None)], truth)
+        report = recovery_report(point(1, None, None), truth)
         assert report == RecoveryReport((), None, None, None)
 
     def test_run_id_mismatch_rejected(self):
         truth = ground_truth(small_spec())
         with pytest.raises(ValueError, match="run id"):
-            recovery_report([point(1, 50.0, 50.0)], truth, series_run_id="beefbeefbeef")
+            recovery_report(point(1, 50.0, 50.0), truth, series_run_id="beefbeefbeef")
 
     def test_matching_run_id_accepted(self):
         spec = small_spec()
         truth = ground_truth(spec)
-        report = recovery_report([point(1, 50.0, 50.0)], truth, series_run_id=spec.run_id)
+        report = recovery_report(point(1, 50.0, 50.0), truth, series_run_id=spec.run_id)
         assert len(report.rows) == 1

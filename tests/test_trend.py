@@ -1,12 +1,12 @@
-"""Window/cumulative sums, user categories, trend points, sweeps, weights.
+"""Window/cumulative sums, user categories, trend series, sweeps, weights.
 
 Per-user verdicts are checked against ``synth.oracle_categories``, the one
-brute-force reference the acceptance gate and ``validate`` also use.
+brute-force reference the acceptance gate and ``validate`` also use;
+reweighted series against :func:`apply_demographic_weights` below.
 """
 
 import io
 import random
-from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -16,18 +16,19 @@ from hypothesis import given, settings, strategies as st
 from electrend.synth import oracle_categories
 from electrend.trend import (
     CounterTable,
-    SweepResult,
-    TrendPoint,
+    SweepFinals,
+    TrendColumns,
     UserCategory,
-    apply_demographic_weights,
     read_trend_csv,
     series,
-    sweep_t0,
+    sweep_columns,
     user_weights,
-    write_sweep_summary,
     write_trend_csv,
 )
 from conftest import rec
+
+# The fields of a series row that reweighting changes.
+WEIGHED = ("n_mp", "n_ff", "n_undecided", "n_unclassified", "pct_ff", "pct_mp", "pct_others", "denominator")
 
 
 def table_from(counts: dict[str, dict[int, tuple[int, int, int]]]) -> CounterTable:
@@ -74,6 +75,47 @@ def instant_verdict(days: dict[int, tuple[int, int, int]], day: int, window: int
 def cumulative_verdict(days: dict[int, tuple[int, int, int]], day: int, start_day: int = 1):
     """The oracle's cumulative verdict for one user; None when the user is silent."""
     return oracle_categories({"u": days}, "cumulative", day=day, start_day=start_day).get("u")
+
+
+def apply_demographic_weights(
+    categories: dict[str, UserCategory], weights: dict[str, float], user_strata: dict[str, str],
+    mode: str, include_undecided: bool = True,
+) -> dict:
+    """The reweighting oracle: one day's :data:`WEIGHED` fields from that day's per-user verdicts.
+
+    Scalar code, sharing no arithmetic with ``trend``: each category sums
+    its users' stratum weights (:func:`user_weights`) in sorted-user order
+    from 0.0; the denominator is ``n_mp + n_ff + n_und`` (``+ n_uncl`` when
+    cumulative), then each percentage is ``100.0 * x / denom``, None for a
+    zero denominator. No argument is modified.
+    """
+    users = sorted(categories)
+    sums = dict.fromkeys(UserCategory, 0.0)
+    for user, weight in zip(users, user_weights(users, weights, user_strata).tolist()):
+        sums[categories[user]] += weight
+    n_mp, n_ff, n_und, n_uncl = (sums[c] for c in UserCategory)
+    if mode == "instant":
+        denom = n_mp + n_ff + (n_und if include_undecided else 0.0)
+        others = n_und if include_undecided else None
+    else:
+        denom = n_mp + n_ff + n_und + n_uncl
+        others = n_und + n_uncl
+    pcts = [None if x is None or denom == 0 else 100.0 * x / denom for x in (n_ff, n_mp, others)]
+    return dict(zip(WEIGHED, (n_mp, n_ff, n_und, n_uncl, *pcts, denom)))
+
+
+def row_of(columns: TrendColumns, i: int) -> dict:
+    """The :data:`WEIGHED` fields of row ``i`` of a series."""
+    return {field: getattr(columns, field)[i] for field in WEIGHED}
+
+
+def sweep(table: CounterTable, origins, origin_date=None) -> tuple[dict[int, TrendColumns], SweepFinals]:
+    """Each origin's series and the final rows, added origin by origin as the ``sweep`` subcommand adds them."""
+    finals, by_origin = SweepFinals(), {}
+    for t0, columns in sweep_columns(table, origins, origin_date):
+        finals.add(t0, columns)
+        by_origin[t0] = columns
+    return by_origin, finals
 
 
 class TestWindowSums:
@@ -185,54 +227,56 @@ class TestVectorizedAgainstReference:
 
 class TestTrendPoints:
     def test_three_user_split(self, tiny_table):
-        point = series(tiny_table, "instant", window=14)[0]
-        assert point.n_ff == 2 and point.n_mp == 1
-        assert point.pct_ff == pytest.approx(200 / 3)
-        assert point.pct_mp == pytest.approx(100 / 3)
-        assert point.denominator == 3
+        columns = series(tiny_table, "instant", window=14)
+        assert columns.n_ff[0] == 2 and columns.n_mp[0] == 1
+        assert columns.pct_ff[0] == pytest.approx(200 / 3)
+        assert columns.pct_mp[0] == pytest.approx(100 / 3)
+        assert columns.denominator[0] == 3
 
     def test_empty_window_gives_null_point(self):
         # day 30 extends the calendar, and its window misses all MP/FF activity
         table = table_from({"u": {1: (1, 0, 0), 30: (0, 0, 1)}})
-        point = [p for p in series(table, "instant", window=5) if p.day == 30][0]
-        assert point.denominator == 0
-        assert point.pct_ff is None and point.pct_mp is None and point.pct_others is None
+        columns = series(table, "instant", window=5)
+        i = columns.T.index(30)
+        assert columns.denominator[i] == 0
+        assert columns.pct_ff[i] is None and columns.pct_mp[i] is None and columns.pct_others[i] is None
 
     def test_singleton_full_share(self):
         table = table_from({"u": {1: (0, 1, 0)}})
-        point = series(table, "cumulative", start_day=1)[0]
-        assert point.pct_ff == pytest.approx(100.0)
-        assert point.denominator == 1
+        columns = series(table, "cumulative", start_day=1)
+        assert columns.pct_ff[0] == pytest.approx(100.0)
+        assert columns.denominator[0] == 1
 
     def test_cumulative_denominator_includes_unclassified(self):
         table = table_from({"a": {1: (1, 0, 0)}, "b": {1: (0, 0, 2)}})
-        point = series(table, "cumulative", start_day=1)[0]
-        assert point.n_unclassified == 1
-        assert point.denominator == 2
-        assert point.pct_mp == pytest.approx(50.0)
-        assert point.pct_others == pytest.approx(50.0)
+        columns = series(table, "cumulative", start_day=1)
+        assert columns.n_unclassified[0] == 1
+        assert columns.denominator[0] == 2
+        assert columns.pct_mp[0] == pytest.approx(50.0)
+        assert columns.pct_others[0] == pytest.approx(50.0)
 
     def test_instant_exclude_undecided_denominator(self):
         table = table_from({"a": {1: (1, 0, 0)}, "b": {1: (2, 2, 0)}})
-        with_u = series(table, "instant", window=14)[0]
-        without_u = series(table, "instant", window=14, include_undecided=False)[0]
-        assert with_u.denominator == 2 and with_u.pct_mp == pytest.approx(50.0)
-        assert without_u.denominator == 1 and without_u.pct_mp == pytest.approx(100.0)
+        with_u = series(table, "instant", window=14)
+        without_u = series(table, "instant", window=14, include_undecided=False)
+        assert with_u.denominator[0] == 2 and with_u.pct_mp[0] == pytest.approx(50.0)
+        assert without_u.denominator[0] == 1 and without_u.pct_mp[0] == pytest.approx(100.0)
 
     def test_origin_date_fills_calendar_column(self):
         table = table_from({"u": {2: (1, 0, 0)}})
-        points = series(table, "instant", window=14, origin_date=date(2019, 3, 1))
-        assert points[0].date == date(2019, 3, 1)
-        assert points[1].date == date(2019, 3, 2)
+        columns = series(table, "instant", window=14, origin_date=date(2019, 3, 1))
+        assert columns.date[0] == date(2019, 3, 1)
+        assert columns.date[1] == date(2019, 3, 2)
 
     def test_closure_on_every_point(self):
         counts, _ = TestVectorizedAgainstReference().random_table(11)
         table = table_from(counts)
-        for point in series(table, "instant", window=7) + series(table, "cumulative", start_day=1):
-            if point.denominator > 0:
-                assert point.pct_ff + point.pct_mp + point.pct_others == pytest.approx(
-                    100.0, abs=0.01
-                )
+        for columns in (series(table, "instant", window=7), series(table, "cumulative", start_day=1)):
+            for pct_ff, pct_mp, pct_others, denom in zip(
+                columns.pct_ff, columns.pct_mp, columns.pct_others, columns.denominator
+            ):
+                if denom > 0:
+                    assert pct_ff + pct_mp + pct_others == pytest.approx(100.0, abs=0.01)
 
     def test_cumulative_partition_of_active_users(self):
         counts, table = TestVectorizedAgainstReference().random_table(12)
@@ -280,21 +324,22 @@ class TestPermutationAndIncremental:
 class TestSweep:
     def test_single_origin_spread_zero(self):
         table = table_from({"u": {1: (1, 0, 0), 5: (1, 0, 0)}})
-        result = sweep_t0(table, [1])
-        assert result.spread_pct_ff == 0.0
-        assert result.spread_pct_mp == 0.0
-        assert list(result.series) == [1]
+        by_origin, finals = sweep(table, [1])
+        assert finals.spread("pct_ff") == 0.0
+        assert finals.spread("pct_mp") == 0.0
+        assert list(by_origin) == finals.origins == [1]
 
     def test_origin_past_final_day_rejected(self):
         table = table_from({"u": {1: (1, 0, 0)}})
         with pytest.raises(ValueError):
-            sweep_t0(table, [5])
+            sweep(table, [5])
 
     def test_series_start_at_their_origin(self):
         table = table_from({"u": {d: (1, 0, 0) for d in range(1, 11)}})
-        result = sweep_t0(table, [1, 4, 8])
-        assert [s[0].day for s in result.series.values()] == [1, 4, 8]
-        assert all(s[-1].day == 10 for s in result.series.values())
+        by_origin, finals = sweep(table, [1, 4, 8])
+        assert [s.T[0] for s in by_origin.values()] == [1, 4, 8]
+        assert all(s.T[-1] == 10 for s in by_origin.values())
+        assert finals.rows.T == [10, 10, 10]
 
     @pytest.mark.parametrize("seed", [7, 8, 9])
     def test_every_origin_equals_its_own_series_and_the_oracle(self, seed):
@@ -314,22 +359,22 @@ class TestSweep:
         assert table.n_days == n_days
         picked = rng.sample(range(2, n_days), 5)
         origins = [picked[0], n_days, *picked, 1, picked[3]]  # unsorted, with duplicates and the last day
-        result = sweep_t0(table, origins)
-        assert list(result.series) == sorted(set(origins))
+        by_origin, finals = sweep(table, origins)
+        assert list(by_origin) == finals.origins == sorted(set(origins))
         fields = ("n_mp", "n_ff", "n_undecided", "n_unclassified")
-        for t0, points in result.series.items():
-            assert points == series(table, "cumulative", start_day=t0)
-            for point in points:
-                cats = oracle_categories(counts, "cumulative", day=point.day, start_day=t0)
+        for t0, columns in by_origin.items():
+            assert columns == series(table, "cumulative", start_day=t0)
+            for i, day in enumerate(columns.T):
+                cats = oracle_categories(counts, "cumulative", day=day, start_day=t0)
                 tally = [sum(c is cat for c in cats.values()) for cat in UserCategory]
-                assert [getattr(point, f) for f in fields] == tally, (t0, point.day)
-        assert result.series[n_days][0].n_unclassified == 1  # only the late user speaks on the last day
+                assert [getattr(columns, f)[i] for f in fields] == tally, (t0, day)
+        assert by_origin[n_days].n_unclassified[0] == 1  # only the late user speaks on the last day
 
     @pytest.mark.parametrize("bad", [0, -1, 91])
     def test_origin_outside_the_calendar_raises(self, bad):
         table = table_from({"u": {1: (1, 0, 0), 90: (0, 1, 0)}})
         with pytest.raises(ValueError):
-            sweep_t0(table, [1, bad])
+            sweep(table, [1, bad])
 
     def test_spread_measures_final_day_dispersion(self):
         # user flips stance at day 6; later origins see only the new stance
@@ -338,11 +383,11 @@ class TestSweep:
             counts[f"u{i}"].update({d: (0, 1, 0) for d in range(6, 11)})
         counts["v"] = {d: (0, 1, 0) for d in range(1, 11)}
         table = table_from(counts)
-        result = sweep_t0(table, [1, 6])
+        by_origin, finals = sweep(table, [1, 6])
         # from day 1 the four flippers are tied (Undecided); from day 6 they are FF
-        assert result.series[1][-1].pct_ff == pytest.approx(20.0)
-        assert result.series[6][-1].pct_ff == pytest.approx(100.0)
-        assert result.spread_pct_ff == pytest.approx(80.0)
+        assert by_origin[1].pct_ff[-1] == pytest.approx(20.0)
+        assert by_origin[6].pct_ff[-1] == pytest.approx(100.0)
+        assert finals.spread("pct_ff") == pytest.approx(80.0)
 
 
 class TestDemographicWeights:
@@ -356,38 +401,38 @@ class TestDemographicWeights:
             }
         )
         cats = table.categories("cumulative", 1, start_day=1)
-        point = series(table, "cumulative", start_day=1)[0]
+        plain = row_of(series(table, "cumulative", start_day=1), 0)
         strata = {"a1": "A", "a2": "A", "a3": "A", "b1": "B"}
-        return point, cats, strata
+        return plain, cats, strata
 
     def test_identity_weights(self):
-        point, cats, strata = self.build()
-        same = apply_demographic_weights(point, {"A": 1.0, "B": 1.0}, strata, cats)
-        assert same.pct_ff == pytest.approx(point.pct_ff)
-        assert same.denominator == point.denominator
+        plain, cats, strata = self.build()
+        same = apply_demographic_weights(cats, {"A": 1.0, "B": 1.0}, strata, "cumulative")
+        assert same["pct_ff"] == pytest.approx(plain["pct_ff"])
+        assert same["denominator"] == plain["denominator"]
 
     def test_hand_computed_weighted_ratio(self):
         # strata A (FF:2, MP:1) weight 1, B (MP:1) weight 2 -> FF 2/5 = 40%
-        point, cats, strata = self.build()
-        weighted = apply_demographic_weights(point, {"A": 1.0, "B": 2.0}, strata, cats)
-        assert weighted.pct_ff == pytest.approx(40.0)
-        assert weighted.denominator == pytest.approx(5.0)
+        _, cats, strata = self.build()
+        weighted = apply_demographic_weights(cats, {"A": 1.0, "B": 2.0}, strata, "cumulative")
+        assert weighted["pct_ff"] == pytest.approx(40.0)
+        assert weighted["denominator"] == pytest.approx(5.0)
 
     def test_boosting_ff_stratum_increases_share(self):
-        point, cats, strata = self.build()
+        plain, cats, _ = self.build()
         ff_strata = {"a1": "F", "a2": "F", "a3": "R", "b1": "R"}
-        boosted = apply_demographic_weights(point, {"F": 2.0}, ff_strata, cats)
-        assert boosted.pct_ff > point.pct_ff
+        boosted = apply_demographic_weights(cats, {"F": 2.0}, ff_strata, "cumulative")
+        assert boosted["pct_ff"] > plain["pct_ff"]
 
     def test_unknown_stratum_gets_unit_weight(self):
-        point, cats, _ = self.build()
-        same = apply_demographic_weights(point, {"Z": 3.0}, {}, cats)
-        assert same.pct_ff == pytest.approx(point.pct_ff)
+        plain, cats, _ = self.build()
+        same = apply_demographic_weights(cats, {"Z": 3.0}, {}, "cumulative")
+        assert same["pct_ff"] == pytest.approx(plain["pct_ff"])
 
     def test_negative_weight_rejected(self):
-        point, cats, strata = self.build()
+        _, cats, strata = self.build()
         with pytest.raises(ValueError):
-            apply_demographic_weights(point, {"A": -1.0}, strata, cats)
+            apply_demographic_weights(cats, {"A": -1.0}, strata, "cumulative")
 
     @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
     def test_non_finite_weight_rejected(self, weight):
@@ -395,17 +440,18 @@ class TestDemographicWeights:
             user_weights(["a1", "b1"], {"A": 1.0, "B": weight}, {"a1": "A", "b1": "B"})
 
     def test_original_point_untouched(self):
-        point, cats, strata = self.build()
-        before = point.pct_ff
-        apply_demographic_weights(point, {"A": 5.0}, strata, cats)
-        assert point.pct_ff == before
+        _, cats, strata = self.build()
+        weights = {"A": 5.0}
+        before = (dict(cats), dict(weights), dict(strata))
+        apply_demographic_weights(cats, weights, strata, "cumulative")
+        assert (cats, weights, strata) == before
 
 
 class TestCsv:
     def test_round_trip_and_header(self, tiny_table):
-        points = series(tiny_table, "cumulative", start_day=1, origin_date=date(2019, 3, 1))
+        columns = series(tiny_table, "cumulative", start_day=1, origin_date=date(2019, 3, 1))
         buf = io.StringIO()
-        write_trend_csv(points, buf)
+        write_trend_csv(columns, buf)
         text = buf.getvalue()
         assert text.splitlines()[0] == (
             "date,T,n_mp,n_ff,n_undecided,n_unclassified,pct_ff,pct_mp,pct_others,denominator"
@@ -416,26 +462,26 @@ class TestCsv:
         assert rows[0]["pct_ff"] == pytest.approx(200 / 3, abs=1e-4)
 
     def test_null_percentages_serialized_blank(self):
-        point = TrendPoint(
-            day=3, date=None, mode="instant", n_mp=0, n_ff=0, n_undecided=0,
-            n_unclassified=0, denominator=0, pct_ff=None, pct_mp=None, pct_others=None,
+        columns = TrendColumns(
+            date=[None], T=[3], n_mp=[0], n_ff=[0], n_undecided=[0], n_unclassified=[0],
+            pct_ff=[None], pct_mp=[None], pct_others=[None], denominator=[0],
         )
         buf = io.StringIO()
-        write_trend_csv([point], buf)
+        write_trend_csv(columns, buf)
         row = read_trend_csv(io.StringIO(buf.getvalue()))[0]
         assert row["pct_ff"] is None and row["pct_others"] is None
 
     def test_summary_row_is_the_final_trend_row(self):
-        big = TrendPoint(
-            day=9, date=date(2019, 3, 9), mode="cumulative", n_mp=1_000_000, n_ff=2.5,
-            n_undecided=0, n_unclassified=3, denominator=1_000_005.5,
-            pct_ff=0.25, pct_mp=99.5, pct_others=None,
+        big = dict(
+            n_mp=1_000_000, n_ff=2.5, n_undecided=0, n_unclassified=3,
+            pct_ff=0.25, pct_mp=99.5, pct_others=None, denominator=1_000_005.5,
         )
-        start = replace(big, day=4, date=date(2019, 3, 4))
-        result = SweepResult(final_day=9, series={4: [start, big]}, spread_pct_ff=0.0, spread_pct_mp=0.0)
+        columns = TrendColumns(date=[date(2019, 3, 4), date(2019, 3, 9)], T=[4, 9], **{f: [v, v] for f, v in big.items()})
+        finals = SweepFinals()
+        finals.add(4, columns)
         summary, trend_csv = io.StringIO(), io.StringIO()
-        write_sweep_summary(result, summary)
-        write_trend_csv([big], trend_csv)
+        finals.write(summary)
+        write_trend_csv(TrendColumns(*([column[-1]] for column in columns)), trend_csv)
         assert summary.getvalue() == (
             "t0,start_day,final_day,n_mp,n_ff,n_undecided,n_unclassified,pct_ff,pct_mp,pct_others,denominator\n"
             "2019-03-04,4,9,1000000,2.5000,0,3,0.2500,99.5000,,1000005.5000\n"
@@ -443,9 +489,9 @@ class TestCsv:
         assert summary.getvalue().splitlines()[1].split(",")[2:] == trend_csv.getvalue().splitlines()[1].split(",")[1:]
 
     def test_summary_names_origins_by_day_without_a_calendar(self):
-        result = sweep_t0(table_from({"u": {1: (1, 0, 0), 3: (0, 1, 0)}}), [1, 2])
+        _, finals = sweep(table_from({"u": {1: (1, 0, 0), 3: (0, 1, 0)}}), [1, 2])
         summary = io.StringIO()
-        write_sweep_summary(result, summary)
+        finals.write(summary)
         assert [line.split(",")[:3] for line in summary.getvalue().splitlines()[1:]] == [
             ["1", "1", "3"], ["2", "2", "3"],
         ]
@@ -493,7 +539,7 @@ class TestProperties:
 
 
 class TestSeriesAgainstOracle:
-    """Every point of every series equals the oracle's category tally on its day."""
+    """Every day of every series equals the oracle's category tally on that day."""
 
     FIELDS = ("n_mp", "n_ff", "n_undecided", "n_unclassified")
 
@@ -501,8 +547,8 @@ class TestSeriesAgainstOracle:
         cats = oracle_categories(counts, mode, day=day, **config)
         return cats, [sum(c is cat for c in cats.values()) for cat in UserCategory]
 
-    def counts_of(self, point):
-        return [getattr(point, f) for f in self.FIELDS]
+    def counts_at(self, columns, i):
+        return [getattr(columns, f)[i] for f in self.FIELDS]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -524,29 +570,27 @@ class TestSeriesAgainstOracle:
 
         plain = series(table, "instant", window=window)
         weighted = series(table, "instant", window=window, weights=weights)
-        assert [p.day for p in plain] == [p.day for p in weighted] == list(range(1, table.n_days + 1))
-        for point, reweighted in zip(plain, weighted):
-            cats, tally = self.oracle_counts(table_dict, "instant", point.day, window=window)
-            assert self.counts_of(point) == tally
-            reference = apply_demographic_weights(point, stratum_weights, strata, cats)
-            assert self.counts_of(reweighted) == self.counts_of(reference)
+        assert plain.T == weighted.T == list(range(1, table.n_days + 1))
+        for i, day in enumerate(plain.T):
+            cats, tally = self.oracle_counts(table_dict, "instant", day, window=window)
+            assert self.counts_at(plain, i) == tally
+            assert row_of(weighted, i) == apply_demographic_weights(cats, stratum_weights, strata, "instant")
 
         t0 = min(min(origins), table.n_days)
         plain = series(table, "cumulative", start_day=t0)
         weighted = series(table, "cumulative", start_day=t0, weights=weights)
-        assert [p.day for p in plain] == [p.day for p in weighted] == list(range(t0, table.n_days + 1))
-        for point, reweighted in zip(plain, weighted):
-            cats, tally = self.oracle_counts(table_dict, "cumulative", point.day, start_day=t0)
-            assert self.counts_of(point) == tally
-            reference = apply_demographic_weights(point, stratum_weights, strata, cats)
-            assert self.counts_of(reweighted) == self.counts_of(reference)
+        assert plain.T == weighted.T == list(range(t0, table.n_days + 1))
+        for i, day in enumerate(plain.T):
+            cats, tally = self.oracle_counts(table_dict, "cumulative", day, start_day=t0)
+            assert self.counts_at(plain, i) == tally
+            assert row_of(weighted, i) == apply_demographic_weights(cats, stratum_weights, strata, "cumulative")
 
-        result = sweep_t0(table, [t0 for t0 in origins if t0 <= table.n_days] or [1])
-        for t0, points in result.series.items():
-            assert [p.day for p in points] == list(range(t0, table.n_days + 1))
-            for point in points:
-                _, tally = self.oracle_counts(table_dict, "cumulative", point.day, start_day=t0)
-                assert self.counts_of(point) == tally
+        by_origin, _ = sweep(table, [t0 for t0 in origins if t0 <= table.n_days] or [1])
+        for t0, columns in by_origin.items():
+            assert columns.T == list(range(t0, table.n_days + 1))
+            for i, day in enumerate(columns.T):
+                _, tally = self.oracle_counts(table_dict, "cumulative", day, start_day=t0)
+                assert self.counts_at(columns, i) == tally
 
     def test_seeded_tables_with_awkward_weights(self):
         rng = random.Random(2019)
@@ -556,13 +600,15 @@ class TestSeriesAgainstOracle:
             stratum_weights = {s: rng.uniform(0, 3) for s in "ABC"}
             weights = user_weights(table.users, stratum_weights, strata)
             window = rng.randint(1, 20)
-            for point in series(table, "instant", window=window, weights=weights):
-                cats = oracle_categories(counts, "instant", day=point.day, window=window)
-                assert point == apply_demographic_weights(point, stratum_weights, strata, cats)
+            columns = series(table, "instant", window=window, weights=weights)
+            for i, day in enumerate(columns.T):
+                cats = oracle_categories(counts, "instant", day=day, window=window)
+                assert row_of(columns, i) == apply_demographic_weights(cats, stratum_weights, strata, "instant")
             t0 = rng.randint(1, table.n_days)
-            for point in series(table, "cumulative", start_day=t0, weights=weights):
-                cats = oracle_categories(counts, "cumulative", day=point.day, start_day=t0)
-                assert point == apply_demographic_weights(point, stratum_weights, strata, cats)
+            columns = series(table, "cumulative", start_day=t0, weights=weights)
+            for i, day in enumerate(columns.T):
+                cats = oracle_categories(counts, "cumulative", day=day, start_day=t0)
+                assert row_of(columns, i) == apply_demographic_weights(cats, stratum_weights, strata, "cumulative")
 
     def test_weight_vector_must_match_users(self):
         table = table_from({"a": {1: (1, 0, 0)}, "b": {2: (0, 1, 0)}})
