@@ -3,18 +3,19 @@
 Each subcommand adapts its flags to the library, which holds the rules
 (``ingest`` runs :func:`electrend.ingest.ingest_lines`), and writes files.
 
-Exit codes: 0 success, 1 validation check failed, 2 usage error (a
-malformed ``--origin-date`` or ``--start-date``, a ``--window``, ``--top-k``
-or ``--workers`` below 1, a ``--day-offset-hours`` outside [-24, 24], a
-``--bot-*`` or ``--margin`` that is not a finite number >= 0, a
-``--smoothing`` that is not one > 0 and a ``--tolerance`` that is not a
-finite number included), 3 input not readable or
-output not writable, 4 data error (empty or malformed corpus, no record
-accepted, a damaged meta sidecar, bad model, bad spec or one with no users).
+Exit codes (the README lists the cases of each):
+
+- 0: success;
+- 1: a validation check failed;
+- 2: usage error;
+- 3: an input cannot be read or an output cannot be written;
+- 4: data error.
+
 Logs go to standard error with a ``LEVEL name:`` prefix; every run
 writes a JSON manifest beside its primary output recording inputs (with
 digests), effective parameters and argv, so runs can be reproduced and
-audited. Output files are written to a temp name and renamed into place.
+audited. A run's outputs are written to temp names and renamed into place
+together, the manifest last, once the run has succeeded (see ``_stage``).
 
 Dates on the command line are calendar dates; they are converted to
 integer day indices against the corpus origin date, which ``ingest``
@@ -44,7 +45,6 @@ from .ingest import (
     NoRecordsError,
     ParseError,
     QuerySet,
-    atomic_text,
     ingest_lines,
     iter_lines,
     iter_text_lines,
@@ -251,12 +251,24 @@ def _load_spec(path: str):
         raise CliError(EXIT_DATA, f"bad spec file: {exc}") from None
 
 
-def _new_manifest(args: argparse.Namespace) -> manifest.RunManifest:
+@contextmanager
+def _stage(args: argparse.Namespace, manifest_path: str | None = None) -> Iterator[manifest.RunManifest]:
+    """The frame of a subcommand that writes files: its run manifest, and every file it writes.
+
+    The body writes its outputs through the manifest (``run.open``,
+    ``run.write_json``), which lists each one. After the body the corpus
+    ``args.input`` is hashed and the manifest written, to
+    ``<output>.manifest.json`` unless ``manifest_path`` is given. Then every
+    file appears at once, or none if the body, the hash or the manifest fails.
+    """
     params = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "argv")}
     params = {k: v.isoformat() if isinstance(v, date) else v for k, v in params.items()}
-    return manifest.RunManifest(
-        subcommand=args.subcommand, argv=list(args.argv), parameters=params
-    )
+    run = manifest.RunManifest(args.subcommand, list(args.argv), params)
+    with run.files:
+        yield run
+        if "input" in params:
+            run.add_input("corpus", args.input)
+        run.write(manifest_path or args.output + ".manifest.json")
 
 
 # -- ingest -------------------------------------------------------------
@@ -278,41 +290,28 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         bots=None if args.no_bot_filter else bots,
         drop_retweets=args.drop_retweets, origin_date=args.origin_date, day_offset_hours=args.day_offset_hours,
     )
-    rejects_path = args.input + ".rejects.txt"
     spool_dir = os.path.dirname(os.path.abspath(args.output))  # the disk the output needs anyway
-    try:
-        with atomic_text(rejects_path) as rejects, atomic_text(args.output) as out:
-            result = ingest_lines(iter_lines(args.input), config, out, rejects, spool_dir)
-    except NoRecordsError as exc:
-        raise CliError(EXIT_DATA, f"{args.input}: {exc}") from None
-
-    report_path = args.bot_report or (args.output + ".bots.csv")
-    if config.bots:
-        with atomic_text(report_path, newline="") as fh:
-            botfilter.write_report_csv(result.verdicts, fh)
-
-    origin = result.origin.isoformat()
-    meta = {
-        "meta_version": META_FORMAT_VERSION,
-        "origin_date": origin,
-        "day_offset_hours": config.day_offset_hours,
-        "n_days": result.n_days,
-        "records": result.accepted,
-        "input_lines": result.input_lines,
-        "rejects": result.rejects,
-    }
-    manifest.write_json_atomic(meta, _meta_path(args.output))
-
-    run = _new_manifest(args)
-    run.parameters["origin_date"] = origin
-    run.parameters["queries"] = [" AND ".join(q) for q in config.queries.queries] if config.queries else []
-    run.add_input("corpus", args.input)
-    run.add_output("clean_corpus", args.output)
-    run.add_output("rejects", rejects_path)
-    run.add_output("meta", _meta_path(args.output))
-    if config.bots:
-        run.add_output("bot_report", report_path)
-    run.write(args.output + ".manifest.json")
+    with _stage(args) as run:
+        try:
+            with run.open("rejects", args.input + ".rejects.txt") as rejects, run.open("clean_corpus", args.output) as out:
+                result = ingest_lines(iter_lines(args.input), config, out, rejects, spool_dir)
+        except NoRecordsError as exc:
+            raise CliError(EXIT_DATA, f"{args.input}: {exc}") from None
+        if config.bots:
+            with run.open("bot_report", args.bot_report or (args.output + ".bots.csv"), newline="") as fh:
+                botfilter.write_report_csv(result.verdicts, fh)
+        origin = result.origin.isoformat()
+        run.write_json("meta", {
+            "meta_version": META_FORMAT_VERSION,
+            "origin_date": origin,
+            "day_offset_hours": config.day_offset_hours,
+            "n_days": result.n_days,
+            "records": result.accepted,
+            "input_lines": result.input_lines,
+            "rejects": result.rejects,
+        }, _meta_path(args.output))
+        run.parameters["origin_date"] = origin
+        run.parameters["queries"] = [" AND ".join(q) for q in config.queries.queries] if config.queries else []
 
     log.info(
         "ingest: %d lines, %d accepted, %d rejected (%s), %d users flagged as bots, origin %s, %d days",
@@ -347,14 +346,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         model = stance.fit(counts, seeds, smoothing=args.smoothing, decision_margin=args.margin)
     except stance.TrainingError as exc:
         raise CliError(EXIT_DATA, f"training failed: {exc}") from None
-    model.save(args.output)
-
-    run = _new_manifest(args)
-    run.add_input("corpus", args.input)
-    if args.seeds:
-        run.add_input("seeds", args.seeds)
-    run.add_output("model", args.output)
-    run.write(args.output + ".manifest.json")
+    with _stage(args) as run:
+        with run.open("model", args.output) as fh:
+            model.save(fh)
+        if args.seeds:
+            run.add_input("seeds", args.seeds)
     log.info(
         "train: %d records, %d camps, %d vocabulary terms",
         corpus.records,
@@ -388,24 +384,18 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
     workers = args.workers or usable_cpus()
     counts: Counter = Counter()
-    with atomic_text(args.output) as out:
-        for tally, text in _Corpus(args.input).chunks(label, workers):
-            counts.update(tally)
-            out.write(text)
-    n = sum(counts.values())
-
-    if meta is not None:
-        manifest.write_json_atomic(meta, _meta_path(args.output))
-
-    run = _new_manifest(args)
-    run.parameters["workers"] = workers
-    run.add_input("corpus", args.input)
-    run.add_input("model", args.model)
-    run.add_output("labeled_corpus", args.output)
-    run.write(args.output + ".manifest.json")
+    with _stage(args) as run:
+        with run.open("labeled_corpus", args.output) as out:
+            for tally, text in _Corpus(args.input).chunks(label, workers):
+                counts.update(tally)
+                out.write(text)
+        if meta is not None:
+            run.write_json("meta", meta, _meta_path(args.output))
+        run.parameters["workers"] = workers
+        run.add_input("model", args.model)
     log.info(
         "classify: %d records; %s",
-        n,
+        sum(counts.values()),
         ", ".join(f"{k}={v}" for k, v in sorted(counts.items())),
     )
     return EXIT_OK
@@ -458,18 +448,14 @@ def cmd_trend(args: argparse.Namespace) -> int:
     start_day = _t0_to_day(args.t0, origin, table.n_days) if args.t0 and args.mode == "cumulative" else 1
     columns = trend.series(table, args.mode, args.window, start_day, origin, weights, not args.exclude_undecided)
 
-    with atomic_text(args.output, newline="") as fh:
-        trend.write_trend_csv(columns, fh)
-
-    run = _new_manifest(args)
-    if origin is not None:
-        run.parameters["origin_date"] = origin.isoformat()
-    run.add_input("corpus", args.input)
-    if args.weights_file:
-        run.add_input("weights", args.weights_file)
-        run.add_input("strata", args.strata_file)
-    run.add_output("trend_csv", args.output)
-    run.write(args.output + ".manifest.json")
+    with _stage(args) as run:
+        with run.open("trend_csv", args.output, newline="") as fh:
+            trend.write_trend_csv(columns, fh)
+        if origin is not None:
+            run.parameters["origin_date"] = origin.isoformat()
+        if args.weights_file:
+            run.add_input("weights", args.weights_file)
+            run.add_input("strata", args.strata_file)
 
     last = (columns.pct_ff[-1], columns.pct_mp[-1], columns.pct_others[-1])
     log.info(
@@ -492,34 +478,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     os.makedirs(args.output, exist_ok=True)
     finals = trend.SweepFinals()
-    per_t0_paths = {}
-    for t0, columns in trend.sweep_columns(table, start_days, origin):  # one origin's rows at a time
-        token = columns.date[0].isoformat() if columns.date[0] else f"day{t0:03d}"
-        path = os.path.join(args.output, f"trend_t0_{token}.csv")
-        with atomic_text(path, newline="") as fh:
-            trend.write_trend_csv(columns, fh)
-        per_t0_paths[t0] = path
-        finals.add(t0, columns)
-
-    summary_path = os.path.join(args.output, "sweep_summary.csv")
-    with atomic_text(summary_path, newline="") as fh:
-        finals.write(fh)
-    spread_ff, spread_mp = finals.spread("pct_ff"), finals.spread("pct_mp")
-
-    run = _new_manifest(args)
-    if origin is not None:
-        run.parameters["origin_date"] = origin.isoformat()
-    run.parameters["spread_pct_ff"] = spread_ff
-    run.parameters["spread_pct_mp"] = spread_mp
-    run.add_input("corpus", args.input)
-    run.add_output("summary", summary_path)
-    for t0, path in per_t0_paths.items():
-        run.add_output(f"t0_day{t0:03d}", path)
-    run.write(os.path.join(args.output, "sweep.manifest.json"))
+    with _stage(args, os.path.join(args.output, "sweep.manifest.json")) as run:
+        for t0, columns in trend.sweep_columns(table, start_days, origin):  # one origin's rows at a time
+            token = columns.date[0].isoformat() if columns.date[0] else f"day{t0:03d}"
+            with run.open(f"t0_day{t0:03d}", os.path.join(args.output, f"trend_t0_{token}.csv"), newline="") as fh:
+                trend.write_trend_csv(columns, fh)
+            finals.add(t0, columns)
+        with run.open("summary", os.path.join(args.output, "sweep_summary.csv"), newline="") as fh:
+            finals.write(fh)
+        spread_ff, spread_mp = finals.spread("pct_ff"), finals.spread("pct_mp")
+        if origin is not None:
+            run.parameters["origin_date"] = origin.isoformat()
+        run.parameters["spread_pct_ff"] = spread_ff
+        run.parameters["spread_pct_mp"] = spread_mp
 
     log.info(
         "sweep: %d origins, final day %d, spread pct_ff=%.3f pct_mp=%.3f",
-        len(per_t0_paths), table.n_days, spread_ff, spread_mp,
+        len(finals.origins), table.n_days, spread_ff, spread_mp,
     )
     return EXIT_OK
 
@@ -536,29 +511,16 @@ def cmd_hashtags(args: argparse.Namespace) -> int:
     if graph.nodes:
         partition = hashtags.partition_graph(graph)
 
-    graphml_path = args.graphml or (args.output + ".graphml")
-    dot_path = args.dot or (args.output + ".dot")
-    with atomic_text(graphml_path) as fh:
-        hashtags.write_graphml(graph, fh, partition)
-    with atomic_text(dot_path) as fh:
-        hashtags.write_dot(graph, fh, partition)
-
-    clouds_path = None
-    if counts.labeled:
-        clouds = counts.clouds()
-        clouds_path = args.clouds or (args.output + ".clouds.csv")
-        with atomic_text(clouds_path, newline="") as fh:
-            hashtags.write_clouds_csv(clouds, fh, top_k=args.top_k)
-    else:
-        log.warning("no stance labels in corpus; skipping camp clouds")
-
-    run = _new_manifest(args)
-    run.add_input("corpus", args.input)
-    run.add_output("graphml", graphml_path)
-    run.add_output("dot", dot_path)
-    if clouds_path:
-        run.add_output("clouds", clouds_path)
-    run.write(args.output + ".manifest.json")
+    with _stage(args) as run:
+        with run.open("graphml", args.graphml or (args.output + ".graphml")) as fh:
+            hashtags.write_graphml(graph, fh, partition)
+        with run.open("dot", args.dot or (args.output + ".dot")) as fh:
+            hashtags.write_dot(graph, fh, partition)
+        if counts.labeled:
+            with run.open("clouds", args.clouds or (args.output + ".clouds.csv"), newline="") as fh:
+                hashtags.write_clouds_csv(counts.clouds(), fh, top_k=args.top_k)
+        else:
+            log.warning("no stance labels in corpus; skipping camp clouds")
 
     log.info(
         "hashtags: %d nodes, %d edges, %s camps",
@@ -625,19 +587,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     if spec.n_users == 0:
         raise CliError(EXIT_DATA, "invalid electorate spec: need n_users >= 1")
-    truth_path = args.truth or (args.output + ".truth.csv")
-    n = synth.write_corpus(spec, args.output, truth_path)
-    spec_echo = args.output + ".spec.json"
-    spec.save(spec_echo)
-
-    run = _new_manifest(args)
-    run.parameters["run_id"] = spec.run_id
-    if args.spec:
-        run.add_input("spec", args.spec)
-    run.add_output("corpus", args.output)
-    run.add_output("truth", truth_path)
-    run.add_output("spec_echo", spec_echo)
-    run.write(args.output + ".manifest.json")
+    with _stage(args) as run:
+        with run.open("corpus", args.output) as fh:
+            n = synth.write_corpus(spec, fh)
+        with run.open("truth", args.truth or (args.output + ".truth.csv"), newline="") as fh:
+            synth.ground_truth(spec).write_csv(fh)
+        run.write_json("spec_echo", spec.to_dict(), args.output + ".spec.json")
+        run.parameters["run_id"] = spec.run_id
+        if args.spec:
+            run.add_input("spec", args.spec)
     log.info(
         "synth: run %s, %d users (%d bots), %d days, %d records",
         spec.run_id,

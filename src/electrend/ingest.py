@@ -45,6 +45,7 @@ __all__ = [
     "assign_day",
     "day_to_date",
     "open_text",
+    "AtomicFiles",
     "atomic_text",
     "iter_lines",
     "iter_text_lines",
@@ -393,35 +394,56 @@ def _remove_dead_temps(path: str) -> None:
             pass
 
 
-@contextmanager
-def atomic_text(path: str, newline: str | None = None) -> Iterator[TextIO]:
-    """Text writer that commits via a temp file and a rename; gzip by .gz suffix.
+class AtomicFiles:
+    """Text writers whose files appear together when the group's ``with`` block ends, or not at all.
 
-    The temp file ``<path>.tmp<pid>`` sits beside ``path``. If the ``with``
-    block or the final flush fails, the temp file is removed and ``path`` is
-    left untouched. A process killed outright cannot clean up, so each write
-    first removes the temp files of ``path`` whose writer is no longer alive.
-    A gzip header names ``path`` and carries no time, so equal text gives
-    equal bytes.
+    ``open(path)`` writes ``<path>.tmp<pid>`` beside ``path``, gzipped by .gz
+    suffix with a header that names ``path`` and carries no time, so equal
+    text gives equal bytes. The group renames the temp files in the order
+    they were opened; a path opened again moves to the end and keeps the
+    later text. If the block or a rename fails, every temp file not yet
+    renamed is removed. A process killed outright cannot clean up, so each
+    ``open`` first removes the temp files of its path whose writer is gone.
     """
-    _remove_dead_temps(path)
-    tmp = f"{path}.tmp{os.getpid()}"
-    try:
+
+    def __init__(self):
+        self._temps: dict[str, str] = {}  # path -> its temp file, in commit order
+
+    def __enter__(self) -> "AtomicFiles":
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        try:
+            for path, tmp in list(self._temps.items()) if exc_type is None else ():
+                os.replace(tmp, path)
+                del self._temps[path]
+        finally:
+            for tmp in self._temps.values():
+                with suppress(OSError):
+                    os.unlink(tmp)
+            self._temps.clear()
+
+    @contextmanager
+    def open(self, path: str, newline: str | None = None) -> Iterator[TextIO]:
+        _remove_dead_temps(path)
+        tmp = self._temps.pop(path, f"{path}.tmp{os.getpid()}")
+        self._temps[path] = tmp
         with ExitStack() as stack:
             if str(path).endswith(".gz"):
                 raw = stack.enter_context(open(tmp, "wb"))
                 packed = stack.enter_context(
                     gzip.GzipFile(os.path.basename(path), "wb", fileobj=raw, mtime=0)
                 )
-                fh = stack.enter_context(io.TextIOWrapper(packed, encoding="utf-8", newline=newline))
+                yield stack.enter_context(io.TextIOWrapper(packed, encoding="utf-8", newline=newline))
             else:
-                fh = stack.enter_context(open(tmp, "w", encoding="utf-8", newline=newline))
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with suppress(OSError):
-            os.unlink(tmp)
-        raise
+                yield stack.enter_context(open(tmp, "w", encoding="utf-8", newline=newline))
+
+
+@contextmanager
+def atomic_text(path: str, newline: str | None = None) -> Iterator[TextIO]:
+    """One file of :class:`AtomicFiles`: it appears whole when the ``with`` block ends, or not at all."""
+    with AtomicFiles() as files, files.open(path, newline) as fh:
+        yield fh
 
 
 def iter_lines(path: str) -> Iterator[tuple[int, str]]:

@@ -2,7 +2,9 @@
 
 Each CLI invocation writes a small JSON manifest next to its primary
 output so a result can be traced back to the exact inputs and parameters
-that produced it, and re-run from the recorded argv.
+that produced it, and re-run from the recorded argv. A run writes its
+outputs through its manifest, which lists each one and commits them all,
+itself last, as one :class:`AtomicFiles` group.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from hashlib import sha256
 
-from .ingest import atomic_text
+from .ingest import AtomicFiles, atomic_text
 
 __all__ = ["RunManifest", "write_json_atomic", "rerun"]
 
@@ -31,14 +33,16 @@ def file_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def write_json_atomic(obj: dict, path: str) -> None:
-    """Write ``obj`` as indented, key-sorted JSON through the atomic writer.
+def _dump_json(obj: dict, fh) -> None:
+    """``obj`` as indented, key-sorted JSON; a non-finite float raises ``ValueError``."""
+    json.dump(obj, fh, indent=1, sort_keys=True, allow_nan=False)
+    fh.write("\n")
 
-    A non-finite float raises ``ValueError`` and leaves no file.
-    """
+
+def write_json_atomic(obj: dict, path: str) -> None:
+    """Write ``obj`` as indented, key-sorted JSON through the atomic writer; a non-finite float leaves no file."""
     with atomic_text(path) as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        _dump_json(obj, fh)
 
 
 @dataclass
@@ -48,12 +52,20 @@ class RunManifest:
     parameters: dict = field(default_factory=dict)
     inputs: dict = field(default_factory=dict)  # label -> {path, sha256}
     outputs: dict = field(default_factory=dict)  # label -> path
+    files: AtomicFiles = field(default_factory=AtomicFiles, repr=False, compare=False)
 
     def add_input(self, label: str, path: str) -> None:
         self.inputs[label] = {"path": path, "sha256": file_sha256(path)}
 
-    def add_output(self, label: str, path: str) -> None:
+    def open(self, label: str, path: str, newline: str | None = None):
+        """A writer of ``path`` in the run's group of files, listed as output ``label``."""
         self.outputs[label] = path
+        return self.files.open(path, newline)
+
+    def write_json(self, label: str, obj: dict, path: str) -> None:
+        """``obj`` as JSON to ``path``, listed as output ``label``."""
+        with self.open(label, path) as fh:
+            _dump_json(obj, fh)
 
     def to_dict(self) -> dict:
         from . import __version__
@@ -71,7 +83,9 @@ class RunManifest:
         }
 
     def write(self, path: str) -> None:
-        write_json_atomic(self.to_dict(), path)
+        """The manifest itself, to ``path`` in the run's group: the last file opened, so the last renamed."""
+        with self.files.open(path) as fh:
+            _dump_json(self.to_dict(), fh)
 
 
 def rerun(manifest_path: str) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
-from .ingest import TweetRecord, atomic_text, iter_text_lines, open_text
+from .ingest import TweetRecord, iter_text_lines, open_text
 
 __all__ = [
     "Stance",
@@ -145,10 +145,10 @@ class LexiconModel:
             },
         }
 
-    def save(self, path: str) -> None:
-        with atomic_text(path) as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True, ensure_ascii=False, allow_nan=False)
-            fh.write("\n")
+    def save(self, fh) -> None:
+        """The model as versioned JSON to ``fh``."""
+        json.dump(self.to_dict(), fh, indent=1, sort_keys=True, ensure_ascii=False, allow_nan=False)
+        fh.write("\n")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "LexiconModel":

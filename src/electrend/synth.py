@@ -33,7 +33,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import TweetRecord, atomic_text, record_to_json
+from .ingest import TweetRecord, record_to_json
 from .manifest import write_json_atomic
 from .stance import DEFAULT_SEEDS
 from .trend import TrendColumns, UserCategory, first_day
@@ -333,20 +333,13 @@ def iter_records(spec: ElectorateSpec) -> Iterator[TweetRecord]:
         yield from _user_records(spec, index)
 
 
-def write_corpus(spec: ElectorateSpec, corpus_path: str, truth_path: str | None = None) -> int:
-    """Stream the corpus to a JSONL file in the ingest input schema.
-
-    Both files are written atomically; returns the number of records.
-    """
+def write_corpus(spec: ElectorateSpec, fh) -> int:
+    """Stream the corpus to ``fh`` as JSONL in the ingest input schema; returns the number of records."""
     n = 0
-    with atomic_text(corpus_path) as fh:
-        for record in iter_records(spec):
-            fh.write(record_to_json(record))
-            fh.write("\n")
-            n += 1
-    if truth_path:
-        with atomic_text(truth_path, newline="") as fh:
-            ground_truth(spec).write_csv(fh)
+    for record in iter_records(spec):
+        fh.write(record_to_json(record))
+        fh.write("\n")
+        n += 1
     return n
 
 

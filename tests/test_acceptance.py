@@ -297,7 +297,8 @@ def test_closure_and_permutation(stationary, origin_sweep, drift_run, tmp_path):
 
     spec = ElectorateSpec(n_users=250, n_days=8, mean_rate=1.5, bot_fraction=0.04, rng_seed=31)
     ordered = tmp_path / "ordered.jsonl"
-    write_corpus(spec, str(ordered))
+    with open(ordered, "w", encoding="utf-8") as fh:
+        write_corpus(spec, fh)
     lines = ordered.read_text().splitlines(keepends=True)
     random.Random(7).shuffle(lines)
     shuffled = tmp_path / "shuffled.jsonl"

@@ -15,8 +15,10 @@ import sys
 import tempfile
 import time
 import xml.etree.ElementTree as ET
+from collections import Counter
 from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -251,6 +253,46 @@ class TestFailedRuns:
             assert "Traceback" not in result.stderr
             assert "corpus in.jsonl contains no records" in result.stderr
             assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"], (stage, extra)
+
+
+class TestFailedStageWritesNothing:
+    """A stage whose last output cannot be written exits 3 and leaves none of its outputs.
+
+    The files of an earlier run with other flags stay as they were.
+    """
+
+    CASES = {
+        "ingest": (["ingest", "raw.jsonl", "-o", "clean.jsonl"], ["--origin-date", "2019-03-01"], ["--bot-report", "nodir/b.csv"]),
+        "hashtags": (["hashtags", "labeled.jsonl", "-o", "net"], ["--dedup-users"], ["--clouds", "nodir/c.csv"]),
+        "synth": (["synth", "-o", "raw.jsonl", "--users", "20", "--days", "4"], ["--seed", "4"], ["--truth", "nodir/t.csv"]),
+    }
+
+    @staticmethod
+    def files(root):
+        return {p.name: p.read_bytes() for p in root.iterdir()}
+
+    @pytest.mark.parametrize("stage", CASES)
+    def test_exits_3_and_leaves_earlier_files(self, stage, pipeline, tmp_path):
+        argv, earlier, bad = self.CASES[stage]
+        if stage != "synth":
+            shutil.copy(pipeline.raw if stage == "ingest" else pipeline.labeled, tmp_path / argv[1])
+
+        def fails_leaving(expected):
+            result = run_cli(argv + bad, tmp_path)
+            assert result.returncode == 3, result.stderr
+            assert "Traceback" not in result.stderr
+            assert self.files(tmp_path) == expected
+
+        fails_leaving(self.files(tmp_path))  # the inputs alone
+        assert run_cli(argv + earlier, tmp_path).returncode == 0
+        fails_leaving(self.files(tmp_path))  # and the earlier run's files, byte for byte
+
+    def test_two_outputs_on_one_path_keep_the_later(self, pipeline, tmp_path):
+        both = str(tmp_path / "net.txt")
+        argv = ["hashtags", pipeline.labeled, "-o", str(tmp_path / "net"), "--min-count", "2", "--graphml", both, "--dot", both]
+        assert main(argv) == 0
+        assert Path(both).read_text().startswith("graph hashtags {")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.clouds.csv", "net.manifest.json", "net.txt"]
 
 
 class TestBadCalendar:
@@ -853,13 +895,6 @@ class TestIngestSidecars:
         assert man["inputs"]["corpus"]["sha256"] == digest
         assert any(o.endswith("clean.jsonl") for o in man["outputs"].values())
 
-    def test_manifest_rerun_is_byte_identical(self, pipeline, monkeypatch):
-        # rerun starts `python -m electrend`: let it import this checkout, as run_cli does
-        monkeypatch.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(os.path.abspath(electrend.__file__))))
-        before = open(pipeline.clean, "rb").read()
-        assert rerun(pipeline.clean + ".manifest.json") == 0
-        assert open(pipeline.clean, "rb").read() == before
-
     def test_bot_rate_rule_counts_pipeline_days(self, tmp_path):
         # 80 tweets 3 minutes apart from 22:00 UTC: 40 per UTC day, 80 in one day at UTC-3
         start = datetime(2019, 8, 10, 22, tzinfo=timezone.utc)
@@ -885,6 +920,55 @@ class TestIngestSidecars:
             for offset, rules in ((0, ""), (-3, "rate")):
                 rows = run(offset)
                 assert rows[1].split(",") == ["owl", "0.3333" if rules else "0.0000", "false", rules]
+
+
+@pytest.fixture(scope="module")
+def every_stage(tmp_path_factory):
+    """Each file-writing subcommand run once in a fresh directory: the directory and each run's manifest."""
+    root = tmp_path_factory.mktemp("stages")
+    f = lambda name: str(root / name)
+    runs = {
+        "synth": ["synth", "-o", f("raw.jsonl"), "--users", "60", "--days", "10", "--bot-fraction", "0.05", "--seed", "11"],
+        "ingest": ["ingest", f("raw.jsonl"), "-o", f("clean.jsonl")],
+        "train": ["train", f("clean.jsonl"), "-o", f("model.json")],
+        "classify": ["classify", f("clean.jsonl"), "-o", f("labeled.jsonl"), "--model", f("model.json"), "--workers", "1"],
+        "trend-cumulative": ["trend", f("labeled.jsonl"), "-o", f("cumulative.csv"), "--mode", "cumulative", "--t0", "2"],
+        "trend-instant": ["trend", f("labeled.jsonl"), "-o", f("instant.csv"), "--window", "3"],
+        "sweep": ["sweep", f("labeled.jsonl"), "-o", f("sweep"), "--t0-list", "1,2019-03-04"],
+        "hashtags": ["hashtags", f("labeled.jsonl"), "-o", f("net"), "--min-count", "2"],
+    }
+    for argv in runs.values():
+        assert main(argv) == 0, argv
+    manifests = {name: argv[argv.index("-o") + 1] + ".manifest.json" for name, argv in runs.items()}
+    manifests["sweep"] = f("sweep/sweep.manifest.json")
+    return root, manifests
+
+
+class TestManifests:
+    def test_every_output_is_listed_once(self, every_stage):
+        root, manifests = every_stage
+        listed = Counter()
+        for path in manifests.values():
+            with open(path, encoding="utf-8") as fh:
+                listed.update(json.load(fh)["outputs"].values())
+        assert [path for path, n in listed.items() if n > 1] == []
+        written = {str(p) for p in root.rglob("*") if p.is_file() and not p.name.endswith(".manifest.json")}
+        assert set(listed) == written
+
+    @pytest.mark.parametrize("stage", [
+        "ingest", "train", "classify", "trend-cumulative", "trend-instant", "sweep", "hashtags", "synth",
+    ])
+    def test_manifest_rerun_is_byte_identical(self, stage, every_stage, monkeypatch):
+        # rerun starts `python -m electrend`: let it import this checkout, as run_cli does
+        monkeypatch.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(os.path.abspath(electrend.__file__))))
+        path = every_stage[1][stage]
+        with open(path, encoding="utf-8") as fh:
+            run = json.load(fh)
+        before = {out: Path(out).read_bytes() for out in run["outputs"].values()}
+        assert rerun(path) == 0
+        with open(path, encoding="utf-8") as fh:
+            assert json.load(fh)["created_utc"] != run["created_utc"]  # the stage did run again
+        assert {out: Path(out).read_bytes() for out in before} == before
 
 
 class TestClassifyAndTrend:

@@ -23,6 +23,7 @@ from electrend import ingest
 from electrend.cli import main
 
 from electrend.ingest import (
+    AtomicFiles,
     BeforeOriginError,
     DEFAULT_QUERY_STRINGS,
     IngestConfig,
@@ -380,6 +381,24 @@ class TestFileIO:
             fh.write("whole\n")
         assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl.gz"]
         assert list(iter_lines(str(path))) == [(1, "whole")]
+
+    def test_a_group_of_files_appears_together(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with AtomicFiles() as files:
+                with files.open(str(tmp_path / "a.txt")) as fh:
+                    fh.write("a\n")
+                with files.open(str(tmp_path / "b.txt.gz")) as fh:
+                    fh.write("b\n")
+                assert sorted(p.name for p in tmp_path.iterdir()) == [f"a.txt.tmp{os.getpid()}", f"b.txt.gz.tmp{os.getpid()}"]
+                raise RuntimeError("interrupted")
+        assert list(tmp_path.iterdir()) == []
+        with AtomicFiles() as files:
+            for path, text in (("a.txt", "a\n"), ("b.txt.gz", "b\n"), ("a.txt", "later\n")):
+                with files.open(str(tmp_path / path)) as fh:
+                    fh.write(text)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt.gz"]
+        assert (tmp_path / "a.txt").read_text() == "later\n"
+        assert list(iter_lines(str(tmp_path / "b.txt.gz"))) == [(1, "b")]
 
     def test_temp_of_a_dead_writer_is_removed(self, tmp_path):
         finished = subprocess.Popen([sys.executable, "-c", "pass"])

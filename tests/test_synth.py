@@ -1,5 +1,6 @@
 """Synthetic electorate generator, category oracle and recovery report."""
 
+import io
 from datetime import date
 
 import pytest
@@ -160,9 +161,9 @@ class TestGenerator:
 
     def test_truth_csv_format(self, tmp_path):
         spec = small_spec(n_users=3, bot_fraction=0.4)
-        corpus = tmp_path / "c.jsonl"
         truth_path = tmp_path / "t.csv"
-        write_corpus(spec, str(corpus), str(truth_path))
+        with open(truth_path, "w", encoding="utf-8", newline="") as fh:
+            ground_truth(spec).write_csv(fh)
         lines = truth_path.read_text().splitlines()
         assert lines[0] == "user_id,stance,is_bot"
         assert len(lines) == 4
@@ -173,10 +174,9 @@ class TestGenerator:
 
     def test_write_corpus_streams_every_record(self, tmp_path):
         spec = small_spec()
-        path = tmp_path / "c.jsonl"
-        write_corpus(spec, str(path))
-        n_lines = sum(1 for _ in path.open())
-        assert n_lines == len(list(iter_records(spec)))
+        out = io.StringIO()
+        n = write_corpus(spec, out)
+        assert n == len(out.getvalue().splitlines()) == len(list(iter_records(spec)))
 
 
 class TestOracle:
