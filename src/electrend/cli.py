@@ -33,7 +33,7 @@ import os
 import sys
 import tempfile
 from collections import Counter
-from contextlib import closing, contextmanager
+from contextlib import closing, contextmanager, suppress
 from datetime import date
 from typing import Callable, Iterator, Sequence
 
@@ -41,6 +41,7 @@ from typing import Callable, Iterator, Sequence
 # subcommands that use them, so ingest, train and classify start fast.
 from . import botfilter, manifest, stance
 from .ingest import (
+    AtomicFiles,
     IngestConfig,
     NoRecordsError,
     ParseError,
@@ -251,23 +252,31 @@ def _load_spec(path: str):
         raise CliError(EXIT_DATA, f"bad spec file: {exc}") from None
 
 
+# The flags that name a file a stage reads, and the label the manifest lists each under.
+_INPUT_FLAGS = {
+    "input": "corpus", "queries_file": "queries", "seeds": "seeds", "model": "model",
+    "weights_file": "weights", "strata_file": "strata", "spec": "spec",
+}
+
+
 @contextmanager
 def _stage(args: argparse.Namespace, manifest_path: str | None = None) -> Iterator[manifest.RunManifest]:
     """The frame of a subcommand that writes files: its run manifest, and every file it writes.
 
     The body writes its outputs through the manifest (``run.open``,
-    ``run.write_json``), which lists each one. After the body the corpus
-    ``args.input`` is hashed and the manifest written, to
+    ``run.write_json``), which lists each one. After the body every file a
+    flag of :data:`_INPUT_FLAGS` names is hashed and the manifest written, to
     ``<output>.manifest.json`` unless ``manifest_path`` is given. Then every
-    file appears at once, or none if the body, the hash or the manifest fails.
+    file appears at once, or none if the body, a hash or the manifest fails.
     """
     params = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "argv")}
     params = {k: v.isoformat() if isinstance(v, date) else v for k, v in params.items()}
     run = manifest.RunManifest(args.subcommand, list(args.argv), params)
     with run.files:
         yield run
-        if "input" in params:
-            run.add_input("corpus", args.input)
+        for flag, label in _INPUT_FLAGS.items():
+            if params.get(flag):
+                run.add_input(label, params[flag])
         run.write(manifest_path or args.output + ".manifest.json")
 
 
@@ -349,8 +358,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     with _stage(args) as run:
         with run.open("model", args.output) as fh:
             model.save(fh)
-        if args.seeds:
-            run.add_input("seeds", args.seeds)
     log.info(
         "train: %d records, %d camps, %d vocabulary terms",
         corpus.records,
@@ -391,8 +398,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
                 out.write(text)
         if meta is not None:
             run.write_json("meta", meta, _meta_path(args.output))
+            run.add_input("meta", _meta_path(args.input))
         run.parameters["workers"] = workers
-        run.add_input("model", args.model)
     log.info(
         "classify: %d records; %s",
         sum(counts.values()),
@@ -405,11 +412,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _load_table(path: str, origin_date: date | None = None):
-    """The counter table of a labeled corpus and the origin date of its day 1.
+    """The counter table of a labeled corpus, the origin date of its day 1, and the meta sidecar read.
 
     Each line is decoded into its user, the day index ``t`` that ingest wrote
     and its stance, nothing more. The origin is ``origin_date``, else the
     corpus meta sidecar's, else unknown (None); it only dates the output rows.
+    The sidecar is read only without ``origin_date``, and is None if not read.
     """
     from . import trend
 
@@ -429,7 +437,7 @@ def _load_table(path: str, origin_date: date | None = None):
             raise ParseError(f"day index must be <= {last_day}, got {day}", line_no)
         return user, day, stance
 
-    return trend.CounterTable(_Corpus(path, decode)), origin
+    return trend.CounterTable(_Corpus(path, decode)), origin, meta
 
 
 def cmd_trend(args: argparse.Namespace) -> int:
@@ -437,7 +445,7 @@ def cmd_trend(args: argparse.Namespace) -> int:
 
     if bool(args.weights_file) != bool(args.strata_file):
         raise CliError(EXIT_USAGE, "--weights-file and --strata-file go together")
-    table, origin = _load_table(args.input, args.origin_date)
+    table, origin, meta = _load_table(args.input, args.origin_date)
     weights = None
     if args.weights_file:
         strata = _load_pairs(args.strata_file, ("user_id", "stratum"))
@@ -453,9 +461,8 @@ def cmd_trend(args: argparse.Namespace) -> int:
             trend.write_trend_csv(columns, fh)
         if origin is not None:
             run.parameters["origin_date"] = origin.isoformat()
-        if args.weights_file:
-            run.add_input("weights", args.weights_file)
-            run.add_input("strata", args.strata_file)
+        if meta is not None:
+            run.add_input("meta", _meta_path(args.input))
 
     last = (columns.pct_ff[-1], columns.pct_mp[-1], columns.pct_others[-1])
     log.info(
@@ -467,18 +474,35 @@ def cmd_trend(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _new_directory(path: str) -> Iterator[None]:
+    """``path`` as a directory, made with any missing parents, which are removed again if the block fails."""
+    made = []
+    missing = os.path.abspath(path)
+    while not os.path.exists(missing):
+        made.append(missing)
+        missing = os.path.dirname(missing)
+    os.makedirs(path, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        for directory in made:  # innermost first; the failed stage left them empty
+            with suppress(OSError):
+                os.rmdir(directory)
+        raise
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     from . import trend
 
-    table, origin = _load_table(args.input, args.origin_date)
+    table, origin, meta = _load_table(args.input, args.origin_date)
     tokens = [t.strip() for t in args.t0_list.split(",") if t.strip()]
     if not tokens:
         raise CliError(EXIT_USAGE, "--t0-list is empty")
     start_days = [_t0_to_day(t, origin, table.n_days, "--t0-list entry") for t in tokens]
 
-    os.makedirs(args.output, exist_ok=True)
     finals = trend.SweepFinals()
-    with _stage(args, os.path.join(args.output, "sweep.manifest.json")) as run:
+    with _new_directory(args.output), _stage(args, os.path.join(args.output, "sweep.manifest.json")) as run:
         for t0, columns in trend.sweep_columns(table, start_days, origin):  # one origin's rows at a time
             token = columns.date[0].isoformat() if columns.date[0] else f"day{t0:03d}"
             with run.open(f"t0_day{t0:03d}", os.path.join(args.output, f"trend_t0_{token}.csv"), newline="") as fh:
@@ -489,6 +513,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         spread_ff, spread_mp = finals.spread("pct_ff"), finals.spread("pct_mp")
         if origin is not None:
             run.parameters["origin_date"] = origin.isoformat()
+        if meta is not None:
+            run.add_input("meta", _meta_path(args.input))
         run.parameters["spread_pct_ff"] = spread_ff
         run.parameters["spread_pct_mp"] = spread_mp
 
@@ -592,10 +618,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
             n = synth.write_corpus(spec, fh)
         with run.open("truth", args.truth or (args.output + ".truth.csv"), newline="") as fh:
             synth.ground_truth(spec).write_csv(fh)
-        run.write_json("spec_echo", spec.to_dict(), args.output + ".spec.json")
+        with run.open("spec_echo", args.output + ".spec.json") as fh:
+            spec.save(fh)
         run.parameters["run_id"] = spec.run_id
-        if args.spec:
-            run.add_input("spec", args.spec)
     log.info(
         "synth: run %s, %d users (%d bots), %d days, %d records",
         spec.run_id,
@@ -651,7 +676,8 @@ def _validate(args: argparse.Namespace, workdir: str) -> int:
     instant_csv = os.path.join(workdir, "instant.csv")
 
     spec_path = os.path.join(workdir, "electorate.spec.json")
-    spec.save(spec_path)
+    with AtomicFiles() as files, files.open(spec_path) as fh:
+        spec.save(fh)
     steps = [
         ["synth", "--spec", spec_path, "-o", corpus],
         ["ingest", corpus, "-o", clean],
@@ -667,7 +693,7 @@ def _validate(args: argparse.Namespace, workdir: str) -> int:
             return EXIT_CHECK_FAILED
 
     checks: list[tuple[str, bool, str]] = []
-    table, _ = _load_table(labeled)
+    table, *_ = _load_table(labeled)
     sparse = table.to_sparse()
     final = table.n_days
 

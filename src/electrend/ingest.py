@@ -46,7 +46,6 @@ __all__ = [
     "day_to_date",
     "open_text",
     "AtomicFiles",
-    "atomic_text",
     "iter_lines",
     "iter_text_lines",
     "usable_cpus",
@@ -368,9 +367,9 @@ def _opener(path: str):
     return gzip.open if str(path).endswith(".gz") else open
 
 
-def open_text(path: str, mode: str = "rt") -> TextIO:
-    """Open a text file, transparently gzipped when the path ends in .gz."""
-    return _opener(path)(path, mode, encoding="utf-8")
+def open_text(path: str) -> TextIO:
+    """Open a text file for reading, transparently gunzipped when the path ends in .gz."""
+    return _opener(path)(path, "rt", encoding="utf-8")
 
 
 def _remove_dead_temps(path: str) -> None:
@@ -429,21 +428,13 @@ class AtomicFiles:
         tmp = self._temps.pop(path, f"{path}.tmp{os.getpid()}")
         self._temps[path] = tmp
         with ExitStack() as stack:
-            if str(path).endswith(".gz"):
+            try:
                 raw = stack.enter_context(open(tmp, "wb"))
-                packed = stack.enter_context(
-                    gzip.GzipFile(os.path.basename(path), "wb", fileobj=raw, mtime=0)
-                )
-                yield stack.enter_context(io.TextIOWrapper(packed, encoding="utf-8", newline=newline))
-            else:
-                yield stack.enter_context(open(tmp, "w", encoding="utf-8", newline=newline))
-
-
-@contextmanager
-def atomic_text(path: str, newline: str | None = None) -> Iterator[TextIO]:
-    """One file of :class:`AtomicFiles`: it appears whole when the ``with`` block ends, or not at all."""
-    with AtomicFiles() as files, files.open(path, newline) as fh:
-        yield fh
+            except OSError as exc:  # report the output, not its temp name
+                raise OSError(exc.errno, exc.strerror, path) from None
+            if str(path).endswith(".gz"):
+                raw = stack.enter_context(gzip.GzipFile(os.path.basename(path), "wb", fileobj=raw, mtime=0))
+            yield stack.enter_context(io.TextIOWrapper(raw, encoding="utf-8", newline=newline))
 
 
 def iter_lines(path: str) -> Iterator[tuple[int, str]]:
@@ -460,7 +451,7 @@ def iter_lines(path: str) -> Iterator[tuple[int, str]]:
                 stripped = line.strip()
                 if stripped:
                     yield line_no, stripped
-        except (EOFError, zlib.error) as exc:
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
             raise OSError(f"{path}: damaged gzip stream: {exc}") from None
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from hashlib import sha256
 
-from .ingest import AtomicFiles, atomic_text
+from .ingest import AtomicFiles
 
-__all__ = ["RunManifest", "write_json_atomic", "rerun"]
+__all__ = ["RunManifest", "rerun"]
 
 MANIFEST_FORMAT_VERSION = 1
 _HASH_BUFFER = 1 << 16
@@ -37,12 +37,6 @@ def _dump_json(obj: dict, fh) -> None:
     """``obj`` as indented, key-sorted JSON; a non-finite float raises ``ValueError``."""
     json.dump(obj, fh, indent=1, sort_keys=True, allow_nan=False)
     fh.write("\n")
-
-
-def write_json_atomic(obj: dict, path: str) -> None:
-    """Write ``obj`` as indented, key-sorted JSON through the atomic writer; a non-finite float leaves no file."""
-    with atomic_text(path) as fh:
-        _dump_json(obj, fh)
 
 
 @dataclass

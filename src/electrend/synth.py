@@ -34,7 +34,6 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .ingest import TweetRecord, record_to_json
-from .manifest import write_json_atomic
 from .stance import DEFAULT_SEEDS
 from .trend import TrendColumns, UserCategory, first_day
 
@@ -166,8 +165,10 @@ class ElectorateSpec:
             "common_vocab_size": self.common_vocab_size,
         }
 
-    def save(self, path: str) -> None:
-        write_json_atomic(self.to_dict(), path)
+    def save(self, fh) -> None:
+        """The spec as indented, key-sorted JSON to ``fh``."""
+        json.dump(self.to_dict(), fh, indent=1, sort_keys=True, allow_nan=False)
+        fh.write("\n")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ElectorateSpec":

@@ -36,6 +36,7 @@ from electrend.ingest import (
     parse_record,
 )
 from electrend.manifest import rerun
+from electrend.stance import DEFAULT_SEEDS
 from electrend.synth import ElectorateSpec, ground_truth
 from electrend.trend import CounterTable, read_trend_csv, series, user_weights, write_trend_csv
 
@@ -74,6 +75,11 @@ def pipeline(tmp_path_factory):
     assert main(["classify", p.clean, "-o", p.labeled, "--model", p.model, "--workers", "1"]) == 0
     assert main(["trend", p.labeled, "-o", p.trend, "--mode", "cumulative", "--t0", "1"]) == 0
     return p
+
+
+def save_spec(spec, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        spec.save(fh)
 
 
 class TestHelpAndUsage:
@@ -199,15 +205,18 @@ class TestFailedRuns:
 
     @staticmethod
     def stage_input(stage, pipeline):
-        inputs = {"ingest": pipeline.raw, "train": pipeline.clean, "classify": pipeline.clean, "trend": pipeline.labeled}
-        return inputs[stage]
+        inputs = {"ingest": pipeline.raw, "train": pipeline.clean, "classify": pipeline.clean}
+        return inputs.get(stage, pipeline.labeled)
 
     @staticmethod
     def stage_argv(stage, corpus, pipeline):
-        extra = {"classify": ["--model", pipeline.model, "--workers", "1"], "trend": ["--mode", "cumulative"]}
+        extra = {
+            "classify": ["--model", pipeline.model, "--workers", "1"], "trend": ["--mode", "cumulative"],
+            "sweep": ["--t0-list", "1,2"],
+        }
         return [stage, corpus, "-o", "out", *extra.get(stage, [])]
 
-    @pytest.mark.parametrize("stage", STAGES)
+    @pytest.mark.parametrize("stage", STAGES + ("sweep",))
     def test_output_write_fails_midway(self, stage, pipeline, tmp_path):
         shutil.copy(self.stage_input(stage, pipeline), tmp_path / "in.jsonl")
         result = run_cli(self.stage_argv(stage, "in.jsonl", pipeline), tmp_path, max_file_bytes=256)
@@ -281,6 +290,8 @@ class TestFailedStageWritesNothing:
             result = run_cli(argv + bad, tmp_path)
             assert result.returncode == 3, result.stderr
             assert "Traceback" not in result.stderr
+            assert f"No such file or directory: '{bad[1]}'" in result.stderr  # the output, not its temp file
+            assert ".tmp" not in result.stderr
             assert self.files(tmp_path) == expected
 
         fails_leaving(self.files(tmp_path))  # the inputs alone
@@ -561,8 +572,8 @@ class TestCorpusReader:
             path = os.path.join(tmp, "labeled.jsonl")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(lines) + "\n")
-            table, origin = _load_table(path, flag)
-        assert origin == flag  # no meta sidecar: only the flag dates the rows
+            table, origin, meta = _load_table(path, flag)
+        assert origin == flag and meta is None  # no meta sidecar: only the flag dates the rows
         assert table.users == expected.users
         assert table.n_days == expected.n_days
         assert table.to_sparse() == expected.to_sparse()
@@ -971,6 +982,103 @@ class TestManifests:
         assert {out: Path(out).read_bytes() for out in before} == before
 
 
+    def test_every_input_is_listed(self, every_stage, tmp_path):
+        root, manifests = every_stage
+        at = lambda name: str(root / name)
+        labeled = {"corpus": at("labeled.jsonl"), "meta": at("labeled.jsonl.meta.json")}
+        expected = {
+            "synth": {},
+            "ingest": {"corpus": at("raw.jsonl")},
+            "train": {"corpus": at("clean.jsonl")},
+            "classify": {"corpus": at("clean.jsonl"), "meta": at("clean.jsonl.meta.json"), "model": at("model.json")},
+            "trend-cumulative": labeled,
+            "trend-instant": labeled,
+            "sweep": labeled,
+            "hashtags": {"corpus": at("labeled.jsonl")},
+        }
+        cases = [(manifests[stage], inputs) for stage, inputs in expected.items()]
+
+        # Each side file, in a directory of its own: every_stage holds only the stages' own files.
+        at = lambda name: str(tmp_path / name)
+        shutil.copy(root / "labeled.jsonl", at("labeled.jsonl"))
+        save_spec(ElectorateSpec(n_users=30, n_days=5, rng_seed=2), at("s.json"))
+        (tmp_path / "queries.txt").write_text("".join(q + "\n" for q in ingest.DEFAULT_QUERY_STRINGS))
+        (tmp_path / "seeds.txt").write_text("".join(f"{camp} {tag}\n" for tag, camp in DEFAULT_SEEDS.items()))
+        users = sorted({json.loads(line)["user"] for line in open(at("labeled.jsonl"))})
+        (tmp_path / "strata.csv").write_text("".join(f"{u},{'A' if i % 2 else 'B'}\n" for i, u in enumerate(users)))
+        (tmp_path / "weights.csv").write_text("A,0.7\nB,1.3\n")
+        origin = ["--origin-date", "2019-03-01"]  # so trend and sweep read no meta sidecar
+        runs = [
+            (["synth", "-o", at("raw.jsonl"), "--spec", at("s.json")], {"spec": at("s.json")}),
+            (["ingest", at("raw.jsonl"), "-o", at("clean.jsonl"), "--queries-file", at("queries.txt")],
+             {"corpus": at("raw.jsonl"), "queries": at("queries.txt")}),
+            (["train", at("clean.jsonl"), "-o", at("model.json"), "--seeds", at("seeds.txt")],
+             {"corpus": at("clean.jsonl"), "seeds": at("seeds.txt")}),
+            (["trend", at("labeled.jsonl"), "-o", at("w.csv"), *origin,
+              "--strata-file", at("strata.csv"), "--weights-file", at("weights.csv")],
+             {"corpus": at("labeled.jsonl"), "strata": at("strata.csv"), "weights": at("weights.csv")}),
+            (["sweep", at("labeled.jsonl"), "-o", at("sweep"), "--t0-list", "1", *origin], {"corpus": at("labeled.jsonl")}),
+        ]
+        for argv, inputs in runs:
+            assert main(argv) == 0, argv
+            output = argv[argv.index("-o") + 1]
+            cases.append((os.path.join(output, "sweep.manifest.json") if argv[0] == "sweep" else output + ".manifest.json", inputs))
+
+        for path, inputs in cases:
+            with open(path, encoding="utf-8") as fh:
+                listed = json.load(fh)["inputs"]
+            assert {label: entry["path"] for label, entry in listed.items()} == inputs, path
+            for entry in listed.values():
+                assert entry["sha256"] == hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()
+
+
+class TestFaultWalk:
+    """Every corpus-reading stage against every unreadable or empty corpus.
+
+    Each exits with its documented code, names the corpus, prints no
+    traceback and leaves only its inputs behind.
+    """
+
+    STAGES = {
+        "ingest": ("raw", []),
+        "train": ("clean", []),
+        "classify-workers-1": ("clean", ["--model", "model.json", "--workers", "1"]),
+        "classify-workers-2": ("clean", ["--model", "model.json", "--workers", "2"]),
+        "trend": ("labeled", ["--mode", "cumulative"]),
+        "sweep": ("labeled", ["--t0-list", "1"]),
+        "hashtags": ("labeled", []),
+    }
+    FAULTS = {"missing": 3, "directory": 3, "blank-only": 4, "truncated-gz": 3, "not-gzip": 3}
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_documented_exit_code_and_no_output(self, stage, fault, pipeline, tmp_path):
+        source, extra = self.STAGES[stage]
+        with open(getattr(pipeline, source), "rb") as fh:
+            text = fh.read()
+        name = "in.jsonl.gz" if fault in ("truncated-gz", "not-gzip") else "in.jsonl"
+        corpus = tmp_path / name
+        if fault == "directory":
+            corpus.mkdir()
+        elif fault == "blank-only":
+            corpus.write_text("\n  \n\t\n")
+        elif fault == "truncated-gz":
+            packed = gzip.compress(text)
+            assert len(packed) > 3000
+            corpus.write_bytes(packed[:3000])
+        elif fault == "not-gzip":
+            corpus.write_bytes(text)
+        if "--model" in extra:
+            shutil.copy(pipeline.model, tmp_path / "model.json")
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+
+        result = run_cli([stage.split("-")[0], name, "-o", "out", *extra], tmp_path)
+        assert result.returncode == self.FAULTS[fault], result.stderr
+        assert "Traceback" not in result.stderr
+        assert name in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+
 class TestClassifyAndTrend:
     def test_worker_count_does_not_change_output(self, pipeline, tmp_path, monkeypatch):
         two = tmp_path / "labeled2.jsonl"
@@ -1176,7 +1284,7 @@ class TestSynthCommand:
     def test_spec_file_round_trip(self, tmp_path):
         spec = ElectorateSpec(n_users=12, n_days=4, rng_seed=77)
         spec_path = tmp_path / "in.spec.json"
-        spec.save(str(spec_path))
+        save_spec(spec, spec_path)
         corpus = tmp_path / "c.jsonl"
         assert main(["synth", "-o", str(corpus), "--spec", str(spec_path)]) == 0
         echo = json.load(open(str(corpus) + ".spec.json"))
@@ -1231,7 +1339,7 @@ class TestSynthCommand:
         assert not list(tmp_path.iterdir())
 
     def test_spec_file_without_users_exits_4(self, tmp_path):
-        ElectorateSpec(n_users=0, n_days=3).save(str(tmp_path / "s.json"))
+        save_spec(ElectorateSpec(n_users=0, n_days=3), tmp_path / "s.json")
         result = run_cli(["synth", "-o", "c.jsonl", "--spec", "s.json"], tmp_path)
         assert result.returncode == 4, result.stderr
         assert "Traceback" not in result.stderr
@@ -1264,7 +1372,7 @@ class TestValidateCommand:
     def test_small_spec_passes(self, tmp_path, capsys):
         spec = ElectorateSpec(n_users=2500, n_days=30, mean_rate=0.6, rng_seed=20190811)
         spec_path = tmp_path / "v.spec.json"
-        spec.save(str(spec_path))
+        save_spec(spec, spec_path)
         code = main([
             "validate", "--spec", str(spec_path),
             "--workdir", str(tmp_path / "work"), "--tolerance", "4.0",
@@ -1289,7 +1397,7 @@ class TestValidateCommand:
     )
     def test_temp_workdir_is_removed(self, n_users, tolerance, code, tmp_path, monkeypatch, capsys):
         spec_path = tmp_path / "v.spec.json"
-        ElectorateSpec(n_users=n_users, n_days=8, mean_rate=1.0, rng_seed=3).save(str(spec_path))
+        save_spec(ElectorateSpec(n_users=n_users, n_days=8, mean_rate=1.0, rng_seed=3), spec_path)
         temp = tmp_path / "temp"
         temp.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(temp))

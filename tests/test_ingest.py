@@ -30,7 +30,6 @@ from electrend.ingest import (
     ParseError,
     QuerySet,
     assign_day,
-    atomic_text,
     day_to_date,
     effective_date,
     extract_hashtags,
@@ -43,7 +42,7 @@ from electrend.ingest import (
     record_parts,
     record_to_json,
 )
-from electrend.manifest import write_json_atomic
+from electrend.manifest import RunManifest
 from conftest import rec
 
 UTC = timezone.utc
@@ -355,10 +354,13 @@ class TestRoundTrip:
 class TestFileIO:
     def test_gzip_by_suffix_round_trips(self, tmp_path):
         path = str(tmp_path / "corpus.jsonl.gz")
-        with open_text(path, "wt") as fh:
-            fh.write('{"id":"1","user":"u","ts":"2019-03-01T00:00:00Z","text":"macri"}\n')
+        line = '{"id":"1","user":"u","ts":"2019-03-01T00:00:00Z","text":"macri"}\n'
+        with AtomicFiles() as files, files.open(path) as fh:
+            fh.write(line)
         with gzip.open(path) as fh:
             assert fh.read(2)  # actually gzip-compressed
+        with open_text(path) as fh:
+            assert fh.read() == line
         lines = list(iter_lines(path))
         assert len(lines) == 1
         assert lines[0][0] == 1
@@ -373,11 +375,11 @@ class TestFileIO:
     def test_atomic_writer_commits_whole_files_only(self, tmp_path):
         path = tmp_path / "out.jsonl.gz"
         with pytest.raises(RuntimeError):
-            with atomic_text(str(path)) as fh:
+            with AtomicFiles() as files, files.open(str(path)) as fh:
                 fh.write("partial\n")
                 raise RuntimeError("interrupted")
         assert list(tmp_path.iterdir()) == []
-        with atomic_text(str(path)) as fh:
+        with AtomicFiles() as files, files.open(str(path)) as fh:
             fh.write("whole\n")
         assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl.gz"]
         assert list(iter_lines(str(path))) == [(1, "whole")]
@@ -411,7 +413,7 @@ class TestFileIO:
         ]
         for path in (dead, *kept):
             path.write_text("partial\n")
-        with atomic_text(str(tmp_path / "out.csv")) as fh:
+        with AtomicFiles() as files, files.open(str(tmp_path / "out.csv")) as fh:
             fh.write("whole\n")
         assert not dead.exists()
         assert all(path.exists() for path in kept)
@@ -419,8 +421,10 @@ class TestFileIO:
 
     def test_non_finite_json_leaves_no_file(self, tmp_path):
         path = tmp_path / "out.json"
+        run = RunManifest("synth", [])
         with pytest.raises(ValueError):
-            write_json_atomic({"x": float("nan")}, str(path))
+            with run.files:
+                run.write_json("out", {"x": float("nan")}, str(path))
         assert list(tmp_path.iterdir()) == []
 
     def test_truncated_gzip_is_a_read_error(self, tmp_path):
@@ -430,6 +434,13 @@ class TestFileIO:
         path.write_bytes(packed[: len(packed) // 2])
         with pytest.raises(OSError, match="damaged gzip"):
             list(iter_lines(str(path)))
+
+    def test_not_gzip_is_a_read_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "plain.jsonl.gz"
+        path.write_text('{"id":"1","user":"u","ts":"2019-03-01T00:00:00Z","text":"macri"}\n')
+        with pytest.raises(OSError) as caught:
+            list(iter_lines(str(path)))
+        assert str(caught.value).startswith(f"{path}: damaged gzip stream: Not a gzipped file")
 
 
 class TestDocumentedFormat:

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from electrend.ingest import atomic_text
+from electrend.ingest import AtomicFiles
 from electrend.stance import (
     CANDIDATE_HANDLES,
     DEFAULT_SEEDS,
@@ -159,7 +159,7 @@ class TestTraining:
         before = [classify_tweet(r, model) for r in probe]
         for name in ("model.json", "model.json.gz"):
             path = str(tmp_path / name)
-            with atomic_text(path) as fh:
+            with AtomicFiles() as files, files.open(path) as fh:
                 model.save(fh)
             loaded = LexiconModel.load(path)
             after = [classify_tweet(r, loaded) for r in probe]

@@ -75,7 +75,8 @@ class TestSpec:
             start_date=date(2019, 6, 1),
         )
         path = tmp_path / "spec.json"
-        spec.save(str(path))
+        with open(path, "w", encoding="utf-8") as fh:
+            spec.save(fh)
         assert ElectorateSpec.load(str(path)) == spec
 
     def test_load_rejects_unknown_version(self, tmp_path):
