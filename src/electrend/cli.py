@@ -13,9 +13,10 @@ Exit codes (the README lists the cases of each):
 
 Logs go to standard error with a ``LEVEL name:`` prefix; every run
 writes a JSON manifest beside its primary output recording inputs (with
-digests), effective parameters and argv, so runs can be reproduced and
-audited. A run's outputs are written to temp names and renamed into place
-together, the manifest last, once the run has succeeded (see ``_stage``).
+digests), effective parameters, argv and ``metrics``, what the run found,
+which its one INFO line shows. A run's outputs are written to temp names
+and renamed into place together, the manifest last, once the run has
+succeeded (see ``_stage``).
 
 Dates on the command line are calendar dates; they are converted to
 integer day indices against the corpus origin date, which ``ingest``
@@ -85,17 +86,25 @@ def _meta_path(corpus_path: str) -> str:
 
 
 def _load_meta(corpus_path: str) -> dict | None:
-    """The meta sidecar of a corpus, None if there is none; a damaged one is a data error."""
+    """The meta sidecar of a corpus, None if there is none.
+
+    One that cannot be read is an input error, and a damaged one, or one of
+    another format version, a data error.
+    """
     path = _meta_path(corpus_path)
     try:
         with open(path, encoding="utf-8") as fh:
             meta = json.load(fh)
-    except OSError:
+    except FileNotFoundError:
         return None
+    except OSError as exc:
+        raise CliError(EXIT_INPUT, f"cannot read meta sidecar {path}: {exc}") from None
     except ValueError as exc:  # not JSON, or not UTF-8
         raise CliError(EXIT_DATA, f"bad meta sidecar {path}: {exc}") from None
     if not isinstance(meta, dict):
         raise CliError(EXIT_DATA, f"bad meta sidecar {path}: not a JSON object")
+    if meta.get("meta_version") != META_FORMAT_VERSION:
+        raise CliError(EXIT_DATA, f"bad meta sidecar {path}: meta_version is not {META_FORMAT_VERSION}")
     try:
         if meta.get("origin_date"):
             date.fromisoformat(meta["origin_date"])
@@ -259,15 +268,27 @@ _INPUT_FLAGS = {
 }
 
 
+def _shown(value) -> str:
+    """A metric as the log line shows it: a float to two places, None as n/a, a dict as ``k:v,…`` (none if empty)."""
+    if isinstance(value, float):
+        return f"{value:.2f}"
+    if isinstance(value, dict):
+        return ",".join(f"{k}:{_shown(v)}" for k, v in sorted(value.items())) or "none"
+    return "n/a" if value is None else str(value)
+
+
 @contextmanager
 def _stage(args: argparse.Namespace, manifest_path: str | None = None) -> Iterator[manifest.RunManifest]:
-    """The frame of a subcommand that writes files: its run manifest, and every file it writes.
+    """The frame of a subcommand that writes files: its run manifest, every file it writes, and its log line.
 
     The body writes its outputs through the manifest (``run.open``,
-    ``run.write_json``), which lists each one. After the body every file a
-    flag of :data:`_INPUT_FLAGS` names is hashed and the manifest written, to
+    ``run.write_json``), which lists each one, and puts what the run found
+    in ``run.metrics``. After the body every file a flag of
+    :data:`_INPUT_FLAGS` names is hashed and the manifest written, to
     ``<output>.manifest.json`` unless ``manifest_path`` is given. Then every
     file appears at once, or none if the body, a hash or the manifest fails.
+    Once they have, the stage logs ``<subcommand>: key=value …``, its
+    metrics in key order.
     """
     params = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "argv")}
     params = {k: v.isoformat() if isinstance(v, date) else v for k, v in params.items()}
@@ -278,6 +299,7 @@ def _stage(args: argparse.Namespace, manifest_path: str | None = None) -> Iterat
             if params.get(flag):
                 run.add_input(label, params[flag])
         run.write(manifest_path or args.output + ".manifest.json")
+    log.info("%s: %s", args.subcommand, " ".join(f"{k}={_shown(v)}" for k, v in sorted(run.metrics.items())))
 
 
 # -- ingest -------------------------------------------------------------
@@ -310,24 +332,17 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             with run.open("bot_report", args.bot_report or (args.output + ".bots.csv"), newline="") as fh:
                 botfilter.write_report_csv(result.verdicts, fh)
         origin = result.origin.isoformat()
+        accounting = {
+            "input_lines": result.input_lines, "records": result.accepted,
+            "rejects": result.rejects, "n_days": result.n_days,
+        }
         run.write_json("meta", {
-            "meta_version": META_FORMAT_VERSION,
-            "origin_date": origin,
-            "day_offset_hours": config.day_offset_hours,
-            "n_days": result.n_days,
-            "records": result.accepted,
-            "input_lines": result.input_lines,
-            "rejects": result.rejects,
+            "meta_version": META_FORMAT_VERSION, "origin_date": origin,
+            "day_offset_hours": config.day_offset_hours, **accounting,
         }, _meta_path(args.output))
         run.parameters["origin_date"] = origin
         run.parameters["queries"] = [" AND ".join(q) for q in config.queries.queries] if config.queries else []
-
-    log.info(
-        "ingest: %d lines, %d accepted, %d rejected (%s), %d users flagged as bots, origin %s, %d days",
-        result.input_lines, result.accepted, sum(result.rejects.values()),
-        ", ".join(f"{k}={v}" for k, v in result.rejects.items()) or "none",
-        sum(v.is_bot for v in result.verdicts), origin, result.n_days,
-    )
+        run.metrics = {**accounting, "bots": sum(v.is_bot for v in result.verdicts)}
     return EXIT_OK
 
 
@@ -358,12 +373,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     with _stage(args) as run:
         with run.open("model", args.output) as fh:
             model.save(fh)
-    log.info(
-        "train: %d records, %d camps, %d vocabulary terms",
-        corpus.records,
-        len(model.camps),
-        len(model.term_weights),
-    )
+        run.metrics = {"records": corpus.records, "camps": len(model.camps), "terms": len(model.term_weights)}
     return EXIT_OK
 
 
@@ -400,11 +410,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             run.write_json("meta", meta, _meta_path(args.output))
             run.add_input("meta", _meta_path(args.input))
         run.parameters["workers"] = workers
-    log.info(
-        "classify: %d records; %s",
-        sum(counts.values()),
-        ", ".join(f"{k}={v}" for k, v in sorted(counts.items())),
-    )
+        run.metrics = {"records": sum(counts.values()), "stances": dict(counts)}
     return EXIT_OK
 
 
@@ -463,14 +469,10 @@ def cmd_trend(args: argparse.Namespace) -> int:
             run.parameters["origin_date"] = origin.isoformat()
         if meta is not None:
             run.add_input("meta", _meta_path(args.input))
-
-    last = (columns.pct_ff[-1], columns.pct_mp[-1], columns.pct_others[-1])
-    log.info(
-        "trend: %s series over %d days; final pct_ff=%s pct_mp=%s pct_others=%s",
-        args.mode,
-        len(columns.T),
-        *(f"{pct:.2f}" if pct is not None else "n/a" for pct in last),
-    )
+        run.metrics = {
+            "days": len(columns.T), "pct_ff": columns.pct_ff[-1], "pct_mp": columns.pct_mp[-1],
+            "pct_others": columns.pct_others[-1],
+        }
     return EXIT_OK
 
 
@@ -510,18 +512,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             finals.add(t0, columns)
         with run.open("summary", os.path.join(args.output, "sweep_summary.csv"), newline="") as fh:
             finals.write(fh)
-        spread_ff, spread_mp = finals.spread("pct_ff"), finals.spread("pct_mp")
         if origin is not None:
             run.parameters["origin_date"] = origin.isoformat()
         if meta is not None:
             run.add_input("meta", _meta_path(args.input))
-        run.parameters["spread_pct_ff"] = spread_ff
-        run.parameters["spread_pct_mp"] = spread_mp
-
-    log.info(
-        "sweep: %d origins, final day %d, spread pct_ff=%.3f pct_mp=%.3f",
-        len(finals.origins), table.n_days, spread_ff, spread_mp,
-    )
+        run.metrics = {
+            "origins": len(finals.origins), "final_day": table.n_days,
+            "spread_pct_ff": finals.spread("pct_ff"), "spread_pct_mp": finals.spread("pct_mp"),
+        }
     return EXIT_OK
 
 
@@ -547,13 +545,7 @@ def cmd_hashtags(args: argparse.Namespace) -> int:
                 hashtags.write_clouds_csv(counts.clouds(), fh, top_k=args.top_k)
         else:
             log.warning("no stance labels in corpus; skipping camp clouds")
-
-    log.info(
-        "hashtags: %d nodes, %d edges, %s camps",
-        len(graph.nodes),
-        len(graph.edges),
-        len(partition.camps) if partition else 0,
-    )
+        run.metrics = {"nodes": len(graph.nodes), "edges": len(graph.edges), "camps": len(partition.camps) if partition else 0}
     return EXIT_OK
 
 
@@ -620,15 +612,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             synth.ground_truth(spec).write_csv(fh)
         with run.open("spec_echo", args.output + ".spec.json") as fh:
             spec.save(fh)
-        run.parameters["run_id"] = spec.run_id
-    log.info(
-        "synth: run %s, %d users (%d bots), %d days, %d records",
-        spec.run_id,
-        spec.n_users,
-        spec.n_bots,
-        spec.n_days,
-        n,
-    )
+        run.metrics = {"run_id": spec.run_id, "n_users": spec.n_users, "n_bots": spec.n_bots, "n_days": spec.n_days, "records": n}
     return EXIT_OK
 
 

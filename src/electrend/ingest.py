@@ -393,6 +393,32 @@ def _remove_dead_temps(path: str) -> None:
             pass
 
 
+@contextmanager
+def _naming(path: str) -> Iterator[None]:
+    """An ``OSError`` of the block, raised again naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+
+
+class _Output(io.FileIO):
+    """A binary file written for ``output``: its ``name`` and its open, write and close errors name ``output``."""
+
+    def __init__(self, file: str | int, mode: str, output: str, closefd: bool = True):
+        with _naming(output):
+            super().__init__(file, mode, closefd)
+        self.name = output
+
+    def write(self, data) -> int:
+        with _naming(self.name):
+            return super().write(data)
+
+    def close(self) -> None:
+        with _naming(self.name):
+            super().close()
+
+
 class AtomicFiles:
     """Text writers whose files appear together when the group's ``with`` block ends, or not at all.
 
@@ -400,9 +426,10 @@ class AtomicFiles:
     suffix with a header that names ``path`` and carries no time, so equal
     text gives equal bytes. The group renames the temp files in the order
     they were opened; a path opened again moves to the end and keeps the
-    later text. If the block or a rename fails, every temp file not yet
-    renamed is removed. A process killed outright cannot clean up, so each
-    ``open`` first removes the temp files of its path whose writer is gone.
+    later text. An error opening or writing a temp file names its ``path``.
+    If the block or a rename fails, every temp file not yet renamed is
+    removed. A process killed outright cannot clean up, so each ``open``
+    first removes the temp files of its path whose writer is gone.
     """
 
     def __init__(self):
@@ -428,12 +455,9 @@ class AtomicFiles:
         tmp = self._temps.pop(path, f"{path}.tmp{os.getpid()}")
         self._temps[path] = tmp
         with ExitStack() as stack:
-            try:
-                raw = stack.enter_context(open(tmp, "wb"))
-            except OSError as exc:  # report the output, not its temp name
-                raise OSError(exc.errno, exc.strerror, path) from None
-            if str(path).endswith(".gz"):
-                raw = stack.enter_context(gzip.GzipFile(os.path.basename(path), "wb", fileobj=raw, mtime=0))
+            raw = stack.enter_context(io.BufferedWriter(_Output(tmp, "wb", path)))
+            if str(path).endswith(".gz"):  # the header names the basename of ``path``
+                raw = stack.enter_context(gzip.GzipFile(path, "wb", fileobj=raw, mtime=0))
             yield stack.enter_context(io.TextIOWrapper(raw, encoding="utf-8", newline=newline))
 
 
@@ -655,11 +679,11 @@ def ingest_lines(
     the parse, retweet and query rules, user profiles on effective dates,
     the origin, and a spool row "line_no, date ordinal, user as a JSON
     string, line head, line tail" per kept line in an anonymous temp file in
-    ``spool_dir``. A kept line already in the corpus encoding is spooled as
-    read, any other is encoded again. Pass 2 reads the spool and applies the
-    bot and origin rules. Raises :class:`NoRecordsError` when ``lines`` is
-    empty, no line passes the parse and query filters, or no line is
-    accepted.
+    ``spool_dir``, whose write errors name ``out``. A kept line already in
+    the corpus encoding is spooled as read, any other is encoded again.
+    Pass 2 reads the spool and applies the bot and origin rules. Raises
+    :class:`NoRecordsError` when ``lines`` is empty, no line passes the
+    parse and query filters, or no line is accepted.
     """
     bot_config = config.bots
     reject_counts: Counter = Counter()
@@ -671,7 +695,10 @@ def ingest_lines(
         reject_counts[reason] += 1
         rejects.write(f"{line_no}\t{reason}\n")
 
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n", dir=spool_dir) as spool:
+    staged = getattr(out, "name", "the clean corpus")  # what a spool write error names
+    with tempfile.TemporaryFile(dir=spool_dir, buffering=0) as anonymous, io.TextIOWrapper(
+        io.BufferedRandom(_Output(anonymous.fileno(), "r+", staged, closefd=False)), encoding="utf-8", newline="\n"
+    ) as spool:
         with closing(map_chunks(partial(_pass_one, config), lines, usable_cpus())) as results:
             for n, rejected, counts, rows, part, first in results:
                 n_lines += n

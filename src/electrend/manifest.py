@@ -43,7 +43,8 @@ def _dump_json(obj: dict, fh) -> None:
 class RunManifest:
     subcommand: str
     argv: list[str]
-    parameters: dict = field(default_factory=dict)
+    parameters: dict = field(default_factory=dict)  # the effective flags and settings
+    metrics: dict = field(default_factory=dict)  # what the run found: the facts of its log line
     inputs: dict = field(default_factory=dict)  # label -> {path, sha256}
     outputs: dict = field(default_factory=dict)  # label -> path
     files: AtomicFiles = field(default_factory=AtomicFiles, repr=False, compare=False)
@@ -72,6 +73,7 @@ class RunManifest:
             "created_utc": datetime.now(timezone.utc).isoformat(),
             "argv": self.argv,
             "parameters": self.parameters,
+            "metrics": self.metrics,
             "inputs": self.inputs,
             "outputs": self.outputs,
         }

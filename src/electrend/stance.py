@@ -239,7 +239,8 @@ def fit(
 
     Token weights are additive-smoothed log-likelihood ratios: positive for
     tokens over-represented in a camp relative to the rest. A camp with
-    zero pseudo-labeled tweets is a training error.
+    zero pseudo-labeled tweets, or a smoothing that leaves a token weight
+    no finite value, is a training error.
     """
     seeds = dict(DEFAULT_SEEDS if seed_tags is None else seed_tags)
     model = LexiconModel(seed_tags=seeds, smoothing=smoothing, decision_margin=decision_margin)
@@ -269,7 +270,10 @@ def fit(
             n_outside = grand_total - n_inside
             p_in = (inside + smoothing) / (n_inside + smoothing * v)
             p_out = (outside + smoothing) / (n_outside + smoothing * v)
-            per_camp[camp] = math.log(p_in) - math.log(p_out)
+            try:
+                per_camp[camp] = math.log(p_in) - math.log(p_out)
+            except ValueError:  # a probability of 0.0: smoothing * v overflowed, or smoothing underflowed
+                raise TrainingError(f"smoothing {smoothing!r} leaves a token weight no finite value") from None
         weights[tok] = per_camp
 
     model.term_weights = weights

@@ -231,6 +231,7 @@ class CounterTable:
             lo = np.repeat(rows[starts], np.diff(starts, append=len(rows)))  # each row's user's first row
             hi = rows + 1
         else:
+            window = min(window, horizon)  # a longer window leaves no row by the horizon either
             span = self.n_days + window + 1  # room for a leave day past any row's day
             keys = self._user * span + self._day
             changes = np.union1d(keys[self._day <= horizon], keys[self._day + window <= horizon] + window)

@@ -386,7 +386,8 @@ def test_throughput_one_million(tmp_path):
         "synth", "-o", str(raw),
         "--users", "20000", "--days", "60", "--mean-rate", "0.87", "--seed", "17",
     ])
-    n_records = sum(1 for _ in open(raw, "rb"))
+    with open(raw, "rb") as fh:
+        n_records = sum(1 for _ in fh)
 
     timings = {
         "ingest": run(["ingest", str(raw), "-o", str(clean)]),

@@ -128,6 +128,14 @@ class TestExitCodes:
         ])
         assert code == 4
 
+    def test_smoothing_without_finite_weights(self, pipeline, tmp_path):
+        shutil.copy(pipeline.clean, tmp_path / "clean.jsonl")
+        result = run_cli(["train", "clean.jsonl", "-o", "m.json", "--smoothing", "1e308"], tmp_path)
+        assert result.returncode == 4, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "training failed: smoothing 1e+308 leaves a token weight no finite value" in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.jsonl"]
+
     def test_seeds_without_a_camp(self, pipeline, tmp_path):
         seeds = tmp_path / "seeds.txt"
         seeds.write_text("ff yosigo\nmp mm2019\n")
@@ -221,7 +229,8 @@ class TestFailedRuns:
         shutil.copy(self.stage_input(stage, pipeline), tmp_path / "in.jsonl")
         result = run_cli(self.stage_argv(stage, "in.jsonl", pipeline), tmp_path, max_file_bytes=256)
         assert result.returncode == 3, result.stderr
-        assert "File too large" in result.stderr
+        assert "File too large: 'out" in result.stderr  # an output, from -o on, not a temp file
+        assert ".tmp" not in result.stderr
         assert "Traceback" not in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
 
@@ -241,7 +250,7 @@ class TestFailedRuns:
         result = run_cli(["ingest", "raw.jsonl", "-o", "clean.jsonl", "--origin-date", "2030-01-01"], tmp_path)
         assert result.returncode == 4, result.stderr
         assert "Traceback" not in result.stderr
-        meta = json.load(open(pipeline.clean + ".meta.json"))
+        meta = json.loads(Path(pipeline.clean + ".meta.json").read_text())
         rejects = {**meta["rejects"], "before-origin": meta["records"]}
         counts = ", ".join(f"{k}={v}" for k, v in sorted(rejects.items()))
         assert f"raw.jsonl: no record accepted ({counts})" in result.stderr
@@ -349,6 +358,29 @@ class TestBadCalendar:
         assert result.returncode == 4, result.stderr
         assert "Traceback" not in result.stderr
         assert "bad meta sidecar in.jsonl.meta.json" in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "in.jsonl.meta.json"]
+
+
+    @pytest.mark.parametrize("stage", ("classify", "trend", "sweep"))
+    def test_unreadable_meta_sidecar_exits_3(self, stage, pipeline, tmp_path):
+        shutil.copy(pipeline.clean if stage == "classify" else pipeline.labeled, tmp_path / "in.jsonl")
+        (tmp_path / "in.jsonl.meta.json").mkdir()
+        extra = {"classify": ["--model", pipeline.model, "--workers", "1"], "sweep": ["--t0-list", "1"]}
+        result = run_cli([stage, "in.jsonl", "-o", "out", *extra.get(stage, [])], tmp_path)
+        assert result.returncode == 3, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "cannot read meta sidecar in.jsonl.meta.json" in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "in.jsonl.meta.json"]
+
+    @pytest.mark.parametrize("stage", ("classify", "trend", "sweep"))
+    def test_other_meta_version_exits_4(self, stage, pipeline, tmp_path):
+        shutil.copy(pipeline.clean if stage == "classify" else pipeline.labeled, tmp_path / "in.jsonl")
+        meta = json.loads(Path(pipeline.labeled + ".meta.json").read_text())
+        (tmp_path / "in.jsonl.meta.json").write_text(json.dumps({**meta, "meta_version": 2}))
+        extra = {"classify": ["--model", pipeline.model, "--workers", "1"], "sweep": ["--t0-list", "1"]}
+        result = run_cli([stage, "in.jsonl", "-o", "out", *extra.get(stage, [])], tmp_path)
+        assert result.returncode == 4, result.stderr
+        assert "bad meta sidecar in.jsonl.meta.json: meta_version is not 1" in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "in.jsonl.meta.json"]
 
 
@@ -543,7 +575,7 @@ class TestLabeledLineChecks:
         self.change_third_line(pipeline.raw, tmp_path / "raw.jsonl", {"t": t})
         assert run_cli(["ingest", "raw.jsonl", "-o", "clean.jsonl"], tmp_path).returncode == 0
         for produced, expected in (("clean.jsonl", pipeline.clean), ("raw.jsonl.rejects.txt", pipeline.raw + ".rejects.txt")):
-            assert (tmp_path / produced).read_bytes() == open(expected, "rb").read()
+            assert (tmp_path / produced).read_bytes() == Path(expected).read_bytes()
 
 
 @st.composite
@@ -732,7 +764,7 @@ class TestSideFiles:
 
     @pytest.mark.parametrize("flag", ["--strata-file", "--weights-file", "--queries-file", "--seeds"])
     def test_non_utf8_side_file_exits_4(self, flag, pipeline, tmp_path):
-        users = sorted({json.loads(line)["user"] for line in open(pipeline.labeled)})
+        users = sorted({json.loads(line)["user"] for line in Path(pipeline.labeled).read_text().splitlines()})
         files = {
             "--strata-file": ("user_id,stratum\n" + "".join(f"{u},A\n" for u in users)).encode(),
             "--weights-file": b"stratum,weight\nA,1.0\n",
@@ -790,7 +822,7 @@ class TestClassifyWorkers:
         assert main(["classify", pipeline.clean, "-o", str(out), "--model", pipeline.model]) == 0
         run = json.loads((tmp_path / "labeled.jsonl.manifest.json").read_text(encoding="utf-8"))
         assert run["parameters"]["workers"] == 1
-        assert out.read_bytes() == open(pipeline.labeled, "rb").read()
+        assert out.read_bytes() == Path(pipeline.labeled).read_bytes()
 
     def test_parse_error_inside_a_worker(self, pipeline, tmp_path):
         with open(pipeline.clean, encoding="utf-8") as fh:
@@ -813,7 +845,7 @@ class TestPooledStages:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
         model = tmp_path / "model.json"
         assert main(["train", pipeline.clean, "-o", str(model)]) == 0
-        assert model.read_bytes() == open(pipeline.model, "rb").read()
+        assert model.read_bytes() == Path(pipeline.model).read_bytes()
 
     @pytest.mark.parametrize("stage", ["train", "classify"])
     def test_the_first_bad_line_names_the_error(self, stage, pipeline, tmp_path, monkeypatch, caplog):
@@ -871,22 +903,22 @@ class TestPooledStages:
 
 class TestIngestSidecars:
     def test_accounting_and_meta(self, pipeline):
-        meta = json.load(open(pipeline.clean + ".meta.json"))
+        meta = json.loads(Path(pipeline.clean + ".meta.json").read_text())
         assert meta["origin_date"] == "2019-04-01"
         assert meta["n_days"] == 12
         assert meta["records"] + sum(meta["rejects"].values()) == meta["input_lines"]
-        n_clean = sum(1 for _ in open(pipeline.clean))
+        n_clean = sum(1 for _ in Path(pipeline.clean).read_text().splitlines())
         assert n_clean == meta["records"]
 
     def test_rejects_sidecar_lists_bot_lines(self, pipeline):
-        rejects = open(pipeline.raw + ".rejects.txt").read().splitlines()
+        rejects = Path(pipeline.raw + ".rejects.txt").read_text().splitlines()
         assert rejects, "the planted bots should have been rejected"
         line_no, reason = rejects[0].split("\t")
         assert line_no.isdigit()
         assert reason
 
     def test_bot_report_flags_the_planted_bots(self, pipeline):
-        rows = open(pipeline.clean + ".bots.csv").read().splitlines()
+        rows = Path(pipeline.clean + ".bots.csv").read_text().splitlines()
         assert rows[0].startswith("user_id,")
         flagged = {r.split(",")[0] for r in rows[1:]}
         truth = ground_truth(
@@ -899,10 +931,10 @@ class TestIngestSidecars:
         assert planted <= flagged
 
     def test_manifest_records_argv_and_hashes(self, pipeline):
-        man = json.load(open(pipeline.clean + ".manifest.json"))
+        man = json.loads(Path(pipeline.clean + ".manifest.json").read_text())
         assert man["subcommand"] == "ingest"
         assert pipeline.raw in man["argv"]
-        digest = hashlib.sha256(open(pipeline.raw, "rb").read()).hexdigest()
+        digest = hashlib.sha256(Path(pipeline.raw).read_bytes()).hexdigest()
         assert man["inputs"]["corpus"]["sha256"] == digest
         assert any(o.endswith("clean.jsonl") for o in man["outputs"].values())
 
@@ -918,7 +950,7 @@ class TestIngestSidecars:
 
         def via_cli(offset):
             assert main(["ingest", str(raw), "-o", clean, "--day-offset-hours", str(offset)]) == 0
-            return open(clean + ".bots.csv").read().splitlines()
+            return Path(clean + ".bots.csv").read_text().splitlines()
 
         def via_library(offset):
             config = IngestConfig(day_offset_hours=offset)
@@ -982,6 +1014,51 @@ class TestManifests:
         assert {out: Path(out).read_bytes() for out in before} == before
 
 
+    METRICS = {
+        "synth": {"run_id", "n_users", "n_bots", "n_days", "records"},
+        "ingest": {"input_lines", "records", "rejects", "n_days", "bots"},
+        "train": {"records", "camps", "terms"},
+        "classify": {"records", "stances"},
+        "trend": {"days", "pct_ff", "pct_mp", "pct_others"},
+        "sweep": {"origins", "final_day", "spread_pct_ff", "spread_pct_mp"},
+        "hashtags": {"nodes", "edges", "camps"},
+    }
+
+    def test_log_line_shows_the_metrics(self, tmp_path, caplog):
+        def shown(value):
+            if isinstance(value, float):
+                return f"{value:.2f}"
+            if isinstance(value, dict):
+                return ",".join(f"{k}:{shown(v)}" for k, v in sorted(value.items())) or "none"
+            return "n/a" if value is None else str(value)
+
+        f = lambda name: str(tmp_path / name)
+        runs = [
+            ["synth", "-o", f("raw.jsonl"), "--users", "40", "--days", "8", "--bot-fraction", "0.05", "--seed", "3"],
+            ["ingest", f("raw.jsonl"), "-o", f("clean.jsonl")],
+            ["train", f("clean.jsonl"), "-o", f("model.json")],
+            ["classify", f("clean.jsonl"), "-o", f("labeled.jsonl"), "--model", f("model.json"), "--workers", "1"],
+            ["trend", f("labeled.jsonl"), "-o", f("cumulative.csv"), "--mode", "cumulative"],
+            ["trend", f("labeled.jsonl"), "-o", f("instant.csv"), "--window", "1", "--exclude-undecided"],
+            ["sweep", f("labeled.jsonl"), "-o", f("sweep"), "--t0-list", "1,3"],
+            ["hashtags", f("labeled.jsonl"), "-o", f("net"), "--min-count", "2"],
+        ]
+        caplog.set_level("INFO", logger="electrend")
+        lines = []
+        for argv in runs:
+            caplog.clear()
+            assert main(argv) == 0, argv
+            output = argv[argv.index("-o") + 1]
+            path = os.path.join(output, "sweep.manifest.json") if argv[0] == "sweep" else output + ".manifest.json"
+            run = json.loads(Path(path).read_text())
+            metrics = run["metrics"]
+            assert set(metrics) == self.METRICS[argv[0]], argv
+            assert not set(metrics) & set(run["parameters"]), argv
+            lines += [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
+            assert lines[-1:] == [f"{argv[0]}: " + " ".join(f"{k}={shown(v)}" for k, v in sorted(metrics.items()))]
+        assert len(lines) == len(runs)
+        assert "pct_others=n/a" in lines[5]  # a blank percentage
+
     def test_every_input_is_listed(self, every_stage, tmp_path):
         root, manifests = every_stage
         at = lambda name: str(root / name)
@@ -1004,7 +1081,7 @@ class TestManifests:
         save_spec(ElectorateSpec(n_users=30, n_days=5, rng_seed=2), at("s.json"))
         (tmp_path / "queries.txt").write_text("".join(q + "\n" for q in ingest.DEFAULT_QUERY_STRINGS))
         (tmp_path / "seeds.txt").write_text("".join(f"{camp} {tag}\n" for tag, camp in DEFAULT_SEEDS.items()))
-        users = sorted({json.loads(line)["user"] for line in open(at("labeled.jsonl"))})
+        users = sorted({json.loads(line)["user"] for line in Path(at("labeled.jsonl")).read_text().splitlines()})
         (tmp_path / "strata.csv").write_text("".join(f"{u},{'A' if i % 2 else 'B'}\n" for i, u in enumerate(users)))
         (tmp_path / "weights.csv").write_text("A,0.7\nB,1.3\n")
         origin = ["--origin-date", "2019-03-01"]  # so trend and sweep read no meta sidecar
@@ -1089,11 +1166,11 @@ class TestClassifyAndTrend:
                 "--model", pipeline.model, "--workers", str(workers),
             ])
             assert code == 0
-            assert two.read_bytes() == open(pipeline.labeled, "rb").read(), (chunk, workers)
+            assert two.read_bytes() == Path(pipeline.labeled).read_bytes(), (chunk, workers)
 
     def test_meta_sidecar_travels_with_classify(self, pipeline):
-        src = json.load(open(pipeline.clean + ".meta.json"))
-        dst = json.load(open(pipeline.labeled + ".meta.json"))
+        src = json.loads(Path(pipeline.clean + ".meta.json").read_text())
+        dst = json.loads(Path(pipeline.labeled + ".meta.json").read_text())
         assert dst["origin_date"] == src["origin_date"]
 
     def test_t0_accepts_date_or_day_index(self, pipeline, tmp_path):
@@ -1103,10 +1180,10 @@ class TestClassifyAndTrend:
             "--mode", "cumulative", "--t0", "2019-04-01",
         ])
         assert code == 0
-        assert by_date.read_bytes() == open(pipeline.trend, "rb").read()
+        assert by_date.read_bytes() == Path(pipeline.trend).read_bytes()
 
     def test_trend_csv_has_dates(self, pipeline):
-        lines = open(pipeline.trend).read().splitlines()
+        lines = Path(pipeline.trend).read_text().splitlines()
         assert lines[0].split(",")[:3] == ["date", "T", "n_mp"]
         assert lines[1].split(",")[0] == "2019-04-01"
         assert len(lines) == 13
@@ -1126,8 +1203,16 @@ class TestClassifyAndTrend:
             fields = line.split(",")
             final_row = (outdir / f"trend_t0_{fields[0]}.csv").read_text().splitlines()[-1]
             assert fields[2:] == final_row.split(",")[1:]
-        man = json.load(open(outdir / "sweep.manifest.json"))
-        assert "spread_pct_ff" in man["parameters"]
+        man = json.loads((outdir / "sweep.manifest.json").read_text())
+        assert "spread_pct_ff" in man["metrics"]
+
+    def test_window_past_the_corpus_equals_the_corpus_length(self, pipeline, tmp_path):
+        def instant(window):
+            out = tmp_path / f"w{window}.csv"
+            assert main(["trend", pipeline.labeled, "-o", str(out), "--mode", "instant", "--window", window]) == 0
+            return out.read_bytes()
+
+        assert instant("4611686018427387904") == instant("100000000000000000000000") == instant("12")
 
     def test_trend_t0_beyond_corpus_rejected(self, pipeline, tmp_path):
         code = main([
@@ -1136,7 +1221,7 @@ class TestClassifyAndTrend:
         assert code == 2
 
     def write_strata(self, pipeline, tmp_path, weight="2.5"):
-        users = sorted({json.loads(line)["user"] for line in open(pipeline.labeled)})
+        users = sorted({json.loads(line)["user"] for line in Path(pipeline.labeled).read_text().splitlines()})
         strata = tmp_path / "users.csv"
         strata.write_text("user_id,stratum\n" + "".join(f"{u},{'A' if i % 3 else 'B'}\n" for i, u in enumerate(users)))
         weights = tmp_path / "strata.csv"
@@ -1248,8 +1333,8 @@ class TestHashtagsCommand:
         assert code == 0
         root = ET.parse(base + ".graphml").getroot()
         assert len(root.findall(".//{http://graphml.graphdrawing.org/xmlns}node")) > 0
-        assert "graph hashtags {" in open(base + ".dot").read()
-        clouds = open(base + ".clouds.csv").read().splitlines()
+        assert "graph hashtags {" in Path(base + ".dot").read_text()
+        clouds = Path(base + ".clouds.csv").read_text().splitlines()
         assert clouds[0] == "camp,rank,tag,count"
         assert len(clouds) > 1
 
@@ -1287,9 +1372,9 @@ class TestSynthCommand:
         save_spec(spec, spec_path)
         corpus = tmp_path / "c.jsonl"
         assert main(["synth", "-o", str(corpus), "--spec", str(spec_path)]) == 0
-        echo = json.load(open(str(corpus) + ".spec.json"))
+        echo = json.loads(Path(str(corpus) + ".spec.json").read_text())
         assert ElectorateSpec.from_dict(echo) == spec
-        truth_lines = open(str(corpus) + ".truth.csv").read().splitlines()
+        truth_lines = Path(str(corpus) + ".truth.csv").read_text().splitlines()
         assert len(truth_lines) == 13
 
     def test_inline_drift_flag(self, tmp_path):
@@ -1300,7 +1385,7 @@ class TestSynthCommand:
             "--drift", "4:0.2,0.6,0.2;7:0.1,0.8,0.1",
         ])
         assert code == 0
-        echo = json.load(open(str(corpus) + ".spec.json"))
+        echo = json.loads(Path(str(corpus) + ".spec.json").read_text())
         assert echo["drift"] == {"4": [0.2, 0.6, 0.2], "7": [0.1, 0.8, 0.1]}
 
     def test_gzip_output_matches_plain(self, tmp_path):
@@ -1310,7 +1395,8 @@ class TestSynthCommand:
             assert main([
                 "synth", "-o", str(path), "--users", "15", "--days", "4", "--seed", "9",
             ]) == 0
-        assert gzip.open(packed, "rb").read() == plain.read_bytes()
+        with gzip.open(packed, "rb") as fh:
+            assert fh.read() == plain.read_bytes()
 
     def test_gzip_output_is_reproducible(self, tmp_path):
         digests = []

@@ -565,6 +565,24 @@ class TestSpooledIngest:
             "raw.jsonl.gz", "raw.jsonl.gz.rejects.txt",
         ]
 
+    def test_a_spool_write_error_names_the_clean_corpus(self, tmp_path):
+        (tmp_path / "raw.jsonl").write_text("".join(line + "\n" for line in labeled_corpus()), encoding="utf-8")
+        script = (
+            "import io, resource\n"
+            "from electrend.ingest import IngestConfig, ingest_lines, iter_lines\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (256, 256))\n"
+            "with open('clean.jsonl', 'w') as out:\n"
+            "    ingest_lines(iter_lines('raw.jsonl'), IngestConfig(), out, io.StringIO(), '.')\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ingest.__file__)))
+        result = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 1
+        assert "OSError: [Errno 27] File too large: 'clean.jsonl'" in result.stderr
+        assert (tmp_path / "clean.jsonl").read_text() == ""  # the spool failed in pass 1
+
 
 # Ways a corpus line can differ from the encoding ``record_parts`` writes.
 LINE_VARIANTS = (

@@ -133,6 +133,14 @@ class TestTraining:
         with pytest.raises(TrainingError, match="third"):
             train_from_seeds(corpus)
 
+    @pytest.mark.parametrize("smoothing", [1e308, 5e-324], ids=["overflow", "underflow"])
+    def test_smoothing_without_finite_weights_is_training_error(self, smoothing):
+        counts = count_seeded(seeded_corpus(), DEFAULT_SEEDS)
+        with pytest.raises(TrainingError, match="no finite value"):
+            fit(counts, smoothing=smoothing)
+        weights = fit(counts, smoothing=1e300).term_weights
+        assert all(math.isfinite(w) for per_camp in weights.values() for w in per_camp.values())
+
     def test_counts_of_parts_add_up_to_the_same_model(self):
         corpus = seeded_corpus() + [rec(text="#cambiemos #fuerzacristina ruido"), rec(text="sin semilla")]
         counts = SeedCounts()

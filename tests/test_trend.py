@@ -198,6 +198,16 @@ class TestVectorizedAgainstReference:
             cfg = dict(mode="cumulative", day=day, start_day=start)
             assert table.categories(**cfg) == oracle_categories(counts, **cfg)
 
+    def test_a_window_past_the_horizon_equals_the_horizon(self):
+        counts, table = self.random_table(7)
+        assert table.n_days == 30
+        for day in (1, 17, 30):
+            huge = table.categories("instant", day, window=2**62)
+            assert huge == table.categories("instant", day, window=day)
+            assert huge == oracle_categories(counts, "instant", day, window=2**62)
+        assert series(table, "instant", 2**62) == series(table, "instant", 30)
+        assert series(table, "instant", 10**23) == series(table, "instant", 30)
+
     @pytest.mark.parametrize(
         "cfg",
         [
