@@ -53,8 +53,8 @@ from .ingest import (
     map_chunks,
     parse_label,
     parse_record,
-    record_to_json,
     usable_cpus,
+    with_stance,
 )
 
 __all__ = ["main"]
@@ -81,17 +81,13 @@ class CliError(Exception):
 # -- small IO helpers ---------------------------------------------------
 
 
-def _meta_path(corpus_path: str) -> str:
-    return corpus_path + ".meta.json"
-
-
-def _load_meta(corpus_path: str) -> dict | None:
-    """The meta sidecar of a corpus, None if there is none.
+def _load_meta(corpus_path: str, run: manifest.RunManifest | None = None) -> dict | None:
+    """The meta sidecar of a corpus, None if there is none; ``run`` lists it as input ``meta``.
 
     One that cannot be read is an input error, and a damaged one, or one of
     another format version, a data error.
     """
-    path = _meta_path(corpus_path)
+    path = corpus_path + ".meta.json"
     try:
         with open(path, encoding="utf-8") as fh:
             meta = json.load(fh)
@@ -110,6 +106,8 @@ def _load_meta(corpus_path: str) -> dict | None:
             date.fromisoformat(meta["origin_date"])
     except (TypeError, ValueError):
         raise CliError(EXIT_DATA, f"bad meta sidecar {path}: origin_date is not a date") from None
+    if run is not None:
+        run.add_input("meta", path)
     return meta
 
 
@@ -267,6 +265,34 @@ _INPUT_FLAGS = {
     "weights_file": "weights", "strata_file": "strata", "spec": "spec",
 }
 
+# The files each stage may write: label -> default path, from -o or the corpus, its manifest last.
+# A flag named as a label moves that output. ``{output}/name`` is a file in the directory -o
+# names, which the stage makes; sweep's per-origin trend CSVs go there too.
+_OUTPUTS = {
+    "ingest": {"rejects": "{input}.rejects.txt", "clean_corpus": "{output}", "bot_report": "{output}.bots.csv",
+               "meta": "{output}.meta.json", "manifest": "{output}.manifest.json"},
+    "train": {"model": "{output}", "manifest": "{output}.manifest.json"},
+    "classify": {"labeled_corpus": "{output}", "meta": "{output}.meta.json", "manifest": "{output}.manifest.json"},
+    "trend": {"trend_csv": "{output}", "manifest": "{output}.manifest.json"},
+    "sweep": {"summary": "{output}/sweep_summary.csv", "manifest": "{output}/sweep.manifest.json"},
+    "hashtags": {"graphml": "{output}.graphml", "dot": "{output}.dot", "clouds": "{output}.clouds.csv",
+                 "manifest": "{output}.manifest.json"},
+    "synth": {"corpus": "{output}", "truth": "{output}.truth.csv", "spec_echo": "{output}.spec.json",
+              "manifest": "{output}.manifest.json"},
+}
+
+
+def _output_paths(args: argparse.Namespace) -> dict[str, str]:
+    """The path of each of the subcommand's :data:`_OUTPUTS`; two outputs on one path are a usage error."""
+    paths, labels = {}, {}  # label -> path, and absolute path -> the first label on it
+    for label, template in _OUTPUTS[args.subcommand].items():
+        base, _, name = template.partition("/")
+        base = base.format(output=args.output, input=getattr(args, "input", None))
+        path = paths[label] = getattr(args, label, None) or (os.path.join(base, name) if name else base)
+        if (other := labels.setdefault(os.path.abspath(path), label)) != label:
+            raise CliError(EXIT_USAGE, f"outputs {other} and {label} share the path {path}")
+    return paths
+
 
 def _shown(value) -> str:
     """A metric as the log line shows it: a float to two places, None as n/a, a dict as ``k:v,…`` (none if empty)."""
@@ -278,27 +304,43 @@ def _shown(value) -> str:
 
 
 @contextmanager
-def _stage(args: argparse.Namespace, manifest_path: str | None = None) -> Iterator[manifest.RunManifest]:
+def _stage(args: argparse.Namespace) -> Iterator[manifest.RunManifest]:
     """The frame of a subcommand that writes files: its run manifest, every file it writes, and its log line.
 
-    The body writes its outputs through the manifest (``run.open``,
-    ``run.write_json``), which lists each one, and puts what the run found
-    in ``run.metrics``. After the body every file a flag of
-    :data:`_INPUT_FLAGS` names is hashed and the manifest written, to
-    ``<output>.manifest.json`` unless ``manifest_path`` is given. Then every
+    Before the body, a missing corpus, then an output of :func:`_output_paths`
+    in a missing directory, even one the run would not write, is an input
+    error naming it. ``sweep``'s -o is checked at its parent, made here and
+    removed if the stage fails. The body writes its outputs by label through
+    the manifest (``run.open``, ``run.write_json``), which lists each one, and
+    puts what the run found in ``run.metrics``. Then every file a flag of
+    :data:`_INPUT_FLAGS` names is hashed and the manifest written, and every
     file appears at once, or none if the body, a hash or the manifest fails.
     Once they have, the stage logs ``<subcommand>: key=value …``, its
     metrics in key order.
     """
     params = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "argv")}
     params = {k: v.isoformat() if isinstance(v, date) else v for k, v in params.items()}
-    run = manifest.RunManifest(args.subcommand, list(args.argv), params)
-    with run.files:
-        yield run
-        for flag, label in _INPUT_FLAGS.items():
-            if params.get(flag):
-                run.add_input(label, params[flag])
-        run.write(manifest_path or args.output + ".manifest.json")
+    run = manifest.RunManifest(args.subcommand, list(args.argv), params, paths=_output_paths(args))
+    if getattr(args, "input", None) and not os.path.exists(args.input):
+        raise CliError(EXIT_INPUT, f"cannot read corpus {args.input}: not found")
+    made = args.subcommand == "sweep" and not os.path.isdir(args.output)
+    for label, path in ({"output": args.output} if made else run.paths).items():
+        if not os.path.isdir(os.path.dirname(os.path.normpath(path)) or os.curdir):
+            raise CliError(EXIT_INPUT, f"cannot write {label}: No such file or directory: {path!r}")
+    if made:
+        os.mkdir(args.output)
+    try:
+        with run.files:
+            yield run
+            for flag, label in _INPUT_FLAGS.items():
+                if params.get(flag):
+                    run.add_input(label, params[flag])
+            run.write()
+    except BaseException:
+        if made:  # the failed stage left it empty
+            with suppress(OSError):
+                os.rmdir(args.output)
+        raise
     log.info("%s: %s", args.subcommand, " ".join(f"{k}={_shown(v)}" for k, v in sorted(run.metrics.items())))
 
 
@@ -306,30 +348,30 @@ def _stage(args: argparse.Namespace, manifest_path: str | None = None) -> Iterat
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    queries = QuerySet.default()
-    if args.queries_file:
-        lines = [line for _, line in _side_lines(args.queries_file)]
-        try:
-            queries = QuerySet.from_strings(lines)
-        except ValueError as exc:
-            raise CliError(EXIT_DATA, f"bad queries file {args.queries_file}: {exc}") from None
-    bots = botfilter.BotConfig(
-        args.bot_rate_cap, args.bot_dup_cap, args.bot_gap_floor, threshold=args.bot_threshold
-    )
-    config = IngestConfig(
-        queries=None if args.no_query_filter else queries,
-        bots=None if args.no_bot_filter else bots,
-        drop_retweets=args.drop_retweets, origin_date=args.origin_date, day_offset_hours=args.day_offset_hours,
-    )
-    spool_dir = os.path.dirname(os.path.abspath(args.output))  # the disk the output needs anyway
     with _stage(args) as run:
+        queries = QuerySet.default()
+        if args.queries_file:
+            lines = [line for _, line in _side_lines(args.queries_file)]
+            try:
+                queries = QuerySet.from_strings(lines)
+            except ValueError as exc:
+                raise CliError(EXIT_DATA, f"bad queries file {args.queries_file}: {exc}") from None
+        bots = botfilter.BotConfig(
+            args.bot_rate_cap, args.bot_dup_cap, args.bot_gap_floor, threshold=args.bot_threshold
+        )
+        config = IngestConfig(
+            queries=None if args.no_query_filter else queries,
+            bots=None if args.no_bot_filter else bots,
+            drop_retweets=args.drop_retweets, origin_date=args.origin_date, day_offset_hours=args.day_offset_hours,
+        )
+        spool_dir = os.path.dirname(os.path.abspath(args.output))  # the disk the output needs anyway
         try:
-            with run.open("rejects", args.input + ".rejects.txt") as rejects, run.open("clean_corpus", args.output) as out:
+            with run.open("rejects") as rejects, run.open("clean_corpus") as out:
                 result = ingest_lines(iter_lines(args.input), config, out, rejects, spool_dir)
         except NoRecordsError as exc:
             raise CliError(EXIT_DATA, f"{args.input}: {exc}") from None
         if config.bots:
-            with run.open("bot_report", args.bot_report or (args.output + ".bots.csv"), newline="") as fh:
+            with run.open("bot_report", newline="") as fh:
                 botfilter.write_report_csv(result.verdicts, fh)
         origin = result.origin.isoformat()
         accounting = {
@@ -339,7 +381,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         run.write_json("meta", {
             "meta_version": META_FORMAT_VERSION, "origin_date": origin,
             "day_offset_hours": config.day_offset_hours, **accounting,
-        }, _meta_path(args.output))
+        })
         run.parameters["origin_date"] = origin
         run.parameters["queries"] = [" AND ".join(q) for q in config.queries.queries] if config.queries else []
         run.metrics = {**accounting, "bots": sum(v.is_bot for v in result.verdicts)}
@@ -350,65 +392,52 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    seeds = stance.DEFAULT_SEEDS
-    if args.seeds:
-        try:
-            seeds = stance.load_seeds_file(args.seeds)
-        except OSError as exc:
-            raise CliError(EXIT_INPUT, f"cannot read seeds file: {exc}") from None
-        except ValueError as exc:
-            raise CliError(EXIT_DATA, str(exc)) from None
-
     def count(lines: list) -> stance.SeedCounts:
         return stance.count_seeded((parse_record(line, line_no) for line_no, line in lines), seeds)
 
-    corpus = _Corpus(args.input)
-    counts = stance.SeedCounts()
-    for part in corpus.chunks(count, usable_cpus()):
-        counts.update(part)
-    try:
-        model = stance.fit(counts, seeds, smoothing=args.smoothing, decision_margin=args.margin)
-    except stance.TrainingError as exc:
-        raise CliError(EXIT_DATA, f"training failed: {exc}") from None
     with _stage(args) as run:
-        with run.open("model", args.output) as fh:
+        seeds = stance.DEFAULT_SEEDS
+        if args.seeds:
+            try:
+                seeds = stance.load_seeds_file(args.seeds)
+            except OSError as exc:
+                raise CliError(EXIT_INPUT, f"cannot read seeds file: {exc}") from None
+            except ValueError as exc:
+                raise CliError(EXIT_DATA, str(exc)) from None
+        corpus = _Corpus(args.input)
+        counts = stance.SeedCounts()
+        for part in corpus.chunks(count, usable_cpus()):
+            counts.update(part)
+        try:
+            model = stance.fit(counts, seeds, smoothing=args.smoothing, decision_margin=args.margin)
+        except stance.TrainingError as exc:
+            raise CliError(EXIT_DATA, f"training failed: {exc}") from None
+        with run.open("model") as fh:
             model.save(fh)
         run.metrics = {"records": corpus.records, "camps": len(model.camps), "terms": len(model.term_weights)}
     return EXIT_OK
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    try:
-        model = stance.LexiconModel.load(args.model)
-    except (ValueError, KeyError) as exc:
-        raise CliError(EXIT_DATA, f"bad model file: {exc}") from None
-    meta = _load_meta(args.input)
-
     def label(lines: list) -> tuple[Counter, str]:
-        """The stance tally of a chunk and its labeled lines: each line plus its stance."""
-        counts: Counter = Counter()
-        labeled = []
-        for line_no, line in lines:
-            record = parse_record(line, line_no)
-            value = stance.classify_tweet(record, model).value
-            counts[value] += 1
-            if '"stance"' in line and "stance" in json.loads(line):  # a stance to replace: encode anew
-                record.stance = value
-                labeled.append(record_to_json(record) + "\n")
-            else:
-                labeled.append(f'{line[:-1]}, "stance": "{value}"}}\n')
-        return counts, "".join(labeled)
+        """The stance tally of a chunk and its labeled lines: each line with its stance."""
+        values = [stance.classify_tweet(parse_record(line, line_no), model).value for line_no, line in lines]
+        return Counter(values), "".join(with_stance(line, value) + "\n" for (_, line), value in zip(lines, values))
 
     workers = args.workers or usable_cpus()
     counts: Counter = Counter()
     with _stage(args) as run:
-        with run.open("labeled_corpus", args.output) as out:
+        try:
+            model = stance.LexiconModel.load(args.model)
+        except (ValueError, KeyError) as exc:
+            raise CliError(EXIT_DATA, f"bad model file: {exc}") from None
+        meta = _load_meta(args.input, run)
+        with run.open("labeled_corpus") as out:
             for tally, text in _Corpus(args.input).chunks(label, workers):
                 counts.update(tally)
                 out.write(text)
         if meta is not None:
-            run.write_json("meta", meta, _meta_path(args.output))
-            run.add_input("meta", _meta_path(args.input))
+            run.write_json("meta", meta)
         run.parameters["workers"] = workers
         run.metrics = {"records": sum(counts.values()), "stances": dict(counts)}
     return EXIT_OK
@@ -417,18 +446,21 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # -- trend / sweep ------------------------------------------------------
 
 
-def _load_table(path: str, origin_date: date | None = None):
+def _load_table(path: str, origin_date: date | None = None, run: manifest.RunManifest | None = None):
     """The counter table of a labeled corpus, the origin date of its day 1, and the meta sidecar read.
 
     Each line is decoded into its user, the day index ``t`` that ingest wrote
     and its stance, nothing more. The origin is ``origin_date``, else the
     corpus meta sidecar's, else unknown (None); it only dates the output rows.
     The sidecar is read only without ``origin_date``, and is None if not read.
+    ``run`` records a sidecar read as input ``meta``, a known origin as ``origin_date``.
     """
     from . import trend
 
-    meta = None if origin_date else _load_meta(path)
+    meta = None if origin_date else _load_meta(path, run)
     origin = date.fromisoformat(meta["origin_date"]) if meta and meta.get("origin_date") else origin_date
+    if run is not None and origin is not None:
+        run.parameters["origin_date"] = origin.isoformat()
     last_day = (date.max - origin).days + 1 if origin else date.max.toordinal()  # the largest t a date can have
 
     def decode(line: str, line_no: int) -> tuple[str, int, str]:
@@ -451,24 +483,19 @@ def cmd_trend(args: argparse.Namespace) -> int:
 
     if bool(args.weights_file) != bool(args.strata_file):
         raise CliError(EXIT_USAGE, "--weights-file and --strata-file go together")
-    table, origin, meta = _load_table(args.input, args.origin_date)
-    weights = None
-    if args.weights_file:
-        strata = _load_pairs(args.strata_file, ("user_id", "stratum"))
-        try:
-            weights = trend.user_weights(table.users, _load_weights_file(args.weights_file), strata)
-        except ValueError as exc:
-            raise CliError(EXIT_DATA, f"{args.weights_file}: {exc}") from None
-    start_day = _t0_to_day(args.t0, origin, table.n_days) if args.t0 and args.mode == "cumulative" else 1
-    columns = trend.series(table, args.mode, args.window, start_day, origin, weights, not args.exclude_undecided)
-
     with _stage(args) as run:
-        with run.open("trend_csv", args.output, newline="") as fh:
+        table, origin, _ = _load_table(args.input, args.origin_date, run)
+        weights = None
+        if args.weights_file:
+            strata = _load_pairs(args.strata_file, ("user_id", "stratum"))
+            try:
+                weights = trend.user_weights(table.users, _load_weights_file(args.weights_file), strata)
+            except ValueError as exc:
+                raise CliError(EXIT_DATA, f"{args.weights_file}: {exc}") from None
+        start_day = _t0_to_day(args.t0, origin, table.n_days) if args.t0 and args.mode == "cumulative" else 1
+        columns = trend.series(table, args.mode, args.window, start_day, origin, weights, not args.exclude_undecided)
+        with run.open("trend_csv", newline="") as fh:
             trend.write_trend_csv(columns, fh)
-        if origin is not None:
-            run.parameters["origin_date"] = origin.isoformat()
-        if meta is not None:
-            run.add_input("meta", _meta_path(args.input))
         run.metrics = {
             "days": len(columns.T), "pct_ff": columns.pct_ff[-1], "pct_mp": columns.pct_mp[-1],
             "pct_others": columns.pct_others[-1],
@@ -476,46 +503,23 @@ def cmd_trend(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@contextmanager
-def _new_directory(path: str) -> Iterator[None]:
-    """``path`` as a directory, made with any missing parents, which are removed again if the block fails."""
-    made = []
-    missing = os.path.abspath(path)
-    while not os.path.exists(missing):
-        made.append(missing)
-        missing = os.path.dirname(missing)
-    os.makedirs(path, exist_ok=True)
-    try:
-        yield
-    except BaseException:
-        for directory in made:  # innermost first; the failed stage left them empty
-            with suppress(OSError):
-                os.rmdir(directory)
-        raise
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     from . import trend
 
-    table, origin, meta = _load_table(args.input, args.origin_date)
     tokens = [t.strip() for t in args.t0_list.split(",") if t.strip()]
     if not tokens:
         raise CliError(EXIT_USAGE, "--t0-list is empty")
-    start_days = [_t0_to_day(t, origin, table.n_days, "--t0-list entry") for t in tokens]
-
     finals = trend.SweepFinals()
-    with _new_directory(args.output), _stage(args, os.path.join(args.output, "sweep.manifest.json")) as run:
+    with _stage(args) as run:
+        table, origin, _ = _load_table(args.input, args.origin_date, run)
+        start_days = [_t0_to_day(t, origin, table.n_days, "--t0-list entry") for t in tokens]
         for t0, columns in trend.sweep_columns(table, start_days, origin):  # one origin's rows at a time
             token = columns.date[0].isoformat() if columns.date[0] else f"day{t0:03d}"
-            with run.open(f"t0_day{t0:03d}", os.path.join(args.output, f"trend_t0_{token}.csv"), newline="") as fh:
+            with run.open(f"t0_day{t0:03d}", newline="", path=os.path.join(args.output, f"trend_t0_{token}.csv")) as fh:
                 trend.write_trend_csv(columns, fh)
             finals.add(t0, columns)
-        with run.open("summary", os.path.join(args.output, "sweep_summary.csv"), newline="") as fh:
+        with run.open("summary", newline="") as fh:
             finals.write(fh)
-        if origin is not None:
-            run.parameters["origin_date"] = origin.isoformat()
-        if meta is not None:
-            run.add_input("meta", _meta_path(args.input))
         run.metrics = {
             "origins": len(finals.origins), "final_day": table.n_days,
             "spread_pct_ff": finals.spread("pct_ff"), "spread_pct_mp": finals.spread("pct_mp"),
@@ -529,19 +533,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_hashtags(args: argparse.Namespace) -> int:
     from . import hashtags
 
-    counts = hashtags.TagCounts(_Corpus(args.input, parse_record), args.dedup_users)
-    graph = counts.graph(args.min_count)
-    partition = None
-    if graph.nodes:
-        partition = hashtags.partition_graph(graph)
-
     with _stage(args) as run:
-        with run.open("graphml", args.graphml or (args.output + ".graphml")) as fh:
+        counts = hashtags.TagCounts(_Corpus(args.input, parse_record), args.dedup_users)
+        graph = counts.graph(args.min_count)
+        partition = None
+        if graph.nodes:
+            partition = hashtags.partition_graph(graph)
+        with run.open("graphml") as fh:
             hashtags.write_graphml(graph, fh, partition)
-        with run.open("dot", args.dot or (args.output + ".dot")) as fh:
+        with run.open("dot") as fh:
             hashtags.write_dot(graph, fh, partition)
         if counts.labeled:
-            with run.open("clouds", args.clouds or (args.output + ".clouds.csv"), newline="") as fh:
+            with run.open("clouds", newline="") as fh:
                 hashtags.write_clouds_csv(counts.clouds(), fh, top_k=args.top_k)
         else:
             log.warning("no stance labels in corpus; skipping camp clouds")
@@ -602,15 +605,15 @@ def _spec_from_args(args: argparse.Namespace):
 def cmd_synth(args: argparse.Namespace) -> int:
     from . import synth
 
-    spec = _spec_from_args(args)
-    if spec.n_users == 0:
-        raise CliError(EXIT_DATA, "invalid electorate spec: need n_users >= 1")
     with _stage(args) as run:
-        with run.open("corpus", args.output) as fh:
+        spec = _spec_from_args(args)
+        if spec.n_users == 0:
+            raise CliError(EXIT_DATA, "invalid electorate spec: need n_users >= 1")
+        with run.open("corpus") as fh:
             n = synth.write_corpus(spec, fh)
-        with run.open("truth", args.truth or (args.output + ".truth.csv"), newline="") as fh:
+        with run.open("truth", newline="") as fh:
             synth.ground_truth(spec).write_csv(fh)
-        with run.open("spec_echo", args.output + ".spec.json") as fh:
+        with run.open("spec_echo") as fh:
             spec.save(fh)
         run.metrics = {"run_id": spec.run_id, "n_users": spec.n_users, "n_bots": spec.n_bots, "n_days": spec.n_days, "records": n}
     return EXIT_OK

@@ -19,7 +19,7 @@ import tempfile
 import zlib
 from collections import Counter, deque
 from contextlib import ExitStack, closing, contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timedelta, timezone
 from functools import partial
 from itertools import chain, islice, repeat
@@ -39,6 +39,7 @@ __all__ = [
     "parse_record",
     "parse_label",
     "record_to_json",
+    "with_stance",
     "record_parts",
     "join_parts",
     "extract_hashtags",
@@ -319,6 +320,13 @@ def record_to_json(record: TweetRecord) -> str:
     """Serialize a record to the corpus line format (round-trips via parse_record)."""
     head, tail = record_parts(record)
     return join_parts(head, record.day, tail)
+
+
+def with_stance(line: str, value: str) -> str:
+    """A corpus line with stance ``value``: added before its closing brace, or the line encoded anew over a stance key it has."""
+    if '"stance"' in line and "stance" in json.loads(line):
+        return record_to_json(replace(parse_record(line), stance=value))
+    return f'{line[:-1]}, "stance": "{value}"}}'
 
 
 def _written_as_read(line: str, tweet_id: str, user_id: str, raw_ts: str, text: str, hashtags: list[str]) -> bool:

@@ -47,19 +47,20 @@ class RunManifest:
     metrics: dict = field(default_factory=dict)  # what the run found: the facts of its log line
     inputs: dict = field(default_factory=dict)  # label -> {path, sha256}
     outputs: dict = field(default_factory=dict)  # label -> path
+    paths: dict = field(default_factory=dict, repr=False, compare=False)  # label -> path of each file it may write
     files: AtomicFiles = field(default_factory=AtomicFiles, repr=False, compare=False)
 
     def add_input(self, label: str, path: str) -> None:
         self.inputs[label] = {"path": path, "sha256": file_sha256(path)}
 
-    def open(self, label: str, path: str, newline: str | None = None):
-        """A writer of ``path`` in the run's group of files, listed as output ``label``."""
-        self.outputs[label] = path
-        return self.files.open(path, newline)
+    def open(self, label: str, newline: str | None = None, path: str | None = None):
+        """A writer of output ``label`` in the run's group of files, listed: to ``path``, else to its entry in ``paths``."""
+        self.outputs[label] = path or self.paths[label]
+        return self.files.open(self.outputs[label], newline)
 
-    def write_json(self, label: str, obj: dict, path: str) -> None:
-        """``obj`` as JSON to ``path``, listed as output ``label``."""
-        with self.open(label, path) as fh:
+    def write_json(self, label: str, obj: dict) -> None:
+        """``obj`` as JSON to output ``label``."""
+        with self.open(label) as fh:
             _dump_json(obj, fh)
 
     def to_dict(self) -> dict:
@@ -78,9 +79,9 @@ class RunManifest:
             "outputs": self.outputs,
         }
 
-    def write(self, path: str) -> None:
-        """The manifest itself, to ``path`` in the run's group: the last file opened, so the last renamed."""
-        with self.files.open(path) as fh:
+    def write(self) -> None:
+        """The manifest itself, to ``paths["manifest"]`` in the run's group: the last file opened, so the last renamed."""
+        with self.files.open(self.paths["manifest"]) as fh:
             _dump_json(self.to_dict(), fh)
 
 

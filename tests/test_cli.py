@@ -7,6 +7,7 @@ import io
 import json
 import os
 import pkgutil
+import re
 import resource
 import shutil
 import signal
@@ -18,6 +19,7 @@ import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
+from itertools import takewhile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -27,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 import electrend
 from electrend import hashtags, ingest
 from electrend.botfilter import write_report_csv
-from electrend.cli import _load_table, main
+from electrend.cli import _OUTPUTS, _build_parser, _load_table, _output_paths, main
 from electrend.ingest import (
     IngestConfig,
     ingest_lines,
@@ -38,7 +40,7 @@ from electrend.ingest import (
 from electrend.manifest import rerun
 from electrend.stance import DEFAULT_SEEDS
 from electrend.synth import ElectorateSpec, ground_truth
-from electrend.trend import CounterTable, read_trend_csv, series, user_weights, write_trend_csv
+from electrend.trend import TREND_CSV_COLUMNS, CounterTable, read_trend_csv, series, user_weights, write_trend_csv
 
 SUBCOMMANDS = [
     "ingest",
@@ -108,6 +110,13 @@ class TestHelpAndUsage:
 class TestExitCodes:
     def test_missing_input_file(self, tmp_path):
         assert main(["ingest", str(tmp_path / "absent.jsonl"), "-o", str(tmp_path / "o")]) == 3
+
+    def test_missing_input_directory_names_the_corpus(self, tmp_path):
+        result = run_cli(["ingest", "nodir/raw.jsonl", "-o", "c.jsonl"], tmp_path)
+        assert result.returncode == 3, result.stderr
+        assert "cannot read corpus nodir/raw.jsonl: " in result.stderr
+        assert "rejects" not in result.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_corpus_is_a_data_error(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -307,12 +316,20 @@ class TestFailedStageWritesNothing:
         assert run_cli(argv + earlier, tmp_path).returncode == 0
         fails_leaving(self.files(tmp_path))  # and the earlier run's files, byte for byte
 
-    def test_two_outputs_on_one_path_keep_the_later(self, pipeline, tmp_path):
-        both = str(tmp_path / "net.txt")
-        argv = ["hashtags", pipeline.labeled, "-o", str(tmp_path / "net"), "--min-count", "2", "--graphml", both, "--dot", both]
-        assert main(argv) == 0
-        assert Path(both).read_text().startswith("graph hashtags {")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.clouds.csv", "net.manifest.json", "net.txt"]
+    @pytest.mark.parametrize("argv, labels", [
+        (["ingest", "raw.jsonl", "-o", "same.jsonl", "--bot-report", "same.jsonl"], ("clean_corpus", "bot_report")),
+        (["ingest", "raw.jsonl", "-o", "c.jsonl", "--no-bot-filter", "--bot-report", "./raw.jsonl.rejects.txt"], ("rejects", "bot_report")),
+        (["hashtags", "raw.jsonl", "-o", "net", "--graphml", "net.txt", "--dot", "net.txt"], ("graphml", "dot")),
+        (["hashtags", "raw.jsonl", "-o", "net", "--clouds", "net.manifest.json"], ("clouds", "manifest")),
+        (["synth", "-o", "x.jsonl", "--users", "5", "--days", "2", "--truth", "x.jsonl.spec.json"], ("truth", "spec_echo")),
+    ], ids=["ingest", "ingest-unwritten-output", "hashtags", "manifest", "synth"])
+    def test_two_outputs_on_one_path_exit_2(self, argv, labels, pipeline, tmp_path):
+        shutil.copy(pipeline.raw, tmp_path / "raw.jsonl")
+        result = run_cli(argv, tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert f"outputs {labels[0]} and {labels[1]} share the path" in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.jsonl"]
 
 
 class TestBadCalendar:
@@ -1109,6 +1126,70 @@ class TestManifests:
                 assert entry["sha256"] == hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()
 
 
+class TestDocumentedFiles:
+    """The README's table of the files each stage writes, and its CSV headers, are what the code writes."""
+
+    README = Path(__file__).resolve().parents[1] / "README.md"
+    # Each stage's required arguments, so that the parser takes the stage.
+    ARGV = {
+        "ingest": ["<input>"], "train": ["<input>"], "classify": ["<input>", "--model", "m"], "trend": ["<input>"],
+        "sweep": ["<input>", "--t0-list", "1"], "hashtags": ["<input>"], "synth": [],
+    }
+
+    @classmethod
+    def rows(cls):
+        """(stage, label, default path, flag) of each row of the table, in order."""
+        lines = cls.README.read_text(encoding="utf-8").splitlines()
+        start = lines.index("| stage | label | default path | moved by | holds |") + 2
+        return [
+            tuple(cell.strip().strip("`") for cell in line.split("|")[1:5])
+            for line in takewhile(lambda line: line.startswith("|"), lines[start:])
+        ]
+
+    def test_table_is_the_cli_table(self):
+        parser = _build_parser()
+        rows = [row for row in self.rows() if "<" not in row[1]]  # sweep's per-origin CSVs take their path from the run
+        assert [row[:2] for row in rows] == [(stage, label) for stage, outputs in _OUTPUTS.items() for label in outputs]
+        for stage, label, path, flag in rows:
+            args = parser.parse_args([stage, *self.ARGV[stage], "-o", "<output>"])
+            assert _output_paths(args)[label] == path, (stage, label)
+            assert hasattr(args, label) == bool(flag), (stage, label)  # a flag moves an output only by its name
+            if flag:
+                args = parser.parse_args([stage, *self.ARGV[stage], "-o", "<output>", flag, "elsewhere"])
+                assert _output_paths(args)[label] == "elsewhere", (stage, label)
+
+    def test_table_is_what_each_stage_wrote(self, every_stage):
+        parser = _build_parser()
+        for manifest_path in every_stage[1].values():
+            run = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+            args = parser.parse_args(run["argv"])
+            known = {"output": args.output, "input": getattr(args, "input", None)}
+
+            def pattern(cell):  # <output> and <input> as the run had them; any other <name> stands for any text
+                parts = re.split(r"<(\w+)>", cell)
+                return "".join(
+                    (re.escape(known[part]) if part in known else ".+") if i % 2 else re.escape(part)
+                    for i, part in enumerate(parts)
+                )
+
+            rows = [(pattern(label), pattern(path)) for stage, label, path, _ in self.rows() if stage == args.subcommand]
+            written = {**run["outputs"], "manifest": manifest_path}
+            for label, path in written.items():
+                matches = [row for row in rows if re.fullmatch(row[0], label) and re.fullmatch(row[1], path)]
+                assert len(matches) == 1, (label, path)
+            for row in rows:  # each stage of the run writes every file it can
+                assert any(re.fullmatch(row[0], label) and re.fullmatch(row[1], path) for label, path in written.items()), row
+
+    def test_csv_headers(self, every_stage):
+        root = every_stage[0]
+        text = self.README.read_text(encoding="utf-8")
+        trend_header = re.search(r"A trend CSV has the header\s+`([^`]+)`", text).group(1)
+        assert trend_header == ",".join(TREND_CSV_COLUMNS)
+        assert (root / "cumulative.csv").read_text().splitlines()[0] == trend_header
+        summary_header = re.search(r"The sweep summary has\s+the header\s+`([^`]+)`", text).group(1)
+        assert (root / "sweep" / "sweep_summary.csv").read_text().splitlines()[0] == summary_header
+
+
 class TestFaultWalk:
     """Every corpus-reading stage against every unreadable or empty corpus.
 
@@ -1125,7 +1206,9 @@ class TestFaultWalk:
         "sweep": ("labeled", ["--t0-list", "1"]),
         "hashtags": ("labeled", []),
     }
-    FAULTS = {"missing": 3, "directory": 3, "blank-only": 4, "truncated-gz": 3, "not-gzip": 3}
+    # "no-output-dir": a malformed corpus (blank-only for ingest, which rejects a malformed line) and -o in a
+    # missing directory, which the stage finds before it reads the corpus.
+    FAULTS = {"missing": 3, "directory": 3, "blank-only": 4, "truncated-gz": 3, "not-gzip": 3, "no-output-dir": 3}
 
     @pytest.mark.parametrize("fault", FAULTS)
     @pytest.mark.parametrize("stage", STAGES)
@@ -1145,15 +1228,50 @@ class TestFaultWalk:
             corpus.write_bytes(packed[:3000])
         elif fault == "not-gzip":
             corpus.write_bytes(text)
+        elif fault == "no-output-dir":
+            corpus.write_text("\n  \n\t\n" if stage == "ingest" else text.decode() + "{not json\n")
         if "--model" in extra:
             shutil.copy(pipeline.model, tmp_path / "model.json")
         inputs = sorted(p.name for p in tmp_path.iterdir())
+        output = "nodir/out" if fault == "no-output-dir" else "out"
 
-        result = run_cli([stage.split("-")[0], name, "-o", "out", *extra], tmp_path)
+        result = run_cli([stage.split("-")[0], name, "-o", output, *extra], tmp_path)
         assert result.returncode == self.FAULTS[fault], result.stderr
         assert "Traceback" not in result.stderr
-        assert name in result.stderr
+        assert (f"No such file or directory: '{output}" if fault == "no-output-dir" else name) in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "in.jsonl", "-o", "out", "--bot-report", "nodir/b.csv"],
+        ["ingest", "in.jsonl", "-o", "out", "--no-bot-filter", "--bot-report", "nodir/b.csv"],  # a report not written
+        ["synth", "-o", "out", "--users", "0", "--days", "3", "--truth", "nodir/t.csv"],
+        ["hashtags", "in.jsonl", "-o", "out", "--graphml", "nodir/g.graphml"],
+        ["hashtags", "in.jsonl", "-o", "out", "--dot", "nodir/g.dot"],
+        ["hashtags", "in.jsonl", "-o", "out", "--clouds", "nodir/c.csv"],
+    ], ids=["bot-report", "bot-report-unwritten", "truth", "graphml", "dot", "clouds"])
+    def test_side_output_in_a_missing_directory(self, argv, tmp_path):
+        (tmp_path / "in.jsonl").write_text("\n  \n")  # any work on it is a data error; so is synth's spec
+        result = run_cli(argv, tmp_path)
+        assert result.returncode == 3, result.stderr
+        assert "Traceback" not in result.stderr
+        assert f"No such file or directory: '{argv[-1]}'" in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+    def test_sweep_makes_its_directory_but_not_its_parent(self, pipeline, tmp_path):
+        shutil.copy(pipeline.labeled, tmp_path / "in.jsonl")
+        assert run_cli(["sweep", "in.jsonl", "-o", "new", "--t0-list", "1"], tmp_path).returncode == 0
+        assert sorted(p.name for p in (tmp_path / "new").iterdir()) == [
+            "sweep.manifest.json", "sweep_summary.csv", "trend_t0_day001.csv",
+        ]
+        assert run_cli(["sweep", "in.jsonl", "-o", "slash/", "--t0-list", "1"], tmp_path).returncode == 0
+        assert (tmp_path / "new" / "sweep_summary.csv").read_bytes() == (tmp_path / "slash" / "sweep_summary.csv").read_bytes()
+        shutil.rmtree(tmp_path / "slash")
+        result = run_cli(["sweep", "in.jsonl", "-o", "failed", "--t0-list", "99"], tmp_path)  # past the corpus
+        assert result.returncode == 2, result.stderr
+        result = run_cli(["sweep", "in.jsonl", "-o", "a/b", "--t0-list", "1"], tmp_path)
+        assert result.returncode == 3, result.stderr
+        assert "No such file or directory: 'a/b'" in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "new"]
 
 
 class TestClassifyAndTrend:

@@ -16,7 +16,7 @@ from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from electrend.botfilter import ActivityTracker, BotConfig, flag_bots
 from electrend import ingest
@@ -41,8 +41,10 @@ from electrend.ingest import (
     parse_record,
     record_parts,
     record_to_json,
+    with_stance,
 )
 from electrend.manifest import RunManifest
+from electrend.stance import Stance
 from conftest import rec
 
 UTC = timezone.utc
@@ -321,6 +323,12 @@ class TestRoundTrip:
     def test_serialize_parse_is_identity(self, record):
         assert parse_record(record_to_json(record)) == record
 
+    @given(record=record_strategy(), value=st.sampled_from([s.value for s in Stance]))
+    @example(record=rec(text='say "stance" once'), value="neutral")  # the key's spelling in the text alone
+    @example(record=rec(text='"stance"', day=3, stance="pro_mp"), value="pro_ff")
+    def test_with_stance_equals_the_encoding_with_that_stance(self, record, value):
+        assert with_stance(record_to_json(record), value) == record_to_json(replace(record, stance=value))
+
     # Characters JSON escapes, or could be mistaken for escaping: quotes,
     # backslashes, controls, line and paragraph separators, non-ASCII.
     AWKWARD = st.text(
@@ -421,10 +429,10 @@ class TestFileIO:
 
     def test_non_finite_json_leaves_no_file(self, tmp_path):
         path = tmp_path / "out.json"
-        run = RunManifest("synth", [])
+        run = RunManifest("synth", [], paths={"out": str(path)})
         with pytest.raises(ValueError):
             with run.files:
-                run.write_json("out", {"x": float("nan")}, str(path))
+                run.write_json("out", {"x": float("nan")})
         assert list(tmp_path.iterdir()) == []
 
     def test_truncated_gzip_is_a_read_error(self, tmp_path):
