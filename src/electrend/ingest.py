@@ -86,6 +86,10 @@ _ENCODE = json.encoder.c_make_encoder(
     None, json.JSONEncoder().default, json.encoder.encode_basestring, None, ": ", ", ", False, False, True
 )
 _encode_str = json.encoder.encode_basestring  # the string encoder of _ENCODE
+# The keys of a corpus line before its day index, in the order it is written,
+# and the line they make when no string needs an escape (see _written_as_read).
+_LINE_KEYS = ("id", "user", "ts", "text", "hashtags")
+_UNESCAPED = '{"%s": "%%s", "%s": "%%s", "%s": "%%s", "%s": "%%s", "%s": [%%s]}' % _LINE_KEYS
 # The scanner json.loads calls after its BOM and whitespace handling, which
 # a stripped line does not need.
 _SCAN = json.JSONDecoder().scan_once
@@ -299,13 +303,8 @@ def parse_label(line: str, line_no: int = 0) -> tuple[str, int | None, str | Non
 
 def record_parts(record: TweetRecord) -> tuple[str, str]:
     """A record's corpus line without its day index: the text before ``"t"`` and after it."""
-    head = "".join(_ENCODE({
-        "id": record.tweet_id,
-        "user": record.user_id,
-        "ts": record.created_at.isoformat(),
-        "text": record.text,
-        "hashtags": record.hashtags,
-    }, 0))
+    values = (record.tweet_id, record.user_id, record.created_at.isoformat(), record.text, record.hashtags)
+    head = "".join(_ENCODE(dict(zip(_LINE_KEYS, values)), 0))
     if record.stance is None:
         return head[:-1], "}"
     return head[:-1], f', "stance": {"".join(_ENCODE(record.stance, 0))}}}'
@@ -341,8 +340,7 @@ def _written_as_read(line: str, tweet_id: str, user_id: str, raw_ts: str, text: 
     if "\\" in line or _ISO_UTC(raw_ts) is None:
         return False
     tags = '"' + '", "'.join(hashtags) + '"' if hashtags else ""
-    skeleton = f'{{"id": "{tweet_id}", "user": "{user_id}", "ts": "{raw_ts}", "text": "{text}", "hashtags": [{tags}]}}'
-    return line == skeleton
+    return line == _UNESCAPED % (tweet_id, user_id, raw_ts, text, tags)
 
 
 def effective_date(record: TweetRecord, day_offset_hours: float = 0) -> date:

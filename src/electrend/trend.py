@@ -13,7 +13,10 @@ A :class:`CounterTable` is built once, from ``(user, day, stance)`` tweets;
 it is the one place that maps a stance to its counter (:data:`STANCE_CLASS`).
 Days are the 1-based indices ``ingest`` assigns; the table never dates a
 tweet itself. It folds the tweets into one (mp, ff, other) row per active
-user-day, sorted by (user, day). A verdict can change only on a day a row
+user-day, sorted by (user, day): each tweet is read into an int32 user
+code, an int64 day and an int8 class (13 bytes), the three are packed into
+one int64 key, and one in-place sort of the keys groups the tweets of each
+(user, day, class) cell. A verdict can change only on a day a row
 enters the range (and, for a window, on the day it leaves), so every
 estimator is one event sweep: running sums per user at those change points,
 then a per-day tally of verdicts entering and leaving each category.
@@ -130,6 +133,13 @@ def _verdicts(lead: np.ndarray, mp: np.ndarray, silent: int) -> np.ndarray:
     return codes
 
 
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """True where sorted ``keys`` start a run of equal values: at index 0 and wherever a key differs from the one before."""
+    starts = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return starts
+
+
 def first_day(mode: str, day: int, window: int | None = None, start_day: int | None = None) -> int:
     """The first day a verdict on ``day`` counts; the argument checks of every query.
 
@@ -159,29 +169,50 @@ class CounterTable:
     Built once, from tweets ``(user, day, stance)``, and never changed: the
     sorted user names, and per active user-day the user's index, the day and
     the (mp, ff, other) counts, sorted by (user, day). A stance is a
-    :class:`Stance` or its string value; a day below 1 is a ``ValueError``.
+    :class:`Stance` or its string value; a day below 1 is a ``ValueError``,
+    and so is a day past what a 64-bit key of users x (days + 1) x 3 holds.
     """
 
     def __init__(self, tweets: Iterable[tuple[str, int, Stance | str]] = ()):
         codes: dict[str, int] = {}
-        users, days, classes = array("q"), array("q"), array("q")
+        users, days, classes = array("i"), array("q"), array("b")  # 13 bytes a tweet
         for user, day, stance in tweets:
             users.append(codes.setdefault(user, len(codes)))
-            days.append(day)
+            try:
+                days.append(day)
+            except OverflowError:
+                raise ValueError(f"day index must fit in 64 bits, got {day}") from None
             classes.append(STANCE_CLASS.get(stance, OTHER_CLASS))
         day = np.frombuffer(days, dtype=np.int64)
         if len(day) and day.min() < 1:
             raise ValueError(f"day index must be >= 1, got {day.min()}")
         self.n_days = int(day.max()) if len(day) else 0
+        # Every key below, and every window key of _change_points, is under users x span x 3.
+        if len(codes) * (self.n_days + 1) * 3 > 2**63:
+            raise ValueError(f"{len(codes)} users over {self.n_days} days overflow the table's 64-bit keys")
         self.users = sorted(codes)
         rank = {u: i for i, u in enumerate(self.users)}
         sorted_code = np.array([rank[u] for u in codes], dtype=np.int64)
-        user = sorted_code[np.frombuffer(users, dtype=np.int64)]
+        # One int64 key per tweet, (user x span + day) x 3 + class, each column freed once folded in.
         span = self.n_days + 1
-        keys, inverse = np.unique(user * span + day, return_inverse=True)
-        del user, day
-        klass = np.frombuffer(classes, dtype=np.int64)
-        self._counts = np.stack([np.bincount(inverse[klass == c], minlength=len(keys)) for c in range(3)], axis=1)
+        key = sorted_code[np.frombuffer(users, dtype=np.int32)]
+        del users
+        key *= span
+        key += day
+        del day, days
+        key *= 3
+        key += np.frombuffer(classes, dtype=np.int8)
+        del classes
+        key.sort()
+        first = _run_starts(key)
+        cells = key[first]
+        tweets_in_cell = np.diff(np.flatnonzero(first), append=len(key))
+        del key, first
+        cells, klass = np.divmod(cells, 3)
+        first = _run_starts(cells)
+        keys = cells[first]
+        self._counts = np.zeros((len(keys), 3), dtype=np.int64)
+        self._counts[np.cumsum(first) - 1, klass] = tweets_in_cell  # each (row, class) cell once
         self._user, self._day = np.divmod(keys, span)
 
     # -- views ---------------------------------------------------------
@@ -226,7 +257,7 @@ class CounterTable:
         if window is None:
             rows = np.flatnonzero((self._day >= start_day) & (self._day <= horizon))
             user, day = self._user[rows], self._day[rows]
-            first = np.diff(user, prepend=-1) != 0
+            first = _run_starts(user)
             starts = np.flatnonzero(first)
             lo = np.repeat(rows[starts], np.diff(starts, append=len(rows)))  # each row's user's first row
             hi = rows + 1
@@ -234,11 +265,14 @@ class CounterTable:
             window = min(window, horizon)  # a longer window leaves no row by the horizon either
             span = self.n_days + window + 1  # room for a leave day past any row's day
             keys = self._user * span + self._day
-            changes = np.union1d(keys[self._day <= horizon], keys[self._day + window <= horizon] + window)
+            # The enter keys and the leave keys are each sorted, so a stable sort merges them.
+            changes = np.concatenate((keys[self._day <= horizon], keys[self._day + window <= horizon] + window))
+            changes.sort(kind="stable")
+            changes = changes[_run_starts(changes)]
             lo = np.searchsorted(keys, changes - window, side="right")
             hi = np.searchsorted(keys, changes, side="right")
             user, day = np.divmod(changes, span)
-            first = np.diff(user, prepend=-1) != 0
+            first = _run_starts(user)
         lead_total, mp_total = self._totals
         lead = lead_total[hi] - lead_total[lo]
         mp = mp_total[hi] - mp_total[lo]
@@ -317,9 +351,9 @@ def _weighted_tally(
     for d in range(horizon + 1):
         changed = order[bounds[d] : bounds[d + 1]]
         if len(changed):
-            touched = np.union1d(codes[user[changed]], after[changed])
+            touched = np.bincount(codes[user[changed]], minlength=N_CODES) + np.bincount(after[changed], minlength=N_CODES)
             codes[user[changed]] = after[changed]
-            for code in touched[touched != CODE_NONE]:
+            for code in np.flatnonzero(touched[CODE_MP:]) + CODE_MP:
                 sums[code] = np.cumsum(np.append(0.0, weights[codes == code]))[-1]
         tally[d] = sums
     return tally

@@ -1004,6 +1004,16 @@ def every_stage(tmp_path_factory):
     return root, manifests
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_table(header: str) -> list[list[str]]:
+    """The stripped cells of each row of the README table under the ``header`` line, in order."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    rows = takewhile(lambda line: line.startswith("|"), lines[lines.index(header) + 2 :])
+    return [[cell.strip() for cell in row.split("|")[1:-1]] for row in rows]
+
+
 class TestManifests:
     def test_every_output_is_listed_once(self, every_stage):
         root, manifests = every_stage
@@ -1030,17 +1040,6 @@ class TestManifests:
             assert json.load(fh)["created_utc"] != run["created_utc"]  # the stage did run again
         assert {out: Path(out).read_bytes() for out in before} == before
 
-
-    METRICS = {
-        "synth": {"run_id", "n_users", "n_bots", "n_days", "records"},
-        "ingest": {"input_lines", "records", "rejects", "n_days", "bots"},
-        "train": {"records", "camps", "terms"},
-        "classify": {"records", "stances"},
-        "trend": {"days", "pct_ff", "pct_mp", "pct_others"},
-        "sweep": {"origins", "final_day", "spread_pct_ff", "spread_pct_mp"},
-        "hashtags": {"nodes", "edges", "camps"},
-    }
-
     def test_log_line_shows_the_metrics(self, tmp_path, caplog):
         def shown(value):
             if isinstance(value, float):
@@ -1060,6 +1059,9 @@ class TestManifests:
             ["sweep", f("labeled.jsonl"), "-o", f("sweep"), "--t0-list", "1,3"],
             ["hashtags", f("labeled.jsonl"), "-o", f("net"), "--min-count", "2"],
         ]
+        # each stage's keys, as the README's metrics table documents them
+        documented = {stage.strip("`"): set(re.findall(r"`(\w+)`", keys)) for stage, keys in readme_table("| stage | metrics |")}
+        assert set(documented) == {argv[0] for argv in runs}
         caplog.set_level("INFO", logger="electrend")
         lines = []
         for argv in runs:
@@ -1069,7 +1071,7 @@ class TestManifests:
             path = os.path.join(output, "sweep.manifest.json") if argv[0] == "sweep" else output + ".manifest.json"
             run = json.loads(Path(path).read_text())
             metrics = run["metrics"]
-            assert set(metrics) == self.METRICS[argv[0]], argv
+            assert set(metrics) == documented[argv[0]], argv
             assert not set(metrics) & set(run["parameters"]), argv
             lines += [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
             assert lines[-1:] == [f"{argv[0]}: " + " ".join(f"{k}={shown(v)}" for k, v in sorted(metrics.items()))]
@@ -1129,7 +1131,6 @@ class TestManifests:
 class TestDocumentedFiles:
     """The README's table of the files each stage writes, and its CSV headers, are what the code writes."""
 
-    README = Path(__file__).resolve().parents[1] / "README.md"
     # Each stage's required arguments, so that the parser takes the stage.
     ARGV = {
         "ingest": ["<input>"], "train": ["<input>"], "classify": ["<input>", "--model", "m"], "trend": ["<input>"],
@@ -1139,12 +1140,7 @@ class TestDocumentedFiles:
     @classmethod
     def rows(cls):
         """(stage, label, default path, flag) of each row of the table, in order."""
-        lines = cls.README.read_text(encoding="utf-8").splitlines()
-        start = lines.index("| stage | label | default path | moved by | holds |") + 2
-        return [
-            tuple(cell.strip().strip("`") for cell in line.split("|")[1:5])
-            for line in takewhile(lambda line: line.startswith("|"), lines[start:])
-        ]
+        return [tuple(cell.strip("`") for cell in row[:4]) for row in readme_table("| stage | label | default path | moved by | holds |")]
 
     def test_table_is_the_cli_table(self):
         parser = _build_parser()
@@ -1182,7 +1178,7 @@ class TestDocumentedFiles:
 
     def test_csv_headers(self, every_stage):
         root = every_stage[0]
-        text = self.README.read_text(encoding="utf-8")
+        text = README.read_text(encoding="utf-8")
         trend_header = re.search(r"A trend CSV has the header\s+`([^`]+)`", text).group(1)
         assert trend_header == ",".join(TREND_CSV_COLUMNS)
         assert (root / "cumulative.csv").read_text().splitlines()[0] == trend_header

@@ -29,6 +29,7 @@ from electrend.ingest import (
     IngestConfig,
     ParseError,
     QuerySet,
+    TweetRecord,
     assign_day,
     day_to_date,
     effective_date,
@@ -670,6 +671,22 @@ def raw_corpus_line(draw) -> str:
     return "{" + inner + comma.join(f'"{key}"{colon}{encode(value)}' for key, value in pairs) + inner + "}"
 
 
+@st.composite
+def unescaped_line(draw) -> str:
+    """Drawn fields pasted unescaped into the corpus line: often not JSON, sometimes JSON whose fields are not the ones pasted."""
+    piece = st.lists(st.sampled_from([
+        "a", "é", " ", "#Tag", '"', "\\", '\\"', "\\u00e9", "\\/", "\n", "\x01", ",", '", "text": "', '", "t": 1, "x": "', "%s", "{}",
+    ]), max_size=4).map("".join)
+    ts = draw(st.sampled_from([
+        "2019-03-01T12:00:00+00:00", "2019-03-01T12:00:00Z", "2019-03-01T12:00:00.500000+00:00",
+        "2019-03-01T12:00:00", "2019-03-01T09:00:00-03:00",
+    ]))
+    tags = draw(st.sampled_from(["", '"tag"', '"tag", "x"', '"#Tag"', '"x", "x"', "1", '"b", "a"', '"é"']))
+    return '{"id": "%s", "user": "%s", "ts": "%s", "text": "%s", "hashtags": [%s]}' % (
+        draw(piece), draw(piece), ts, draw(piece), tags
+    )
+
+
 # Kept by every rule, so that a run always accepts a line.
 ANCHOR_LINE = '{"id": "a", "user": "anchor", "ts": "2019-03-02T12:00:00+00:00", "text": "macri", "hashtags": []}'
 
@@ -692,6 +709,22 @@ class TestWrittenAsRead:
             want_meta["n_days"], want_meta["records"], want_meta["rejects"]
         )
         assert result.verdicts == want_verdicts
+
+    @settings(max_examples=400, deadline=None)
+    @given(line=raw_corpus_line() | unescaped_line())
+    def test_a_line_is_taken_as_read_only_when_it_is_the_encoding(self, line):
+        try:
+            tweet_id, user_id, raw_ts, created_at, text, tags, _, _ = ingest._decode(line, 1)
+        except ParseError:
+            return
+        hashtags = ingest._hashtags(text, tags)
+        encoded = record_to_json(TweetRecord(tweet_id, user_id, created_at, text, hashtags))
+        if ingest._written_as_read(line, tweet_id, user_id, raw_ts, text, hashtags):
+            assert line == encoded
+        # the encoding itself is taken as read unless it holds an escape or a fraction of a second
+        tweet_id, user_id, raw_ts, _, text, tags, _, _ = ingest._decode(encoded, 1)
+        taken = ingest._written_as_read(encoded, tweet_id, user_id, raw_ts, text, ingest._hashtags(text, tags))
+        assert taken == ("\\" not in encoded and created_at.microsecond == 0)
 
     def test_synth_lines_gain_only_their_day(self, tmp_path):
         raw, clean = tmp_path / "raw.jsonl", tmp_path / "clean.jsonl"

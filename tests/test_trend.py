@@ -11,8 +11,9 @@ from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from electrend.stance import Stance
 from electrend.synth import oracle_categories
 from electrend.trend import (
     CounterTable,
@@ -208,6 +209,18 @@ class TestVectorizedAgainstReference:
         assert series(table, "instant", 2**62) == series(table, "instant", 30)
         assert series(table, "instant", 10**23) == series(table, "instant", 30)
 
+    @pytest.mark.parametrize("seed", [14, 15, 16])
+    def test_window_change_points_are_the_union_of_enter_and_leave_days(self, seed):
+        _, table = self.random_table(seed)
+        for window in range(1, table.n_days + 3):
+            for horizon in range(1, table.n_days + 1):
+                reach = min(window, horizon)
+                span = table.n_days + reach + 1
+                keys = table._user * span + table._day
+                enter, leave = keys[table._day <= horizon], keys[table._day + reach <= horizon] + reach
+                user, day, _, _ = table._change_points(horizon, window=window)
+                assert np.array_equal(user * span + day, np.union1d(enter, leave)), (window, horizon)
+
     @pytest.mark.parametrize(
         "cfg",
         [
@@ -329,6 +342,43 @@ class TestPermutationAndIncremental:
     def test_columns_reject_day_zero(self):
         with pytest.raises(ValueError, match="got 0"):
             CounterTable([("u", 3, "pro_mp"), ("u", 0, "pro_ff")])
+
+    @pytest.mark.parametrize("day", [2**62, 2**63, 2**64])
+    def test_columns_reject_a_day_past_the_packed_key(self, day):
+        # each tweet is one int64 key, (user x (n_days + 1) + day) x 3 + class
+        with pytest.raises(ValueError):
+            CounterTable([("a", 1, "pro_mp"), ("b", 1, "pro_mp"), ("c", day, "pro_ff")])
+
+    def test_the_last_day_a_packed_key_holds(self):
+        last = 2**63 // 9 - 1  # 3 users x (last + 1) x 3 <= 2**63
+        table = CounterTable([("a", 1, "pro_mp"), ("b", 1, "pro_mp"), ("c", last, "pro_ff")])
+        assert table.to_sparse() == {"a": {1: (1, 0, 0)}, "b": {1: (1, 0, 0)}, "c": {last: (0, 1, 0)}}
+        with pytest.raises(ValueError):
+            CounterTable([("a", 1, "pro_mp"), ("b", 1, "pro_mp"), ("c", last + 1, "pro_ff")])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tweets=st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "Ñandú", "c d", ""]),
+                st.integers(1, 12) | st.integers(1, 2**40),
+                st.sampled_from([*Stance, "pro_mp", "pro_ff", "pro_third", "neutral", "", "PRO_MP", "unknown"]),
+            ),
+            max_size=60,
+        )
+    )
+    @example(tweets=[])
+    def test_table_is_a_plain_tally(self, tweets):
+        tally: dict[str, dict[int, list[int]]] = {}
+        for user, day, stance in tweets:
+            counts = tally.setdefault(user, {}).setdefault(day, [0, 0, 0])
+            counts[0 if stance == "pro_mp" else 1 if stance == "pro_ff" else 2] += 1
+        table = CounterTable(tweets)
+        assert table.to_sparse() == {u: {d: tuple(c) for d, c in days.items()} for u, days in tally.items()}
+        assert table.users == sorted(tally)
+        assert table.n_days == max((day for _, day, _ in tweets), default=0)
+        rows = list(zip(table._user.tolist(), table._day.tolist()))
+        assert rows == sorted(set(rows))  # one row per active user-day, in (user, day) order
 
 
 class TestSweep:
@@ -609,11 +659,12 @@ class TestSeriesAgainstOracle:
             strata = {u: rng.choice("ABCD") for u in counts if rng.random() < 0.8}
             stratum_weights = {s: rng.uniform(0, 3) for s in "ABC"}
             weights = user_weights(table.users, stratum_weights, strata)
-            window = rng.randint(1, 20)
-            columns = series(table, "instant", window=window, weights=weights)
-            for i, day in enumerate(columns.T):
-                cats = oracle_categories(counts, "instant", day=day, window=window)
-                assert row_of(columns, i) == apply_demographic_weights(cats, stratum_weights, strata, "instant")
+            drawn = rng.randint(1, 20)
+            for window in (drawn, 1, table.n_days - 1, table.n_days, table.n_days + 2):
+                columns = series(table, "instant", window=window, weights=weights)
+                for i, day in enumerate(columns.T):
+                    cats = oracle_categories(counts, "instant", day=day, window=window)
+                    assert row_of(columns, i) == apply_demographic_weights(cats, stratum_weights, strata, "instant")
             t0 = rng.randint(1, table.n_days)
             columns = series(table, "cumulative", start_day=t0, weights=weights)
             for i, day in enumerate(columns.T):
