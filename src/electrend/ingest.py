@@ -237,6 +237,8 @@ def _load_json(line: str, line_no: int):
         return json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON ({exc.msg})", line_no) from None
+    except ValueError:  # an integer of more digits than sys.get_int_max_str_digits() allows
+        raise ParseError("invalid JSON (integer too long)", line_no) from None
     except RecursionError:
         raise ParseError("invalid JSON (nested too deeply)", line_no) from None
 

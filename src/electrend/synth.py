@@ -14,7 +14,10 @@ with duplicated text, and an optional drift schedule changes the stance
 mix (users redraw their stance at each drift boundary).
 
 Everything derives from per-user RNG substreams of one seed, so output is
-byte-identical regardless of generation order or parallelism.
+byte-identical regardless of generation order or parallelism. A user's
+tweet draws are made in one batch per kind, and only the days on which
+it tweets are visited, so generation costs O(users + tweets), not
+O(users x days).
 
 ``oracle_categories`` re-derives user verdicts by literal day-by-day
 loops, sharing no summation code with the aggregation module; it is the
@@ -26,9 +29,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from hashlib import blake2b
+from itertools import islice
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -98,6 +103,12 @@ class ElectorateSpec:
     def __post_init__(self):
         if self.n_users < 0 or self.n_days < 1:
             raise ValueError("need n_users >= 0 and n_days >= 1")
+        # ingest refuses a timestamp on the calendar's first or last day, so the corpus keeps off both
+        if not (date.min < self.start_date and self.n_days <= (date.max - self.start_date).days):
+            raise ValueError(
+                f"{self.n_days} days from {self.start_date} leave the calendar: "
+                f"every day must lie strictly between {date.min} and {date.max}"
+            )
         object.__setattr__(self, "mix", _check_mix(self.mix, "mix"))
         if not 0 <= self.crosstalk < 0.5:
             raise ValueError("crosstalk must lie in [0, 0.5)")
@@ -255,7 +266,7 @@ def _user_records(spec: ElectorateSpec, index: int) -> Iterator[TweetRecord]:
     stances, rate, is_bot = _user_params(spec, index)
     uid = _user_id(index)
     rng = np.random.default_rng((spec.rng_seed, index, 1))
-    starts = _phase_starts(spec)
+    day_one = datetime.combine(spec.start_date, datetime.min.time(), tzinfo=_UTC)
 
     if is_bot:
         camp = stances[0]
@@ -263,18 +274,13 @@ def _user_records(spec: ElectorateSpec, index: int) -> Iterator[TweetRecord]:
         name = _NAME_REFS[int(rng.integers(0, len(_NAME_REFS)))]
         text = f"{name} vota vota" + (f" #{tag}" if tag else "")
         seq = 0
-        for day in range(1, spec.n_days + 1):
-            seconds = np.sort(rng.integers(0, 86400, spec.bot_rate))
-            for s in seconds:
-                created = datetime.combine(
-                    spec.start_date + timedelta(days=day - 1),
-                    datetime.min.time(),
-                    tzinfo=_UTC,
-                ) + timedelta(seconds=int(s))
+        for offset in range(spec.n_days):
+            midnight = day_one + timedelta(days=offset)
+            for s in np.sort(rng.integers(0, 86400, spec.bot_rate)).tolist():
                 yield TweetRecord(
                     tweet_id=f"s{index}-{seq}",
                     user_id=uid,
-                    created_at=created,
+                    created_at=midnight + timedelta(seconds=s),
                     text=text,
                     hashtags=[tag] if tag else [],
                 )
@@ -285,44 +291,38 @@ def _user_records(spec: ElectorateSpec, index: int) -> Iterator[TweetRecord]:
     total = int(daily.sum())
     if total == 0:
         return
-    seconds = rng.integers(0, 86400, total)
-    against = rng.random(total) < spec.crosstalk
-    word_a = rng.integers(0, spec.vocab_size, total)
-    word_b = rng.integers(0, spec.vocab_size, total)
-    common = rng.integers(0, spec.common_vocab_size, total)
-    name_pick = rng.integers(0, len(_NAME_REFS), total)
-    seeded = rng.random(total) < spec.seed_rate
-    seed_u = rng.random(total)
+    seconds = rng.integers(0, 86400, total).tolist()
+    against = (rng.random(total) < spec.crosstalk).tolist()
+    word_a = rng.integers(0, spec.vocab_size, total).tolist()
+    word_b = rng.integers(0, spec.vocab_size, total).tolist()
+    common = rng.integers(0, spec.common_vocab_size, total).tolist()
+    name_pick = rng.integers(0, len(_NAME_REFS), total).tolist()
+    seeded = (rng.random(total) < spec.seed_rate).tolist()
+    seed_u = rng.random(total).tolist()
 
-    phase = 0
+    # Only the days with tweets are visited: a sparse user costs its tweets, not n_days.
+    starts = _phase_starts(spec)
+    draws = zip(seconds, against, word_a, word_b, common, name_pick, seeded, seed_u)
     seq = 0
-    for day in range(1, spec.n_days + 1):
-        while phase + 1 < len(starts) and day >= starts[phase + 1]:
-            phase += 1
-        own = stances[phase]
-        midnight = datetime.combine(
-            spec.start_date + timedelta(days=day - 1), datetime.min.time(), tzinfo=_UTC
-        )
-        for _ in range(int(daily[day - 1])):
+    active = np.flatnonzero(daily)  # day d is index d - 1
+    for offset, count in zip(active.tolist(), daily[active].tolist()):
+        own = stances[bisect_right(starts, offset + 1) - 1]
+        midnight = day_one + timedelta(days=offset)
+        for second, flip, a, b, c, n, tagged, u in islice(draws, count):
             camp = own
-            if against[seq] and own != "third":
+            if flip and own != "third":
                 camp = "mp" if own == "ff" else "ff"
-            tokens = [
-                _NAME_REFS[int(name_pick[seq])],
-                f"{camp}word{int(word_a[seq]):02d}",
-                f"{camp}word{int(word_b[seq]):02d}",
-                f"comun{int(common[seq]):02d}",
-            ]
+            text = f"{_NAME_REFS[n]} {camp}word{a:02d} {camp}word{b:02d} comun{c:02d}"
             tags: list[str] = []
-            if seeded[seq] and _SEED_LISTS[camp]:
-                tag = _SEED_LISTS[camp][int(seed_u[seq] * len(_SEED_LISTS[camp]))]
-                tokens.append(f"#{tag}")
+            if tagged and _SEED_LISTS[camp]:
+                tag = _SEED_LISTS[camp][int(u * len(_SEED_LISTS[camp]))]
+                text += f" #{tag}"
                 tags.append(tag)
             yield TweetRecord(
                 tweet_id=f"s{index}-{seq}",
                 user_id=uid,
-                created_at=midnight + timedelta(seconds=int(seconds[seq])),
-                text=" ".join(tokens),
+                created_at=midnight + timedelta(seconds=second),
+                text=text,
                 hashtags=tags,
             )
             seq += 1

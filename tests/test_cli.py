@@ -486,6 +486,35 @@ class TestNonUtf8Input:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no limit on integer digits")
+class TestIntegerPastTheDigitLimit:
+    """A JSON integer longer than int() may convert: ingest rejects the line, every other stage exits 4."""
+
+    @staticmethod
+    def widen_third_line(src, dst):
+        with open(src, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines[2] = '{"n": ' + "7" * (sys.get_int_max_str_digits() + 1) + ", " + lines[2][1:]
+        dst.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def test_ingest_counts_a_parse_reject(self, pipeline, tmp_path):
+        self.widen_third_line(pipeline.raw, tmp_path / "in.jsonl")
+        result = run_cli(["ingest", "in.jsonl", "-o", "clean.jsonl"], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        assert (tmp_path / "in.jsonl.rejects.txt").read_text().splitlines()[0] == "3\tparse: invalid JSON (integer too long)"
+
+    @pytest.mark.parametrize("stage", TestNonUtf8Input.STAGES)
+    def test_other_stages_exit_4_with_the_line(self, stage, pipeline, tmp_path):
+        self.widen_third_line(pipeline.clean if stage in ("train", "classify") else pipeline.labeled, tmp_path / "in.jsonl")
+        extra = {"classify": ["--model", pipeline.model], "sweep": ["--t0-list", "1,3"]}
+        result = run_cli([stage, "in.jsonl", "-o", "out", *extra.get(stage, [])], tmp_path)
+        assert result.returncode == 4, result.stderr
+        assert "in.jsonl:3: invalid JSON (integer too long)" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+
 class TestMalformedFields:
     """Well-formed JSON with a bad field: ingest counts a parse reject, other stages exit 4."""
 
@@ -1527,9 +1556,12 @@ class TestSynthCommand:
          ["--users", "5", "--rate-shape", "nan"], ["--users", "20", "--mix", "1,nan,0"],
          ["--users", "20", "--drift", "2:1,nan,0"], ["--users", "20", "--bot-fraction", "0.1", "--bot-rate", "-1"],
          ["--users", "5", "--seed", "-1"], ["--users", "5", "--crosstalk", "nan"], ["--users", "5", "--seed-rate", "inf"],
-         ["--users", "20", "--bot-fraction", "nan"], ["--users", "5", "--mean-rate", "1e309"]],
+         ["--users", "20", "--bot-fraction", "nan"], ["--users", "5", "--mean-rate", "1e309"],
+         ["--users", "3", "--start-date", "9999-12-30", "--mean-rate", "2"], ["--users", "5", "--start-date", "9999-12-29"],
+         ["--users", "5", "--start-date", "0001-01-01"]],
         ids=["no-users", "nan-rate", "inf-rate", "nan-shape", "nan-mix", "nan-drift", "negative-bot-rate", "negative-seed",
-             "nan-crosstalk", "inf-seed-rate", "nan-bot-fraction", "overflow-rate"],
+             "nan-crosstalk", "inf-seed-rate", "nan-bot-fraction", "overflow-rate",
+             "past-the-calendar", "calendar-last-day", "calendar-first-day"],
     )
     def test_bad_spec_flags_exit_4(self, flags, tmp_path):
         result = run_cli(["synth", "-o", "c.jsonl", "--days", "3", *flags], tmp_path)

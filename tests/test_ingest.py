@@ -141,6 +141,14 @@ class TestParseRecord:
             parse_record("[" * 100_000, line_no=2)
         assert err.value.reason == "invalid JSON (nested too deeply)"
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no limit on integer digits")
+    def test_integer_past_the_digit_limit_is_parse_error(self):
+        line = '{"n": ' + "7" * (sys.get_int_max_str_digits() + 1) + ", " + self.GOOD[1:] + "}"
+        for parse in (parse_record, parse_label):
+            with pytest.raises(ParseError) as err:
+                parse(line, line_no=4)
+            assert (err.value.line_no, err.value.reason) == (4, "invalid JSON (integer too long)")
+
     @settings(max_examples=300, deadline=None)
     @given(
         value=st.recursive(

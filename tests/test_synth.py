@@ -1,12 +1,15 @@
 """Synthetic electorate generator, category oracle and recovery report."""
 
 import io
-from datetime import date
+from datetime import date, datetime, timedelta
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from electrend.ingest import record_to_json
+from electrend import synth
+from electrend.ingest import TweetRecord, parse_record, record_to_json
 from electrend.synth import (
     ElectorateSpec,
     RecoveryReport,
@@ -56,6 +59,20 @@ class TestSpec:
             for bad in (float("nan"), float("inf")):
                 with pytest.raises(ValueError, match="finite and positive"):
                     small_spec(**{field: bad})
+
+    @pytest.mark.parametrize(
+        "start, n_days", [(date(9999, 12, 30), 5), (date(9999, 12, 29), 3), (date.max, 1), (date.min, 1)]
+    )
+    def test_calendar_keeps_off_its_first_and_last_day(self, start, n_days):
+        with pytest.raises(ValueError, match="every day must lie strictly between 0001-01-01 and 9999-12-31"):
+            small_spec(start_date=start, n_days=n_days)
+
+    @pytest.mark.parametrize("start, n_days", [(date(9999, 12, 28), 3), (date(1, 1, 2), 3)])
+    def test_corpus_at_the_calendar_edges_parses(self, start, n_days):
+        lines = [record_to_json(r) for r in iter_records(small_spec(start_date=start, n_days=n_days, mean_rate=3.0))]
+        assert lines
+        for line_no, line in enumerate(lines, 1):
+            parse_record(line, line_no)
 
     def test_drift_sorted_and_mix_for_day(self):
         spec = small_spec(
@@ -178,6 +195,113 @@ class TestGenerator:
         out = io.StringIO()
         n = write_corpus(spec, out)
         assert n == len(out.getvalue().splitlines()) == len(list(iter_records(spec)))
+
+
+def reference_user_records(spec, index):
+    """The generator walked day by day over the whole calendar, reading numpy scalars by index.
+
+    The reference for ``synth._user_records``, which visits only the days
+    with tweets: both make the same draws in the same order, so their
+    records must be equal.
+    """
+    stances, rate, is_bot = synth._user_params(spec, index)
+    uid = synth._user_id(index)
+    rng = np.random.default_rng((spec.rng_seed, index, 1))
+    starts = synth._phase_starts(spec)
+
+    if is_bot:
+        camp = stances[0]
+        tag = synth._SEED_LISTS[camp][0] if synth._SEED_LISTS[camp] else None
+        name = synth._NAME_REFS[int(rng.integers(0, len(synth._NAME_REFS)))]
+        text = f"{name} vota vota" + (f" #{tag}" if tag else "")
+        seq = 0
+        for day in range(1, spec.n_days + 1):
+            seconds = np.sort(rng.integers(0, 86400, spec.bot_rate))
+            for s in seconds:
+                created = datetime.combine(
+                    spec.start_date + timedelta(days=day - 1), datetime.min.time(), tzinfo=synth._UTC
+                ) + timedelta(seconds=int(s))
+                yield TweetRecord(f"s{index}-{seq}", uid, created, text, [tag] if tag else [])
+                seq += 1
+        return
+
+    daily = rng.poisson(rate, spec.n_days)
+    total = int(daily.sum())
+    if total == 0:
+        return
+    seconds = rng.integers(0, 86400, total)
+    against = rng.random(total) < spec.crosstalk
+    word_a = rng.integers(0, spec.vocab_size, total)
+    word_b = rng.integers(0, spec.vocab_size, total)
+    common = rng.integers(0, spec.common_vocab_size, total)
+    name_pick = rng.integers(0, len(synth._NAME_REFS), total)
+    seeded = rng.random(total) < spec.seed_rate
+    seed_u = rng.random(total)
+
+    phase = 0
+    seq = 0
+    for day in range(1, spec.n_days + 1):
+        while phase + 1 < len(starts) and day >= starts[phase + 1]:
+            phase += 1
+        own = stances[phase]
+        midnight = datetime.combine(
+            spec.start_date + timedelta(days=day - 1), datetime.min.time(), tzinfo=synth._UTC
+        )
+        for _ in range(int(daily[day - 1])):
+            camp = own
+            if against[seq] and own != "third":
+                camp = "mp" if own == "ff" else "ff"
+            tokens = [
+                synth._NAME_REFS[int(name_pick[seq])],
+                f"{camp}word{int(word_a[seq]):02d}",
+                f"{camp}word{int(word_b[seq]):02d}",
+                f"comun{int(common[seq]):02d}",
+            ]
+            tags = []
+            if seeded[seq] and synth._SEED_LISTS[camp]:
+                tag = synth._SEED_LISTS[camp][int(seed_u[seq] * len(synth._SEED_LISTS[camp]))]
+                tokens.append(f"#{tag}")
+                tags.append(tag)
+            yield TweetRecord(
+                f"s{index}-{seq}", uid, midnight + timedelta(seconds=int(seconds[seq])), " ".join(tokens), tags
+            )
+            seq += 1
+
+
+@st.composite
+def electorates(draw):
+    n_days = draw(st.integers(1, 400))
+    drift_days = set()
+    if n_days >= 2:
+        drift_days = draw(st.sets(st.sampled_from(sorted({2, n_days, (n_days + 2) // 2})), max_size=3))
+    mixes = st.sampled_from([(0.475, 0.309, 0.216), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.2, 0.6, 0.2)])
+    return ElectorateSpec(
+        n_users=draw(st.integers(0, 30)),
+        n_days=n_days,
+        mix=draw(mixes),
+        mean_rate=draw(st.sampled_from([0.0005, 0.01, 0.2, 1.0, 3.0])),
+        rate_shape=draw(st.sampled_from([0.3, 2.0])),
+        crosstalk=draw(st.sampled_from([0.0, 0.05, 0.4999])),
+        seed_rate=draw(st.sampled_from([0.0, 0.6, 1.0])),
+        bot_fraction=draw(st.sampled_from([0.0, 0.0, 0.1, 0.34])),
+        bot_rate=draw(st.sampled_from([0, 1, 7, 13])),
+        drift=tuple((day, draw(mixes)) for day in sorted(drift_days)),
+        start_date=draw(st.sampled_from([date(2019, 3, 1), date(2020, 2, 28), date(9998, 12, 1)])),
+        rng_seed=draw(st.integers(0, 2**32)),
+    )
+
+
+class TestAgainstTheDayByDayReference:
+    @settings(max_examples=40, deadline=None)
+    @given(spec=electorates())
+    @example(spec=ElectorateSpec(n_users=30, n_days=400, mean_rate=3.0, drift=((2, (0.2, 0.6, 0.2)), (400, (1.0, 0.0, 0.0)))))
+    @example(spec=ElectorateSpec(n_users=12, n_days=9, mean_rate=0.0005, bot_fraction=0.25, bot_rate=0, crosstalk=0.4999))
+    def test_records_and_corpus_text_equal_the_reference(self, spec):
+        expected = [r for index in range(spec.n_users) for r in reference_user_records(spec, index)]
+        assert list(iter_records(spec)) == expected
+        out = io.StringIO()
+        assert write_corpus(spec, out) == len(expected)
+        assert out.getvalue() == "".join(record_to_json(r) + "\n" for r in expected)
 
 
 class TestOracle:
