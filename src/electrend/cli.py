@@ -11,6 +11,10 @@ Exit codes (the README lists the cases of each):
 - 3: an input cannot be read or an output cannot be written;
 - 4: data error.
 
+Every file a stage reads (the corpus, its meta sidecar, and each file a
+flag names) is read under one rule, :func:`_reading`, which reports a
+fault with the input's manifest label and path.
+
 Logs go to standard error with a ``LEVEL name:`` prefix; every run
 writes a JSON manifest beside its primary output recording inputs (with
 digests), effective parameters, argv and ``metrics``, what the run found,
@@ -33,9 +37,11 @@ import math
 import os
 import sys
 import tempfile
+import zlib
 from collections import Counter
 from contextlib import closing, contextmanager, suppress
 from datetime import date
+from itertools import chain
 from typing import Callable, Iterator, Sequence
 
 # numpy and the trend, synth and hashtags modules are imported by the
@@ -81,58 +87,56 @@ class CliError(Exception):
 # -- small IO helpers ---------------------------------------------------
 
 
-def _load_meta(corpus_path: str, run: manifest.RunManifest | None = None) -> dict | None:
-    """The meta sidecar of a corpus, None if there is none; ``run`` lists it as input ``meta``.
+@contextmanager
+def _reading(label: str, path: str) -> Iterator[None]:
+    """The one rule for a fault in reading input ``label`` (as the manifest lists it) from ``path``.
 
-    One that cannot be read is an input error, and a damaged one, or one of
-    another format version, a data error.
+    A read error (a damaged gzip stream too) is an input error, a malformed
+    line a data error naming ``path:line``, and any other ``ValueError``,
+    ``KeyError``, ``TypeError`` or ``RecursionError`` (JSON nested too
+    deeply) a data error naming the input. Only reading and parsing go
+    inside: a write raises ``OSError`` too.
     """
+    try:
+        yield
+    except ParseError as exc:
+        raise CliError(EXIT_DATA, f"{path}:{exc.line_no}: {exc.reason}") from None
+    except (OSError, EOFError, zlib.error) as exc:
+        raise CliError(EXIT_INPUT, f"cannot read {label} {path}: {exc}") from None
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise CliError(EXIT_DATA, f"bad {label} {path}: {exc}") from None
+
+
+def _load_meta(corpus_path: str, run: manifest.RunManifest | None = None) -> dict | None:
+    """The meta sidecar of a corpus, None if there is none; ``run`` lists it as input ``meta``."""
     path = corpus_path + ".meta.json"
-    try:
-        with open(path, encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except FileNotFoundError:
+    if not os.path.exists(path):
         return None
-    except OSError as exc:
-        raise CliError(EXIT_INPUT, f"cannot read meta sidecar {path}: {exc}") from None
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise CliError(EXIT_DATA, f"bad meta sidecar {path}: {exc}") from None
-    if not isinstance(meta, dict):
-        raise CliError(EXIT_DATA, f"bad meta sidecar {path}: not a JSON object")
-    if meta.get("meta_version") != META_FORMAT_VERSION:
-        raise CliError(EXIT_DATA, f"bad meta sidecar {path}: meta_version is not {META_FORMAT_VERSION}")
-    try:
+    with _reading("meta", path), open(path, encoding="utf-8") as fh:
+        meta = json.load(fh)
+        if not isinstance(meta, dict):
+            raise ValueError("not a JSON object")
+        if meta.get("meta_version") != META_FORMAT_VERSION:
+            raise ValueError(f"meta_version is not {META_FORMAT_VERSION}")
         if meta.get("origin_date"):
-            date.fromisoformat(meta["origin_date"])
-    except (TypeError, ValueError):
-        raise CliError(EXIT_DATA, f"bad meta sidecar {path}: origin_date is not a date") from None
+            date.fromisoformat(meta["origin_date"])  # else a TypeError or ValueError
     if run is not None:
         run.add_input("meta", path)
     return meta
 
 
 class _Corpus:
-    """The lines of a pipeline-internal corpus, decoded with ``decode`` as they are iterated.
+    """The lines of a pipeline-internal corpus, read under :func:`_reading` as ``corpus``.
 
-    A malformed line is a data error naming ``path:line``, a read error is
-    an input error, and a corpus without records is a data error once the
-    read ends. ``records`` counts the lines read so far.
+    A corpus without records is a data error once the read ends. ``records``
+    counts the lines read so far.
     """
 
-    def __init__(self, path: str, decode: Callable = parse_record):
+    def __init__(self, path: str):
         self.path = path
-        self.decode = decode
         self.records = 0
 
-    def __iter__(self) -> Iterator:
-        decode = self.decode
-        with self._errors():
-            for line_no, line in iter_lines(self.path):
-                item = decode(line, line_no)
-                self.records += 1
-                yield item
-
-    def chunks(self, fn: Callable[[list], object], workers: int) -> Iterator:
+    def chunks(self, fn: Callable[[list], object], workers: int = 1) -> Iterator:
         """``fn`` of each chunk of ``(line_no, line)`` pairs, in line order, on ``workers`` processes (see ``map_chunks``).
 
         ``fn`` raises :class:`ParseError` for a malformed line.
@@ -143,17 +147,8 @@ class _Corpus:
                 self.records += 1
                 yield item
 
-        with self._errors(), closing(map_chunks(fn, counted(), workers)) as results:
+        with _reading("corpus", self.path), closing(map_chunks(fn, counted(), workers)) as results:
             yield from results
-
-    @contextmanager
-    def _errors(self) -> Iterator[None]:
-        try:
-            yield
-        except ParseError as exc:
-            raise CliError(EXIT_DATA, f"{self.path}:{exc.line_no}: {exc.reason}") from None
-        except OSError as exc:
-            raise CliError(EXIT_INPUT, f"cannot read corpus {self.path}: {exc}") from None
         if not self.records:
             raise CliError(EXIT_DATA, f"corpus {self.path} contains no records")
 
@@ -219,44 +214,17 @@ def _t0_to_day(token: str, origin: date | None, n_days: int, flag: str = "--t0")
     return day
 
 
-def _side_lines(path: str) -> Iterator[tuple[int, str]]:
-    """Non-blank, non-comment lines of a side file; a line that is not UTF-8 is a data error."""
-    try:
-        yield from iter_text_lines(path)
-    except ValueError as exc:
-        raise CliError(EXIT_DATA, str(exc)) from None
-
-
 def _load_pairs(path: str, header: tuple[str, str]) -> dict[str, str]:
     """Two-column CSV as a dict, skipping blank and '#' lines and a first other line equal to ``header``."""
     pairs = {}
-    for i, (line_no, line) in enumerate(_side_lines(path)):
+    for i, (line_no, line) in enumerate(iter_text_lines(path)):
         parts = [p.strip() for p in line.split(",")]
         if i == 0 and tuple(parts[:2]) == header:
             continue
         if len(parts) != 2:
-            raise CliError(EXIT_DATA, f"{path}:{line_no}: expected '{header[0]},{header[1]}'")
+            raise ParseError(f"expected '{header[0]},{header[1]}'", line_no)
         pairs[parts[0]] = parts[1]
     return pairs
-
-
-def _load_weights_file(path: str) -> dict[str, float]:
-    weights = {}
-    for stratum, weight in _load_pairs(path, ("stratum", "weight")).items():
-        try:
-            weights[stratum] = float(weight)
-        except ValueError:
-            raise CliError(EXIT_DATA, f"{path}: bad weight {weight!r} for stratum {stratum!r}") from None
-    return weights
-
-
-def _load_spec(path: str):
-    from . import synth
-
-    try:
-        return synth.ElectorateSpec.load(path)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliError(EXIT_DATA, f"bad spec file: {exc}") from None
 
 
 # The flags that name a file a stage reads, and the label the manifest lists each under.
@@ -351,11 +319,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     with _stage(args) as run:
         queries = QuerySet.default()
         if args.queries_file:
-            lines = [line for _, line in _side_lines(args.queries_file)]
-            try:
-                queries = QuerySet.from_strings(lines)
-            except ValueError as exc:
-                raise CliError(EXIT_DATA, f"bad queries file {args.queries_file}: {exc}") from None
+            with _reading("queries", args.queries_file):
+                queries = QuerySet.from_strings([line for _, line in iter_text_lines(args.queries_file)])
         bots = botfilter.BotConfig(
             args.bot_rate_cap, args.bot_dup_cap, args.bot_gap_floor, threshold=args.bot_threshold
         )
@@ -391,19 +356,20 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 # -- train / classify ---------------------------------------------------
 
 
+def _records(lines: list) -> list:
+    """The records of a chunk of ``(line_no, line)`` pairs."""
+    return [parse_record(line, line_no) for line_no, line in lines]
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     def count(lines: list) -> stance.SeedCounts:
-        return stance.count_seeded((parse_record(line, line_no) for line_no, line in lines), seeds)
+        return stance.count_seeded(_records(lines), seeds)
 
     with _stage(args) as run:
         seeds = stance.DEFAULT_SEEDS
         if args.seeds:
-            try:
+            with _reading("seeds", args.seeds):
                 seeds = stance.load_seeds_file(args.seeds)
-            except OSError as exc:
-                raise CliError(EXIT_INPUT, f"cannot read seeds file: {exc}") from None
-            except ValueError as exc:
-                raise CliError(EXIT_DATA, str(exc)) from None
         corpus = _Corpus(args.input)
         counts = stance.SeedCounts()
         for part in corpus.chunks(count, usable_cpus()):
@@ -427,10 +393,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     workers = args.workers or usable_cpus()
     counts: Counter = Counter()
     with _stage(args) as run:
-        try:
+        with _reading("model", args.model):
             model = stance.LexiconModel.load(args.model)
-        except (ValueError, KeyError) as exc:
-            raise CliError(EXIT_DATA, f"bad model file: {exc}") from None
         meta = _load_meta(args.input, run)
         with run.open("labeled_corpus") as out:
             for tally, text in _Corpus(args.input).chunks(label, workers):
@@ -463,19 +427,22 @@ def _load_table(path: str, origin_date: date | None = None, run: manifest.RunMan
         run.parameters["origin_date"] = origin.isoformat()
     last_day = (date.max - origin).days + 1 if origin else date.max.toordinal()  # the largest t a date can have
 
-    def decode(line: str, line_no: int) -> tuple[str, int, str]:
-        user, day, stance = parse_label(line, line_no)
-        if stance is None:
-            raise ParseError("no stance label; run the classify subcommand first", line_no)
-        if day is None:
-            raise ParseError("no day index 't'; run the ingest subcommand first", line_no)
-        if day < 1:
-            raise ParseError(f"day index must be >= 1, got {day}", line_no)
-        if day > last_day:
-            raise ParseError(f"day index must be <= {last_day}, got {day}", line_no)
-        return user, day, stance
+    def decode(lines: list) -> list[tuple[str, int, str]]:
+        tweets = []
+        for line_no, line in lines:
+            user, day, stance = parse_label(line, line_no)
+            if stance is None:
+                raise ParseError("no stance label; run the classify subcommand first", line_no)
+            if day is None:
+                raise ParseError("no day index 't'; run the ingest subcommand first", line_no)
+            if day < 1:
+                raise ParseError(f"day index must be >= 1, got {day}", line_no)
+            if day > last_day:
+                raise ParseError(f"day index must be <= {last_day}, got {day}", line_no)
+            tweets.append((user, day, stance))
+        return tweets
 
-    return trend.CounterTable(_Corpus(path, decode)), origin, meta
+    return trend.CounterTable(chain.from_iterable(_Corpus(path).chunks(decode))), origin, meta
 
 
 def cmd_trend(args: argparse.Namespace) -> int:
@@ -487,11 +454,11 @@ def cmd_trend(args: argparse.Namespace) -> int:
         table, origin, _ = _load_table(args.input, args.origin_date, run)
         weights = None
         if args.weights_file:
-            strata = _load_pairs(args.strata_file, ("user_id", "stratum"))
-            try:
-                weights = trend.user_weights(table.users, _load_weights_file(args.weights_file), strata)
-            except ValueError as exc:
-                raise CliError(EXIT_DATA, f"{args.weights_file}: {exc}") from None
+            with _reading("strata", args.strata_file):
+                strata = _load_pairs(args.strata_file, ("user_id", "stratum"))
+            with _reading("weights", args.weights_file):
+                pairs = _load_pairs(args.weights_file, ("stratum", "weight"))
+                weights = trend.user_weights(table.users, {s: float(w) for s, w in pairs.items()}, strata)
         start_day = _t0_to_day(args.t0, origin, table.n_days) if args.t0 and args.mode == "cumulative" else 1
         columns = trend.series(table, args.mode, args.window, start_day, origin, weights, not args.exclude_undecided)
         with run.open("trend_csv", newline="") as fh:
@@ -534,7 +501,7 @@ def cmd_hashtags(args: argparse.Namespace) -> int:
     from . import hashtags
 
     with _stage(args) as run:
-        counts = hashtags.TagCounts(_Corpus(args.input, parse_record), args.dedup_users)
+        counts = hashtags.TagCounts(chain.from_iterable(_Corpus(args.input).chunks(_records)), args.dedup_users)
         graph = counts.graph(args.min_count)
         partition = None
         if graph.nodes:
@@ -569,7 +536,8 @@ def _spec_from_args(args: argparse.Namespace):
     from . import synth
 
     if args.spec:
-        return _load_spec(args.spec)
+        with _reading("spec", args.spec):
+            return synth.ElectorateSpec.load(args.spec)
     if args.users is None or args.days is None:
         raise CliError(EXIT_USAGE, "need either --spec or both --users and --days")
     drift = []
@@ -583,36 +551,37 @@ def _spec_from_args(args: argparse.Namespace):
                 drift.append((int(day_token), _parse_mix(mix_token)))
             except ValueError:
                 raise CliError(EXIT_USAGE, f"bad drift entry {part!r}") from None
-    try:
-        return synth.ElectorateSpec(
-            n_users=args.users,
-            n_days=args.days,
-            mix=_parse_mix(args.mix),
-            mean_rate=args.mean_rate,
-            rate_shape=args.rate_shape,
-            crosstalk=args.crosstalk,
-            seed_rate=args.seed_rate,
-            bot_fraction=args.bot_fraction,
-            bot_rate=args.bot_rate,
-            drift=tuple(drift),
-            start_date=args.start_date,
-            rng_seed=args.seed,
-        )
-    except ValueError as exc:
-        raise CliError(EXIT_DATA, f"invalid electorate spec: {exc}") from None
+    return synth.ElectorateSpec(
+        n_users=args.users,
+        n_days=args.days,
+        mix=_parse_mix(args.mix),
+        mean_rate=args.mean_rate,
+        rate_shape=args.rate_shape,
+        crosstalk=args.crosstalk,
+        seed_rate=args.seed_rate,
+        bot_fraction=args.bot_fraction,
+        bot_rate=args.bot_rate,
+        drift=tuple(drift),
+        start_date=args.start_date,
+        rng_seed=args.seed,
+    )
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
     from . import synth
 
     with _stage(args) as run:
-        spec = _spec_from_args(args)
+        try:
+            spec = _spec_from_args(args)
+            truth = synth.ground_truth(spec)  # draws every user's rate, so one numpy cannot draw fails before any write
+        except ValueError as exc:
+            raise CliError(EXIT_DATA, f"invalid electorate spec: {exc}") from None
         if spec.n_users == 0:
             raise CliError(EXIT_DATA, "invalid electorate spec: need n_users >= 1")
         with run.open("corpus") as fh:
             n = synth.write_corpus(spec, fh)
         with run.open("truth", newline="") as fh:
-            synth.ground_truth(spec).write_csv(fh)
+            truth.write_csv(fh)
         with run.open("spec_echo") as fh:
             spec.save(fh)
         run.metrics = {"run_id": spec.run_id, "n_users": spec.n_users, "n_bots": spec.n_bots, "n_days": spec.n_days, "records": n}
@@ -651,7 +620,8 @@ def _validate(args: argparse.Namespace, workdir: str) -> int:
     from . import synth, trend
 
     if args.spec:
-        spec = _load_spec(args.spec)
+        with _reading("spec", args.spec):
+            spec = synth.ElectorateSpec.load(args.spec)
     else:
         spec = synth.ElectorateSpec(n_users=6000, n_days=40)
 

@@ -590,13 +590,13 @@ def map_chunks(fn: Callable[[list], object], lines: Iterable[tuple[int, str]], w
 def iter_text_lines(path: str) -> Iterator[tuple[int, str]]:
     """(line_no, line) of a small text file, skipping blank and ``#`` comment lines.
 
-    A line that is not UTF-8 raises ``ValueError`` naming ``path:line_no``.
+    A line that is not UTF-8 raises :class:`ParseError`.
     """
     for line_no, line in iter_lines(path):
         if line.startswith("#"):
             continue
         if not _is_utf8(line):
-            raise ValueError(f"{path}:{line_no}: invalid UTF-8")
+            raise ParseError("invalid UTF-8", line_no)
         yield line_no, line
 
 

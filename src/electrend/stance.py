@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
-from .ingest import TweetRecord, iter_text_lines, open_text
+from .ingest import ParseError, TweetRecord, iter_text_lines, open_text
 
 __all__ = [
     "Stance",
@@ -296,14 +296,17 @@ def train_from_seeds(
 
 
 def load_seeds_file(path: str) -> dict[str, str]:
-    """Read a seeds file: one ``camp tag`` pair per line; lines starting with '#' are comments."""
+    """Read a seeds file: one ``camp tag`` pair per line; lines starting with '#' are comments.
+
+    A malformed line raises :class:`ParseError`.
+    """
     seeds: dict[str, str] = {}
     for line_no, line in iter_text_lines(path):
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"{path}:{line_no}: expected 'camp tag', got {line!r}")
+            raise ParseError(f"expected 'camp tag', got {line!r}", line_no)
         camp, tag = parts
         if camp.lower() not in CAMPS:
-            raise ValueError(f"{path}:{line_no}: unknown camp {camp!r}, expected one of {', '.join(CAMPS)}")
+            raise ParseError(f"unknown camp {camp!r}, expected one of {', '.join(CAMPS)}", line_no)
         seeds[tag.lower().lstrip("#")] = camp.lower()
     return seeds

@@ -67,6 +67,9 @@ _NAME_REFS = ("macri", "cfk", "kirchner", "lavagna", "pichetto", "alferdez")
 
 _UTC = timezone.utc
 
+# The largest mean numpy's Generator.poisson accepts.
+_POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
+
 # Each camp's default seed tags, sorted; a seeded synthetic tweet carries one.
 _SEED_LISTS = {camp: sorted(t for t, c in DEFAULT_SEEDS.items() if c == camp) for camp in _CAMPS}
 
@@ -224,7 +227,8 @@ def _user_params(spec: ElectorateSpec, index: int) -> tuple[list[str], float, bo
     """(stance per phase, tweets/day rate, is_bot) for one user.
 
     Drawn from a dedicated substream so ground truth is computable without
-    generating any tweets.
+    generating any tweets. A rate that numpy cannot draw tweets from is a
+    ``ValueError``.
     """
     rng = np.random.default_rng((spec.rng_seed, index, 0))
     stances = []
@@ -241,6 +245,8 @@ def _user_params(spec: ElectorateSpec, index: int) -> tuple[list[str], float, bo
         rate = float(spec.bot_rate)
     else:
         rate = float(rng.gamma(spec.rate_shape, spec.mean_rate / spec.rate_shape))
+        if not rate <= _POISSON_LAM_MAX:  # too large, or NaN from an infinite gamma scale
+            raise ValueError(f"user {_user_id(index)} draws a rate of {rate} tweets a day, which numpy cannot draw from")
     return stances, rate, is_bot
 
 

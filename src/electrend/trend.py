@@ -338,10 +338,11 @@ def _weighted_tally(
 ) -> np.ndarray:
     """Per-day weighted category sums from change points, shape (horizon + 1, N_CODES).
 
-    The per-user codes are kept day by day, and each category touched on a
-    day is summed again: its users' weights added in sorted-user order from
-    0.0, so a plain loop over the day's verdicts in that order gives the
-    same floats.
+    The per-user codes are kept day by day, and on each day with a change
+    every category is summed again by one ``bincount``: its users' weights
+    added in sorted-user order from 0.0, so a plain loop over the day's
+    verdicts in that order gives the same floats. The ``CODE_NONE`` column
+    holds the weight of the users in no category, which no series reads.
     """
     codes = np.full(len(weights), CODE_NONE, dtype=np.int8)
     sums = np.zeros(N_CODES)
@@ -351,10 +352,8 @@ def _weighted_tally(
     for d in range(horizon + 1):
         changed = order[bounds[d] : bounds[d + 1]]
         if len(changed):
-            touched = np.bincount(codes[user[changed]], minlength=N_CODES) + np.bincount(after[changed], minlength=N_CODES)
             codes[user[changed]] = after[changed]
-            for code in np.flatnonzero(touched[CODE_MP:]) + CODE_MP:
-                sums[code] = np.cumsum(np.append(0.0, weights[codes == code]))[-1]
+            sums = np.bincount(codes, weights=weights, minlength=N_CODES)
         tally[d] = sums
     return tally
 

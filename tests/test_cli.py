@@ -165,14 +165,15 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "model",
         ["[1,2]", '{"format_version": 1, "seed_tags": {"a": "ff"}, "term_weights": {"x": 5}}',
-         '{"format_version": 1, "seed_tags": {"a": "ff"}, "term_weights": {"x": {"ff": NaN}}}'],
-        ids=["list", "number-weights", "nan-weight"],
+         '{"format_version": 1, "seed_tags": {"a": "ff"}, "term_weights": {"x": {"ff": NaN}}}',
+         '{"format_version": 1, "seed_tags": [1, 2]}', '{"format_version": 1, "seed_tags": {"a": "ff"}, "smoothing": null}'],
+        ids=["list", "number-weights", "nan-weight", "seed-tags-list", "null-smoothing"],
     )
     def test_malformed_model_file(self, model, pipeline, tmp_path):
         (tmp_path / "model.json").write_text(model)
         result = run_cli(["classify", pipeline.clean, "-o", "out.jsonl", "--model", "model.json", "--workers", "1"], tmp_path)
         assert result.returncode == 4, result.stderr
-        assert "bad model file: " in result.stderr
+        assert "bad model model.json: " in result.stderr
         assert "Traceback" not in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
@@ -374,7 +375,7 @@ class TestBadCalendar:
         result = run_cli([stage, "in.jsonl", "-o", "out", *extra.get(stage, [])], tmp_path)
         assert result.returncode == 4, result.stderr
         assert "Traceback" not in result.stderr
-        assert "bad meta sidecar in.jsonl.meta.json" in result.stderr
+        assert "bad meta in.jsonl.meta.json: " in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "in.jsonl.meta.json"]
 
 
@@ -386,7 +387,7 @@ class TestBadCalendar:
         result = run_cli([stage, "in.jsonl", "-o", "out", *extra.get(stage, [])], tmp_path)
         assert result.returncode == 3, result.stderr
         assert "Traceback" not in result.stderr
-        assert "cannot read meta sidecar in.jsonl.meta.json" in result.stderr
+        assert "cannot read meta in.jsonl.meta.json: " in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "in.jsonl.meta.json"]
 
     @pytest.mark.parametrize("stage", ("classify", "trend", "sweep"))
@@ -397,7 +398,7 @@ class TestBadCalendar:
         extra = {"classify": ["--model", pipeline.model, "--workers", "1"], "sweep": ["--t0-list", "1"]}
         result = run_cli([stage, "in.jsonl", "-o", "out", *extra.get(stage, [])], tmp_path)
         assert result.returncode == 4, result.stderr
-        assert "bad meta sidecar in.jsonl.meta.json: meta_version is not 1" in result.stderr
+        assert "bad meta in.jsonl.meta.json: meta_version is not 1" in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "in.jsonl.meta.json"]
 
 
@@ -828,6 +829,75 @@ class TestSideFiles:
         assert f"{flag[2:]}.txt:2: invalid UTF-8" in result.stderr
         assert "Traceback" not in result.stderr
         assert not (tmp_path / "out").exists()
+
+
+class TestInputFaults:
+    """Every input a stage reads, missing, a directory or of bad content, under the one read rule.
+
+    A missing file or a directory cannot be read: exit 3, naming the input's
+    manifest label and path. Bad content is a data error: exit 4, naming the
+    label and path, or the path and line of a malformed line. Each leaves
+    only its inputs behind and prints no traceback.
+    """
+
+    # label -> (argv, with {} for the input's path; the file the input is read from; bad content; its message)
+    INPUTS = {
+        "model": (["classify", "in.jsonl", "--model", "{}", "--workers", "1"], "m.json", "not json",
+                  "bad model m.json: Expecting value: line 1 column 1 (char 0)"),
+        "seeds": (["train", "in.jsonl", "--seeds", "{}"], "s.txt", "ff\n", "s.txt:1: expected 'camp tag', got 'ff'"),
+        "queries": (["ingest", "in.jsonl", "--queries-file", "{}"], "q.txt", "# none\n",
+                    "bad queries q.txt: query set must contain at least one query"),
+        "strata": (["trend", "in.jsonl", "--weights-file", "w.csv", "--strata-file", "{}"], "st.csv", "u1,A,B\n",
+                   "st.csv:1: expected 'user_id,stratum'"),
+        "weights": (["trend", "in.jsonl", "--strata-file", "st.csv", "--weights-file", "{}"], "w.csv", "A,heavy\n",
+                    "bad weights w.csv: could not convert string to float: 'heavy'"),
+        "spec": (["synth", "--spec", "{}"], "sp.json", '{"spec_version": 2}', "bad spec sp.json: unsupported spec version: 2"),
+        "meta": (["trend", "in.jsonl"], "in.jsonl.meta.json", '["x"]', "bad meta in.jsonl.meta.json: not a JSON object"),
+    }
+    # A missing meta sidecar is no fault: the corpus then has no calendar. "nested" is JSON nested too deeply.
+    CASES = [(label, fault) for label, (_, name, *_) in INPUTS.items() for fault in ("missing", "directory", "bad", "nested")
+             if (label, fault) != ("meta", "missing") and (fault != "nested" or name.endswith(".json"))]
+
+    def run(self, label, content, pipeline, tmp_path, name=None):
+        """The stage that reads input ``label`` from ``name`` holding ``content``: bytes, None for no file, or a directory."""
+        argv, default, *_ = self.INPUTS[label]
+        name = name or default
+        stage = argv[0]
+        corpus = {"ingest": pipeline.raw, "train": pipeline.clean, "classify": pipeline.clean}.get(stage, pipeline.labeled)
+        if stage != "synth":
+            shutil.copy(corpus, tmp_path / "in.jsonl")
+        if stage == "trend":
+            (tmp_path / "w.csv").write_text("stratum,weight\nA,2\n")
+            (tmp_path / "st.csv").write_text("user_id,stratum\nu000001,A\n")
+        (tmp_path / name).unlink(missing_ok=True)
+        if content is dir:
+            (tmp_path / name).mkdir()
+        elif content is not None:
+            (tmp_path / name).write_bytes(content)
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        result = run_cli([arg.format(name) for arg in argv] + ["-o", "out"], tmp_path)
+        assert "Traceback" not in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+        return result
+
+    @pytest.mark.parametrize("label, fault", CASES, ids=[f"{label}-{fault}" for label, fault in CASES])
+    def test_exit_code_names_the_input(self, label, fault, pipeline, tmp_path):
+        _, name, bad, message = self.INPUTS[label]
+        content = {"missing": None, "directory": dir, "bad": bad.encode(), "nested": b"[" * 100_000}[fault]
+        result = self.run(label, content, pipeline, tmp_path)
+        assert result.returncode == (3 if fault in ("missing", "directory") else 4), result.stderr
+        if fault == "bad":
+            assert result.stderr == f"ERROR electrend: {message}\n"
+        elif fault == "nested":
+            assert result.stderr.startswith(f"ERROR electrend: bad {label} {name}: maximum recursion depth exceeded")
+        else:
+            assert f"ERROR electrend: cannot read {label} {name}: [Errno {21 if fault == 'directory' else 2}] " in result.stderr
+
+    def test_damaged_gzip_model_exits_3(self, pipeline, tmp_path):
+        packed = gzip.compress(Path(pipeline.model).read_bytes())
+        result = self.run("model", packed[: len(packed) // 2], pipeline, tmp_path, name="m.json.gz")
+        assert result.returncode == 3, result.stderr
+        assert result.stderr.startswith("ERROR electrend: cannot read model m.json.gz: Compressed file ended")
 
 
 class TestStartup:
@@ -1558,10 +1628,11 @@ class TestSynthCommand:
          ["--users", "5", "--seed", "-1"], ["--users", "5", "--crosstalk", "nan"], ["--users", "5", "--seed-rate", "inf"],
          ["--users", "20", "--bot-fraction", "nan"], ["--users", "5", "--mean-rate", "1e309"],
          ["--users", "3", "--start-date", "9999-12-30", "--mean-rate", "2"], ["--users", "5", "--start-date", "9999-12-29"],
-         ["--users", "5", "--start-date", "0001-01-01"]],
+         ["--users", "5", "--start-date", "0001-01-01"], ["--users", "3", "--mean-rate", "1e308"],
+         ["--users", "3", "--mean-rate", "1e300", "--rate-shape", "1e-10"]],
         ids=["no-users", "nan-rate", "inf-rate", "nan-shape", "nan-mix", "nan-drift", "negative-bot-rate", "negative-seed",
              "nan-crosstalk", "inf-seed-rate", "nan-bot-fraction", "overflow-rate",
-             "past-the-calendar", "calendar-last-day", "calendar-first-day"],
+             "past-the-calendar", "calendar-last-day", "calendar-first-day", "rate-past-poisson", "rate-nan-from-scale"],
     )
     def test_bad_spec_flags_exit_4(self, flags, tmp_path):
         result = run_cli(["synth", "-o", "c.jsonl", "--days", "3", *flags], tmp_path)
@@ -1586,7 +1657,7 @@ class TestSynthCommand:
         result = run_cli(["synth", "-o", "c.jsonl", "--spec", "s.json"], tmp_path)
         assert result.returncode == 4, result.stderr
         assert "Traceback" not in result.stderr
-        assert "bad spec file: rng_seed must be an integer >= 0" in result.stderr
+        assert "bad spec s.json: rng_seed must be an integer >= 0" in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
     def test_gzip_corpus_accepted_downstream(self, tmp_path):

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from electrend.ingest import AtomicFiles
+from electrend.ingest import AtomicFiles, ParseError
 from electrend.stance import (
     CANDIDATE_HANDLES,
     DEFAULT_SEEDS,
@@ -63,8 +63,9 @@ class TestSeeds:
     def test_seeds_file_unknown_camp_names_the_line(self, tmp_path):
         path = tmp_path / "seeds.txt"
         path.write_text("ff fuerzacristina\ngreen #verde\n")
-        with pytest.raises(ValueError, match=r"seeds.txt:2: unknown camp 'green'"):
+        with pytest.raises(ParseError, match=r"^line 2: unknown camp 'green'") as caught:
             load_seeds_file(str(path))
+        assert caught.value.line_no == 2
 
 
 class TestClassifyTweet:

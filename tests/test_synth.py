@@ -67,6 +67,14 @@ class TestSpec:
         with pytest.raises(ValueError, match="every day must lie strictly between 0001-01-01 and 9999-12-31"):
             small_spec(start_date=start, n_days=n_days)
 
+    @pytest.mark.parametrize("rates", [{"mean_rate": 1e308}, {"mean_rate": 1e300, "rate_shape": 1e-10}], ids=["large", "nan"])
+    def test_a_rate_numpy_cannot_draw_is_refused(self, rates):
+        spec = small_spec(n_users=3, **rates)
+        refusal = r"^user u000000 draws a rate of (inf|nan|[0-9.e+]+) tweets a day, which numpy cannot draw from$"
+        for generate in (ground_truth, lambda s: list(iter_records(s))):
+            with pytest.raises(ValueError, match=refusal):
+                generate(spec)
+
     @pytest.mark.parametrize("start, n_days", [(date(9999, 12, 28), 3), (date(1, 1, 2), 3)])
     def test_corpus_at_the_calendar_edges_parses(self, start, n_days):
         lines = [record_to_json(r) for r in iter_records(small_spec(start_date=start, n_days=n_days, mean_rate=3.0))]
@@ -286,7 +294,8 @@ def electorates(draw):
         bot_fraction=draw(st.sampled_from([0.0, 0.0, 0.1, 0.34])),
         bot_rate=draw(st.sampled_from([0, 1, 7, 13])),
         drift=tuple((day, draw(mixes)) for day in sorted(drift_days)),
-        start_date=draw(st.sampled_from([date(2019, 3, 1), date(2020, 2, 28), date(9998, 12, 1)])),
+        # the last start ends every drawn length on 9999-12-30, the calendar's last day a corpus may use
+        start_date=draw(st.sampled_from([date(2019, 3, 1), date(2020, 2, 28), date.max - timedelta(days=n_days)])),
         rng_seed=draw(st.integers(0, 2**32)),
     )
 
