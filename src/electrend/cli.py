@@ -92,10 +92,10 @@ def _reading(label: str, path: str) -> Iterator[None]:
     """The one rule for a fault in reading input ``label`` (as the manifest lists it) from ``path``.
 
     A read error (a damaged gzip stream too) is an input error, a malformed
-    line a data error naming ``path:line``, and any other ``ValueError``,
-    ``KeyError``, ``TypeError`` or ``RecursionError`` (JSON nested too
-    deeply) a data error naming the input. Only reading and parsing go
-    inside: a write raises ``OSError`` too.
+    line a data error naming ``path:line``, a ``KeyError`` a data error
+    naming the missing key, and any other ``ValueError``, ``TypeError`` or
+    ``RecursionError`` (JSON nested too deeply) a data error naming the
+    input. Only reading and parsing go inside: a write raises ``OSError`` too.
     """
     try:
         yield
@@ -103,7 +103,9 @@ def _reading(label: str, path: str) -> Iterator[None]:
         raise CliError(EXIT_DATA, f"{path}:{exc.line_no}: {exc.reason}") from None
     except (OSError, EOFError, zlib.error) as exc:
         raise CliError(EXIT_INPUT, f"cannot read {label} {path}: {exc}") from None
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+    except KeyError as exc:
+        raise CliError(EXIT_DATA, f"bad {label} {path}: missing key {exc}") from None
+    except (ValueError, TypeError, RecursionError) as exc:
         raise CliError(EXIT_DATA, f"bad {label} {path}: {exc}") from None
 
 

@@ -531,11 +531,13 @@ def _fork_pool(workers: int, fn: Callable):
 def map_chunks(fn: Callable[[list], object], lines: Iterable[tuple[int, str]], workers: int) -> Iterator:
     """``fn`` of each run of :data:`CHUNK_LINES` ``(line_no, line)`` pairs, in input order.
 
-    With one worker, or input that fits in one chunk, ``fn`` runs in this
-    process. Otherwise a pool of ``workers`` forked processes runs it, with
-    at most ``2 * workers`` chunks in flight; the workers inherit ``fn``, so
-    it need not pickle, but its chunks and results do. An exception from
-    ``fn`` is raised when its chunk's turn comes, so the first bad chunk in
+    With one worker, ``fn`` runs in this process on each chunk as it is
+    read. With more, the first two chunks are read to decide: input that
+    fits in one chunk runs here too, and other input on a pool of
+    ``workers`` forked processes, with at most ``2 * workers`` chunks in
+    flight; the workers inherit ``fn``, so it need not pickle, but its
+    chunks and results do. An exception from ``fn`` is raised when its
+    chunk's turn comes, so the first bad chunk in
     input order decides it. A read error (``OSError``) from ``lines`` is
     raised after the chunks read before it. The pool ends with the iterator,
     exhausted, failed or closed: its workers finish the chunks in flight
@@ -552,7 +554,7 @@ def map_chunks(fn: Callable[[list], object], lines: Iterable[tuple[int, str]], w
 
     it = read()
     chunks = iter(lambda: list(islice(it, CHUNK_LINES)), [])
-    head = list(islice(chunks, 2))
+    head = list(islice(chunks, 2 if workers > 1 else 0))
     pooled = workers > 1 and len(head) > 1
     chunks = chain(head, chunks)
     del head  # so that each chunk is freed once taken

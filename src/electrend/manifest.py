@@ -17,7 +17,7 @@ from hashlib import sha256
 
 from .ingest import AtomicFiles
 
-__all__ = ["RunManifest", "rerun"]
+__all__ = ["RunManifest", "peak_rss_mb", "rerun"]
 
 MANIFEST_FORMAT_VERSION = 1
 _HASH_BUFFER = 1 << 16
@@ -31,6 +31,25 @@ def file_sha256(path: str) -> str:
         while n := fh.readinto(buffer):
             digest.update(buffer[:n])
     return digest.hexdigest()
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB; its pool workers are not included.
+
+    Read from ``VmHWM`` in ``/proc/self/status``, else from ``getrusage``,
+    whose ``ru_maxrss`` is in KB on Linux and in bytes on macOS.
+    """
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    import resource
+
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 1024
 
 
 def _dump_json(obj: dict, fh) -> None:
@@ -75,6 +94,7 @@ class RunManifest:
             "argv": self.argv,
             "parameters": self.parameters,
             "metrics": self.metrics,
+            "profile": {"peak_rss_mb": peak_rss_mb()},  # varies between runs, as created_utc does
             "inputs": self.inputs,
             "outputs": self.outputs,
         }

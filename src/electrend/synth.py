@@ -70,6 +70,10 @@ _UTC = timezone.utc
 # The largest mean numpy's Generator.poisson accepts.
 _POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
+# The most tweets a user may expect over a run (its rate times n_days, a bot's too):
+# a user's draws are held in memory at once, about 135 bytes a tweet.
+MAX_USER_TWEETS = 10**6
+
 # Each camp's default seed tags, sorted; a seeded synthetic tweet carries one.
 _SEED_LISTS = {camp: sorted(t for t, c in DEFAULT_SEEDS.items() if c == camp) for camp in _CAMPS}
 
@@ -121,6 +125,8 @@ class ElectorateSpec:
             raise ValueError("bot_fraction must lie in [0, 1)")
         if type(self.bot_rate) is not int or self.bot_rate < 0:  # bool is not a rate
             raise ValueError("bot_rate must be an integer >= 0")
+        if self.bot_rate > MAX_USER_TWEETS:  # past any run, and past a float if long enough
+            raise ValueError(f"bot_rate must be at most {MAX_USER_TWEETS}, the tweets a user may have over a run")
         if type(self.rng_seed) is not int or self.rng_seed < 0:  # numpy takes no negative seed
             raise ValueError("rng_seed must be an integer >= 0")
         if not (0 < self.mean_rate < math.inf and 0 < self.rate_shape < math.inf):
@@ -227,7 +233,8 @@ def _user_params(spec: ElectorateSpec, index: int) -> tuple[list[str], float, bo
     """(stance per phase, tweets/day rate, is_bot) for one user.
 
     Drawn from a dedicated substream so ground truth is computable without
-    generating any tweets. A rate that numpy cannot draw tweets from is a
+    generating any tweets. A rate that numpy cannot draw tweets from, or
+    that expects more than :data:`MAX_USER_TWEETS` over the run, is a
     ``ValueError``.
     """
     rng = np.random.default_rng((spec.rng_seed, index, 0))
@@ -247,6 +254,11 @@ def _user_params(spec: ElectorateSpec, index: int) -> tuple[list[str], float, bo
         rate = float(rng.gamma(spec.rate_shape, spec.mean_rate / spec.rate_shape))
         if not rate <= _POISSON_LAM_MAX:  # too large, or NaN from an infinite gamma scale
             raise ValueError(f"user {_user_id(index)} draws a rate of {rate} tweets a day, which numpy cannot draw from")
+    if rate * spec.n_days > MAX_USER_TWEETS:
+        raise ValueError(
+            f"user {_user_id(index)} expects {rate * spec.n_days:.6g} tweets over {spec.n_days} days, "
+            f"more than the {MAX_USER_TWEETS} a user may have"
+        )
     return stances, rate, is_bot
 
 

@@ -14,12 +14,15 @@ it is the one place that maps a stance to its counter (:data:`STANCE_CLASS`).
 Days are the 1-based indices ``ingest`` assigns; the table never dates a
 tweet itself. It folds the tweets into one (mp, ff, other) row per active
 user-day, sorted by (user, day): each tweet is read into an int32 user
-code, an int64 day and an int8 class (13 bytes), the three are packed into
-one int64 key, and one in-place sort of the keys groups the tweets of each
-(user, day, class) cell. A verdict can change only on a day a row
-enters the range (and, for a window, on the day it leaves), so every
-estimator is one event sweep: running sums per user at those change points,
-then a per-day tally of verdicts entering and leaving each category.
+code, an int32 day and an int8 class (9 bytes; 13 once a day passes 32
+bits, when days are int64), the three are packed into one int64 key, and
+one in-place sort of the keys groups the tweets of each (user, day, class)
+cell. A row is 20 bytes: an int32 user, an int32 day (int64 past 32 bits)
+and three int32 counts. A verdict can change only on a day a row enters
+the range (and, for a window, on the day it leaves), so every estimator is
+one event sweep: running sums per user at those change points, then a
+per-day tally of verdicts entering and leaving each category. A series
+makes its change points for a block of whole users at a time.
 
 Every sum is a difference of running totals: the table keeps running
 mp - ff and mp totals over its rows, made once, and a user's sums over a
@@ -140,6 +143,21 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return starts
 
 
+def _widened(days: array, day: int) -> array:
+    """``days`` as 64-bit values with ``day`` appended: once a day passes 32 bits; past 64 bits a ``ValueError``."""
+    days = array("q", days)
+    try:
+        days.append(day)
+    except OverflowError:
+        raise ValueError(f"day index must fit in 64 bits, got {day}") from None
+    return days
+
+
+def _int_type(largest: int) -> type:
+    """int32 when every value up to ``largest`` fits in it, else int64."""
+    return np.int32 if largest < 2**31 else np.int64
+
+
 def first_day(mode: str, day: int, window: int | None = None, start_day: int | None = None) -> int:
     """The first day a verdict on ``day`` counts; the argument checks of every query.
 
@@ -168,22 +186,25 @@ class CounterTable:
 
     Built once, from tweets ``(user, day, stance)``, and never changed: the
     sorted user names, and per active user-day the user's index, the day and
-    the (mp, ff, other) counts, sorted by (user, day). A stance is a
+    the (mp, ff, other) counts, sorted by (user, day), 20 bytes a row: int32
+    columns, but int64 days once the last day passes 32 bits (and int64
+    counts from 2**31 tweets on). The build reads 9 bytes a tweet (13 with
+    int64 days) and packs each tweet into one int64 key. A stance is a
     :class:`Stance` or its string value; a day below 1 is a ``ValueError``,
     and so is a day past what a 64-bit key of users x (days + 1) x 3 holds.
     """
 
     def __init__(self, tweets: Iterable[tuple[str, int, Stance | str]] = ()):
         codes: dict[str, int] = {}
-        users, days, classes = array("i"), array("q"), array("b")  # 13 bytes a tweet
+        users, days, classes = array("i"), array("i"), array("b")  # 9 bytes a tweet, 13 past a 32-bit day
         for user, day, stance in tweets:
             users.append(codes.setdefault(user, len(codes)))
             try:
                 days.append(day)
             except OverflowError:
-                raise ValueError(f"day index must fit in 64 bits, got {day}") from None
+                days = _widened(days, day)
             classes.append(STANCE_CLASS.get(stance, OTHER_CLASS))
-        day = np.frombuffer(days, dtype=np.int64)
+        day = np.frombuffer(days, dtype=days.typecode)
         if len(day) and day.min() < 1:
             raise ValueError(f"day index must be >= 1, got {day.min()}")
         self.n_days = int(day.max()) if len(day) else 0
@@ -205,15 +226,29 @@ class CounterTable:
         del classes
         key.sort()
         first = _run_starts(key)
-        cells = key[first]
-        tweets_in_cell = np.diff(np.flatnonzero(first), append=len(key))
-        del key, first
-        cells, klass = np.divmod(cells, 3)
+        starts = np.flatnonzero(first)
+        del first
+        cells = key[starts]
+        # The tweets of each (user, day, class) cell, counted before the key is freed.
+        in_cell = np.empty(len(starts), dtype=_int_type(len(key)))
+        np.subtract(starts[1:], starts[:-1], out=in_cell[:-1])
+        in_cell[-1:] = len(key) - starts[-1:]
+        del key, starts
+        klass = np.empty(len(cells), dtype=np.int8)
+        np.remainder(cells, 3, out=klass)
+        cells //= 3  # each cell's row key, user x span + day
         first = _run_starts(cells)
         keys = cells[first]
-        self._counts = np.zeros((len(keys), 3), dtype=np.int64)
-        self._counts[np.cumsum(first) - 1, klass] = tweets_in_cell  # each (row, class) cell once
-        self._user, self._day = np.divmod(keys, span)
+        row = np.cumsum(first, dtype=_int_type(len(first)))
+        del cells, first
+        row -= 1
+        self._counts = np.zeros((len(keys), 3), dtype=in_cell.dtype)
+        self._counts[row, klass] = in_cell  # each (row, class) cell once
+        del row, klass, in_cell
+        self._user = np.empty(len(keys), dtype=np.int32)
+        self._day = np.empty(len(keys), dtype=_int_type(self.n_days))
+        np.floor_divide(keys, span, out=self._user)
+        np.remainder(keys, span, out=self._day)
 
     # -- views ---------------------------------------------------------
 
@@ -236,46 +271,60 @@ class CounterTable:
         """
         mp, ff = self._counts[:, 0], self._counts[:, 1]
         totals = np.zeros((2, len(mp) + 1), dtype=np.int64)
-        np.cumsum(mp - ff, out=totals[0, 1:])
-        np.cumsum(mp, out=totals[1, 1:])
+        np.subtract(mp, ff, out=totals[0, 1:])  # each sum in place, with no 64-bit copy of a column
+        totals[1, 1:] = mp
+        np.cumsum(totals[:, 1:], axis=1, out=totals[:, 1:])
         return totals
 
+    def _blocks(self, size: int) -> list[slice]:
+        """The rows in slices of whole users, of about ``size`` rows each (more where one user has more)."""
+        cuts = np.searchsorted(self._user, self._user[size::size]).tolist()  # the first row of a user
+        bounds = sorted({0, *cuts, len(self._user)})
+        return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
     def _change_points(
-        self, horizon: int, start_day: int = 1, window: int | None = None
+        self, horizon: int, start_day: int = 1, window: int | None = None, rows: slice = slice(None)
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Every (user, day) up to ``horizon`` on which a verdict can change.
+        """Every (user, day) up to ``horizon`` on which a verdict can change, of the users of ``rows``.
 
         Returns (user index, day, code after, code before), sorted by
-        (user, day). Without ``window`` this is the cumulative range from
-        ``start_day``: a row counts from its day on, so every row in range is
-        a change point, summed from its user's first row in range. With
-        ``window`` a row counts from its day d through d + window - 1 and
+        (user, day). ``rows`` is a slice of whole users (see :meth:`_blocks`),
+        by default the whole table. Without ``window`` this is the cumulative
+        range from ``start_day``: a row counts from its day on, so every row
+        in range is a change point, summed from its user's first row in range.
+        With ``window`` a row counts from its day d through d + window - 1 and
         leaves on d + window; a change point's sums are those of its user's
         rows in the window ending on its day. Either way the sums are
         differences of :attr:`_totals`, with no cumulative sum of their own.
         """
+        offset = rows.indices(len(self._user))[0]
+        user, day = self._user[rows], self._day[rows]
         if window is None:
-            rows = np.flatnonzero((self._day >= start_day) & (self._day <= horizon))
-            user, day = self._user[rows], self._day[rows]
+            hi = np.flatnonzero((day >= start_day) & (day <= horizon))
+            user, day = user[hi], day[hi]
+            hi += offset + 1  # one past each row in range
             first = _run_starts(user)
             starts = np.flatnonzero(first)
-            lo = np.repeat(rows[starts], np.diff(starts, append=len(rows)))  # each row's user's first row
-            hi = rows + 1
+            lo = np.repeat(hi[starts] - 1, np.diff(starts, append=len(hi)))  # each row's user's first row
         else:
             window = min(window, horizon)  # a longer window leaves no row by the horizon either
             span = self.n_days + window + 1  # room for a leave day past any row's day
-            keys = self._user * span + self._day
+            keys = user.astype(np.int64)
+            keys *= span
+            keys += day
             # The enter keys and the leave keys are each sorted, so a stable sort merges them.
-            changes = np.concatenate((keys[self._day <= horizon], keys[self._day + window <= horizon] + window))
+            changes = np.concatenate((keys[day <= horizon], keys[day <= horizon - window] + window))
             changes.sort(kind="stable")
             changes = changes[_run_starts(changes)]
-            lo = np.searchsorted(keys, changes - window, side="right")
-            hi = np.searchsorted(keys, changes, side="right")
+            hi = np.searchsorted(keys, changes, side="right") + offset
+            lo = np.searchsorted(keys, changes - window, side="right") + offset
+            del keys
             user, day = np.divmod(changes, span)
             first = _run_starts(user)
         lead_total, mp_total = self._totals
         lead = lead_total[hi] - lead_total[lo]
         mp = mp_total[hi] - mp_total[lo]
+        del hi, lo
         after = _verdicts(lead, mp, CODE_NONE if window else CODE_UNCLASSIFIED)
         before = np.empty_like(after)
         before[1:] = after[:-1]
@@ -301,6 +350,10 @@ class CounterTable:
 
 
 # -- series assembly ----------------------------------------------------
+
+
+# Rows of the table whose change points a series makes at once.
+_BLOCK_ROWS = 1 << 12
 
 
 def _columns(
@@ -373,15 +426,23 @@ def series(
         return TrendColumns.empty()
     first_day(mode, horizon, window, start_day)
     start, window = (1, window) if mode == "instant" else (start_day, None)
-    user, day, after, before = table._change_points(horizon, start, window)
     if weights is None:
+        # Summed over blocks of users, so no change point array spans the table;
+        # a block has at least as many rows as the tally has cells, which each block adds.
         cells = (horizon + 1) * N_CODES
-        delta = np.bincount(day * N_CODES + after, minlength=cells)
-        delta -= np.bincount(day * N_CODES + before, minlength=cells)
+        delta = np.zeros(cells, dtype=np.int64)
+        for rows in table._blocks(max(_BLOCK_ROWS, cells)):
+            _, day, after, before = table._change_points(horizon, start, window, rows)
+            cell = day.astype(np.int64) * N_CODES
+            delta += np.bincount(cell + after, minlength=cells)
+            delta -= np.bincount(cell + before, minlength=cells)
         tally = np.cumsum(delta.reshape(horizon + 1, N_CODES), axis=0)
     elif len(weights) != len(table.users):
         raise ValueError(f"need one weight per user ({len(table.users)}), got {len(weights)}")
     else:
+        blocks = [table._change_points(horizon, start, window, rows)[:3] for rows in table._blocks(_BLOCK_ROWS)]
+        user, day, after = (np.concatenate(column) for column in zip(*blocks))
+        del blocks
         tally = _weighted_tally(user, day, after, weights, horizon)
     return _columns(start, tally[start:], mode, origin_date, include_undecided)
 

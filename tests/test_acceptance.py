@@ -7,6 +7,7 @@ per module and shared.
 """
 
 import itertools
+import json
 import os
 import random
 import resource
@@ -402,11 +403,19 @@ def test_throughput_one_million(tmp_path):
     peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     ok = n_records >= 1_000_000 and total < 300.0 and peak_kb < 2 * 1024 * 1024
     steps = " ".join(f"{k}={v:.0f}s" for k, v in timings.items())
+
+    def own_peak(output):
+        """The stage's own peak RSS, as its manifest records it (pool workers not included)."""
+        with open(f"{output}.manifest.json", encoding="utf-8") as fh:
+            return json.load(fh)["profile"]["peak_rss_mb"]
+
+    outputs = {"ingest": clean, "train": model, "classify": labeled, "trend": curve}
+    peaks = " ".join(f"{stage}={own_peak(output):.0f}MB" for stage, output in outputs.items())
     report(
         "throughput-1m",
         ok,
         f"{n_records} records, pipeline {total:.0f}s of 300 ({steps}), "
-        f"peak child rss {peak_kb / 1024:.0f} MB of 2048",
+        f"peak child rss {peak_kb / 1024:.0f} MB of 2048, own peaks {peaks}",
     )
     for path in (raw, clean, labeled):
         path.unlink(missing_ok=True)

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import electrend
-from electrend import hashtags, ingest
+from electrend import hashtags, ingest, manifest
 from electrend.botfilter import write_report_csv
 from electrend.cli import _OUTPUTS, _build_parser, _load_table, _output_paths, main
 from electrend.ingest import (
@@ -196,12 +196,15 @@ class TestExitCodes:
         assert code == 2
 
 
-def run_cli(argv, cwd, max_file_bytes=None):
-    """``python -m electrend`` in a fresh process; ``max_file_bytes`` caps every file it writes."""
+def run_cli(argv, cwd, max_file_bytes=None, max_memory_bytes=None):
+    """``python -m electrend`` in a fresh process; ``max_file_bytes`` caps every file it writes, ``max_memory_bytes`` its address space."""
 
-    def cap_file_size():
-        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # an oversize write fails with EFBIG instead
-        resource.setrlimit(resource.RLIMIT_FSIZE, (max_file_bytes, max_file_bytes))
+    def cap_sizes():
+        if max_file_bytes:
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # an oversize write fails with EFBIG instead
+            resource.setrlimit(resource.RLIMIT_FSIZE, (max_file_bytes, max_file_bytes))
+        if max_memory_bytes:
+            resource.setrlimit(resource.RLIMIT_AS, (max_memory_bytes, max_memory_bytes))
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(electrend.__file__)))
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
@@ -212,7 +215,7 @@ def run_cli(argv, cwd, max_file_bytes=None):
         capture_output=True,
         text=True,
         timeout=120,
-        preexec_fn=cap_file_size if max_file_bytes else None,
+        preexec_fn=cap_sizes if max_file_bytes or max_memory_bytes else None,
     )
 
 
@@ -893,6 +896,18 @@ class TestInputFaults:
         else:
             assert f"ERROR electrend: cannot read {label} {name}: [Errno {21 if fault == 'directory' else 2}] " in result.stderr
 
+    @pytest.mark.parametrize(
+        "label, content, key",
+        [("spec", '{"spec_version": 1, "n_users": 3, "n_days": 4}', "mix"),
+         ("model", '{"format_version": 1, "term_weights": {}}', "seed_tags")],
+        ids=["spec", "model"],
+    )
+    def test_a_missing_key_is_named(self, label, content, key, pipeline, tmp_path):
+        name = self.INPUTS[label][1]
+        result = self.run(label, content.encode(), pipeline, tmp_path)
+        assert result.returncode == 4, result.stderr
+        assert result.stderr == f"ERROR electrend: bad {label} {name}: missing key '{key}'\n"
+
     def test_damaged_gzip_model_exits_3(self, pipeline, tmp_path):
         packed = gzip.compress(Path(pipeline.model).read_bytes())
         result = self.run("model", packed[: len(packed) // 2], pipeline, tmp_path, name="m.json.gz")
@@ -1138,6 +1153,25 @@ class TestManifests:
         with open(path, encoding="utf-8") as fh:
             assert json.load(fh)["created_utc"] != run["created_utc"]  # the stage did run again
         assert {out: Path(out).read_bytes() for out in before} == before
+
+    def test_every_manifest_records_the_stage_peak_rss(self, every_stage):
+        for stage, path in every_stage[1].items():
+            with open(path, encoding="utf-8") as fh:
+                profile = json.load(fh)["profile"]
+            assert list(profile) == ["peak_rss_mb"], stage
+            assert 1 < profile["peak_rss_mb"] < 4096, stage
+
+    def test_peak_rss_without_proc_comes_from_getrusage(self, monkeypatch):
+        from_proc = manifest.peak_rss_mb()
+        real_open = open
+
+        def no_proc(path, *args, **kwargs):
+            if str(path).startswith("/proc/"):
+                raise FileNotFoundError(path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", no_proc)
+        assert manifest.peak_rss_mb() == pytest.approx(from_proc, rel=0.1)
 
     def test_log_line_shows_the_metrics(self, tmp_path, caplog):
         def shown(value):
@@ -1579,6 +1613,23 @@ class TestHashtagsCommand:
 
 
 class TestSynthCommand:
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [(["--mean-rate", "1e12"], r"user u000000 expects [0-9.e+]+ tweets over 5 days, more than the 1000000 a user may have"),
+         (["--bot-fraction", "0.5", "--bot-rate", "100000000000"],
+          "bot_rate must be at most 1000000, the tweets a user may have over a run"),
+         (["--bot-fraction", "0.5", "--bot-rate", "1" + "0" * 400],
+          "bot_rate must be at most 1000000, the tweets a user may have over a run")],
+        ids=["rate", "bot-rate", "bot-rate-past-a-float"],
+    )
+    def test_a_user_past_the_tweet_cap_exits_4(self, flags, reason, tmp_path):
+        # under an address-space limit, so that a run which tries to draw such a corpus fails at once
+        argv = ["synth", "-o", "c.jsonl", "--users", "3", "--days", "5", *flags]
+        result = run_cli(argv, tmp_path, max_memory_bytes=512 << 20)
+        assert result.returncode == 4, result.stderr
+        assert re.fullmatch(f"ERROR electrend: invalid electorate spec: {reason}\n", result.stderr)
+        assert not list(tmp_path.iterdir())
+
     def test_spec_file_round_trip(self, tmp_path):
         spec = ElectorateSpec(n_users=12, n_days=4, rng_seed=77)
         spec_path = tmp_path / "in.spec.json"

@@ -857,6 +857,18 @@ class TestMapChunks:
         assert set(map_chunks(lambda chunk: os.getpid(), self.PAIRS[:4], 2)) == {me}
         assert list(map_chunks(lambda chunk: os.getpid(), [], 2)) == []
 
+    def test_one_worker_reads_no_chunk_ahead(self):
+        read = []
+
+        def lines():
+            for pair in self.PAIRS:
+                read.append(pair)
+                yield pair
+
+        results = map_chunks(line_numbers, lines(), 1)
+        assert next(results) == [1, 2, 3, 4]
+        assert len(read) <= 4  # the first chunk's lines only
+
     def test_the_first_failing_chunk_in_input_order_decides(self):
         def fn(chunk):
             first = chunk[0][0]

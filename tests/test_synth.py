@@ -75,6 +75,25 @@ class TestSpec:
             with pytest.raises(ValueError, match=refusal):
                 generate(spec)
 
+    @pytest.mark.parametrize(
+        "fields", [{"mean_rate": 1e12}, {"bot_fraction": 0.5, "bot_rate": 300_000}], ids=["rate", "bot-rate"]
+    )
+    def test_a_user_past_the_tweet_cap_is_refused(self, fields):
+        spec = small_spec(n_users=3, **fields)
+        refusal = r"^user u000000 expects [0-9.e+]+ tweets over 5 days, more than the 1000000 a user may have$"
+        for generate in (ground_truth, lambda s: next(iter_records(s))):
+            with pytest.raises(ValueError, match=refusal):
+                generate(spec)
+
+    @pytest.mark.parametrize("bot_rate", [10**11, 10**400])
+    def test_a_bot_rate_past_the_tweet_cap_is_refused(self, bot_rate):
+        with pytest.raises(ValueError, match="^bot_rate must be at most 1000000, the tweets a user may have over a run$"):
+            small_spec(bot_fraction=0.5, bot_rate=bot_rate)
+
+    def test_a_user_at_the_tweet_cap_is_drawn(self):
+        spec = small_spec(n_users=1, n_days=1, bot_fraction=0.9, bot_rate=synth.MAX_USER_TWEETS)
+        assert ground_truth(spec).is_bot == {"u000000": True}
+
     @pytest.mark.parametrize("start, n_days", [(date(9999, 12, 28), 3), (date(1, 1, 2), 3)])
     def test_corpus_at_the_calendar_edges_parses(self, start, n_days):
         lines = [record_to_json(r) for r in iter_records(small_spec(start_date=start, n_days=n_days, mean_rate=3.0))]

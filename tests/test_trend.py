@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from electrend import trend
 from electrend.stance import Stance
 from electrend.synth import oracle_categories
 from electrend.trend import (
@@ -679,3 +680,81 @@ class TestSeriesAgainstOracle:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             user_weights(["a"], {"A": -0.5}, {"a": "A"})
+
+
+class TestLeanTable:
+    """The table's 32-bit columns, its 64-bit keys, and series made for a block of users at a time."""
+
+    def test_a_row_is_20_bytes_while_days_fit_in_32_bits(self):
+        _, table = TestVectorizedAgainstReference().random_table(3)
+        rows = len(table._day)
+        assert rows > 0
+        assert table._user.nbytes + table._day.nbytes + table._counts.nbytes <= 20 * rows
+
+    @pytest.mark.parametrize("last, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
+    def test_days_widen_to_64_bits_past_32(self, last, dtype):
+        table = CounterTable([("a", 1, "pro_mp"), ("b", last, "pro_ff"), ("a", 5, "neutral")])
+        assert table._day.dtype == dtype
+        assert table.to_sparse() == {"a": {1: (1, 0, 0), 5: (0, 0, 1)}, "b": {last: (0, 1, 0)}}
+
+    def test_keys_past_32_bits_match_the_oracle(self):
+        # users x span x 3 (a tweet's key) and users x span (a window's) both pass 2**31;
+        # the oracle walks every day of a range, so the ranges it checks are short
+        rng = random.Random(5)
+        last = 3 * 10**6
+        near = [*range(1, 12), *range(1_499_990, 1_500_011), *range(last - 20, last + 1)]
+        counts = {
+            f"u{i:04d}": {
+                day: (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1))
+                for day in rng.sample(near, rng.randint(1, 4)) + [rng.randint(1, last)]
+            }
+            for i in range(1000)
+        }
+        counts["u0999"][last] = (1, 0, 0)
+        table = table_from(counts)
+        assert table.n_days == last
+        assert len(table.users) * (last + 1) > 2**31
+        for day in (5, 1_500_000, last - 1, last):
+            for window in (1, 7, 20):
+                cfg = dict(mode="instant", day=day, window=window)
+                assert table.categories(**cfg) == oracle_categories(counts, **cfg), cfg
+            for start in (1, max(1, day - 15), day):
+                if day - start <= 20:
+                    cfg = dict(mode="cumulative", day=day, start_day=start)
+                    assert table.categories(**cfg) == oracle_categories(counts, **cfg), cfg
+        # a window over every day judges as the cumulative range from day 1, less Unclassified
+        cumulative = table.categories("cumulative", last, start_day=1)
+        decided = {u: c for u, c in cumulative.items() if c is not UserCategory.UNCLASSIFIED}
+        assert table.categories("instant", last, window=last) == decided
+
+    @pytest.mark.parametrize("size", [1, 2, 5, 40])
+    def test_change_points_by_blocks_of_users_are_the_tables(self, size):
+        _, table = TestVectorizedAgainstReference().random_table(8)
+        blocks = table._blocks(size)
+        assert blocks[0].start == 0 and blocks[-1].stop == len(table._user)
+        for before, after in zip(blocks, blocks[1:]):
+            assert before.stop == after.start
+            assert table._user[after.start - 1] != table._user[after.start]  # no user is split
+        for horizon, start_day, window in [(30, 1, None), (30, 12, None), (20, 1, 3), (30, 1, 50)]:
+            whole = table._change_points(horizon, start_day, window)
+            parts = zip(*(table._change_points(horizon, start_day, window, rows) for rows in blocks))
+            for column, pieces in zip(whole, parts):
+                assert np.array_equal(column, np.concatenate(pieces))
+
+    def test_a_series_by_blocks_of_users_equals_one_block(self, monkeypatch):
+        rng = random.Random(12)
+        counts = {
+            f"u{i:03d}": {d: (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1)) for d in rng.sample(range(1, 6), 3)}
+            for i in range(200)
+        }
+        table = table_from(counts)
+        weights = np.array([rng.uniform(0, 3) for _ in table.users])
+        queries = [
+            dict(mode=mode, weights=w, **config)
+            for mode, config in (("instant", {"window": 2}), ("cumulative", {"start_day": 2}))
+            for w in (None, weights)
+        ]
+        whole = [series(table, **query) for query in queries]
+        monkeypatch.setattr(trend, "_BLOCK_ROWS", 1)
+        assert len(table._blocks((table.n_days + 1) * trend.N_CODES)) > 10  # the unweighted block size
+        assert [series(table, **query) for query in queries] == whole
