@@ -183,14 +183,22 @@ _non_negative = _number("a finite number >= 0", lambda x: x >= 0)
 _positive = _number("a finite number > 0", lambda x: x > 0)
 
 
-def _positive_int(token: str) -> int:
-    """``--window``, ``--top-k`` and ``--workers`` value: an integer of at least 1, else a usage error."""
-    try:
-        if int(token) >= 1:
-            return int(token)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"{token!r} is not a positive integer")
+def _integer(what: str, least: int) -> Callable[[str], int]:
+    """An int flag's converter: an integer of at least ``least``, else a usage error saying it is not ``what``."""
+
+    def convert(token: str) -> int:
+        try:
+            if int(token) >= least:
+                return int(token)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{token!r} is not {what}")
+
+    return convert
+
+
+_positive_int = _integer("a positive integer", 1)  # --window, --top-k and --workers
+_non_negative_int = _integer("a non-negative integer", 0)  # --min-count
 
 
 def _t0_to_day(token: str, origin: date | None, n_days: int, flag: str = "--t0") -> int:
@@ -770,7 +778,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("hashtags", cmd_hashtags, "co-occurrence graph, camp partition and tag clouds")
     p.add_argument("input", help="corpus (labeled input enables camp clouds)")
     p.add_argument("-o", "--output", required=True, help="output base path")
-    p.add_argument("--min-count", type=int, default=5, help="drop tags and edges seen fewer times")
+    p.add_argument("--min-count", type=_non_negative_int, default=5, help="drop tags and edges seen fewer times")
     p.add_argument("--top-k", type=_positive_int, default=25, help="tags per camp in the cloud CSV")
     p.add_argument("--dedup-users", action="store_true", help="count each user at most once per tag and pair")
     p.add_argument("--graphml", default=None, help="GraphML path (default <output>.graphml)")

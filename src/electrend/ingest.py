@@ -490,6 +490,8 @@ def iter_lines(path: str) -> Iterator[tuple[int, str]]:
 # Lines per task of :func:`map_chunks`, and tasks in flight per worker process.
 CHUNK_LINES = 512
 _CHUNKS_PER_WORKER = 2
+# Bytes of spool rows that pass 2 of :func:`ingest_lines` reads and writes at a time.
+SPOOL_BLOCK = 1 << 16
 
 
 def usable_cpus() -> int:
@@ -662,12 +664,11 @@ def _pass_one(config: IngestConfig, chunk: list[tuple[int, str]]) -> tuple:
         if queries is not None and not queries.matches(text):
             reject(line_no, "no-query-match")
             continue
-        day = (created_at + shift).date()
-        ordinal = day.toordinal()
+        ordinal = (created_at + shift).date().toordinal()
         if first is None or ordinal < first:
             first = ordinal
         if tracker is not None:
-            tracker.add(user_id, created_at, text, day)
+            tracker.add_ordinal(user_id, created_at.timestamp(), text, ordinal)
         hashtags = _hashtags(text, tags)
         if stance is None and _written_as_read(line, tweet_id, user_id, raw_ts, text, hashtags):
             head, tail = line[:-1], "}"
@@ -691,7 +692,8 @@ def ingest_lines(
     string, line head, line tail" per kept line in an anonymous temp file in
     ``spool_dir``, whose write errors name ``out``. A kept line already in
     the corpus encoding is spooled as read, any other is encoded again.
-    Pass 2 reads the spool and applies the bot and origin rules. Raises
+    Pass 2 reads the spool in blocks of about :data:`SPOOL_BLOCK` bytes and
+    applies the bot and origin rules, keeping the input order. Raises
     :class:`NoRecordsError` when ``lines`` is empty, no line passes the
     parse and query filters, or no line is accepted.
     """
@@ -700,10 +702,6 @@ def ingest_lines(
     tracker = ActivityTracker()
     n_lines = 0
     min_ordinal = None
-
-    def reject(line_no: str, reason: str) -> None:
-        reject_counts[reason] += 1
-        rejects.write(f"{line_no}\t{reason}\n")
 
     staged = getattr(out, "name", "the clean corpus")  # what a spool write error names
     with tempfile.TemporaryFile(dir=spool_dir, buffering=0) as anonymous, io.TextIOWrapper(
@@ -732,18 +730,25 @@ def ingest_lines(
         max_day = 0
         before_day_one = origin.toordinal() - 1
         spool.seek(0)
-        for row in spool:
-            line_no, ordinal, user, head, tail = row.split("\t")
-            if user in bot_users:
-                reject(line_no, "bot-user")
-                continue
-            day = int(ordinal) - before_day_one
-            if day < 1:
-                reject(line_no, "before-origin")
-                continue
-            out.write(join_parts(head, day, tail))  # the tail keeps the spool's newline
-            accepted += 1
-            max_day = max(max_day, day)
+        # Each block's kept lines, and its rejects, are written as one string.
+        for block in iter(partial(spool.readlines, SPOOL_BLOCK), []):
+            kept, dropped = [], []
+            for row in block:
+                line_no, ordinal, user, head, tail = row.split("\t")
+                if user in bot_users:
+                    dropped.append((line_no, "bot-user"))
+                    continue
+                day = int(ordinal) - before_day_one
+                if day < 1:
+                    dropped.append((line_no, "before-origin"))
+                    continue
+                kept.append(join_parts(head, day, tail))  # the tail keeps the spool's newline
+                if day > max_day:
+                    max_day = day
+            out.write("".join(kept))
+            rejects.write("".join(f"{line_no}\t{reason}\n" for line_no, reason in dropped))
+            reject_counts.update(reason for _, reason in dropped)
+            accepted += len(kept)
 
     rejected = sum(reject_counts.values())
     if accepted + rejected != n_lines:

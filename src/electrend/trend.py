@@ -164,8 +164,11 @@ def first_day(mode: str, day: int, window: int | None = None, start_day: int | N
     :meth:`CounterTable.categories` and :func:`series` (with ``day`` its
     last day) check their arguments here and nowhere else. ``instant`` needs
     a ``window`` >= 1 (its range is clamped at day 1), ``cumulative`` a
-    ``start_day`` in [1, ``day``]; anything else is a ``ValueError``.
+    ``start_day`` in [1, ``day``], and ``day`` must fit in 64 bits, as a
+    table's days do; anything else is a ``ValueError``.
     """
+    if day >= 2**63:
+        raise ValueError(f"day index must fit in 64 bits, got {day}")
     if mode == "instant":
         if window is None:
             raise ValueError("instant mode needs a window length")
@@ -340,6 +343,10 @@ class CounterTable:
         from ``start_day``, both through :func:`first_day`, as the oracle does.
         """
         first = first_day(mode, day, window, start_day)
+        if day > self.n_days:  # no row lies past the last day, so judge the range where the rows end
+            if first > self.n_days:
+                return {}
+            day, window = self.n_days, self.n_days - first + 1
         user, _, after, _ = self._change_points(day, first, window if mode == "instant" else None)
         last = np.diff(user, append=-1) != 0
         return {

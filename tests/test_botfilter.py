@@ -2,10 +2,12 @@
 
 import io
 import math
-from datetime import date, timedelta
+import pickle
+from array import array
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from electrend.botfilter import (
     ActivityTracker,
@@ -108,6 +110,85 @@ class TestProfiling:
             merged.merge(part)
         assert merged.profiles() == whole.profiles()
         assert merged.profiles()["u"].duplicate_text_ratio == 1 - 1 / 9
+
+
+def reference_profiles(records):
+    """Each user's profile counted the plain way: a dict of tweets per day and a set of normalized texts.
+
+    The reference for :class:`ActivityTracker`, which keeps a day ordinal
+    and a text hash per record and counts days only when it scores.
+    ``records`` are ``(user, created_at, text, day)``.
+    """
+    by_user = {}
+    for user, created_at, text, day in records:
+        by_user.setdefault(user, []).append((created_at.timestamp(), text, day))
+    profiles = {}
+    for user, rows in by_user.items():
+        per_day = {}
+        for _, _, day in rows:
+            per_day[day] = per_day.get(day, 0) + 1
+        times = [ts for ts, _, _ in rows]
+        texts = {" ".join(text.lower().split()) for _, text, _ in rows}
+        n = len(rows)
+        profiles[user] = UserActivity(
+            user_id=user,
+            total_tweets=n,
+            active_days=len(per_day),
+            max_tweets_per_day=max(per_day.values()),
+            duplicate_text_ratio=1.0 - len(texts) / n,
+            mean_inter_tweet_seconds=(max(times) - min(times)) / (n - 1) if n > 1 else math.inf,
+        )
+    return profiles
+
+
+class TestCompactState:
+    def test_a_user_keeps_12_bytes_a_record_and_no_per_day_dict(self):
+        n = 1000
+        tracker = ActivityTracker()
+        for i in range(n):  # 50 days, 20 records a day
+            tracker.add("u", day_ts(1 + i % 50, second=i), f"t{i % 7}", date(2019, 3, 1) + timedelta(days=i % 50))
+        state = tracker._users["u"]
+        fields = vars(state) if hasattr(state, "__dict__") else {k: getattr(state, k) for k in state.__slots__}
+        assert not [k for k, v in fields.items() if isinstance(v, dict)]
+        per_record = [v for v in fields.values() if isinstance(v, array)]
+        assert all(len(v) == n for v in per_record)
+        assert sum(v.itemsize for v in per_record) <= 12
+        assert all(isinstance(v, (array, int, float)) for v in fields.values())
+        assert len(pickle.dumps(tracker)) <= 12 * n + 1024  # the arrays pickle as their bytes
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        records=st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "Ñandú", ""]),
+                st.integers(0, 40),  # day
+                st.integers(0, 86399),  # second of the day
+                st.sampled_from(["hola", "Hola  ", "hola mundo", "HOLA MUNDO", "chau", ""]),
+                st.integers(0, 3),  # the tracker that counts the record
+                st.booleans(),  # counted by add_ordinal, as ingest does, rather than add
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        n_parts=st.integers(1, 4),
+    )
+    def test_pickled_merged_parts_equal_the_reference(self, records, n_parts):
+        parts = [ActivityTracker() for _ in range(n_parts)]
+        rows = []
+        for user, offset, second, text, part, by_ordinal in records:
+            day = date(2019, 3, 1) + timedelta(days=offset)
+            created_at = datetime(2019, 3, 1, tzinfo=timezone.utc) + timedelta(days=offset, seconds=second)
+            tracker = parts[part % n_parts]
+            if by_ordinal:
+                tracker.add_ordinal(user, created_at.timestamp(), text, day.toordinal())
+            else:
+                tracker.add(user, created_at, text, day)
+            rows.append((user, created_at, text, day))
+        merged = ActivityTracker()
+        for part in parts:  # each part comes back from a worker as a pickle
+            merged.merge(pickle.loads(pickle.dumps(part)))
+        assert merged.profiles() == reference_profiles(rows)
+        assert [a.user_id for a in merged.each_profile()] == sorted(merged.profiles())
 
 
 class TestScoring:

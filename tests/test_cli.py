@@ -427,6 +427,22 @@ class TestNonPositiveCounts:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
 
 
+class TestNegativeMinCount:
+    """A hashtags --min-count below 0 is a usage error that leaves no output; 0 keeps every tag."""
+
+    @pytest.mark.parametrize("bad", ["-5", "-1"])
+    def test_exits_2(self, bad, pipeline, tmp_path):
+        shutil.copy(pipeline.labeled, tmp_path / "in.jsonl")
+        result = run_cli(["hashtags", "in.jsonl", "-o", "out", "--min-count", bad], tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert f"--min-count: {bad!r} is not a non-negative integer" in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+    def test_zero_is_accepted(self, pipeline, tmp_path):
+        assert main(["hashtags", pipeline.labeled, "-o", str(tmp_path / "net"), "--min-count", "0"]) == 0
+
+
 class TestBadFloatFlags:
     """A --bot-* or --margin value that is not a finite number >= 0, or a --smoothing not > 0, is a usage error."""
 

@@ -582,6 +582,22 @@ class TestSpooledIngest:
             "raw.jsonl.gz", "raw.jsonl.gz.rejects.txt",
         ]
 
+    @pytest.mark.parametrize("block", [1, 300, 1 << 16])
+    def test_pass_two_by_blocks_keeps_the_input_order(self, block, tmp_path, monkeypatch):
+        # a block of 1 byte is one spool row; bot and before-origin rejects fall in every block
+        monkeypatch.setattr(ingest, "SPOOL_BLOCK", block)
+        lines = labeled_corpus()
+        origin, offset = date(2019, 3, 3), -3.0
+        want_clean, want_rejects, want_meta, _ = reference_ingest(lines, origin, offset)
+        out, rejects = io.StringIO(), io.StringIO()
+        config = IngestConfig(origin_date=origin, day_offset_hours=offset)
+        result = ingest_lines(enumerate(lines, start=1), config, out, rejects, spool_dir=str(tmp_path))
+        assert out.getvalue() == "".join(line + "\n" for line in want_clean)
+        assert rejects.getvalue().splitlines() == want_rejects
+        assert (result.n_days, result.accepted, result.rejects) == (
+            want_meta["n_days"], want_meta["records"], want_meta["rejects"]
+        )
+
     def test_a_spool_write_error_names_the_clean_corpus(self, tmp_path):
         (tmp_path / "raw.jsonl").write_text("".join(line + "\n" for line in labeled_corpus()), encoding="utf-8")
         script = (

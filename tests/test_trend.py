@@ -210,6 +210,36 @@ class TestVectorizedAgainstReference:
         assert series(table, "instant", 2**62) == series(table, "instant", 30)
         assert series(table, "instant", 10**23) == series(table, "instant", 30)
 
+    @pytest.mark.parametrize("day, window", [(40, 15), (10**12, 10**12 - 20), (2**62, 2**62 - 9), (2**62, 2**62)])
+    def test_a_day_past_the_last_day_is_judged_where_the_rows_end(self, day, window):
+        # the window [day - window + 1, day] holds the rows of [day - window + 1, 30]
+        counts, table = self.random_table(8)
+        assert table.n_days == 30
+        first = max(1, day - window + 1)
+        want = oracle_categories(counts, "instant", 30, window=30 - first + 1)
+        assert want
+        assert table.categories("instant", day, window=window) == want
+        assert table.categories("cumulative", day, start_day=first) == oracle_categories(
+            counts, "cumulative", 30, start_day=first
+        )
+        assert table.categories("instant", day, window=day - 30) == {}  # the window starts past the last row
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            dict(mode="instant", day=10**20, window=10**20),
+            dict(mode="instant", day=2**63, window=3),
+            dict(mode="cumulative", day=2**63, start_day=1),
+        ],
+    )
+    def test_a_day_past_64_bits_raises_like_the_oracle(self, cfg):
+        counts, table = self.random_table(6)
+        with pytest.raises(ValueError, match="day index must fit in 64 bits") as fast:
+            table.categories(**cfg)
+        with pytest.raises(ValueError) as oracle:
+            oracle_categories(counts, **cfg)
+        assert str(fast.value) == str(oracle.value)
+
     @pytest.mark.parametrize("seed", [14, 15, 16])
     def test_window_change_points_are_the_union_of_enter_and_leave_days(self, seed):
         _, table = self.random_table(seed)
