@@ -4,8 +4,9 @@ Seven accounts: two ordinary humans, three that each show exactly one
 odd trait, and two bots that show two. Scores combine the rate,
 duplication and burst rules with equal weight and flag at 0.5, so a
 single odd trait is survivable but two convict. The table comes from an
-activity tracker fed each tweet with its day; the filter is the ingest
-pipeline itself, run over the tweets as corpus lines with no topic query.
+activity tracker fed each tweet with its day, one row per account in user
+id order; the filter is the ingest pipeline itself, run over the tweets as
+corpus lines with no topic query.
 
 Run with: python3 demos/05_bot_screening.py
 """
@@ -54,14 +55,14 @@ for i in range(90):
 
 tracker = ActivityTracker()
 for r in records:
-    tracker.add(r.user_id, r.created_at, r.text, effective_date(r))
+    tracker.add_ordinal(r.user_id, r.created_at.timestamp(), r.text, effective_date(r).toordinal())
 
 print(f"{'user':<13}{'tweets':>7}{'max/day':>9}{'dup':>7}{'gap(s)':>9}{'score':>7}  verdict")
-for user, activity in tracker.profiles().items():
+for activity in tracker.each_profile():
     verdict = score_user(activity)
     rules = ",".join(verdict.triggered_rules) or "-"
     print(
-        f"{user:<13}{activity.total_tweets:>7}{activity.max_tweets_per_day:>9}"
+        f"{activity.user_id:<13}{activity.total_tweets:>7}{activity.max_tweets_per_day:>9}"
         f"{activity.duplicate_text_ratio:>7.2f}{activity.mean_inter_tweet_seconds:>9.1f}"
         f"{verdict.score:>7.2f}  {'BOT' if verdict.is_bot else 'ok':<4} ({rules})"
     )

@@ -5,7 +5,8 @@ duplicate-text cap and an inter-tweet-gap floor. Each fired rule adds a
 third to a score in [0, 1]; accounts at or above the threshold are flagged.
 The three caps and the threshold are configuration; the equal weights are not.
 :func:`electrend.ingest.ingest_lines` profiles users on their pipeline days
-(:class:`ActivityTracker`), scores them (:func:`flag_bots`) and drops every
+(:meth:`ActivityTracker.add_ordinal`, the tracker's one way in), scores them
+(:func:`flag_bots`, over :meth:`ActivityTracker.each_profile`) and drops every
 record of a flagged account. A profile holds 12 bytes a kept record, its
 day and a hash of its text, and is counted per day only when it is scored.
 """
@@ -17,7 +18,6 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from datetime import date, datetime
 from functools import lru_cache
 from hashlib import blake2b
 from typing import Iterable, Iterator
@@ -95,12 +95,8 @@ class ActivityTracker:
     def __init__(self):
         self._users: dict[str, _UserState] = {}
 
-    def add(self, user_id: str, created_at: datetime, text: str, day: date) -> None:
-        """Count one tweet; ``day`` is its pipeline day (its effective date), which the rate rule counts."""
-        self.add_ordinal(user_id, created_at.timestamp(), text, day.toordinal())
-
     def add_ordinal(self, user_id: str, ts: float, text: str, ordinal: int) -> None:
-        """:meth:`add` for a tweet at POSIX time ``ts`` on the day of ``date.toordinal()`` ``ordinal``."""
+        """Count one tweet at POSIX time ``ts`` on the pipeline day whose ``date.toordinal()`` is ``ordinal``."""
         state = self._users.get(user_id)
         if state is None:
             state = self._users[user_id] = _UserState()
@@ -122,10 +118,6 @@ class ActivityTracker:
             state.texts.extend(theirs.texts)
             state.first_ts = min(state.first_ts, theirs.first_ts)
             state.last_ts = max(state.last_ts, theirs.last_ts)
-
-    def profiles(self) -> dict[str, UserActivity]:
-        """Every user's profile, in the order the users were first counted."""
-        return {user_id: self._profile(user_id) for user_id in self._users}
 
     def each_profile(self) -> Iterator[UserActivity]:
         """Each user's profile in user id order, made only when it is reached."""

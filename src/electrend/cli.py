@@ -116,11 +116,7 @@ def _load_meta(corpus_path: str, run: manifest.RunManifest | None = None) -> dic
     if not os.path.exists(path):
         return None
     with _reading("meta", path), open(path, encoding="utf-8") as fh:
-        meta = json.load(fh)
-        if not isinstance(meta, dict):
-            raise ValueError("not a JSON object")
-        if meta.get("meta_version") != META_FORMAT_VERSION:
-            raise ValueError(f"meta_version is not {META_FORMAT_VERSION}")
+        meta = manifest.json_document(json.load(fh), "meta_version", META_FORMAT_VERSION)
         if meta.get("origin_date"):
             date.fromisoformat(meta["origin_date"])  # else a TypeError or ValueError
     if run is not None:
@@ -424,12 +420,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _load_table(path: str, origin_date: date | None = None, run: manifest.RunManifest | None = None):
-    """The counter table of a labeled corpus, the origin date of its day 1, and the meta sidecar read.
+    """The counter table of a labeled corpus and the origin date of its day 1.
 
     Each line is decoded into its user, the day index ``t`` that ingest wrote
     and its stance, nothing more. The origin is ``origin_date``, else the
     corpus meta sidecar's, else unknown (None); it only dates the output rows.
-    The sidecar is read only without ``origin_date``, and is None if not read.
+    The sidecar is read only without ``origin_date``.
     ``run`` records a sidecar read as input ``meta``, a known origin as ``origin_date``.
     """
     from . import trend
@@ -458,7 +454,7 @@ def _load_table(path: str, origin_date: date | None = None, run: manifest.RunMan
             tweets.append((user, day, stance))
         return tweets
 
-    return trend.CounterTable(chain.from_iterable(_Corpus(path).chunks(decode))), origin, meta
+    return trend.CounterTable(chain.from_iterable(_Corpus(path).chunks(decode))), origin
 
 
 def cmd_trend(args: argparse.Namespace) -> int:
@@ -467,7 +463,7 @@ def cmd_trend(args: argparse.Namespace) -> int:
     if bool(args.weights_file) != bool(args.strata_file):
         raise CliError(EXIT_USAGE, "--weights-file and --strata-file go together")
     with _stage(args) as run:
-        table, origin, _ = _load_table(args.input, args.origin_date, run)
+        table, origin = _load_table(args.input, args.origin_date, run)
         weights = None
         if args.weights_file:
             with _reading("strata", args.strata_file):
@@ -494,7 +490,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise CliError(EXIT_USAGE, "--t0-list is empty")
     finals = trend.SweepFinals()
     with _stage(args) as run:
-        table, origin, _ = _load_table(args.input, args.origin_date, run)
+        table, origin = _load_table(args.input, args.origin_date, run)
         start_days = [_t0_to_day(t, origin, table.n_days, "--t0-list entry") for t in tokens]
         for t0, columns in trend.sweep_columns(table, start_days, origin):  # one origin's rows at a time
             token = columns.date[0].isoformat() if columns.date[0] else f"day{t0:03d}"
@@ -666,7 +662,7 @@ def _validate(args: argparse.Namespace, workdir: str) -> int:
             return EXIT_CHECK_FAILED
 
     checks: list[tuple[str, bool, str]] = []
-    table, *_ = _load_table(labeled)
+    table, _ = _load_table(labeled)
     sparse = table.to_sparse()
     final = table.n_days
 

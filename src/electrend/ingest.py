@@ -1,10 +1,11 @@
 """Parsing, normalization and filtering of archived tweet corpora.
 
 Input is newline-delimited JSON, one record per line, with required keys
-``id``, ``user``, ``ts`` (ISO-8601) and ``text``; an optional ``hashtags``
-list is trusted when present. Records are matched against candidate-name
-queries, hashtags are extracted, timestamps are normalized to UTC and each
-record is assigned an integer day index (day 1 = the corpus origin day);
+``id`` and ``user`` (each a string, or an integer read as its decimal
+text), ``ts`` (ISO-8601) and ``text``; an optional ``hashtags`` list is
+trusted when present. Records are matched against candidate-name queries,
+hashtags are extracted, timestamps are normalized to UTC and each record
+is assigned an integer day index (day 1 = the corpus origin day);
 :func:`ingest_lines` chains all of it for the library and the CLI.
 """
 
@@ -247,6 +248,13 @@ def _load_json(line: str, line_no: int):
         raise ParseError("invalid JSON (nested too deeply)", line_no) from None
 
 
+def _id_text(value, name: str, line_no: int) -> str:
+    """An ``id`` or ``user`` as text: a string as it is, an integer as its decimal digits; anything else is malformed."""
+    if type(value) is str or type(value) is int:  # bool is not an id
+        return str(value)
+    raise ParseError(f"field {name!r} is not a string or an integer", line_no)
+
+
 def _decode(line: str, line_no: int) -> tuple:
     """``(id, user, ts as read, created_at, text, raw hashtags, day, stance)`` of one line, every field checked."""
     if not _is_utf8(line):
@@ -258,6 +266,8 @@ def _decode(line: str, line_no: int) -> tuple:
         tweet_id, user_id, raw_ts, text = obj["id"], obj["user"], obj["ts"], obj["text"]
     except KeyError as exc:
         raise ParseError(f"missing required field {exc.args[0]!r}", line_no) from None
+    if type(tweet_id) is not str or type(user_id) is not str:
+        tweet_id, user_id = _id_text(tweet_id, "id", line_no), _id_text(user_id, "user", line_no)
     if not isinstance(text, str):
         raise ParseError("field 'text' is not a string", line_no)
     raw_ts = str(raw_ts)
@@ -274,8 +284,8 @@ def _decode(line: str, line_no: int) -> tuple:
         raise ParseError("unpaired surrogate escape", line_no)
     stance = obj.get("stance")
     return (
-        str(tweet_id),
-        str(user_id),
+        tweet_id,
+        user_id,
         raw_ts,
         created_at,
         text,

@@ -4,7 +4,9 @@ Each CLI invocation writes a small JSON manifest next to its primary
 output so a result can be traced back to the exact inputs and parameters
 that produced it, and re-run from the recorded argv. A run writes its
 outputs through its manifest, which lists each one and commits them all,
-itself last, as one :class:`AtomicFiles` group.
+itself last, as one :class:`AtomicFiles` group. Every JSON file, be it a
+manifest, meta sidecar, model or spec, is written by :func:`dump_json` and
+checked when read back by :func:`json_document`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from hashlib import sha256
 
 from .ingest import AtomicFiles
 
-__all__ = ["RunManifest", "peak_rss_mb", "rerun"]
+__all__ = ["RunManifest", "dump_json", "json_document", "peak_rss_mb", "rerun"]
 
 MANIFEST_FORMAT_VERSION = 1
 _HASH_BUFFER = 1 << 16
@@ -52,10 +54,19 @@ def peak_rss_mb() -> float:
     return peak / 2**20 if sys.platform == "darwin" else peak / 1024
 
 
-def _dump_json(obj: dict, fh) -> None:
-    """``obj`` as indented, key-sorted JSON; a non-finite float raises ``ValueError``."""
-    json.dump(obj, fh, indent=1, sort_keys=True, allow_nan=False)
+def dump_json(obj: dict, fh) -> None:
+    """``obj`` as indented, key-sorted JSON, non-ASCII text as is, and a newline; a non-finite float is a ``ValueError``."""
+    json.dump(obj, fh, indent=1, sort_keys=True, ensure_ascii=False, allow_nan=False)
     fh.write("\n")
+
+
+def json_document(obj, key: str, version: int) -> dict:
+    """``obj`` if it is a JSON object whose ``key`` is ``version``; anything else is a ``ValueError``."""
+    if not isinstance(obj, dict):
+        raise ValueError("not a JSON object")
+    if obj.get(key) != version:
+        raise ValueError(f"{key} is not {version}")
+    return obj
 
 
 @dataclass
@@ -80,7 +91,7 @@ class RunManifest:
     def write_json(self, label: str, obj: dict) -> None:
         """``obj`` as JSON to output ``label``."""
         with self.open(label) as fh:
-            _dump_json(obj, fh)
+            dump_json(obj, fh)
 
     def to_dict(self) -> dict:
         from . import __version__
@@ -102,7 +113,7 @@ class RunManifest:
     def write(self) -> None:
         """The manifest itself, to ``paths["manifest"]`` in the run's group: the last file opened, so the last renamed."""
         with self.files.open(self.paths["manifest"]) as fh:
-            _dump_json(self.to_dict(), fh)
+            dump_json(self.to_dict(), fh)
 
 
 def rerun(manifest_path: str) -> int:
@@ -110,10 +121,6 @@ def rerun(manifest_path: str) -> int:
     import subprocess
 
     with open(manifest_path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    version = obj.get("manifest_version")
-    if version != MANIFEST_FORMAT_VERSION:
-        raise ValueError(f"unsupported manifest version: {version!r}")
-    argv = obj["argv"]
+        argv = json_document(json.load(fh), "manifest_version", MANIFEST_FORMAT_VERSION)["argv"]
     command = [sys.executable, "-m", "electrend", *argv]
     return subprocess.call(command)

@@ -22,6 +22,7 @@ from enum import Enum
 from typing import Iterable
 
 from .ingest import ParseError, TweetRecord, iter_text_lines, open_text
+from .manifest import dump_json, json_document
 
 __all__ = [
     "Stance",
@@ -147,18 +148,12 @@ class LexiconModel:
 
     def save(self, fh) -> None:
         """The model as versioned JSON to ``fh``."""
-        json.dump(self.to_dict(), fh, indent=1, sort_keys=True, ensure_ascii=False, allow_nan=False)
-        fh.write("\n")
+        dump_json(self.to_dict(), fh)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "LexiconModel":
         """The model of a JSON object; anything else, or a term weight that is no finite number, is a ``ValueError``."""
-        if not isinstance(obj, dict):
-            raise ValueError("the model is not a JSON object")
-        version = obj.get("format_version")
-        if version != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model format version: {version!r}")
-        weights = obj.get("term_weights", {})
+        weights = json_document(obj, "format_version", MODEL_FORMAT_VERSION).get("term_weights", {})
         if not isinstance(weights, dict) or not all(
             isinstance(ws, dict) and all(type(w) in (int, float) and abs(w) <= sys.float_info.max for w in ws.values())
             for ws in weights.values()

@@ -39,7 +39,8 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .ingest import TweetRecord, record_to_json
-from .stance import DEFAULT_SEEDS
+from .manifest import dump_json, json_document
+from .stance import CAMPS, DEFAULT_SEEDS
 from .trend import TrendColumns, UserCategory, first_day
 
 __all__ = [
@@ -58,8 +59,6 @@ SPEC_FORMAT_VERSION = 1
 
 Mix = tuple[float, float, float]  # (p_ff, p_mp, p_third)
 
-_CAMPS = ("ff", "mp", "third")
-
 # Every synthetic tweet mentions one of these so the corpus passes the
 # candidate-name ingest queries; the choice is uniform and therefore
 # carries no stance signal.
@@ -75,7 +74,7 @@ _POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 MAX_USER_TWEETS = 10**6
 
 # Each camp's default seed tags, sorted; a seeded synthetic tweet carries one.
-_SEED_LISTS = {camp: sorted(t for t, c in DEFAULT_SEEDS.items() if c == camp) for camp in _CAMPS}
+_SEED_LISTS = {camp: sorted(t for t, c in DEFAULT_SEEDS.items() if c == camp) for camp in CAMPS}
 
 
 def _check_mix(mix: Sequence[float], what: str) -> Mix:
@@ -108,8 +107,9 @@ class ElectorateSpec:
     common_vocab_size: int = 30
 
     def __post_init__(self):
-        if self.n_users < 0 or self.n_days < 1:
-            raise ValueError("need n_users >= 0 and n_days >= 1")
+        for name, least in (("n_users", 0), ("n_days", 1), ("vocab_size", 1), ("common_vocab_size", 1)):
+            if type(getattr(self, name)) is not int or getattr(self, name) < least:  # bool is not a count
+                raise ValueError(f"{name} must be an integer >= {least}")
         # ingest refuses a timestamp on the calendar's first or last day, so the corpus keeps off both
         if not (date.min < self.start_date and self.n_days <= (date.max - self.start_date).days):
             raise ValueError(
@@ -186,19 +186,17 @@ class ElectorateSpec:
         }
 
     def save(self, fh) -> None:
-        """The spec as indented, key-sorted JSON to ``fh``."""
-        json.dump(self.to_dict(), fh, indent=1, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        """The spec as versioned JSON to ``fh``."""
+        dump_json(self.to_dict(), fh)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ElectorateSpec":
-        version = obj.get("spec_version")
-        if version != SPEC_FORMAT_VERSION:
-            raise ValueError(f"unsupported spec version: {version!r}")
-        fields = {k: v for k, v in obj.items() if k != "spec_version"}
-        fields["drift"] = tuple(
-            (int(day), tuple(mix)) for day, mix in sorted(fields.get("drift", {}).items(), key=lambda kv: int(kv[0]))
-        )
+        """The spec of a JSON object, as :meth:`to_dict` writes it; anything else is a ``ValueError``."""
+        fields = {k: v for k, v in json_document(obj, "spec_version", SPEC_FORMAT_VERSION).items() if k != "spec_version"}
+        drift = fields.get("drift", {})
+        if not isinstance(drift, dict):
+            raise ValueError("drift is not a JSON object")
+        fields["drift"] = tuple((int(day), tuple(mix)) for day, mix in sorted(drift.items(), key=lambda kv: int(kv[0])))
         if "start_date" in fields:  # else the default, as for every key but the two sizes
             fields["start_date"] = date.fromisoformat(fields["start_date"])
         n_users, n_days = fields.pop("n_users"), fields.pop("n_days")  # a KeyError names a missing size

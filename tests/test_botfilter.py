@@ -30,12 +30,22 @@ def burst_user(user, n, span_seconds, text="spam spam", day=1):
     ]
 
 
+def track(tracker, user, created_at, text, day):
+    """Count one tweet of ``user`` at ``created_at`` on pipeline day ``day`` (a date), as ingest does."""
+    tracker.add_ordinal(user, created_at.timestamp(), text, day.toordinal())
+
+
+def profiles(tracker):
+    """Every profile of ``tracker``, by user id."""
+    return {a.user_id: a for a in tracker.each_profile()}
+
+
 def profile(records):
     """The profile of the one user of ``records``, each counted on its pipeline day."""
     tracker = ActivityTracker()
     for r in records:
-        tracker.add(r.user_id, r.created_at, r.text, effective_date(r))
-    (activity,) = tracker.profiles().values()
+        track(tracker, r.user_id, r.created_at, r.text, effective_date(r))
+    (activity,) = tracker.each_profile()
     return activity
 
 
@@ -94,8 +104,8 @@ class TestProfiling:
         records = [rec(user="u", text=f"t{i}", ts=day_ts(1, second=3600 * i)) for i in range(4)]
         tracker = ActivityTracker()
         for i, r in enumerate(records):
-            tracker.add(r.user_id, r.created_at, r.text, date(2019, 2, 27 + i % 2))
-        activity = tracker.profiles()["u"]
+            track(tracker, r.user_id, r.created_at, r.text, date(2019, 2, 27 + i % 2))
+        activity = profiles(tracker)["u"]
         assert (activity.active_days, activity.max_tweets_per_day) == (2, 2)
 
     def test_merged_trackers_equal_one_tracker(self):
@@ -103,13 +113,13 @@ class TestProfiling:
         records = burst_user("u", 9, 86400 * 2) + [rec(user="v", text=f"t{i % 2}", ts=day_ts(i + 1)) for i in range(5)]
         whole, parts = ActivityTracker(), [ActivityTracker() for _ in range(3)]
         for i, r in enumerate(records):
-            whole.add(r.user_id, r.created_at, r.text, effective_date(r))
-            parts[i % 3].add(r.user_id, r.created_at, r.text, effective_date(r))
+            track(whole, r.user_id, r.created_at, r.text, effective_date(r))
+            track(parts[i % 3], r.user_id, r.created_at, r.text, effective_date(r))
         merged = ActivityTracker()
         for part in parts:
             merged.merge(part)
-        assert merged.profiles() == whole.profiles()
-        assert merged.profiles()["u"].duplicate_text_ratio == 1 - 1 / 9
+        assert profiles(merged) == profiles(whole)
+        assert profiles(merged)["u"].duplicate_text_ratio == 1 - 1 / 9
 
 
 def reference_profiles(records):
@@ -146,7 +156,7 @@ class TestCompactState:
         n = 1000
         tracker = ActivityTracker()
         for i in range(n):  # 50 days, 20 records a day
-            tracker.add("u", day_ts(1 + i % 50, second=i), f"t{i % 7}", date(2019, 3, 1) + timedelta(days=i % 50))
+            track(tracker, "u", day_ts(1 + i % 50, second=i), f"t{i % 7}", date(2019, 3, 1) + timedelta(days=i % 50))
         state = tracker._users["u"]
         fields = vars(state) if hasattr(state, "__dict__") else {k: getattr(state, k) for k in state.__slots__}
         assert not [k for k, v in fields.items() if isinstance(v, dict)]
@@ -165,7 +175,6 @@ class TestCompactState:
                 st.integers(0, 86399),  # second of the day
                 st.sampled_from(["hola", "Hola  ", "hola mundo", "HOLA MUNDO", "chau", ""]),
                 st.integers(0, 3),  # the tracker that counts the record
-                st.booleans(),  # counted by add_ordinal, as ingest does, rather than add
             ),
             min_size=1,
             max_size=60,
@@ -175,20 +184,17 @@ class TestCompactState:
     def test_pickled_merged_parts_equal_the_reference(self, records, n_parts):
         parts = [ActivityTracker() for _ in range(n_parts)]
         rows = []
-        for user, offset, second, text, part, by_ordinal in records:
+        for user, offset, second, text, part in records:
             day = date(2019, 3, 1) + timedelta(days=offset)
             created_at = datetime(2019, 3, 1, tzinfo=timezone.utc) + timedelta(days=offset, seconds=second)
-            tracker = parts[part % n_parts]
-            if by_ordinal:
-                tracker.add_ordinal(user, created_at.timestamp(), text, day.toordinal())
-            else:
-                tracker.add(user, created_at, text, day)
+            track(parts[part % n_parts], user, created_at, text, day)
             rows.append((user, created_at, text, day))
         merged = ActivityTracker()
         for part in parts:  # each part comes back from a worker as a pickle
             merged.merge(pickle.loads(pickle.dumps(part)))
-        assert merged.profiles() == reference_profiles(rows)
-        assert [a.user_id for a in merged.each_profile()] == sorted(merged.profiles())
+        reference = reference_profiles(rows)
+        assert profiles(merged) == reference
+        assert [a.user_id for a in merged.each_profile()] == sorted(reference)
 
 
 class TestScoring:

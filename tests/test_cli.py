@@ -548,6 +548,11 @@ class TestMalformedFields:
         "t-bool": ("t", True),
         "ts-before-calendar": ("ts", "0001-01-01T00:00:00+05:00"),
         "ts-last-day": ("ts", "9999-12-31T23:00:00"),
+        "user-null": ("user", None),
+        "user-bool": ("user", True),
+        "user-object": ("user", {"a": 1}),
+        "id-list": ("id", [3]),
+        "id-float": ("id", 4.5),
     }
 
     @staticmethod
@@ -672,8 +677,8 @@ class TestCorpusReader:
             path = os.path.join(tmp, "labeled.jsonl")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(lines) + "\n")
-            table, origin, meta = _load_table(path, flag)
-        assert origin == flag and meta is None  # no meta sidecar: only the flag dates the rows
+            table, origin = _load_table(path, flag)
+        assert origin == flag  # no meta sidecar: only the flag dates the rows
         assert table.users == expected.users
         assert table.n_days == expected.n_days
         assert table.to_sparse() == expected.to_sparse()
@@ -872,7 +877,7 @@ class TestInputFaults:
                    "st.csv:1: expected 'user_id,stratum'"),
         "weights": (["trend", "in.jsonl", "--strata-file", "st.csv", "--weights-file", "{}"], "w.csv", "A,heavy\n",
                     "bad weights w.csv: could not convert string to float: 'heavy'"),
-        "spec": (["synth", "--spec", "{}"], "sp.json", '{"spec_version": 2}', "bad spec sp.json: unsupported spec version: 2"),
+        "spec": (["synth", "--spec", "{}"], "sp.json", '{"spec_version": 2}', "bad spec sp.json: spec_version is not 1"),
         "meta": (["trend", "in.jsonl"], "in.jsonl.meta.json", '["x"]', "bad meta in.jsonl.meta.json: not a JSON object"),
     }
     # A missing meta sidecar is no fault: the corpus then has no calendar. "nested" is JSON nested too deeply.
@@ -925,6 +930,33 @@ class TestInputFaults:
         result = self.run(label, content.encode(), pipeline, tmp_path)
         assert result.returncode == 4, result.stderr
         assert result.stderr == f"ERROR electrend: bad {label} {name}: missing key '{key}'\n"
+
+    # A JSON input that is not an object, and spec fields that are not what the spec takes: each checked before any output.
+    SPEC = '{"spec_version": 1, "n_users": 3, "n_days": 4, %s}'
+    CONTENT = {
+        "spec-array": ("spec", "[1]", "not a JSON object"),
+        "model-array": ("model", "[1]", "not a JSON object"),
+        "meta-array": ("meta", "[1]", "not a JSON object"),
+        "spec-drift-list": ("spec", SPEC % '"drift": [1]', "drift is not a JSON object"),
+        "spec-days-float": ("spec", SPEC % '"n_days": 4.5', "n_days must be an integer >= 1"),
+        "spec-users-float": ("spec", SPEC % '"n_users": 2.5', "n_users must be an integer >= 0"),
+        "spec-users-bool": ("spec", SPEC % '"n_users": true', "n_users must be an integer >= 0"),
+        "spec-vocab-zero": ("spec", SPEC % '"vocab_size": 0', "vocab_size must be an integer >= 1"),
+        "spec-common-vocab-negative": ("spec", SPEC % '"common_vocab_size": -1', "common_vocab_size must be an integer >= 1"),
+    }
+
+    @pytest.mark.parametrize("case", CONTENT)
+    def test_bad_content_exits_4_naming_the_input(self, case, pipeline, tmp_path):
+        label, content, message = self.CONTENT[case]
+        name = self.INPUTS[label][1]
+        result = self.run(label, content.encode(), pipeline, tmp_path)
+        assert result.returncode == 4, result.stderr
+        assert result.stderr == f"ERROR electrend: bad {label} {name}: {message}\n"
+        if label == "spec":  # validate reads a spec under the same rule, before its pipeline
+            inputs = sorted(p.name for p in tmp_path.iterdir())
+            result = run_cli(["validate", "--spec", name], tmp_path)
+            assert (result.returncode, result.stderr) == (4, f"ERROR electrend: bad spec {name}: {message}\n")
+            assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
     @pytest.mark.parametrize(
         "label, content, message",
@@ -1346,6 +1378,31 @@ class TestDocumentedFiles:
         assert (root / "cumulative.csv").read_text().splitlines()[0] == trend_header
         summary_header = re.search(r"The sweep summary has\s+the header\s+`([^`]+)`", text).group(1)
         assert (root / "sweep" / "sweep_summary.csv").read_text().splitlines()[0] == summary_header
+
+    def test_every_json_file_is_its_dump_json(self, every_stage):
+        root, manifests = every_stage
+        written = sorted(root.rglob("*.json"))
+        names = {p.relative_to(root).as_posix() for p in written}
+        expected = {"clean.jsonl.meta.json", "labeled.jsonl.meta.json", "model.json", "raw.jsonl.spec.json"}
+        assert expected | {Path(m).relative_to(root).as_posix() for m in manifests.values()} == names
+        for path in written:
+            text = path.read_text(encoding="utf-8")
+            out = io.StringIO()
+            manifest.dump_json(json.loads(text), out)
+            assert out.getvalue() == text, path
+
+    def test_readme_names_exist(self):
+        """Each backticked dotted name that starts with an electrend module names something the module has."""
+        modules = {m.name for m in pkgutil.iter_modules(electrend.__path__)}
+        names = re.findall(r"`(?:electrend\.)?(\w+(?:\.\w+)+)", README.read_text(encoding="utf-8"))
+        names = [n for n in names if n.split(".")[0] in modules and not n.endswith((".csv", ".json"))]  # not a file
+        assert names
+        for name in names:
+            module, *attrs = name.split(".")
+            obj = importlib.import_module(f"electrend.{module}")
+            for attr in attrs:
+                assert hasattr(obj, attr), name
+                obj = getattr(obj, attr)
 
 
 class TestFaultWalk:

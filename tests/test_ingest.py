@@ -123,9 +123,14 @@ class TestParseRecord:
             ', "t": "x"',
             ', "t": 1.7',
             ', "t": true',
+            ', "user": null',
+            ', "user": true',
+            ', "user": {"a": 1}',
+            ', "id": [3]',
+            ', "id": 4.5',
         ],
         ids=["lone-surrogate-escape", "hashtags-number", "hashtags-string", "hashtags-null-element",
-             "t-string", "t-float", "t-bool"],
+             "t-string", "t-float", "t-bool", "user-null", "user-bool", "user-object", "id-list", "id-float"],
     )
     def test_malformed_field_is_parse_error(self, fields):
         line = self.GOOD + fields + "}"
@@ -177,6 +182,14 @@ class TestParseRecord:
     def test_paired_surrogate_escape_is_one_character(self):
         r = parse_record(self.GOOD[:-1] + ' \\ud83d\\ude00"}')
         assert r.text == "macri \U0001F600"
+
+    def test_id_and_user_are_a_string_or_an_integer(self):
+        line = '{"id": -7, "user": 12, "ts": "2019-03-01T00:00:00Z", "text": "x"}'
+        assert (parse_record(line).tweet_id, parse_label(line)[0]) == ("-7", "12")
+        with pytest.raises(ParseError, match="^field 'user' is not a string or an integer$"):
+            parse_record(self.GOOD + ', "user": null}')
+        with pytest.raises(ParseError, match="^field 'id' is not a string or an integer$"):
+            parse_label(self.GOOD + ', "id": 4.5}')
 
     def test_label_keeps_the_estimator_fields(self):
         line = '{"id": 7, "user": "u9", "ts": "2019-03-01T23:00:00-03:00", "text": "x", "t": 4, "stance": "pro_mp"}'
@@ -495,7 +508,7 @@ def reference_ingest(lines: list[str], origin: date, offset: float) -> tuple[lis
         if not queries.matches(record.text):
             rejects.append(f"{line_no}\tno-query-match")
             continue
-        tracker.add(record.user_id, record.created_at, record.text, effective_date(record, offset))
+        tracker.add_ordinal(record.user_id, record.created_at.timestamp(), record.text, effective_date(record, offset).toordinal())
         kept.append((line_no, record))
     verdicts, bots = flag_bots(tracker, BotConfig())
     clean, days = [], []

@@ -128,7 +128,7 @@ class TestSpec:
         obj = small_spec().to_dict()
         obj["spec_version"] = 99
         path.write_text(__import__("json").dumps(obj))
-        with pytest.raises(ValueError, match="spec version"):
+        with pytest.raises(ValueError, match="^spec_version is not 1$"):
             ElectorateSpec.load(str(path))
 
     def test_run_id_stable_and_sensitive(self):
